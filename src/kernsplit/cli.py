@@ -304,26 +304,26 @@ def cmd_logratio(limit: int, gamma: float, points: int, as_json: bool, as_csv: b
     if points < 1:
         raise click.UsageError("--points must be at least 1")
     t0 = time.perf_counter()
-    try:
-        table = _sieve(limit)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
     xs = sorted({max(10, round(limit ** (i / points))) for i in range(1, points + 1)} | {limit})
     rows = []
     half = pwd.Theta(1, 2)
-    for x in xs:
-        weighted = pwd.count_log_weighted(x, gamma, table=table)
-        plain = pwd.count_members(x, half, table=table)
-        denom = math.log(x) ** gamma * plain.count
-        rows.append(
-            {
-                "x": x,
-                "weighted_count": weighted.count,
-                "half_count": plain.count,
-                "ratio": weighted.count / denom,
-            }
-        )
+    try:
+        table = _sieve(limit)
+        for x in xs:
+            weighted = pwd.count_log_weighted(x, gamma, table=table)
+            plain = pwd.count_members(x, half, table=table)
+            denom = math.log(x) ** gamma * plain.count
+            rows.append(
+                {
+                    "x": x,
+                    "weighted_count": weighted.count,
+                    "half_count": plain.count,
+                    "ratio": weighted.count / denom,
+                }
+            )
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     elapsed = (time.perf_counter() - t0) * 1000
     result = {"limit": limit, "gamma": gamma, "points": len(rows)}
     human = [_kv_line(r) for r in rows]

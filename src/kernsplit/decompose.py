@@ -27,9 +27,17 @@ kernel at most 2 * (U - W), and both satisfy the 432-bound above, which
 is what ``verify_structural`` checks without factoring anything.  For
 4 <= n <= 6 the exponent inequalities have no solution with a, b >= 1
 and the pair (2, n - 2) is used instead.
+
+``verify_range`` runs the same construction and the same checks block by
+block: over a run of n sharing (a, b), every step is int64 array
+arithmetic.  ``split`` and ``verify_structural`` stay the scalar
+reference.
 """
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .kernel import radical
 
@@ -40,7 +48,6 @@ __all__ = [
     "RangeScanReport",
     "SplitWitness",
     "choose_exponents",
-    "modular_inverse",
     "solve_diophantine",
     "split",
     "verify_exact",
@@ -50,6 +57,34 @@ __all__ = [
 
 # fourth power of the kernel-bound constant 2 * 27**(1/4)
 KERNEL_BOUND_4TH = 432
+
+# First n the block path leaves to the scalar path.  Once the checks
+# before it hold, every value the block path computes or compares is
+# below 32 * n: the largest are 27 * 4**a and 16 * 9**b, both under
+# 21 * n because the exponent inequalities give 4**a < 4 n / sqrt(27)
+# and 9**b < sqrt(27) n / 4.  32 * n < 2**63 for every n below this.
+_INT64_LIMIT = 2**58
+
+# n per int64 chunk; bounds the block path's memory whatever the range
+_CHUNK = 2**13
+
+# the conditions of verify_structural, in the order it checks them
+_REASONS = (
+    "a_range",
+    "b_range",
+    "quotient",
+    "remainder",
+    "remainder_range",
+    "w_range",
+    "linear_identity",
+    "part1_value",
+    "part2_value",
+    "part_sum",
+    "part2_range",
+    "part1_min",
+    "part2_kernel_bound",
+    "part1_kernel_bound",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,19 +175,6 @@ def choose_exponents(n: int) -> tuple[int, int]:
     return a, b
 
 
-def modular_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m >= 2 by the extended Euclidean algorithm."""
-    old_r, r = a % m, m
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return old_s % m
-
-
 def solve_diophantine(V: int, a: int, b: int) -> tuple[int, int]:
     """Integers (W, w) with V = -2**a * W + 3**b * w and 1 <= w <= 2**a.
 
@@ -161,7 +183,7 @@ def solve_diophantine(V: int, a: int, b: int) -> tuple[int, int]:
     and may be negative.
     """
     modulus = 1 << a
-    inv = modular_inverse(pow(3, b, modulus), modulus)
+    inv = pow(3**b, -1, modulus)
     w = (V * inv) % modulus
     if w == 0:
         w = modulus
@@ -299,22 +321,118 @@ class RangeScanReport:
         }
 
 
+def _a_bounds(a: int) -> tuple[int, int]:
+    """(lo, hi) with lo < n <= hi exactly when a satisfies its inequality."""
+    return math.isqrt(27 << (4 * a - 4)), math.isqrt(27 << (4 * a))
+
+
+def _b_bounds(b: int) -> tuple[int, int]:
+    """(lo, hi) with lo < n <= hi exactly when b satisfies its inequality."""
+    return math.isqrt(16 * 3 ** (4 * b - 3)), math.isqrt(16 * 3 ** (4 * b + 1))
+
+
+def _exponent_blocks(n_lo: int, n_hi: int):
+    """Yield (lo, hi, a, b): the maximal runs of [n_lo, n_hi] sharing (a, b).
+
+    Requires n_lo >= 7.  Each exponent keeps its value until n passes the
+    upper bound of its inequality, so consecutive bounds tile the range.
+    """
+    a, b = choose_exponents(n_lo)
+    lo = n_lo
+    while lo <= n_hi:
+        a_hi, b_hi = _a_bounds(a)[1], _b_bounds(b)[1]
+        hi = min(a_hi, b_hi, n_hi)
+        yield lo, hi, a, b
+        lo = hi + 1
+        if hi == a_hi:
+            a += 1
+        if hi == b_hi:
+            b += 1
+
+
+def _split_block(n: np.ndarray, a: int, b: int) -> tuple[np.ndarray, ...]:
+    """``split`` over an int64 array of n that all have exponents (a, b).
+
+    Returns the arrays (U, V, W, w, m1, m2).  Requires n < _INT64_LIMIT.
+    """
+    pa, pb = 1 << a, 3**b
+    U = (n >> a) - 1
+    V = n - (U << a)
+    w = (V * pow(pb, -1, pa)) & (pa - 1)
+    w[w == 0] = pa
+    W = (pb * w - V) >> a
+    return U, V, W, w, (U - W) << a, pb * w
+
+
+def _check_block(n, a, b, U, V, W, w, m1, m2) -> list[tuple[int, str]]:
+    """``verify_structural`` over int64 arrays; (n, reason) per failing n.
+
+    Evaluates every condition as one row of a boolean matrix, in the
+    scalar order; the reason is the first failing row.  Each row is exact
+    in int64 for n < _INT64_LIMIT whenever the rows before it hold, which
+    is all the first failing row needs.  The linear identity is tested as
+    pa | (pb*w - V) and W == (pb*w - V) / pa, which never multiplies the
+    unchecked W.  The kernel bounds use their reduced forms: with
+    m2 = pb*w and w >= 1, (3w)**4 <= 432 m2**2 iff 3 w**2 <= 16 * 9**b;
+    with m1 = pa*(U - W) and U - W >= 1, (2(U - W))**4 <= 432 m1**2 iff
+    (U - W)**2 <= 27 * 4**a.
+    """
+    pa, pb = 1 << a, 3**b
+    a_lo, a_hi = _a_bounds(a)
+    b_lo, b_hi = _b_bounds(b)
+    num = pb * w - V
+    rows = np.stack(
+        [
+            (a_lo < n) & (n <= a_hi),
+            (b_lo < n) & (n <= b_hi),
+            U == (n >> a) - 1,
+            V == n - (U << a),
+            (pa <= V) & (V < 2 * pa),
+            (1 <= w) & (w <= pa),
+            ((num & (pa - 1)) == 0) & ((num >> a) == W),
+            m1 == ((U - W) << a),
+            m2 == pb * w,
+            m1 + m2 == n,
+            (pb <= m2) & (m2 <= pa * pb) & (pa * pb < n),
+            m1 >= pa,
+            3 * w * w <= 16 * 9**b,
+            (U - W) ** 2 <= 27 * 4**a,
+        ]
+    )
+    ok = rows.all(axis=0)
+    if ok.all():
+        return []
+    bad = np.flatnonzero(~ok)
+    first = rows[:, bad].argmin(axis=0)
+    return [(int(n[i]), _REASONS[r]) for i, r in zip(bad, first)]
+
+
+def _verify_chunk(lo: int, hi: int, a: int, b: int) -> list[tuple[int, str]]:
+    """Split and structurally verify every n in [lo, hi], all with exponents (a, b)."""
+    if hi >= _INT64_LIMIT:
+        raise ValueError(f"block path needs n < {_INT64_LIMIT}, got {hi}")
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    return _check_block(n, a, b, *_split_block(n, a, b))
+
+
 def verify_range(n_lo: int, n_hi: int) -> RangeScanReport:
     """Split and verify every n in [n_lo, n_hi].
 
-    Witnessed cases go through ``verify_structural``; the small-n
-    fallback goes through ``verify_exact``.
+    Witnessed cases below _INT64_LIMIT are split and checked in int64
+    chunks per exponent block, with the same conditions and reason codes
+    as ``verify_structural``, which checks the cases at or above it.  The
+    small-n fallback goes through ``verify_exact``.
     """
     if not 4 <= n_lo <= n_hi:
         raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    violations = []
-    for n in range(n_lo, n_hi + 1):
-        d = split(n)
-        if d.witness is None:
-            if not verify_exact(d):
-                violations.append((n, "exact"))
-        else:
-            res = verify_structural(d)
-            if not res.ok:
-                violations.append((n, res.reason))
+    violations = [
+        (n, "exact") for n in range(n_lo, min(n_hi, 6) + 1) if not verify_exact(split(n))
+    ]
+    for lo, hi, a, b in _exponent_blocks(max(n_lo, 7), min(n_hi, _INT64_LIMIT - 1)):
+        for start in range(lo, hi + 1, _CHUNK):
+            violations += _verify_chunk(start, min(start + _CHUNK - 1, hi), a, b)
+    for n in range(max(n_lo, 7, _INT64_LIMIT), n_hi + 1):
+        res = verify_structural(split(n))
+        if not res.ok:
+            violations.append((n, res.reason))
     return RangeScanReport(n_lo, n_hi, n_hi - n_lo + 1, tuple(violations))

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from .kernel import RadicalTable, factorize, radical_sieve
 
@@ -199,6 +198,8 @@ def count_members(
 
 
 def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
+    from mpmath import mp  # only near-ties need it; keeps it off the import path
+
     with mp.workdps(_TIE_DPS):
         return mp.mpf(k * k) <= mp.mpf(m) * mp.log(m) ** (2 * gamma)
 
@@ -211,10 +212,12 @@ def log_weighted_mask(
     Defined for m >= 2 (indices 0 and 1 are always False; m = 1 has
     ln(1) = 0 and is excluded by definition).  Comparisons within a
     relative 1e-9 of the boundary are re-evaluated at 35 significant
-    digits, ties counting as members.
+    digits, ties counting as members.  gamma must be finite.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     table = _resolve_table(x, table)
     mask = np.zeros(x + 1, dtype=bool)
     ks = table.values[2 : x + 1].astype(np.float64)

@@ -204,6 +204,22 @@ class TestLogRatio:
             assert row["ratio"] > 0
 
 
+class TestNonFiniteGamma:
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--limit", "100"],
+            ["scan", "--from", "4", "--to", "50"],
+            ["logratio", "--limit", "100"],
+        ],
+    )
+    def test_error_exit(self, args, gamma):
+        result = runner.invoke(cli, [*args, "--gamma", gamma])
+        assert result.exit_code == 1
+        assert "error: gamma must be finite" in result.output
+
+
 class TestSegmentEnvVar:
     def test_override_does_not_change_results(self, monkeypatch):
         monkeypatch.setenv("KERNSPLIT_SEGMENT_SIZE", "1000")

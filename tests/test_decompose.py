@@ -7,14 +7,21 @@ first-principles integer arithmetic in the tests themselves.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kernsplit import decompose
 from kernsplit.decompose import (
+    _CHUNK,
+    _INT64_LIMIT,
     Decomposition,
     SplitWitness,
+    _check_block,
+    _exponent_blocks,
+    _split_block,
+    _verify_chunk,
     choose_exponents,
-    modular_inverse,
     solve_diophantine,
     split,
     verify_exact,
@@ -61,23 +68,6 @@ class TestChooseExponents:
             a, b = choose_exponents(n)
             assert 16 * n * n != 27 * 2 ** (4 * a + 4)
             assert 27 * n * n != 16 * 3 ** (4 * b + 4)
-
-
-class TestModularInverse:
-    def test_small_cases(self):
-        assert modular_inverse(3, 8) == 3  # 3*3 = 9 = 1 mod 8
-        assert modular_inverse(9, 8) == 1
-        assert modular_inverse(7, 16) == 7  # 49 = 48 + 1
-
-    def test_inverse_property(self):
-        for m in (2, 4, 8, 32, 1024):
-            for a in range(1, 50):
-                if a % 2 == 1:
-                    assert a * modular_inverse(a, m) % m == 1 % m
-
-    def test_rejects_non_invertible(self):
-        with pytest.raises(ValueError):
-            modular_inverse(6, 8)
 
 
 class TestSolveDiophantine:
@@ -240,6 +230,156 @@ class TestVerifyRange:
             verify_range(3, 10)
         with pytest.raises(ValueError):
             verify_range(10, 4)
+
+
+def scalar_violations(n_lo, n_hi, tamper=lambda d: d):
+    """The per-n reference loop: split, then verify_structural or verify_exact."""
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        d = split(n)
+        if d.witness is None:
+            if not verify_exact(d):
+                out.append((n, "exact"))
+        else:
+            res = verify_structural(tamper(d))
+            if not res.ok:
+                out.append((n, res.reason))
+    return out
+
+
+def block_decompositions(n_lo, n_hi):
+    """split(n) for every n in [n_lo, n_hi] (n_lo >= 7), rebuilt from _split_block."""
+    out = []
+    for lo, hi, a, b in _exponent_blocks(n_lo, n_hi):
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        for row in zip(n, *_split_block(n, a, b)):
+            k, U, V, W, w, m1, m2 = map(int, row)
+            out.append(Decomposition(k, m1, m2, SplitWitness(a, b, U, V, W, w)))
+    return out
+
+
+def block_reason(d: Decomposition):
+    """The block path's reason for one witnessed decomposition, None if it passes."""
+    wit = d.witness
+    arrays = [
+        np.array([v], dtype=np.int64)
+        for v in (d.n, wit.U, wit.V, wit.W, wit.w, d.m1, d.m2)
+    ]
+    n, U, V, W, w, m1, m2 = arrays
+    found = _check_block(n, wit.a, wit.b, U, V, W, w, m1, m2)
+    return found[0][1] if found else None
+
+
+# the upper end of every exponent block below the int64 limit
+BLOCK_EDGES = [hi for _, hi, _, _ in _exponent_blocks(7, _INT64_LIMIT - 1)]
+
+
+class TestExponentBlocks:
+    def test_blocks_agree_with_choose_exponents_at_both_ends(self):
+        prev_hi = 6
+        for lo, hi, a, b in _exponent_blocks(7, 2**62):
+            assert lo == prev_hi + 1
+            assert choose_exponents(lo) == (a, b) == choose_exponents(hi)
+            if hi < 2**62:
+                assert choose_exponents(hi + 1) != (a, b)
+            prev_hi = hi
+        assert prev_hi == 2**62
+
+    @given(st.integers(min_value=7, max_value=10**15), st.integers(min_value=0, max_value=10**6))
+    def test_windows_tile(self, lo, length):
+        blocks = list(_exponent_blocks(lo, lo + length))
+        assert blocks[0][0] == lo and blocks[-1][1] == lo + length
+        for (_, hi, _, _), (nxt, _, _, _) in zip(blocks, blocks[1:]):
+            assert nxt == hi + 1
+
+
+class TestBlockPath:
+    def test_witnesses_at_block_edges_and_landmarks(self):
+        ns = {1339, 7, _INT64_LIMIT - 1}
+        for edge in BLOCK_EDGES:
+            ns |= {edge - 1, edge, edge + 1, edge + 2}
+        for n in sorted(k for k in ns if 7 <= k < _INT64_LIMIT):
+            (d,) = block_decompositions(n, n)
+            assert d == split(n), n
+        assert block_decompositions(1339, 1339)[0].witness.W == -1
+
+    @given(st.integers(min_value=7, max_value=10**15), st.integers(min_value=0, max_value=300))
+    def test_witnesses_match_split_on_windows(self, lo, length):
+        assert block_decompositions(lo, lo + length) == [
+            split(n) for n in range(lo, lo + length + 1)
+        ]
+
+    @given(
+        st.integers(min_value=7, max_value=10**15),
+        st.sampled_from(["U", "V", "W", "w", "m1", "m2"]),
+        st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-(2**40), max_value=2**40)),
+    )
+    def test_tampered_witness_reason_matches_scalar(self, n, field, delta):
+        d = split(n)
+        if field in ("m1", "m2"):
+            bad = dataclasses.replace(d, **{field: getattr(d, field) + delta})
+        else:
+            changed = {field: getattr(d.witness, field) + delta}
+            bad = dataclasses.replace(d, witness=dataclasses.replace(d.witness, **changed))
+        assert block_reason(bad) == verify_structural(bad).reason
+
+    @given(
+        st.integers(min_value=7, max_value=10**15),
+        st.sampled_from(["a", "b"]),
+        st.integers(min_value=-2, max_value=2),
+    )
+    def test_tampered_exponent_reason_matches_scalar(self, n, field, delta):
+        d = split(n)
+        value = getattr(d.witness, field) + delta
+        if value < 1:
+            return
+        bad = dataclasses.replace(d, witness=dataclasses.replace(d.witness, **{field: value}))
+        assert block_reason(bad) == verify_structural(bad).reason
+
+    def test_range_preserving_tamper_is_w_range(self):
+        d = split(100)
+        wit = d.witness
+        bad = dataclasses.replace(
+            d, witness=dataclasses.replace(wit, w=wit.w + (1 << wit.a), W=wit.W + 3**wit.b)
+        )
+        assert block_reason(bad) == verify_structural(bad).reason == "w_range"
+
+    def test_chunk_at_int64_limit(self):
+        lo, hi, a, b = list(_exponent_blocks(_INT64_LIMIT - 200, _INT64_LIMIT - 1))[-1]
+        assert _verify_chunk(lo, hi, a, b) == scalar_violations(lo, hi) == []
+        with pytest.raises(ValueError):
+            _verify_chunk(lo, _INT64_LIMIT, a, b)
+
+    @pytest.mark.parametrize(
+        "n_lo, n_hi",
+        [
+            (4, 60),
+            (5, 6),
+            (BLOCK_EDGES[5] - 30, BLOCK_EDGES[5] + 30),
+            (BLOCK_EDGES[20] - 30, BLOCK_EDGES[20] + 30),
+            (_INT64_LIMIT - 30, _INT64_LIMIT + 30),
+            (7, 3 * _CHUNK + 7),
+        ],
+    )
+    def test_verify_range_matches_scalar_loop(self, n_lo, n_hi, monkeypatch):
+        # corrupt m2 at every n divisible by 7 on both paths, so the scan
+        # has violations to report on either side of every seam
+        def tamper(d):
+            return dataclasses.replace(d, m2=d.m2 + 1) if d.n % 7 == 0 else d
+
+        real = decompose._split_block
+
+        def corrupt_split_block(n, a, b):
+            U, V, W, w, m1, m2 = real(n, a, b)
+            return U, V, W, w, m1, m2 + (n % 7 == 0)
+
+        clean = verify_range(n_lo, n_hi)
+        assert clean.violations == tuple(scalar_violations(n_lo, n_hi)) == ()
+        monkeypatch.setattr(decompose, "_split_block", corrupt_split_block)
+        monkeypatch.setattr(decompose, "split", lambda n: tamper(split(n)))
+        report = verify_range(n_lo, n_hi)
+        assert report.checked == n_hi - n_lo + 1
+        assert report.violations == tuple(scalar_violations(n_lo, n_hi, tamper))
 
 
 class TestRecords:

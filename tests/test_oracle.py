@@ -133,6 +133,11 @@ class TestConjectureProbe:
         assert report.failing == (4, 5)
         assert report.satisfied == 95
 
+    def test_rejects_non_finite_gamma(self):
+        for gamma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                conjecture_probe(4, 100, gamma)
+
     def test_gamma_zero_range_against_brute_force(self):
         import math
 

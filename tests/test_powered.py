@@ -16,6 +16,7 @@ from kernsplit.powered import (
     count_log_weighted,
     count_members,
     is_member,
+    log_weighted_mask,
     membership_mask,
     multiplicity_index,
     subset_check_powers,
@@ -165,6 +166,13 @@ class TestCountLogWeighted:
     def test_rejects_x_below_two(self):
         with pytest.raises(ValueError):
             count_log_weighted(1, 0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            count_log_weighted(100, gamma)
+        with pytest.raises(ValueError, match="finite"):
+            log_weighted_mask(100, gamma)
 
 
 class TestSubsetCheckPowers:
