@@ -1,6 +1,7 @@
 """Command-line interface tests via click's test runner."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -232,3 +233,252 @@ class TestSegmentEnvVar:
         monkeypatch.setenv("KERNSPLIT_SEGMENT_SIZE", "soon")
         result = runner.invoke(cli, ["count", "--theta", "1/2", "--limit", "100"])
         assert result.exit_code != 0
+
+
+# Full terminal output (stdout, then any error line) and exit status of
+# every command in each output form.  Covers cases the targeted tests
+# above do not: the probe shows only failing rows in human form,
+# logratio prints no summary line, verify-mode CSV without violations
+# falls back to the summary row, radical's JSON has ``factors`` while its
+# CSV has ``factorization``, and a witnessless CSV row has empty cells.
+GOLDEN = [
+    ('radical 360', 0, 'm=360 radical=30 factorization=2^3*3^2*5\n'),
+    (
+        'radical 360 --json',
+        0,
+        (
+            '{"command": "radical", "params": {"m": 360}, "result": {"m": 360, "radical": 30, "factors": [[2, 3], [3, 2], [5, 1]]}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'radical 360 --csv',
+        0,
+        (
+            'm,radical,factorization\n'
+            '360,30,2^3*3^2*5\n'
+        ),
+    ),
+    ('radical 1', 0, 'm=1 radical=1 factorization=1\n'),
+    ('radical 0', 1, 'error: cannot factor 0: expected an integer >= 1\n'),
+    (
+        'radical 10000000000000',
+        1,
+        (
+            'error: 10000000000000 is too large to factor by trial division (limit 1000000000000)\n'
+        ),
+    ),
+    (
+        'decompose 100 --verify structural',
+        0,
+        (
+            'n=100 m1=64 m2=36 a=3 b=2 U=11 V=12 W=3 w=4 fallback=false verified=true\n'
+        ),
+    ),
+    (
+        'decompose 100 --verify exact --json',
+        0,
+        (
+            '{"command": "decompose", "params": {"n": 100, "verify": "exact"}, "result": {"n": 100, "m1": 64, "m2": 36, "a": 3, "b": 2, "U": 11, "V": 12, "W": 3, "w": 4, "fallback": false, "verified": true}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'decompose 100 --csv',
+        0,
+        (
+            'n,m1,m2,a,b,U,V,W,w,fallback,verified\n'
+            '100,64,36,3,2,11,12,3,4,False,\n'
+        ),
+    ),
+    (
+        'decompose 4',
+        0,
+        (
+            'n=4 m1=2 m2=2 a=- b=- U=- V=- W=- w=- fallback=true verified=-\n'
+        ),
+    ),
+    (
+        'decompose 4 --csv',
+        0,
+        (
+            'n,m1,m2,a,b,U,V,W,w,fallback,verified\n'
+            '4,2,2,,,,,,,True,\n'
+        ),
+    ),
+    (
+        'decompose 5 --verify structural --json',
+        0,
+        (
+            '{"command": "decompose", "params": {"n": 5, "verify": "structural"}, "result": {"n": 5, "m1": 2, "m2": 3, "a": null, "b": null, "U": null, "V": null, "W": null, "w": null, "fallback": true, "verified": true}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    ('decompose 3', 1, 'error: no guaranteed decomposition for n=3; need n >= 4\n'),
+    ('count --theta 1/2 --limit 100', 0, 'x=100 theta=1/2 count=17 normalized=1.7\n'),
+    (
+        'count --theta 1/2 --limit 100 --json',
+        0,
+        (
+            '{"command": "count", "params": {"theta": "1/2", "limit": 100}, "result": {"x": 100, "theta": "1/2", "count": 17, "normalized": 1.7}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'count --theta 1/2 --limit 100 --csv',
+        0,
+        (
+            'x,theta,count,normalized\n'
+            '100,1/2,17,1.7\n'
+        ),
+    ),
+    ('count --gamma 0 --limit 100', 0, 'x=100 gamma=0 count=16 normalized=1.6\n'),
+    (
+        'count --gamma 0 --limit 100 --json',
+        0,
+        (
+            '{"command": "count", "params": {"gamma": 0.0, "limit": 100}, "result": {"x": 100, "gamma": 0.0, "count": 16, "normalized": 1.6}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'count --gamma 0 --limit 100 --csv',
+        0,
+        (
+            'x,gamma,count,normalized\n'
+            '100,0.0,16,1.6\n'
+        ),
+    ),
+    ('count --theta 2 --limit 10', 1, "error: cannot parse theta from '2'\n"),
+    ('scan --from 4 --to 1000', 0, 'n_lo=4 n_hi=1000 checked=997 violations=0\n'),
+    (
+        'scan --from 4 --to 1000 --json',
+        0,
+        (
+            '{"command": "scan", "params": {"from": 4, "to": 1000, "mode": "verify"}, "result": {"n_lo": 4, "n_hi": 1000, "checked": 997, "violations": 0}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'scan --from 4 --to 1000 --csv',
+        0,
+        (
+            'n_lo,n_hi,checked,violations\n'
+            '4,1000,997,0\n'
+        ),
+    ),
+    ('scan --from 10 --to 4', 1, 'error: need 4 <= n_lo <= n_hi, got [10, 4]\n'),
+    (
+        'scan --from 4 --to 8 --oracle',
+        0,
+        (
+            'n=4 split_m1=2 split_m2=2 split_quality=2 split_fallback=true oracle_m1=2 oracle_m2=2 oracle_quality=2 ok=true\n'
+            'n=5 split_m1=2 split_m2=3 split_quality=3 split_fallback=true oracle_m1=2 oracle_m2=3 oracle_quality=3 ok=true\n'
+            'n=6 split_m1=2 split_m2=4 split_quality=2 split_fallback=true oracle_m1=2 oracle_m2=4 oracle_quality=2 ok=true\n'
+            'n=7 split_m1=4 split_m2=3 split_quality=3 split_fallback=false oracle_m1=3 oracle_m2=4 oracle_quality=3 ok=true\n'
+            'n=8 split_m1=2 split_m2=6 split_quality=6 split_fallback=false oracle_m1=4 oracle_m2=4 oracle_quality=1 ok=true\n'
+            'n_lo=4 n_hi=8 checked=5 violations=0 max_split_quality=6 mean_split_quality=3.2 max_oracle_quality=3 mean_oracle_quality=2.2\n'
+        ),
+    ),
+    (
+        'scan --from 4 --to 8 --oracle --json',
+        0,
+        (
+            '{"n": 4, "split_m1": 2, "split_m2": 2, "split_quality": "2", "split_fallback": true, "oracle_m1": 2, "oracle_m2": 2, "oracle_quality": "2", "ok": true}\n'
+            '{"n": 5, "split_m1": 2, "split_m2": 3, "split_quality": "3", "split_fallback": true, "oracle_m1": 2, "oracle_m2": 3, "oracle_quality": "3", "ok": true}\n'
+            '{"n": 6, "split_m1": 2, "split_m2": 4, "split_quality": "2", "split_fallback": true, "oracle_m1": 2, "oracle_m2": 4, "oracle_quality": "2", "ok": true}\n'
+            '{"n": 7, "split_m1": 4, "split_m2": 3, "split_quality": "3", "split_fallback": false, "oracle_m1": 3, "oracle_m2": 4, "oracle_quality": "3", "ok": true}\n'
+            '{"n": 8, "split_m1": 2, "split_m2": 6, "split_quality": "6", "split_fallback": false, "oracle_m1": 4, "oracle_m2": 4, "oracle_quality": "1", "ok": true}\n'
+            '{"command": "scan", "params": {"from": 4, "to": 8, "mode": "oracle"}, "result": {"n_lo": 4, "n_hi": 8, "checked": 5, "violations": 0, "max_split_quality": "6", "mean_split_quality": 3.2, "max_oracle_quality": "3", "mean_oracle_quality": 2.2}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'scan --from 4 --to 8 --oracle --csv',
+        0,
+        (
+            'n,split_m1,split_m2,split_quality,split_fallback,oracle_m1,oracle_m2,oracle_quality,ok\n'
+            '4,2,2,2,True,2,2,2,True\n'
+            '5,2,3,3,True,2,3,3,True\n'
+            '6,2,4,2,True,2,4,2,True\n'
+            '7,4,3,3,False,3,4,3,True\n'
+            '8,2,6,6,False,4,4,1,True\n'
+        ),
+    ),
+    (
+        'scan --from 4 --to 200000 --oracle',
+        1,
+        (
+            'error: scan implies ~1.00e+10 kernel lookups (> 1e+09); rerun with --force to proceed\n'
+        ),
+    ),
+    (
+        'scan --from 8 --to 14 --gamma 0',
+        0,
+        (
+            'n=9 ok=false m1=- m2=-\n'
+            'n=10 ok=false m1=- m2=-\n'
+            'n=11 ok=false m1=- m2=-\n'
+            'n=14 ok=false m1=- m2=-\n'
+            'n_lo=8 n_hi=14 gamma=0 checked=7 satisfied=3 failing=[9, 10, 11, 14]\n'
+        ),
+    ),
+    (
+        'scan --from 8 --to 14 --gamma 0 --json',
+        0,
+        (
+            '{"n": 8, "ok": true, "m1": 4, "m2": 4}\n'
+            '{"n": 9, "ok": false, "m1": null, "m2": null}\n'
+            '{"n": 10, "ok": false, "m1": null, "m2": null}\n'
+            '{"n": 11, "ok": false, "m1": null, "m2": null}\n'
+            '{"n": 12, "ok": true, "m1": 4, "m2": 8}\n'
+            '{"n": 13, "ok": true, "m1": 4, "m2": 9}\n'
+            '{"n": 14, "ok": false, "m1": null, "m2": null}\n'
+            '{"command": "scan", "params": {"from": 8, "to": 14, "mode": "probe", "gamma": 0.0}, "result": {"n_lo": 8, "n_hi": 14, "gamma": 0.0, "checked": 7, "satisfied": 3, "failing": [9, 10, 11, 14]}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'scan --from 8 --to 14 --gamma 0 --csv',
+        0,
+        (
+            'n,ok,m1,m2\n'
+            '8,True,4,4\n'
+            '9,False,,\n'
+            '10,False,,\n'
+            '11,False,,\n'
+            '12,True,4,8\n'
+            '13,True,4,9\n'
+            '14,False,,\n'
+        ),
+    ),
+    (
+        'logratio --limit 100 --points 2',
+        0,
+        (
+            'x=10 weighted_count=3 half_count=4 ratio=0.325721\n'
+            'x=100 weighted_count=36 half_count=17 ratio=0.459841\n'
+        ),
+    ),
+    (
+        'logratio --limit 100 --points 2 --json',
+        0,
+        (
+            '{"x": 10, "weighted_count": 3, "half_count": 4, "ratio": 0.32572086142743883}\n'
+            '{"x": 100, "weighted_count": 36, "half_count": 17, "ratio": 0.4598412161328549}\n'
+            '{"command": "logratio", "params": {"limit": 100, "gamma": 1.0}, "result": {"limit": 100, "gamma": 1.0, "points": 2}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'logratio --limit 100 --points 2 --csv',
+        0,
+        (
+            'x,weighted_count,half_count,ratio\n'
+            '10,3,4,0.32572086142743883\n'
+            '100,36,17,0.4598412161328549\n'
+        ),
+    ),
+    ('logratio --limit 100 --gamma nan', 1, 'error: gamma must be finite, got nan\n'),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        ("args", "exit_code", "output"), GOLDEN, ids=[g[0] for g in GOLDEN]
+    )
+    def test_output(self, args, exit_code, output):
+        result = runner.invoke(cli, args.split())
+        masked = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', result.output)
+        assert (result.exit_code, masked) == (exit_code, output)
