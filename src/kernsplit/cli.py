@@ -6,19 +6,27 @@ Four commands cover the library: ``radical`` (factor one value),
 representability probe), plus ``logratio`` for the exploratory
 weighted-count ratio table.
 
-Output defaults to human-readable key=value lines; ``--json`` emits one
-JSON object per line (per-row objects first where a command produces
-rows, then a single envelope with command, params, result and
-elapsed_ms); ``--csv`` emits a header row then data rows.  Exit status
-is 0 exactly when the command succeeded and, where verification was
-requested or implied, verification passed.
+Every command prints through ``_run``, under one output contract:
+
+- ``--json``: one JSON object per line, the rows first, then a single
+  envelope with command, params, result and elapsed_ms;
+- ``--csv``: a header row then the rows, or, for a command without rows,
+  its human-mode record (the result; for ``radical`` the flat record
+  with a ``factorization`` string in place of the ``factors`` pairs);
+- default: one key=value line per record, the rows then the result.
+  The ``scan --gamma`` probe shows only its failing rows before the
+  result, and ``logratio`` shows its rows with no result line.
+
+A ``ValueError`` raised by the library becomes one ``error:`` line on
+stderr and exit status 1.  Otherwise the exit status is 0 exactly when
+the command succeeded and, where verification was requested or implied,
+verification passed.
 """
 
 import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -29,44 +37,8 @@ from . import oracle as orc
 from . import powered as pwd
 from .kernel import factorize, radical_sieve
 
-SEGMENT_ENV_VAR = "KERNSPLIT_SEGMENT_SIZE"
-
 # scans implying more lookups than this refuse to run without --force
 FORCE_LOOKUP_LIMIT = 10**9
-
-
-def _segment_kwargs() -> dict:
-    raw = os.environ.get(SEGMENT_ENV_VAR)
-    if raw is None:
-        return {}
-    try:
-        seg = int(raw)
-    except ValueError:
-        raise click.UsageError(f"{SEGMENT_ENV_VAR} must be an integer, got {raw!r}")
-    return {"segment_size": seg}
-
-
-def _sieve(x: int):
-    return radical_sieve(x, **_segment_kwargs())
-
-
-def _echo_json(obj: dict) -> None:
-    click.echo(json.dumps(obj))
-
-
-def _echo_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow("" if v is None else v for v in row.values())
-    click.echo(buf.getvalue(), nl=False)
-
-
-def _kv_line(rec: dict) -> str:
-    return " ".join(f"{k}={_human(v)}" for k, v in rec.items())
 
 
 def _human(v) -> str:
@@ -79,37 +51,38 @@ def _human(v) -> str:
     return str(v)
 
 
-def _emit(
-    fmt: str,
-    command: str,
-    params: dict,
-    result: dict,
-    rows: list[dict],
-    elapsed_ms: float,
-    human_lines: list[str],
-) -> None:
-    if fmt == "json":
-        for row in rows:
-            _echo_json(row)
-        _echo_json(
-            {
-                "command": command,
-                "params": params,
-                "result": result,
-                "elapsed_ms": round(elapsed_ms, 3),
-            }
-        )
-    elif fmt == "csv":
-        _echo_csv(rows if rows else [result])
-    else:
-        for line in human_lines:
-            click.echo(line)
+def _run(as_json: bool, as_csv: bool, command: str, body) -> None:
+    """Run ``body() -> (params, result, rows, human, ok)`` and print it per the module contract.
 
-
-def _fmt_from_flags(as_json: bool, as_csv: bool) -> str:
+    ``human`` None means the rows then the result; ``ok`` False exits 1.
+    """
     if as_json and as_csv:
         raise click.UsageError("--json and --csv are mutually exclusive")
-    return "json" if as_json else "csv" if as_csv else "human"
+    t0 = time.perf_counter()
+    try:
+        params, result, rows, human, ok = body()
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
+    if human is None:
+        human = [*rows, result]
+    if as_json:
+        envelope = {"command": command, "params": params, "result": result, "elapsed_ms": elapsed_ms}
+        for rec in [*rows, envelope]:
+            click.echo(json.dumps(rec))
+    elif as_csv:
+        records = rows or human
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(records[0].keys())
+        writer.writerows(["" if v is None else v for v in rec.values()] for rec in records)
+        click.echo(buf.getvalue(), nl=False)
+    else:
+        for rec in human:
+            click.echo(" ".join(f"{k}={_human(v)}" for k, v in rec.items()))
+    if not ok:
+        sys.exit(1)
 
 
 def _output_options(fn):
@@ -129,25 +102,15 @@ def cli():
 @_output_options
 def cmd_radical(m: int, as_json: bool, as_csv: bool):
     """Print k(M) and the factorization of M."""
-    fmt = _fmt_from_flags(as_json, as_csv)
-    t0 = time.perf_counter()
-    try:
+
+    def body():
         fac = factorize(m)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    elapsed = (time.perf_counter() - t0) * 1000
-    factor_text = "*".join(
-        f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors
-    ) or "1"
-    result = {
-        "m": m,
-        "radical": fac.radical(),
-        "factors": [[p, e] for p, e in fac.factors],
-    }
-    human = [f"m={m} radical={fac.radical()} factorization={factor_text}"]
-    csv_result = {"m": m, "radical": fac.radical(), "factorization": factor_text}
-    _emit(fmt, "radical", {"m": m}, result, [csv_result] if fmt == "csv" else [], elapsed, human)
+        factor_text = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors) or "1"
+        result = {"m": m, "radical": fac.radical(), "factors": [[p, e] for p, e in fac.factors]}
+        flat = {"m": m, "radical": fac.radical(), "factorization": factor_text}
+        return {"m": m}, result, [], [flat], True
+
+    _run(as_json, as_csv, "radical", body)
 
 
 @cli.command("decompose")
@@ -162,25 +125,18 @@ def cmd_radical(m: int, as_json: bool, as_csv: bool):
 @_output_options
 def cmd_decompose(n: int, verify_mode: str | None, as_json: bool, as_csv: bool):
     """Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts."""
-    fmt = _fmt_from_flags(as_json, as_csv)
-    t0 = time.perf_counter()
-    try:
+
+    def body():
         d = dec.split(n)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    verified: bool | None = None
-    if verify_mode == "structural" and d.witness is not None:
-        verified = bool(dec.verify_structural(d))
-    elif verify_mode is not None:
-        verified = dec.verify_exact(d)
-    elapsed = (time.perf_counter() - t0) * 1000
-    result = d.to_record() | {"verified": verified}
-    human = [_kv_line(result)]
-    params = {"n": n, "verify": verify_mode}
-    _emit(fmt, "decompose", params, result, [result] if fmt == "csv" else [], elapsed, human)
-    if verify_mode is not None and not verified:
-        sys.exit(1)
+        verified: bool | None = None
+        if verify_mode == "structural" and d.witness is not None:
+            verified = bool(dec.verify_structural(d))
+        elif verify_mode is not None:
+            verified = dec.verify_exact(d)
+        result = d.to_record() | {"verified": verified}
+        return {"n": n, "verify": verify_mode}, result, [], None, verify_mode is None or verified
+
+    _run(as_json, as_csv, "decompose", body)
 
 
 @cli.command("count")
@@ -190,32 +146,38 @@ def cmd_decompose(n: int, verify_mode: str | None, as_json: bool, as_csv: bool):
 @_output_options
 def cmd_count(theta_text: str | None, gamma: float | None, limit: int, as_json: bool, as_csv: bool):
     """Count members up to --limit for one exponent parameter."""
-    fmt = _fmt_from_flags(as_json, as_csv)
-    if (theta_text is None) == (gamma is None):
-        raise click.UsageError("exactly one of --theta / --gamma is required")
-    t0 = time.perf_counter()
-    try:
+
+    def body():
+        if (theta_text is None) == (gamma is None):
+            raise click.UsageError("exactly one of --theta / --gamma is required")
         if theta_text is not None:
             theta = pwd.Theta.parse(theta_text)
-            report = pwd.count_members(limit, theta, table=_sieve(limit))
+            report = pwd.count_members(limit, theta, table=radical_sieve(limit))
             params = {"theta": str(theta), "limit": limit}
         else:
-            report = pwd.count_log_weighted(limit, gamma, table=_sieve(limit))
+            report = pwd.count_log_weighted(limit, gamma, table=radical_sieve(limit))
             params = {"gamma": gamma, "limit": limit}
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    elapsed = (time.perf_counter() - t0) * 1000
-    result = report.to_record()
-    human = [_kv_line(result)]
-    _emit(fmt, "count", params, result, [result] if fmt == "csv" else [], elapsed, human)
+        return params, report.to_record(), [], None, True
+
+    _run(as_json, as_csv, "count", body)
 
 
-def _estimated_lookups(n_lo: int, n_hi: int, mode: str) -> int:
+def _refuse_unforced(n_lo: int, n_hi: int, mode: str) -> None:
+    """Raise for a scan that needs --force; malformed ranges are left to the library."""
     if mode == "verify":
-        return 0  # structural checks never touch the table
+        return  # structural checks never touch the table
     # one sieve of n_hi plus ~n/2 lookups per n
-    return n_hi + (n_hi * (n_hi + 1) - (n_lo - 1) * n_lo) // 4
+    est = n_hi + (n_hi * (n_hi + 1) - (n_lo - 1) * n_lo) // 4
+    if est > FORCE_LOOKUP_LIMIT:
+        raise ValueError(
+            f"scan implies ~{est:.2e} kernel lookups (> {FORCE_LOOKUP_LIMIT:.0e}); "
+            "rerun with --force to proceed"
+        )
+    if n_lo <= n_hi and n_hi > orc.ORACLE_RANGE_LIMIT:
+        raise ValueError(
+            f"range end {n_hi} exceeds {orc.ORACLE_RANGE_LIMIT}; "
+            "rerun with --force to accept the quadratic cost"
+        )
 
 
 @cli.command("scan")
@@ -223,7 +185,7 @@ def _estimated_lookups(n_lo: int, n_hi: int, mode: str) -> int:
 @click.option("--to", "n_hi", type=int, required=True, help="Last n, inclusive.")
 @click.option("--gamma", "gamma", type=float, default=None, help="Probe log-weighted representability instead.")
 @click.option("--oracle", "use_oracle", is_flag=True, help="Compare against the exhaustive optimum.")
-@click.option("--force", "force", is_flag=True, help="Accept scans implying > 1e9 kernel lookups.")
+@click.option("--force", "force", is_flag=True, help="Accept oracle/probe ranges past 1e5 and scans implying > 1e9 lookups.")
 @_output_options
 def cmd_scan(
     n_lo: int,
@@ -235,54 +197,29 @@ def cmd_scan(
     as_csv: bool,
 ):
     """Verify split(n) over a range; --oracle and --gamma switch modes."""
-    fmt = _fmt_from_flags(as_json, as_csv)
-    if use_oracle and gamma is not None:
-        raise click.UsageError("--oracle and --gamma are mutually exclusive")
-    mode = "oracle" if use_oracle else "probe" if gamma is not None else "verify"
-    est = _estimated_lookups(n_lo, n_hi, mode)
-    if est > FORCE_LOOKUP_LIMIT and not force:
-        click.echo(
-            f"error: scan implies ~{est:.2e} kernel lookups (> {FORCE_LOOKUP_LIMIT:.0e}); "
-            "rerun with --force to proceed",
-            err=True,
-        )
-        sys.exit(1)
-    params = {"from": n_lo, "to": n_hi, "mode": mode}
-    if gamma is not None:
-        params["gamma"] = gamma
-    t0 = time.perf_counter()
-    try:
+
+    def body():
+        if use_oracle and gamma is not None:
+            raise click.UsageError("--oracle and --gamma are mutually exclusive")
+        mode = "oracle" if use_oracle else "probe" if gamma is not None else "verify"
+        if not force:
+            _refuse_unforced(n_lo, n_hi, mode)
+        params = {"from": n_lo, "to": n_hi, "mode": mode}
         if mode == "verify":
             report = dec.verify_range(n_lo, n_hi)
-            rows = report.to_rows()
-            result = report.summary_record()
-            ok = not report.violations
         elif mode == "oracle":
-            table = _sieve(n_hi)
+            table = radical_sieve(n_hi)
             report = orc.constructive_vs_oracle(n_lo, n_hi, table=table, allow_large=force)
-            rows = report.to_rows()
-            result = report.summary_record()
-            ok = not report.violations
         else:
-            table = _sieve(max(n_hi - 2, 2))
+            params["gamma"] = gamma
+            table = radical_sieve(max(n_hi - 2, 2))
             report = orc.conjecture_probe(n_lo, n_hi, gamma, table=table, allow_large=force)
-            rows = report.to_rows()
-            result = report.summary_record()
-            ok = True  # failing n are data, not verification failures
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    elapsed = (time.perf_counter() - t0) * 1000
-    if mode == "verify":
-        human = [_kv_line(row) for row in rows]  # violations only
-    elif mode == "oracle":
-        human = [_kv_line(row) for row in rows]
-    else:
-        human = [_kv_line(row) for row in rows if not row["ok"]]
-    human.append(_kv_line(result))
-    _emit(fmt, "scan", params, result, rows, elapsed, human)
-    if not ok:
-        sys.exit(1)
+        rows, result = report.to_rows(), report.summary_record()
+        if mode == "probe":  # failing n are data, not verification failures
+            return params, result, rows, [r for r in rows if not r["ok"]] + [result], True
+        return params, result, rows, None, not report.violations
+
+    _run(as_json, as_csv, "scan", body)
 
 
 @cli.command("logratio")
@@ -298,17 +235,16 @@ def cmd_logratio(limit: int, gamma: float, points: int, as_json: bool, as_csv: b
     theta = 1/2 class.  No pass/fail judgment is attached; at feasible x
     the ratio drifts slowly and is not expected to settle.
     """
-    fmt = _fmt_from_flags(as_json, as_csv)
-    if limit < 10:
-        raise click.UsageError("--limit must be at least 10")
-    if points < 1:
-        raise click.UsageError("--points must be at least 1")
-    t0 = time.perf_counter()
-    xs = sorted({max(10, round(limit ** (i / points))) for i in range(1, points + 1)} | {limit})
-    rows = []
-    half = pwd.Theta(1, 2)
-    try:
-        table = _sieve(limit)
+
+    def body():
+        if limit < 10:
+            raise click.UsageError("--limit must be at least 10")
+        if points < 1:
+            raise click.UsageError("--points must be at least 1")
+        xs = sorted({max(10, round(limit ** (i / points))) for i in range(1, points + 1)} | {limit})
+        half = pwd.Theta(1, 2)
+        table = radical_sieve(limit)
+        rows = []
         for x in xs:
             weighted = pwd.count_log_weighted(x, gamma, table=table)
             plain = pwd.count_members(x, half, table=table)
@@ -321,13 +257,10 @@ def cmd_logratio(limit: int, gamma: float, points: int, as_json: bool, as_csv: b
                     "ratio": weighted.count / denom,
                 }
             )
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    elapsed = (time.perf_counter() - t0) * 1000
-    result = {"limit": limit, "gamma": gamma, "points": len(rows)}
-    human = [_kv_line(r) for r in rows]
-    _emit(fmt, "logratio", {"limit": limit, "gamma": gamma}, result, rows, elapsed, human)
+        result = {"limit": limit, "gamma": gamma, "points": len(rows)}
+        return {"limit": limit, "gamma": gamma}, result, rows, rows, True
+
+    _run(as_json, as_csv, "logratio", body)
 
 
 def main():

@@ -35,7 +35,7 @@ reference.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -106,6 +106,9 @@ class SplitWitness:
     w: int
 
 
+_WITNESS_KEYS = tuple(f.name for f in fields(SplitWitness))
+
+
 @dataclass(frozen=True, slots=True)
 class Decomposition:
     """A two-part decomposition n = m1 + m2.
@@ -125,33 +128,14 @@ class Decomposition:
         return self.witness is None
 
     def to_record(self) -> dict:
-        wit = self.witness
-        return {
-            "n": self.n,
-            "m1": self.m1,
-            "m2": self.m2,
-            "a": wit.a if wit else None,
-            "b": wit.b if wit else None,
-            "U": wit.U if wit else None,
-            "V": wit.V if wit else None,
-            "W": wit.W if wit else None,
-            "w": wit.w if wit else None,
-            "fallback": wit is None,
-        }
+        wit = asdict(self.witness) if self.witness else dict.fromkeys(_WITNESS_KEYS)
+        return {"n": self.n, "m1": self.m1, "m2": self.m2, **wit, "fallback": self.witness is None}
 
     @classmethod
     def from_record(cls, rec: dict) -> "Decomposition":
-        if rec.get("fallback"):
-            witness = None
-        else:
-            witness = SplitWitness(
-                a=int(rec["a"]),
-                b=int(rec["b"]),
-                U=int(rec["U"]),
-                V=int(rec["V"]),
-                W=int(rec["W"]),
-                w=int(rec["w"]),
-            )
+        witness = None
+        if not rec.get("fallback"):
+            witness = SplitWitness(**{k: int(rec[k]) for k in _WITNESS_KEYS})
         return cls(n=int(rec["n"]), m1=int(rec["m1"]), m2=int(rec["m2"]), witness=witness)
 
 

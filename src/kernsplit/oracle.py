@@ -15,7 +15,7 @@ once the table is built), so anything past ``ORACLE_RANGE_LIMIT``
 requires an explicit ``allow_large=True``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -52,14 +52,6 @@ class BestSplit:
     m1: int
     m2: int
     quality: Fraction
-
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "m1": self.m1,
-            "m2": self.m2,
-            "quality": str(self.quality),
-        }
 
 
 def part_quality(m: int, k: int) -> Fraction:
@@ -120,17 +112,13 @@ class ComparisonRow:
         return self.oracle_quality <= self.split_quality
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "split_m1": self.split_m1,
-            "split_m2": self.split_m2,
-            "split_quality": str(self.split_quality),
-            "split_fallback": self.split_fallback,
-            "oracle_m1": self.oracle_m1,
-            "oracle_m2": self.oracle_m2,
-            "oracle_quality": str(self.oracle_quality),
-            "ok": self.ok,
-        }
+        rec = {f.name: getattr(self, f.name) for f in fields(self)}
+        rec.update(
+            split_quality=str(self.split_quality),
+            oracle_quality=str(self.oracle_quality),
+            ok=self.ok,
+        )
+        return rec
 
 
 @dataclass(frozen=True, slots=True)

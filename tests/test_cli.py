@@ -85,6 +85,12 @@ class TestDecompose:
         result = runner.invoke(cli, ["decompose", "3"])
         assert result.exit_code == 1
 
+    def test_exact_verify_too_large_is_an_error(self):
+        # the refusal comes from verify_exact, after the split succeeded
+        result = runner.invoke(cli, ["decompose", str(10**19), "--verify", "exact"])
+        assert result.exit_code == 1
+        assert "error: " in result.output and "too large" in result.output
+
     def test_flag_conflict(self):
         result = runner.invoke(cli, ["decompose", "100", "--json", "--csv"])
         assert result.exit_code != 0
@@ -178,6 +184,16 @@ class TestScan:
         assert result.exit_code == 1
         assert "--force" in result.output
 
+    @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "0"]])
+    def test_quadratic_refusal_names_force(self, mode):
+        # past the oracle range limit but well under the lookup limit
+        args = ["scan", "--from", "100000", "--to", "100010", *mode]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert "exceeds 100000" in result.output
+        assert "--force" in result.output
+        assert "allow_large" not in result.output
+
     def test_oracle_csv_header(self):
         result = runner.invoke(
             cli, ["scan", "--from", "4", "--to", "10", "--oracle", "--csv"]
@@ -219,20 +235,6 @@ class TestNonFiniteGamma:
         result = runner.invoke(cli, [*args, "--gamma", gamma])
         assert result.exit_code == 1
         assert "error: gamma must be finite" in result.output
-
-
-class TestSegmentEnvVar:
-    def test_override_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("KERNSPLIT_SEGMENT_SIZE", "1000")
-        result = runner.invoke(cli, ["count", "--theta", "1/2", "--limit", "5000"])
-        assert result.exit_code == 0
-        baseline = count_members(5000, Theta(1, 2)).count
-        assert f"count={baseline}" in result.output
-
-    def test_bad_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("KERNSPLIT_SEGMENT_SIZE", "soon")
-        result = runner.invoke(cli, ["count", "--theta", "1/2", "--limit", "100"])
-        assert result.exit_code != 0
 
 
 # Full terminal output (stdout, then any error line) and exit status of
