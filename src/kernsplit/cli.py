@@ -26,7 +26,6 @@ verification passed.
 import csv
 import io
 import json
-import math
 import sys
 import time
 
@@ -152,10 +151,10 @@ def cmd_count(theta_text: str | None, gamma: float | None, limit: int, as_json: 
             raise click.UsageError("exactly one of --theta / --gamma is required")
         if theta_text is not None:
             theta = pwd.Theta.parse(theta_text)
-            report = pwd.count_members(limit, theta, table=radical_sieve(limit))
+            report = pwd.count_members(limit, theta)
             params = {"theta": str(theta), "limit": limit}
         else:
-            report = pwd.count_log_weighted(limit, gamma, table=radical_sieve(limit))
+            report = pwd.count_log_weighted(limit, gamma)
             params = {"gamma": gamma, "limit": limit}
         return params, report.to_record(), [], None, True
 
@@ -242,21 +241,7 @@ def cmd_logratio(limit: int, gamma: float, points: int, as_json: bool, as_csv: b
         if points < 1:
             raise click.UsageError("--points must be at least 1")
         xs = sorted({max(10, round(limit ** (i / points))) for i in range(1, points + 1)} | {limit})
-        half = pwd.Theta(1, 2)
-        table = radical_sieve(limit)
-        rows = []
-        for x in xs:
-            weighted = pwd.count_log_weighted(x, gamma, table=table)
-            plain = pwd.count_members(x, half, table=table)
-            denom = math.log(x) ** gamma * plain.count
-            rows.append(
-                {
-                    "x": x,
-                    "weighted_count": weighted.count,
-                    "half_count": plain.count,
-                    "ratio": weighted.count / denom,
-                }
-            )
+        rows = pwd.log_ratio_table(xs, gamma)
         result = {"limit": limit, "gamma": gamma, "points": len(rows)}
         return {"limit": limit, "gamma": gamma}, result, rows, rows, True
 

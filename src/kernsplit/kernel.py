@@ -10,11 +10,14 @@ over a range [1, x] goes through a segmented multiplicative sieve: each
 prime p <= sqrt(x) contributes one factor p to the kernel of its
 multiples, the p-power content is divided out of a parallel remainder
 array, and whatever remainder survives (> 1) is the unique prime factor
-above sqrt(x).  Segments are processed left to right; the output is
+above sqrt(x).  ``radical_segments`` yields the segments left to right,
+so a consumer such as a counter needs memory for one segment only;
+``radical_sieve`` fills a whole table from them.  The output is
 identical to a one-shot sieve regardless of segment size.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +33,16 @@ __all__ = [
     "factorize",
     "primes_up_to",
     "radical",
+    "radical_segments",
     "radical_sieve",
 ]
 
 DEFAULT_FACTOR_LIMIT = 10**12
 
-# Tables above this many entries are built segment by segment.
-DEFAULT_SEGMENT_SIZE = 1 << 24
+# Entries sieved per segment.  A segment's working set (two int arrays
+# of this length, plus the counters' float64 temporaries) is the
+# memory a streaming count needs besides the primes up to sqrt(x).
+DEFAULT_SEGMENT_SIZE = 1 << 20
 
 # Refuse tables larger than this outright; ~1e9 entries is already past
 # what the counting routines need at desk scale.
@@ -177,21 +183,30 @@ def _radical_segment(lo: int, hi: int, primes: list[int], dtype) -> np.ndarray:
     return rad
 
 
-def radical_sieve(
+def _kernel_dtype(x: int):
+    return np.int32 if x <= np.iinfo(np.int32).max else np.int64
+
+
+def radical_segments(
     x: int,
     *,
     segment_size: int | None = None,
     max_limit: int = DEFAULT_SIEVE_LIMIT,
-) -> RadicalTable:
-    """Build the kernel table for [1, x].
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Kernels of [1, x], one segment at a time, left to right.
+
+    Yields ``(lo, kernels)`` with ``kernels[i] = k(lo + i)``.  The
+    arguments are checked, and the primes up to sqrt(x) sieved, when
+    this is called; each segment is computed as it is consumed, so
+    memory stays O(sqrt(x) + segment_size).
 
     Parameters
     ----------
     x : int
-        Upper end of the table, 1 <= x <= max_limit.
+        Upper end of the range, 1 <= x <= max_limit.
     segment_size : int, optional
-        Entries processed per pass (default ``DEFAULT_SEGMENT_SIZE``).
-        Purely an engineering knob: any value >= 1 yields the same table.
+        Entries per segment (default ``DEFAULT_SEGMENT_SIZE``).  Purely
+        an engineering knob: any value >= 1 yields the same kernels.
     max_limit : int
         Budget guard; requests beyond it raise SieveLimitError.
     """
@@ -202,10 +217,27 @@ def radical_sieve(
     seg = DEFAULT_SEGMENT_SIZE if segment_size is None else segment_size
     if seg < 1:
         raise ValueError(f"segment size must be >= 1, got {seg}")
-    dtype = np.int32 if x <= np.iinfo(np.int32).max else np.int64
+    dtype = _kernel_dtype(x)
     small_primes = primes_up_to(math.isqrt(x))
-    values = np.zeros(x + 1, dtype=dtype)
-    for lo in range(1, x + 1, seg):
-        hi = min(lo + seg - 1, x)
-        values[lo : hi + 1] = _radical_segment(lo, hi, small_primes, dtype)
+    return (
+        (lo, _radical_segment(lo, min(lo + seg - 1, x), small_primes, dtype))
+        for lo in range(1, x + 1, seg)
+    )
+
+
+def radical_sieve(
+    x: int,
+    *,
+    segment_size: int | None = None,
+    max_limit: int = DEFAULT_SIEVE_LIMIT,
+) -> RadicalTable:
+    """Build the kernel table for [1, x] from ``radical_segments``.
+
+    Takes the same arguments as ``radical_segments``; the table holds
+    x + 1 entries of the narrowest signed integer type that fits x.
+    """
+    segments = radical_segments(x, segment_size=segment_size, max_limit=max_limit)
+    values = np.zeros(x + 1, dtype=_kernel_dtype(x))
+    for lo, kernels in segments:
+        values[lo : lo + len(kernels)] = kernels
     return RadicalTable(x, values)

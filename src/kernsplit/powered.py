@@ -8,22 +8,27 @@ point.  theta = 1/2 gives the classical squarefull-flavored class: all
 powerful numbers belong, along with composites like 48 whose square
 content is merely large.
 
-Counting over a range uses a kernel table from ``radical_sieve`` plus a
+Each class has one decision rule over a slice of kernels, with a
 log-space prefilter: cases further than a generous margin from the
 boundary are decided in float, everything near it is re-decided with
 exact big integers (or with mpmath at >= 30 significant digits for the
-log-weighted counter, whose right-hand side m * ln(m)**(2*gamma) is not
+log-weighted class, whose right-hand side m * ln(m)**(2*gamma) is not
 rational).  Results are therefore identical to element-by-element exact
-evaluation.
+evaluation.  The counters apply the rule to the segments of
+``radical_segments`` as they are sieved, with memory O(sqrt(x) +
+segment); the masks apply it to a ``RadicalTable`` and are the dense
+reference.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .kernel import RadicalTable, factorize, radical_sieve
+from .kernel import DEFAULT_SEGMENT_SIZE, RadicalTable, factorize, radical_segments, radical_sieve
 
 __all__ = [
     "CountReport",
@@ -31,6 +36,7 @@ __all__ = [
     "count_log_weighted",
     "count_members",
     "is_member",
+    "log_ratio_table",
     "log_weighted_mask",
     "membership_mask",
     "multiplicity_index",
@@ -145,12 +151,94 @@ class CountReport:
         )
 
 
-def _resolve_table(x: int, table: RadicalTable | None) -> RadicalTable:
+def _theta_members(theta: Theta, lo: int, kernels: np.ndarray) -> np.ndarray:
+    """mask[i] iff k(m)**q <= m**p for m = lo + i, given kernels[i] = k(m)."""
+    if theta.p == theta.q:
+        return np.ones(len(kernels), dtype=bool)  # k(m) <= m unconditionally
+    ks = kernels.astype(np.float64)
+    ms = np.arange(lo, lo + len(kernels), dtype=np.float64)
+    diff = theta.q * np.log(ks) - theta.p * np.log(ms)
+    band = _LOG_BAND * (1 + theta.p + theta.q)
+    mask = diff < -band
+    for i in np.nonzero(np.abs(diff) <= band)[0]:
+        mask[i] = int(kernels[i]) ** theta.q <= (lo + int(i)) ** theta.p
+    return mask
+
+
+def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
+    from mpmath import mp  # only near-ties need it; keeps it off the import path
+
+    with mp.workdps(_TIE_DPS):
+        return mp.mpf(k * k) <= mp.mpf(m) * mp.log(m) ** (2 * gamma)
+
+
+def _log_weighted_members(gamma: float, lo: int, kernels: np.ndarray) -> np.ndarray:
+    """mask[i] iff k(m)**2 <= m * ln(m)**(2*gamma) for m = lo + i; False at m = 1."""
+    skip = 1 if lo == 1 else 0  # ln(1) = 0: m = 1 is excluded by definition
+    lo, kernels = lo + skip, kernels[skip:]
+    # in place where possible: these float64 temporaries set the counters' peak memory
+    lhs = kernels.astype(np.float64)
+    lhs *= lhs
+    ms = np.arange(lo, lo + len(kernels), dtype=np.float64)
+    rhs = np.log(ms)
+    with np.errstate(over="ignore"):
+        rhs **= 2 * gamma
+        rhs *= ms
+    mask = np.zeros(skip + len(kernels), dtype=bool)
+    np.less_equal(lhs, rhs, out=mask[skip:])
+    # strict: an overflowed rhs exceeds every float lhs and is no near-tie
+    for i in np.nonzero(np.abs(lhs - rhs) < _TIE_REL * rhs)[0]:
+        mask[skip + i] = _log_weighted_member_exact(lo + int(i), int(kernels[i]), gamma)
+    return mask
+
+
+def _decide_table(x: int, table: RadicalTable | None, decide) -> np.ndarray:
+    """Boolean array of length x + 1: the rule ``decide(lo, kernels)`` over [1, x], index 0 False.
+
+    The table (built when None) is decided in slices of
+    ``DEFAULT_SEGMENT_SIZE``, so float temporaries stay segment-sized.
+    """
     if table is None:
-        return radical_sieve(x)
-    if table.limit < x:
+        table = radical_sieve(x)
+    elif table.limit < x:
         raise ValueError(f"table limit {table.limit} is below x={x}")
-    return table
+    mask = np.zeros(x + 1, dtype=bool)
+    for lo in range(1, x + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, x + 1)
+        mask[lo:hi] = decide(lo, table.values[lo:hi])
+    return mask
+
+
+def _prefix_counts(xs: Sequence[int], *decides) -> list[list[int]]:
+    """Members of each rule in [1, x] for every x of the ascending xs.
+
+    One pass over ``radical_segments(xs[-1])``: no table is built, and
+    memory is one segment plus the primes up to sqrt(xs[-1]).
+    """
+    totals = [0] * len(decides)
+    out: list[list[int]] = []
+    for lo, kernels in radical_segments(xs[-1]):
+        masks = [decide(lo, kernels) for decide in decides]
+        while len(out) < len(xs) and xs[len(out)] < lo + len(kernels):
+            end = xs[len(out)] - lo + 1
+            out.append([t + int(np.count_nonzero(mk[:end])) for t, mk in zip(totals, masks)])
+        totals = [t + int(np.count_nonzero(mk)) for t, mk in zip(totals, masks)]
+    return out
+
+
+def _log_weight(x: int, gamma: float, scale: float = 1.0) -> float:
+    """scale * ln(x)**gamma, refused unless gamma and the result are finite and non-zero."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    try:
+        weight = scale * math.log(x) ** gamma
+    except OverflowError:
+        weight = math.inf
+    if not math.isfinite(weight) or weight == 0:
+        raise ValueError(
+            f"normalization by ln(x)**gamma is not a finite non-zero float at gamma={gamma}, x={x}"
+        )
+    return weight
 
 
 def membership_mask(
@@ -160,48 +248,24 @@ def membership_mask(
 
     Index 0 is always False.  Equivalent to calling ``is_member`` on
     every m; the float prefilter only short-circuits cases far from the
-    boundary.
+    boundary.  The dense reference for ``count_members``.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    table = _resolve_table(x, table)
-    mask = np.zeros(x + 1, dtype=bool)
-    if theta.p == theta.q:
-        mask[1:] = True  # k(m) <= m unconditionally
-        return mask
-    ks = table.values[1 : x + 1].astype(np.float64)
-    ms = np.arange(1, x + 1, dtype=np.float64)
-    diff = theta.q * np.log(ks) - theta.p * np.log(ms)
-    band = _LOG_BAND * (1 + theta.p + theta.q)
-    mask[1:] = diff < -band
-    near = np.nonzero(np.abs(diff) <= band)[0]
-    vals = table.values
-    for i in near:
-        m = int(i) + 1
-        k = int(vals[m])
-        mask[m] = k**theta.q <= m**theta.p
-    return mask
+    return _decide_table(x, table, partial(_theta_members, theta))
 
 
-def count_members(
-    x: int, theta: Theta, *, table: RadicalTable | None = None
-) -> CountReport:
-    """Count 1 <= m <= x with k(m)**q <= m**p."""
-    mask = membership_mask(x, theta, table=table)
-    count = int(mask.sum())
+def count_members(x: int, theta: Theta) -> CountReport:
+    """Count 1 <= m <= x with k(m)**q <= m**p, streaming the sieve's segments."""
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    [[count]] = _prefix_counts([x], partial(_theta_members, theta))
     return CountReport(
         x=x,
         count=count,
         theta=theta,
         normalized=count / x ** theta.as_float(),
     )
-
-
-def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
-    from mpmath import mp  # only near-ties need it; keeps it off the import path
-
-    with mp.workdps(_TIE_DPS):
-        return mp.mpf(k * k) <= mp.mpf(m) * mp.log(m) ** (2 * gamma)
 
 
 def log_weighted_mask(
@@ -212,43 +276,48 @@ def log_weighted_mask(
     Defined for m >= 2 (indices 0 and 1 are always False; m = 1 has
     ln(1) = 0 and is excluded by definition).  Comparisons within a
     relative 1e-9 of the boundary are re-evaluated at 35 significant
-    digits, ties counting as members.  gamma must be finite.
+    digits, ties counting as members.  gamma must be finite.  The dense
+    reference for ``count_log_weighted``.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    table = _resolve_table(x, table)
-    mask = np.zeros(x + 1, dtype=bool)
-    ks = table.values[2 : x + 1].astype(np.float64)
-    ms = np.arange(2, x + 1, dtype=np.float64)
-    lhs = ks * ks
-    rhs = ms * np.log(ms) ** (2 * gamma)
-    mask[2:] = lhs <= rhs
-    near = np.nonzero(np.abs(lhs - rhs) <= _TIE_REL * rhs)[0]
-    vals = table.values
-    for i in near:
-        m = int(i) + 2
-        mask[m] = _log_weighted_member_exact(m, int(vals[m]), gamma)
-    return mask
+    return _decide_table(x, table, partial(_log_weighted_members, gamma))
 
 
-def count_log_weighted(
-    x: int, gamma: float, *, table: RadicalTable | None = None
-) -> CountReport:
-    """Count 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).
+def count_log_weighted(x: int, gamma: float) -> CountReport:
+    """Count 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma), streaming the sieve's segments.
 
     At gamma = 0 this is exactly the theta = 1/2 count minus the m = 1
-    contribution.
+    contribution.  Raises ValueError, before any sieving, when the
+    normalization sqrt(x) * ln(x)**gamma is not a finite non-zero float.
     """
-    mask = log_weighted_mask(x, gamma, table=table)
-    count = int(mask.sum())
-    return CountReport(
-        x=x,
-        count=count,
-        gamma=gamma,
-        normalized=count / (math.sqrt(x) * math.log(x) ** gamma),
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
+    scale = _log_weight(x, gamma, math.sqrt(x))
+    [[count]] = _prefix_counts([x], partial(_log_weighted_members, gamma))
+    return CountReport(x=x, count=count, gamma=gamma, normalized=count / scale)
+
+
+def log_ratio_table(xs: Sequence[int], gamma: float) -> list[dict]:
+    """Rows of N_gamma(x) / (ln(x)**gamma * S(x)) for the ascending xs.
+
+    N_gamma(x) is ``count_log_weighted(x, gamma).count`` and S(x) is
+    ``count_members(x, Theta(1, 2)).count``; both come from one pass
+    over ``radical_segments(xs[-1])``.  Raises ValueError when some
+    ln(x)**gamma is not a finite non-zero float.
+    """
+    if not xs or xs[0] < 2 or any(a > b for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"expected ascending x values >= 2, got {list(xs)}")
+    weights = [_log_weight(x, gamma) for x in xs]
+    counts = _prefix_counts(
+        xs, partial(_log_weighted_members, gamma), partial(_theta_members, Theta(1, 2))
     )
+    return [
+        {"x": x, "weighted_count": nw, "half_count": ns, "ratio": nw / (w * ns)}
+        for x, w, (nw, ns) in zip(xs, weights, counts)
+    ]
 
 
 def subset_check_powers(max_base: int, exponent: int) -> bool:

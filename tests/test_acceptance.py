@@ -110,11 +110,10 @@ def test_criterion_7_oracle_dominance_to_2e4():
 
 
 def test_criterion_8_monotonicity_and_identity():
-    table = radical_sieve(10**6)
     thetas = [Theta(1, 3), Theta(1, 2), Theta(2, 3), Theta(1, 1)]
     xs = [10, 100, 1000, 10**4, 10**5, 10**6]
     counts = {
-        (t.p, t.q, x): count_members(x, t, table=table).count
+        (t.p, t.q, x): count_members(x, t).count
         for t in thetas
         for x in xs
     }
@@ -129,8 +128,7 @@ def test_criterion_8_monotonicity_and_identity():
         for ta, tb in zip(thetas, thetas[1:])
     )
     identity = all(
-        count_log_weighted(x, 0.0, table=table).count
-        == count_members(x, Theta(1, 2), table=table).count - 1
+        count_log_weighted(x, 0.0).count == count_members(x, Theta(1, 2)).count - 1
         for x in (10, 100, 10**4)
     )
     report(

@@ -237,6 +237,29 @@ class TestNonFiniteGamma:
         assert "error: gamma must be finite" in result.output
 
 
+class TestLargeGamma:
+    # ln(x)**gamma overflows at 1e308 and underflows to 0 at -1e308
+    @pytest.mark.parametrize("gamma", ["1e308", "-1e308"])
+    @pytest.mark.parametrize(
+        ("args", "x"),
+        [(["count", "--limit", "100"], 100), (["logratio", "--limit", "100"], 10)],
+    )
+    def test_error_exit(self, args, x, gamma):
+        result = runner.invoke(cli, [*args, "--gamma", gamma])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output == (
+            "error: normalization by ln(x)**gamma is not a finite non-zero float "
+            f"at gamma={float(gamma)}, x={x}\n"
+        )
+
+    def test_probe_still_runs(self):
+        result = runner.invoke(cli, ["scan", "--from", "4", "--to", "20", "--gamma", "1e308"])
+        assert result.exit_code == 0
+        assert result.output.endswith(
+            "n_lo=4 n_hi=20 gamma=1e+308 checked=17 satisfied=15 failing=[4, 5]\n"
+        )
+
+
 # Full terminal output (stdout, then any error line) and exit status of
 # every command in each output form.  Covers cases the targeted tests
 # above do not: the probe shows only failing rows in human form,

@@ -15,6 +15,7 @@ from kernsplit.kernel import (
     factorize,
     primes_up_to,
     radical,
+    radical_segments,
     radical_sieve,
 )
 
@@ -151,6 +152,11 @@ def test_sieve_rejects_bad_limits():
         radical_sieve(1001, max_limit=1000)
     with pytest.raises(ValueError):
         radical_sieve(10, segment_size=0)
+    # the streaming form checks when called, before any segment is sieved
+    with pytest.raises(SieveLimitError):
+        radical_segments(1001, max_limit=1000)
+    with pytest.raises(ValueError):
+        radical_segments(10, segment_size=0)
 
 
 def test_table_bounds_checked():

@@ -6,9 +6,13 @@ prefilter machinery under test.
 """
 
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kernsplit.kernel
+import kernsplit.powered
 from kernsplit.kernel import radical, radical_sieve
 from kernsplit.powered import (
     CountReport,
@@ -16,6 +20,7 @@ from kernsplit.powered import (
     count_log_weighted,
     count_members,
     is_member,
+    log_ratio_table,
     log_weighted_mask,
     membership_mask,
     multiplicity_index,
@@ -119,11 +124,12 @@ class TestCountMembers:
             assert count_members(x, Theta(1, 1)).count == x
 
     def test_monotone_in_x_and_theta(self):
+        # the masks share one table; the counters stream their own sieve
         table = radical_sieve(10_000)
         thetas = [Theta(1, 3), Theta(1, 2), Theta(2, 3), Theta(1, 1)]
         xs = [10, 100, 1000, 10_000]
         counts = {
-            (str(t), x): count_members(x, t, table=table).count
+            (str(t), x): int(membership_mask(x, t, table=table).sum())
             for t in thetas
             for x in xs
         }
@@ -136,9 +142,11 @@ class TestCountMembers:
 
     def test_shared_table_prefix(self):
         table = radical_sieve(5000)
-        assert count_members(100, Theta(1, 2), table=table).count == 17
-        with pytest.raises(ValueError):
-            count_members(6000, Theta(1, 2), table=table)
+        assert membership_mask(100, Theta(1, 2), table=table).sum() == 17
+        with pytest.raises(ValueError, match="below x"):
+            membership_mask(6000, Theta(1, 2), table=table)
+        with pytest.raises(ValueError, match="below x"):
+            log_weighted_mask(6000, 0.0, table=table)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -173,6 +181,97 @@ class TestCountLogWeighted:
             count_log_weighted(100, gamma)
         with pytest.raises(ValueError, match="finite"):
             log_weighted_mask(100, gamma)
+
+
+    def test_overflowed_weight_needs_no_exact_path(self, monkeypatch):
+        # ln(m)**500 overflows for m > 62; such m are members without a recheck
+        def refuse(*args):
+            raise AssertionError("exact path taken")
+
+        monkeypatch.setattr(kernsplit.powered, "_log_weighted_member_exact", refuse)
+        assert count_log_weighted(2000, 250.0).count == 1998
+        assert log_weighted_mask(2000, 250.0).sum() == 1998
+
+    @pytest.mark.parametrize("gamma", [1e308, -1e308])
+    def test_rejects_unrepresentable_normalization(self, gamma):
+        # ln(100)**gamma overflows, or underflows to 0
+        with pytest.raises(ValueError, match=re.escape(f"gamma={gamma}, x=100")):
+            count_log_weighted(100, gamma)
+        with pytest.raises(ValueError, match=re.escape(f"gamma={gamma}, x=10") + "$"):
+            log_ratio_table([10, 100], gamma)
+
+
+# streaming segment sizes small enough to cut x into many segments
+SEGMENTS = st.integers(min_value=1, max_value=300)
+
+
+@st.composite
+def x_and_segment(draw):
+    """x >= 2 and a segment size, with x often at or next to a segment end."""
+    seg = draw(SEGMENTS)
+    end = seg * draw(st.integers(min_value=1, max_value=40))
+    x = draw(st.one_of(st.sampled_from([end - 1, end, end + 1]), st.integers(2, 40 * seg + 1)))
+    return max(x, 2), seg
+
+
+class TestStreamingMatchesDense:
+    """Streaming counters against the dense masks, with independent slicings."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x_and_segment(),
+        SEGMENTS,
+        st.sampled_from([Theta(1, 3), Theta(1, 2), Theta(2, 3), Theta(1, 1)]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    )
+    def test_counts(self, xs, dense_seg, theta, gamma):
+        x, seg = xs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernsplit.powered, "DEFAULT_SEGMENT_SIZE", dense_seg)
+            members = int(membership_mask(x, theta).sum())
+            weighted = int(log_weighted_mask(x, gamma).sum())
+            mp.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", seg)
+            assert count_members(x, theta).count == members
+            assert count_log_weighted(x, gamma).count == weighted
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=2, max_value=3000), min_size=1, max_size=8),
+        SEGMENTS,
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    )
+    def test_ratio_table_reads_counts_at_every_x(self, grid, seg, gamma):
+        xs = sorted(grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", seg)
+            rows = log_ratio_table(xs, gamma)
+        half = Theta(1, 2)
+        assert [r["x"] for r in rows] == xs
+        for r in rows:
+            assert r["weighted_count"] == count_log_weighted(r["x"], gamma).count
+            assert r["half_count"] == count_members(r["x"], half).count
+
+    def test_reads_off_counts_at_segment_edges(self, monkeypatch):
+        monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", 64)
+        xs = [2, 63, 64, 65, 128, 129, 130]
+        for x in xs:
+            assert count_members(x, Theta(1, 1)).count == x  # every m is a member
+        table = radical_sieve(xs[-1])
+        assert [(r["weighted_count"], r["half_count"]) for r in log_ratio_table(xs, 2.5)] == [
+            (log_weighted_mask(x, 2.5, table=table).sum(), membership_mask(x, Theta(1, 2), table=table).sum())
+            for x in xs
+        ]
+
+    def test_counters_build_no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("radical_sieve called")
+
+        monkeypatch.setattr(kernsplit.powered, "radical_sieve", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "radical_sieve", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", 64)
+        assert count_members(1000, Theta(1, 2)).count == len(enumerate_members(1000, Theta(1, 2)))
+        assert count_log_weighted(1000, 1.0).count == len(enumerate_log_weighted(1000, 1.0))
+        assert [r["half_count"] for r in log_ratio_table([10, 100], 1.0)] == [4, 17]
 
 
 class TestSubsetCheckPowers:
