@@ -165,7 +165,8 @@ def _refuse_unforced(n_lo: int, n_hi: int, mode: str) -> None:
     """Raise for a scan that needs --force; malformed ranges are left to the library."""
     if mode == "verify":
         return  # structural checks never touch the table
-    # one sieve of n_hi plus ~n/2 lookups per n
+    # one sieve of n_hi plus ~n/2 lookups per n: the dense scans' cost,
+    # an upper bound on the sparse ones (at most one lookup per part in G)
     est = n_hi + (n_hi * (n_hi + 1) - (n_lo - 1) * n_lo) // 4
     if est > FORCE_LOOKUP_LIMIT:
         raise ValueError(
@@ -207,11 +208,13 @@ def cmd_scan(
         if mode == "verify":
             report = dec.verify_range(n_lo, n_hi)
         elif mode == "oracle":
+            orc.check_range(n_lo, n_hi, force)  # before the sieve, which can take GBs
             table = radical_sieve(n_hi)
             report = orc.constructive_vs_oracle(n_lo, n_hi, table=table, allow_large=force)
         else:
             params["gamma"] = gamma
-            table = radical_sieve(max(n_hi - 2, 2))
+            orc.check_range(n_lo, n_hi, force)
+            table = radical_sieve(n_hi - 2)
             report = orc.conjecture_probe(n_lo, n_hi, gamma, table=table, allow_large=force)
         rows, result = report.to_rows(), report.summary_record()
         if mode == "probe":  # failing n are data, not verification failures

@@ -10,11 +10,18 @@ Ranking is exact rational comparison throughout; floats only prefilter
 which pairs can possibly attain the minimum, and every surviving
 candidate is re-ranked with ``fractions.Fraction``.
 
-Range scans are quadratic in the upper end (O(n) kernel lookups per n
-once the table is built), so anything past ``ORACLE_RANGE_LIMIT``
-requires an explicit ``allow_large=True``.
+Neither search walks every m1 <= n/2.  The split certifies
+k(m)**4 <= 432 m**2, a quality of at most sqrt(432) < 21, so both parts
+of an optimal pair lie in the candidate set G = {m : k(m)**2 <= 21 m},
+a sparse powerful-number-like set (1,003 members up to 1e4, 4,355 up to
+1e5, 18,411 up to 1e6).  The oracle ranks only the pairs with both
+parts in G, and ranks every pair for an n that has none (an optimum
+above 21), so its answer never rests on the theorem it checks.  The
+probe walks only the qualifying parts m1 <= n/2.  A range past
+``ORACLE_RANGE_LIMIT`` still requires an explicit ``allow_large=True``.
 """
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -31,6 +38,7 @@ __all__ = [
     "ComparisonRow",
     "ProbeReport",
     "best_decomposition",
+    "check_range",
     "conjecture_probe",
     "constructive_vs_oracle",
     "decomposition_quality",
@@ -42,6 +50,16 @@ ORACLE_RANGE_LIMIT = 100_000
 # relative slack for the float prefilter; anything this close to the
 # float minimum is re-ranked exactly
 _PREFILTER_REL = 1e-6
+
+# the oracle's candidate parts: k(m)**2 <= _CANDIDATE_QUALITY * m.  Any
+# pair of quality at most this has both parts in the set, and the split
+# (quality <= sqrt(432) < 21) always provides one.
+_CANDIDATE_QUALITY = 21
+
+# k(m) <= m, so k*k <= m*m < 2**63 and 21*m stay exact in int64 for every
+# m up to isqrt(2**63 - 1) = 3_037_000_499, well above the 2**30 entries
+# of kernel.DEFAULT_SIEVE_LIMIT; larger candidate sets are refused.
+_CANDIDATE_INT64_LIMIT = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,15 +85,44 @@ def decomposition_quality(d: Decomposition, table: RadicalTable) -> Fraction:
     )
 
 
-def best_decomposition(n: int, *, table: RadicalTable | None = None) -> BestSplit:
-    """Exhaustive minimum of max(quality(m1), quality(m2)) over m1 + m2 = n."""
+def _candidates(table: RadicalTable, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(good, G)`` over [0, top]: good[m] iff m >= 2 and k(m)**2 <= 21 m, G = flatnonzero(good)."""
+    if top > _CANDIDATE_INT64_LIMIT:
+        raise ValueError(f"candidate test is exact in int64 up to {_CANDIDATE_INT64_LIMIT}, got {top}")
+    k = table.values[: top + 1].astype(np.int64)
+    good = k * k <= _CANDIDATE_QUALITY * np.arange(top + 1, dtype=np.int64)
+    good[:2] = False
+    return good, np.flatnonzero(good)
+
+
+def best_decomposition(
+    n: int,
+    *,
+    table: RadicalTable | None = None,
+    candidates: tuple[np.ndarray, np.ndarray] | None = None,
+) -> BestSplit:
+    """Exhaustive minimum of max(quality(m1), quality(m2)) over m1 + m2 = n.
+
+    Ranks the pairs with both parts in the candidate set (module
+    docstring), or every pair when there is none.  ``candidates`` is the
+    ``(good, G)`` of ``_candidates(table, top)`` for some top >= n - 2;
+    range scans build it once, a standalone call builds its own.
+    """
     if n < 4:
         raise ValueError(f"no two-part decompositions below 4, got {n}")
     if table is None:
         table = radical_sieve(n - 2)
     elif table.limit < n - 2:
         raise ValueError(f"table limit {table.limit} is below n-2={n - 2}")
-    m1 = np.arange(2, n // 2 + 1, dtype=np.int64)
+    if candidates is None:
+        candidates = _candidates(table, n - 2)
+    good, G = candidates
+    if good.size < n - 1:
+        raise ValueError(f"candidates end at {good.size - 1}, below n-2={n - 2}")
+    m1 = G[: np.searchsorted(G, n // 2, side="right")]
+    m1 = m1[good[n - m1]]
+    if not m1.size:  # optimum above _CANDIDATE_QUALITY: rank every pair
+        m1 = np.arange(2, n // 2 + 1, dtype=np.int64)
     m2 = n - m1
     k1 = table.values[m1].astype(np.int64)
     k2 = table.values[m2].astype(np.int64)
@@ -150,7 +197,8 @@ class ComparisonReport:
         }
 
 
-def _check_range(n_lo: int, n_hi: int, allow_large: bool) -> None:
+def check_range(n_lo: int, n_hi: int, allow_large: bool) -> None:
+    """Raise ValueError for a malformed range, or one past ORACLE_RANGE_LIMIT unless allow_large."""
     if not 4 <= n_lo <= n_hi:
         raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if n_hi > ORACLE_RANGE_LIMIT and not allow_large:
@@ -172,9 +220,10 @@ def constructive_vs_oracle(
     The oracle can never be worse than the constructive split; any n
     where it is lands in ``violations``.
     """
-    _check_range(n_lo, n_hi, allow_large)
+    check_range(n_lo, n_hi, allow_large)
     if table is None:
         table = radical_sieve(n_hi)
+    candidates = _candidates(table, n_hi - 2)
     rows = []
     violations = []
     sum_split = 0.0
@@ -182,7 +231,7 @@ def constructive_vs_oracle(
     for n in range(n_lo, n_hi + 1):
         d = split(n)
         sq = decomposition_quality(d, table)
-        best = best_decomposition(n, table=table)
+        best = best_decomposition(n, table=table, candidates=candidates)
         row = ComparisonRow(
             n=n,
             split_m1=d.m1,
@@ -264,20 +313,19 @@ def conjecture_probe(
     allow_large: bool = False,
 ) -> ProbeReport:
     """Scan [n_lo, n_hi] for two-part log-weighted representations."""
-    _check_range(n_lo, n_hi, allow_large)
+    check_range(n_lo, n_hi, allow_large)
     if table is None:
         table = radical_sieve(n_hi - 2)
     good = log_weighted_mask(n_hi - 2, gamma, table=table)
+    members = np.flatnonzero(good)  # ascending, all >= 2
+    ends = np.searchsorted(members, np.arange(n_lo, n_hi + 1) // 2, side="right")
     pairs = []
     failing = []
-    for n in range(n_lo, n_hi + 1):
-        half = n // 2
-        left = good[2 : half + 1]
-        right = good[n - 2 : n - half - 1 : -1]  # good[n - m1], m1 ascending
-        hits = left & right
+    for n, end in zip(range(n_lo, n_hi + 1), ends.tolist()):
+        m1 = members[:end]
+        hits = good[n - m1]  # both parts qualify, m1 ascending
         if hits.any():
-            m1 = 2 + int(hits.argmax())
-            pairs.append((n, m1))
+            pairs.append((n, int(m1[hits.argmax()])))
         else:
             pairs.append((n, None))
             failing.append(n)

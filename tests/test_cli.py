@@ -194,6 +194,18 @@ class TestScan:
         assert "--force" in result.output
         assert "allow_large" not in result.output
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "0"]])
+    @pytest.mark.parametrize("lo, hi", [(50000001, 50000000), (900000001, 900000000), (3, 10)])
+    def test_bad_range_refused_before_sieving(self, monkeypatch, lo, hi, mode, force):
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieved before checking the range")
+
+        monkeypatch.setattr("kernsplit.cli.radical_sieve", no_sieve)
+        result = runner.invoke(cli, ["scan", "--from", str(lo), "--to", str(hi), *mode, *force])
+        assert result.exit_code == 1
+        assert result.output == f"error: need 4 <= n_lo <= n_hi, got [{lo}, {hi}]\n"
+
     def test_oracle_csv_header(self):
         result = runner.invoke(
             cli, ["scan", "--from", "4", "--to", "10", "--oracle", "--csv"]

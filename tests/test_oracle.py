@@ -2,22 +2,31 @@
 
 ``brute_best`` re-solves the minimax problem with plain Fractions and
 no prefiltering, guarding the production path's float candidate screen.
+``dense_best`` and ``dense_probe`` are the dense scans over every
+m1 in [2, n/2]: the references the sparse candidate walks are tested
+against.
 """
 
 from fractions import Fraction
+from functools import cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kernsplit.oracle as orc
 from kernsplit.decompose import split
 from kernsplit.kernel import radical, radical_sieve
 from kernsplit.oracle import (
     ORACLE_RANGE_LIMIT,
+    BestSplit,
     best_decomposition,
     conjecture_probe,
     constructive_vs_oracle,
     decomposition_quality,
     part_quality,
 )
+from kernsplit.powered import log_weighted_mask
 
 
 def brute_best(n: int) -> tuple[int, int, Fraction]:
@@ -31,6 +40,38 @@ def brute_best(n: int) -> tuple[int, int, Fraction]:
         if best is None or q < best[2]:
             best = (m1, m2, q)
     return best
+
+
+def dense_best(n: int, table) -> BestSplit:
+    """Float prefilter and exact re-rank over every m1 in [2, n/2]."""
+    m1 = np.arange(2, n // 2 + 1, dtype=np.int64)
+    m2 = n - m1
+    k1 = table.values[m1].astype(np.int64)
+    k2 = table.values[m2].astype(np.int64)
+    qmax = np.maximum(k1.astype(np.float64) ** 2 / m1, k2.astype(np.float64) ** 2 / m2)
+    cand = np.nonzero(qmax <= float(qmax.min()) * (1 + 1e-6) + 1e-12)[0]
+    best_q, best_i = None, -1
+    for i in cand:
+        q = max(part_quality(int(m1[i]), int(k1[i])), part_quality(int(m2[i]), int(k2[i])))
+        if best_q is None or q < best_q:
+            best_q, best_i = q, int(i)
+    return BestSplit(n, int(m1[best_i]), int(m2[best_i]), best_q)
+
+
+def dense_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[tuple, tuple]:
+    """``(pairs, failing)`` of the probe from the slices good[2 : n/2 + 1] and good[n - m1]."""
+    good = log_weighted_mask(n_hi - 2, gamma, table=table)
+    pairs = []
+    for n in range(n_lo, n_hi + 1):
+        half = n // 2
+        hits = good[2 : half + 1] & good[n - 2 : n - half - 1 : -1]
+        pairs.append((n, 2 + int(hits.argmax()) if hits.any() else None))
+    return tuple(pairs), tuple(n for n, m1 in pairs if m1 is None)
+
+
+@cache
+def table_to(x: int):
+    return radical_sieve(x)
 
 
 class TestBestDecomposition:
@@ -173,3 +214,79 @@ class TestConjectureProbe:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             conjecture_probe(4, ORACLE_RANGE_LIMIT + 1, 1.0)
+
+
+class TestSparseMatchesDense:
+    """The candidate walks against the dense scans they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=4, max_value=5000))
+    def test_best_decomposition_small_n(self, n):
+        table = table_to(5000)
+        assert best_decomposition(n, table=table) == dense_best(n, table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=98_000, max_value=102_000))
+    def test_best_decomposition_near_1e5(self, n):
+        table = table_to(102_000)
+        assert best_decomposition(n, table=table) == dense_best(n, table)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 100])
+    def test_fallback_sizes_and_tie(self, n):
+        assert best_decomposition(n) == dense_best(n, table_to(n))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=4, max_value=ORACLE_RANGE_LIMIT - 100))
+    def test_range_window(self, lo):
+        table = table_to(ORACLE_RANGE_LIMIT)
+        report = constructive_vs_oracle(lo, lo + 100, table=table)
+        for row in report.rows:
+            best = dense_best(row.n, table)
+            assert (row.oracle_m1, row.oracle_m2, row.oracle_quality) == (best.m1, best.m2, best.quality)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_empty_candidates_fall_back_to_every_pair(self, monkeypatch, cap):
+        # below the split's quality many n have no candidate pair; cap 0 leaves none at all
+        monkeypatch.setattr(orc, "_CANDIDATE_QUALITY", cap)
+        table = table_to(2000)
+        good, G = orc._candidates(table, 2000)
+        fallbacks = 0
+        for n in range(4, 2001):
+            m1 = G[G <= n // 2]
+            fallbacks += not good[n - m1].any()
+            assert best_decomposition(n, table=table) == dense_best(n, table), n
+        assert 0 < fallbacks < 1997 if cap else fallbacks == 1997
+
+    def test_range_builds_candidates_once(self, monkeypatch):
+        calls = []
+        real = orc._candidates
+
+        def counting(table, top):
+            calls.append(top)
+            return real(table, top)
+
+        monkeypatch.setattr(orc, "_candidates", counting)
+        constructive_vs_oracle(4, 300)
+        assert calls == [298]
+
+    def test_short_candidates_rejected(self):
+        table = table_to(1000)
+        with pytest.raises(ValueError, match="candidates end"):
+            best_decomposition(1000, table=table, candidates=orc._candidates(table, 500))
+
+    def test_int64_bound(self):
+        limit = orc._CANDIDATE_INT64_LIMIT
+        assert limit * limit < 2**63 <= (limit + 1) ** 2
+        assert orc._CANDIDATE_QUALITY * limit < 2**63
+        with pytest.raises(ValueError, match="exact in int64"):
+            orc._candidates(table_to(100), limit + 1)
+
+    # -5: one member below 6400; 0 and 0.5: sparse; 10: every m >= 3
+    @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0])
+    @settings(max_examples=25, deadline=None)
+    @given(lo=st.integers(min_value=4, max_value=6000), width=st.integers(min_value=0, max_value=400))
+    def test_probe(self, gamma, lo, width):
+        hi = lo + width
+        table = table_to(6400)
+        report = conjecture_probe(lo, hi, gamma, table=table)
+        assert (report.pairs, report.failing) == dense_probe(lo, hi, gamma, table)
