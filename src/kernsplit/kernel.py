@@ -14,6 +14,8 @@ above sqrt(x).  ``radical_segments`` yields the segments left to right,
 so a consumer such as a counter needs memory for one segment only;
 ``radical_sieve`` fills a whole table from them.  The output is
 identical to a one-shot sieve regardless of segment size.
+``powerful_numbers`` walks the powerful numbers up to x with their
+kernels, which is all the class counters need.
 """
 
 import math
@@ -31,6 +33,7 @@ __all__ = [
     "Factorization",
     "RadicalTable",
     "factorize",
+    "powerful_numbers",
     "primes_up_to",
     "radical",
     "radical_segments",
@@ -40,12 +43,13 @@ __all__ = [
 DEFAULT_FACTOR_LIMIT = 10**12
 
 # Entries sieved per segment.  A segment's working set (two int arrays
-# of this length, plus the counters' float64 temporaries) is the
-# memory a streaming count needs besides the primes up to sqrt(x).
+# of this length, plus the rules' float64 temporaries) is the memory a
+# streaming pass needs besides the primes up to sqrt(x).
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 # Refuse tables larger than this outright; ~1e9 entries is already past
-# what the counting routines need at desk scale.
+# what the oracle, the probe and the counters' log-weighted prefix need
+# at desk scale.
 DEFAULT_SIEVE_LIMIT = 1 << 30
 
 
@@ -134,6 +138,37 @@ def primes_up_to(n: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
     return [i for i in range(2, n + 1) if flags[i]]
+
+
+def powerful_numbers(x: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Yield ``(b, k(b), primes of b)`` for every powerful b <= x, b = 1 first.
+
+    b is powerful when p**2 divides b for every prime p dividing b.  The
+    walk is a depth-first search over ``primes_up_to(isqrt(x))``: a node
+    b with largest prime index j extends to b * p**e, e >= 2, for primes
+    past j.  Nodes are generated as they are consumed, and the stack
+    holds, for each prime of the current b, at most one frame per power
+    of that prime up to x, so memory is the primes plus O(log(x)**2),
+    never the ~2.17 * sqrt(x) numbers themselves.  The primes of b come ascending; the order of the b is
+    unspecified.
+    """
+    if x < 1:
+        return
+    primes = primes_up_to(math.isqrt(x))
+    yield 1, 1, ()
+    stack = [(1, 1, (), 0)]  # (b, k(b), primes of b, index of the next prime to try)
+    while stack:
+        b, k, ps, j = stack[-1]
+        if j == len(primes) or b * primes[j] ** 2 > x:
+            stack.pop()
+            continue
+        stack[-1] = (b, k, ps, j + 1)
+        p = primes[j]
+        kp, qs, c = k * p, ps + (p,), b * p * p
+        while c <= x:
+            yield c, kp, qs
+            stack.append((c, kp, qs, j + 1))
+            c *= p
 
 
 class RadicalTable:

@@ -14,10 +14,18 @@ boundary are decided in float, everything near it is re-decided with
 exact big integers (or with mpmath at >= 30 significant digits for the
 log-weighted class, whose right-hand side m * ln(m)**(2*gamma) is not
 rational).  Results are therefore identical to element-by-element exact
-evaluation.  The counters apply the rule to the segments of
-``radical_segments`` as they are sieved, with memory O(sqrt(x) +
-segment); the masks apply it to a ``RadicalTable`` and are the dense
-reference.
+evaluation.  The masks apply the rule to a ``RadicalTable`` and are the
+dense reference.
+
+The counters sieve nothing.  Every m is uniquely a*b with b powerful, a
+squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so for each of
+the ~2.17 * sqrt(x) powerful b <= x the members are the squarefree a
+coprime to b up to a threshold: an exact integer root for theta, and
+for gamma the end of a prefix, found with the rule's own scalar
+decision, once m > e**(2*gamma) makes the test monotone in a.  Those
+squarefree counts are exact integer sums, so the counts equal the
+rule's over every m.  Only the log-weighted m <= e**(2*gamma) (gamma >
+0) are still decided by the rule over ``radical_segments``.
 """
 
 import math
@@ -28,9 +36,18 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import DEFAULT_SEGMENT_SIZE, RadicalTable, factorize, radical_segments, radical_sieve
+from .kernel import (
+    DEFAULT_SEGMENT_SIZE,
+    RadicalTable,
+    factorize,
+    powerful_numbers,
+    primes_up_to,
+    radical_segments,
+    radical_sieve,
+)
 
 __all__ = [
+    "COUNT_WORK_LIMIT",
     "CountReport",
     "Theta",
     "count_log_weighted",
@@ -209,21 +226,253 @@ def _decide_table(x: int, table: RadicalTable | None, decide) -> np.ndarray:
     return mask
 
 
-def _prefix_counts(xs: Sequence[int], *decides) -> list[list[int]]:
-    """Members of each rule in [1, x] for every x of the ascending xs.
+def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
+    """k**2 <= m * ln(m)**(2*gamma) for one m >= 2, decided as ``_log_weighted_members`` does.
 
-    One pass over ``radical_segments(xs[-1])``: no table is built, and
-    memory is one segment plus the primes up to sqrt(xs[-1]).
+    The same float test in the same operation order, and the same exact
+    recheck near ties.
     """
-    totals = [0] * len(decides)
-    out: list[list[int]] = []
-    for lo, kernels in radical_segments(xs[-1]):
-        masks = [decide(lo, kernels) for decide in decides]
-        while len(out) < len(xs) and xs[len(out)] < lo + len(kernels):
-            end = xs[len(out)] - lo + 1
-            out.append([t + int(np.count_nonzero(mk[:end])) for t, mk in zip(totals, masks)])
-        totals = [t + int(np.count_nonzero(mk)) for t, mk in zip(totals, masks)]
-    return out
+    if gamma == 0:
+        # ln(m)**0 == 1: the integer test, as the recheck decides the ties
+        # k**2 == m that every powerful b with a = b // k(b)**2 hits
+        return k * k <= m
+    kf = float(k)
+    lhs = kf * kf
+    try:
+        rhs = math.log(m) ** (2 * gamma) * m
+    except OverflowError:
+        return True  # an overflowed rhs exceeds every float lhs
+    if abs(lhs - rhs) < _TIE_REL * rhs:
+        return _log_weighted_member_exact(m, k, gamma)
+    return lhs <= rhs
+
+
+def _stream_count(x: int, decide) -> int:
+    """Members of the rule ``decide(lo, kernels)`` in [1, x], summed over ``radical_segments(x)``."""
+    return sum(int(np.count_nonzero(decide(lo, kernels))) for lo, kernels in radical_segments(x))
+
+
+# Squarefree counts up to this are read from a prefix table (int8 flags
+# while it is built, int32 counts: 5 bytes per entry, 21 MB at the cap);
+# larger ones are summed from the Moebius function.  Only theta > 1/2 and
+# gamma > 0 reach y this large.
+_SQUAREFREE_TABLE_LIMIT = 1 << 22
+
+
+class _CoprimeSquarefree:
+    """Exact Q_P(y): the squarefree a <= y coprime to every prime of P.
+
+    Q of the empty set is read from a prefix table for y up to
+    ``_SQUAREFREE_TABLE_LIMIT`` and is sum(mu(d) * (y // d**2) for d <=
+    isqrt(y)) above it; both are grown on demand, doubling, so they stay
+    within twice the largest y asked for.  Primes are peeled one at a
+    time with Q_{P+p}(y) = Q_P(y) - Q_{P+p}(y // p): a squarefree a
+    coprime to P is coprime to p as well, or it is p * a' with a'
+    squarefree, coprime to P + p and a' <= y // p.
+    """
+
+    def __init__(self):
+        self._size = 0
+        self._table = memoryview(np.zeros(1, dtype=np.int32))
+        self._mu_limit = 0
+        self._squares = self._signs = np.zeros(0, dtype=np.int64)
+
+    def count(self, y: int, primes: tuple[int, ...]) -> int:
+        """Q_P(y) for the primes P, ascending."""
+        if not primes or y < primes[0]:
+            if y > self._size and self._size < _SQUAREFREE_TABLE_LIMIT:
+                self._grow_table(min(max(y, 2 * self._size), _SQUAREFREE_TABLE_LIMIT))
+            return self._table[y] if y <= self._size else self._moebius_sum(y)
+        p, rest = primes[-1], primes[:-1]
+        total, sign = 0, 1
+        while y:
+            total += sign * self.count(y, rest)
+            y //= p
+            sign = -sign
+        return total
+
+    def _grow_table(self, size: int) -> None:
+        flags = np.ones(size + 1, dtype=np.int8)
+        flags[0] = 0
+        for p in primes_up_to(math.isqrt(size)):
+            flags[p * p :: p * p] = 0
+        self._size = size
+        self._table = memoryview(np.cumsum(flags, dtype=np.int32))
+
+    def _moebius_sum(self, y: int) -> int:
+        root = math.isqrt(y)
+        if root > self._mu_limit:
+            self._grow_moebius(max(root, 2 * self._mu_limit))
+        n = int(np.searchsorted(self._squares, y, side="right"))
+        return int(np.dot(self._signs[:n], y // self._squares[:n]))
+
+    def _grow_moebius(self, limit: int) -> None:
+        # mu(d) for d <= limit from the primes up to sqrt(limit): a
+        # squarefree d whose small primes multiply to less than d has
+        # exactly one more prime factor, which flips the sign
+        ds = np.arange(limit + 1, dtype=np.int64)
+        prod = np.ones(limit + 1, dtype=np.int64)
+        for p in primes_up_to(math.isqrt(limit)):
+            prod[::p] *= -p
+            prod[:: p * p] = 0
+        mu = np.sign(prod)
+        mu[np.abs(prod) < ds] *= -1
+        mu[0] = 0
+        nonzero = np.flatnonzero(mu)
+        self._mu_limit = limit
+        self._squares = nonzero * nonzero
+        self._signs = mu[nonzero]
+
+
+def _iroot(n: int, r: int) -> int:
+    """Largest a >= 0 with a**r <= n, exact for any int n >= 0 (the float estimate is fixed up)."""
+    if r == 1 or n < 2:
+        return n
+    a = int(math.exp(math.log(n) / r))
+    while a**r > n:
+        a -= 1
+    while (a + 1) ** r <= n:
+        a += 1
+    return a
+
+
+# Budget of one exact count, in powerful b visited.  The walk visits the
+# zeta(3/2)/zeta(3) * sqrt(x) < 2.2 * sqrt(x) powerful b <= x (Golomb 1970;
+# Bateman-Grosswald 1958), at 3-10 us of Python each on 2 cores: theta = 1/2
+# at x = 1e11 takes 2.9 s, gamma = 0.5 takes 6.8 s.  Squarefree counts above
+# the table cap are Moebius sums over the d <= sqrt(y), y <= x // b, at about
+# 4 ns a term; measured, all of them add up to less than sqrt(x) * ln(x)
+# terms (0.62x that at gamma = 3, x = 1e11), and the table grows to at most
+# 2 * 2**22 entries at 8 ns each.  Both are charged at _TERMS_PER_VISIT to a
+# visit, a third of the measured ratio.  The limit admits x up to about
+# 1.8e13, a run of 30-100 s.
+COUNT_WORK_LIMIT = 10**7
+_TERMS_PER_VISIT = 256
+
+
+def _check_count_work(x: int) -> None:
+    root = math.isqrt(x)
+    terms = root * math.log(x) + 2 * _SQUAREFREE_TABLE_LIMIT
+    work = 2.2 * root + terms / _TERMS_PER_VISIT
+    if work > COUNT_WORK_LIMIT:
+        raise ValueError(
+            f"counting up to x={x} implies ~{work:.2e} powerful-number visits "
+            f"(> {COUNT_WORK_LIMIT:.0e})"
+        )
+
+
+def _theta_count(x: int, theta: Theta) -> int:
+    """Exact count of 1 <= m <= x with k(m)**q <= m**p, summed over powerful b.
+
+    Every m is uniquely a*b with b powerful, a squarefree, gcd(a, b) = 1,
+    and then k(m) = a*k(b).  So k(m)**q <= m**p is a**(q-p) * k(b)**q <=
+    b**p, i.e. a <= iroot(b**p // k(b)**q, q - p), and each b adds the
+    squarefree a coprime to b up to that bound, capped at x // b.  b = a
+    = 1 gives m = 1.  Integers throughout: no float decides a count.
+    """
+    if theta.p == theta.q:
+        return x  # k(m) <= m unconditionally
+    _check_count_work(x)
+    p, q, r = theta.p, theta.q, theta.q - theta.p
+    squarefree = _CoprimeSquarefree()
+    total = 0
+    for b, k, primes in powerful_numbers(x):
+        y = x // b
+        if y**r * k**q > b**p:
+            y = _iroot(b**p // k**q, r)
+        if y:
+            total += squarefree.count(y, primes)
+    return total
+
+
+def _monotone_start(x: int, gamma: float) -> int:
+    """E in [1, x] with E >= e**(2*gamma): past it the log-weighted test is monotone in a."""
+    if gamma <= 0:
+        return 1
+    if 2 * gamma >= math.log(x):
+        return x
+    return min(x, math.floor(math.exp(2 * gamma) * (1 + 1e-9)) + 1)
+
+
+def _log_weighted_estimate(b: int, k: int, gamma: float, lo: int, hi: int) -> int:
+    """Float estimate, in [lo, hi], of the last a with (a*k)**2 <= a*b*ln(a*b)**(2*gamma).
+
+    Newton steps on G(u) = u + ln(k**2 / b) - 2*gamma*ln(u + ln b), u = ln a,
+    which is increasing where ln(a*b) > 2*gamma; only a guess for
+    ``_prefix_end``, never a decision.
+    """
+    ln_b, ln_c = math.log(b), math.log(k * k / b)
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    u = u_hi
+    for _ in range(6):
+        v = u + ln_b
+        g = u + ln_c - 2 * gamma * math.log(v)
+        if u == (u_lo if g > 0 else u_hi):
+            break  # the last a is hi, or below lo
+        step = g / (1 - 2 * gamma / v)
+        u = min(max(u - step, u_lo), u_hi)
+        if abs(step) < 1e-12:
+            break
+    return int(math.exp(u))
+
+
+def _prefix_end(member, lo: int, hi: int, guess: int) -> int:
+    """Largest a in [lo, hi] with member(a), or lo - 1 if none; member must hold on a prefix.
+
+    Gallops from the guess, doubling its step, then bisects, so a guess
+    off by d costs O(log d) calls to member.
+    """
+    good, bad = lo - 1, hi + 1
+    a, step = min(max(guess, lo), hi), 1
+    while bad - good > 1:
+        if member(a):
+            good, a = a, a + step
+        else:
+            bad, a = a, a - step
+        step *= 2
+        if not good < a < bad:
+            a = (good + bad) // 2
+    return good
+
+
+def _log_weighted_count(x: int, gamma: float) -> int:
+    """Exact count of 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).
+
+    With m = a*b as in ``_theta_count`` (k(m) = a*k(b)), the test for
+    fixed b is f(a) <= 0 with f(a) = ln(a*k(b)**2 / (b*ln(a*b)**(2*gamma)))
+    and
+
+        f'(a) = 1/a - 2*gamma / (a*ln(a*b)) = (ln(a*b) - 2*gamma) / (a*ln(a*b)),
+
+    positive whenever a*b > e**(2*gamma): for every a*b > 1 when gamma <= 0.
+    So past E = ``_monotone_start(x, gamma)`` the members with a given b
+    are the a in (E // b, A_b] for one threshold A_b.  A_b is found from
+    a float estimate and fixed up with ``_log_weighted_member``, the same
+    scalar decision (float test, 35-digit recheck near ties) as the
+    streaming rule, and each b adds the squarefree a coprime to b in
+    that interval.  The m <= E are decided by the streaming rule over
+    ``radical_segments(E)``, which keeps its sieve budget; E = 1 for
+    gamma <= 0, and E = x when e**(2*gamma) >= x.  m = 1 is excluded.
+    """
+    _check_count_work(x)
+    start = _monotone_start(x, gamma)
+    total = _stream_count(start, partial(_log_weighted_members, gamma)) if start > 1 else 0
+    if start == x:
+        return total
+    squarefree = _CoprimeSquarefree()
+    for b, k, primes in powerful_numbers(x):
+        lo, hi = start // b + 1, x // b
+        if lo > hi:
+            continue
+        end = _prefix_end(
+            lambda a: _log_weighted_member(a * b, a * k, gamma),
+            lo,
+            hi,
+            _log_weighted_estimate(b, k, gamma, lo, hi),
+        )
+        if end >= lo:
+            total += squarefree.count(end, primes) - squarefree.count(lo - 1, primes)
+    return total
 
 
 def _log_weight(x: int, gamma: float, scale: float = 1.0) -> float:
@@ -256,10 +505,13 @@ def membership_mask(
 
 
 def count_members(x: int, theta: Theta) -> CountReport:
-    """Count 1 <= m <= x with k(m)**q <= m**p, streaming the sieve's segments."""
+    """Count 1 <= m <= x with k(m)**q <= m**p, exactly, over the powerful numbers up to x.
+
+    Raises ValueError when the count's cost exceeds ``COUNT_WORK_LIMIT``.
+    """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    [[count]] = _prefix_counts([x], partial(_theta_members, theta))
+    count = _theta_count(x, theta)
     return CountReport(
         x=x,
         count=count,
@@ -287,16 +539,19 @@ def log_weighted_mask(
 
 
 def count_log_weighted(x: int, gamma: float) -> CountReport:
-    """Count 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma), streaming the sieve's segments.
+    """Count 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma), over the powerful numbers up to x.
 
     At gamma = 0 this is exactly the theta = 1/2 count minus the m = 1
-    contribution.  Raises ValueError, before any sieving, when the
-    normalization sqrt(x) * ln(x)**gamma is not a finite non-zero float.
+    contribution.  Only the m <= e**(2*gamma) are sieved (gamma > 0).
+    Raises ValueError, before any sieving, when the normalization
+    sqrt(x) * ln(x)**gamma is not a finite non-zero float or the cost
+    exceeds ``COUNT_WORK_LIMIT``, and SieveLimitError when the sieved
+    prefix exceeds the sieve budget.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     scale = _log_weight(x, gamma, math.sqrt(x))
-    [[count]] = _prefix_counts([x], partial(_log_weighted_members, gamma))
+    count = _log_weighted_count(x, gamma)
     return CountReport(x=x, count=count, gamma=gamma, normalized=count / scale)
 
 
@@ -304,20 +559,20 @@ def log_ratio_table(xs: Sequence[int], gamma: float) -> list[dict]:
     """Rows of N_gamma(x) / (ln(x)**gamma * S(x)) for the ascending xs.
 
     N_gamma(x) is ``count_log_weighted(x, gamma).count`` and S(x) is
-    ``count_members(x, Theta(1, 2)).count``; both come from one pass
-    over ``radical_segments(xs[-1])``.  Raises ValueError when some
-    ln(x)**gamma is not a finite non-zero float.
+    ``count_members(x, Theta(1, 2)).count``, both counted afresh at
+    every x.  Raises ValueError, before counting, when some ln(x)**gamma
+    is not a finite non-zero float or the largest x exceeds the count
+    budget.
     """
     if not xs or xs[0] < 2 or any(a > b for a, b in zip(xs, xs[1:])):
         raise ValueError(f"expected ascending x values >= 2, got {list(xs)}")
     weights = [_log_weight(x, gamma) for x in xs]
-    counts = _prefix_counts(
-        xs, partial(_log_weighted_members, gamma), partial(_theta_members, Theta(1, 2))
-    )
-    return [
-        {"x": x, "weighted_count": nw, "half_count": ns, "ratio": nw / (w * ns)}
-        for x, w, (nw, ns) in zip(xs, weights, counts)
-    ]
+    _check_count_work(xs[-1])  # the costliest point, refused before any is counted
+    rows = []
+    for x, w in zip(xs, weights):
+        nw, ns = _log_weighted_count(x, gamma), _theta_count(x, Theta(1, 2))
+        rows.append({"x": x, "weighted_count": nw, "half_count": ns, "ratio": nw / (w * ns)})
+    return rows
 
 
 def subset_check_powers(max_base: int, exponent: int) -> bool:

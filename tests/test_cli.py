@@ -139,6 +139,30 @@ class TestCount:
         assert lines[0] == "x,theta,count,normalized"
         assert lines[1].startswith("100,1/2,17,")
 
+    def test_past_the_sieve_budget(self):
+        result = runner.invoke(cli, ["count", "--theta", "1/2", "--limit", "2000000000"])
+        assert result.exit_code == 0
+        assert "count=557837" in result.output
+
+    @pytest.mark.parametrize(
+        ("args", "error"),
+        [
+            (
+                ["--theta", "1/2", "--limit", "100000000000000"],
+                "counting up to x=100000000000000 implies ~2.33e+07 powerful-number visits (> 1e+07)",
+            ),
+            # e**40 > x: the log-weighted prefix is the whole range, past the sieve budget
+            (
+                ["--gamma", "20", "--limit", "2147483648"],
+                "sieve limit 2147483648 exceeds the configured budget 1073741824",
+            ),
+        ],
+    )
+    def test_over_budget_is_an_error(self, args, error):
+        result = runner.invoke(cli, ["count", *args])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output == f"error: {error}\n"
+
 
 class TestScan:
     def test_verify_mode_clean(self):

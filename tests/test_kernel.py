@@ -13,6 +13,7 @@ from kernsplit.kernel import (
     FactorLimitError,
     SieveLimitError,
     factorize,
+    powerful_numbers,
     primes_up_to,
     radical,
     radical_segments,
@@ -167,3 +168,25 @@ def test_table_bounds_checked():
         table[11]
     with pytest.raises(IndexError):
         table[-3]
+
+
+def test_powerful_numbers_against_naive_oracle():
+    x = 3000
+    expected = {
+        m
+        for m in range(1, x + 1)
+        if all(m % (p * p) == 0 for p in range(2, m + 1) if m % p == 0 and naive_is_prime(p))
+    }
+    walked = list(powerful_numbers(x))
+    assert walked[0] == (1, 1, ())
+    assert sorted(b for b, _, _ in walked) == sorted(expected)  # each b exactly once
+    for b, k, primes in walked:
+        assert k == naive_radical(b)
+        assert list(primes) == sorted(p for p in range(2, b + 1) if b % p == 0 and naive_is_prime(p))
+
+
+@pytest.mark.parametrize(("x", "count"), [(1, 1), (3, 1), (4, 2), (8, 3), (9, 4), (10**6, 2027)])
+def test_powerful_numbers_counts(x, count):
+    # OEIS A118896: 2027 powerful numbers up to 1e6
+    assert sum(1 for _ in powerful_numbers(x)) == count
+    assert list(powerful_numbers(0)) == []

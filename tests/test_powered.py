@@ -7,14 +7,16 @@ prefilter machinery under test.
 
 import math
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernsplit.kernel
 import kernsplit.powered
-from kernsplit.kernel import radical, radical_sieve
+from kernsplit.kernel import SieveLimitError, radical, radical_sieve
 from kernsplit.powered import (
+    COUNT_WORK_LIMIT,
     CountReport,
     Theta,
     count_log_weighted,
@@ -38,6 +40,16 @@ def enumerate_log_weighted(x: int, gamma: float) -> list[int]:
         if radical(m) ** 2 <= m * math.log(m) ** (2 * gamma):
             out.append(m)
     return out
+
+
+def streaming_members(x: int, theta: Theta) -> int:
+    """Reference for ``count_members``: the theta rule over every segment of [1, x]."""
+    return kernsplit.powered._stream_count(x, partial(kernsplit.powered._theta_members, theta))
+
+
+def streaming_log_weighted(x: int, gamma: float) -> int:
+    """Reference for ``count_log_weighted``: the log-weighted rule over every segment of [1, x]."""
+    return kernsplit.powered._stream_count(x, partial(kernsplit.powered._log_weighted_members, gamma))
 
 
 class TestTheta:
@@ -124,7 +136,7 @@ class TestCountMembers:
             assert count_members(x, Theta(1, 1)).count == x
 
     def test_monotone_in_x_and_theta(self):
-        # the masks share one table; the counters stream their own sieve
+        # the masks share one table
         table = radical_sieve(10_000)
         thetas = [Theta(1, 3), Theta(1, 2), Theta(2, 3), Theta(1, 1)]
         xs = [10, 100, 1000, 10_000]
@@ -215,7 +227,8 @@ def x_and_segment(draw):
 
 
 class TestStreamingMatchesDense:
-    """Streaming counters against the dense masks, with independent slicings."""
+    """The counters against the dense masks, with independent slicings (the sieve now
+    slices only the log-weighted prefix m <= e**(2*gamma))."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -272,6 +285,171 @@ class TestStreamingMatchesDense:
         assert count_members(1000, Theta(1, 2)).count == len(enumerate_members(1000, Theta(1, 2)))
         assert count_log_weighted(1000, 1.0).count == len(enumerate_log_weighted(1000, 1.0))
         assert [r["half_count"] for r in log_ratio_table([10, 100], 1.0)] == [4, 17]
+
+
+X_MAX = 300_000
+# the powerful numbers are exactly the a**2 * c**3
+POWERFUL = sorted(
+    {a * a * c**3 for c in range(1, 67) for a in range(1, math.isqrt(X_MAX // c**3) + 1)}
+)
+THETAS = st.integers(1, 6).flatmap(lambda q: st.builds(Theta, st.integers(1, q), st.just(q)))
+GAMMAS = st.one_of(
+    st.sampled_from([-3.0, -0.5, 0.0, 0.5, 1.0, 2.5, 4.0]), st.floats(min_value=-8, max_value=8)
+)
+# squarefree table caps: small ones send most counts to the Moebius sums
+TABLE_CAPS = st.sampled_from([1, 5, 64, 1 << 22])
+
+
+@st.composite
+def count_x(draw, lo: int = 1) -> int:
+    """x <= X_MAX, often at or next to a powerful number or a square."""
+    centre = draw(
+        st.one_of(
+            st.integers(1, X_MAX),
+            st.sampled_from(POWERFUL),
+            st.integers(1, math.isqrt(X_MAX)).map(lambda n: n * n),
+        )
+    )
+    return min(max(centre + draw(st.integers(-1, 1)), lo), X_MAX)
+
+
+@st.composite
+def gamma_and_x(draw) -> tuple[float, int]:
+    """gamma and x >= 2, with x often at or next to where the monotone range starts."""
+    gamma = draw(GAMMAS)
+    start = kernsplit.powered._monotone_start(X_MAX, gamma)
+    x = draw(st.one_of(count_x(lo=2), st.integers(start - 1, start + 2)))
+    return gamma, min(max(x, 2), X_MAX)
+
+
+class TestPowerfulSumMatchesReferences:
+    """The counters over powerful b against the streaming and dense references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(count_x(), THETAS, TABLE_CAPS)
+    def test_theta_counts(self, x, theta, cap):
+        expected = streaming_members(x, theta)
+        assert int(membership_mask(x, theta).sum()) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", cap)
+            assert count_members(x, theta).count == expected
+
+    # the threshold search must be right from any guess
+    @settings(max_examples=40, deadline=None)
+    @given(gamma_and_x(), TABLE_CAPS, st.sampled_from([0, -1, 1, -37, 1000, -(10**9), 10**9]))
+    def test_log_weighted_counts(self, gamma_x, cap, guess_offset):
+        gamma, x = gamma_x
+        expected = streaming_log_weighted(x, gamma)
+        assert int(log_weighted_mask(x, gamma).sum()) == expected
+        estimate = kernsplit.powered._log_weighted_estimate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", cap)
+            mp.setattr(
+                kernsplit.powered,
+                "_log_weighted_estimate",
+                lambda *args: estimate(*args) + guess_offset,
+            )
+            assert count_log_weighted(x, gamma).count == expected
+
+    def test_boundary_hits(self):
+        # k(8)**3 == 8: m = 8 counts at theta = 1/3; k(4)**2 == 4 at gamma = 0
+        for x in (7, 8, 9):
+            assert count_members(x, Theta(1, 3)).count == streaming_members(x, Theta(1, 3))
+        assert count_members(8, Theta(1, 3)).count == count_members(7, Theta(1, 3)).count + 1
+        assert count_log_weighted(4, 0.0).count == 1
+
+    def test_theta_and_nonpositive_gamma_never_sieve(self, monkeypatch):
+        x = 100_000
+        thetas = [Theta(1, 3), Theta(1, 2), Theta(2, 3), Theta(5, 6)]
+        gammas = [-3.0, -0.5, 0.0]
+        expected = [streaming_members(x, t) for t in thetas] + [
+            streaming_log_weighted(x, g) for g in gammas
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("radical_segments called")
+
+        monkeypatch.setattr(kernsplit.powered, "radical_segments", refuse)
+        got = [count_members(x, t).count for t in thetas] + [
+            count_log_weighted(x, g).count for g in gammas
+        ]
+        assert got == expected
+        with pytest.raises(AssertionError, match="radical_segments"):
+            count_log_weighted(x, 0.5)  # m <= e**1 is still sieved
+
+    def test_gamma_zero_identity_at_1e7(self):
+        x = 10**7
+        assert count_log_weighted(x, 0.0).count == count_members(x, Theta(1, 2)).count - 1
+
+    def test_overflowed_weight_is_a_member(self):
+        # ln(2)**-2000 overflows a float: m = 2 is a member, m = 3 is not
+        assert count_log_weighted(3, -1000.0).count == streaming_log_weighted(3, -1000.0) == 1
+
+    def test_large_gamma_prefix_is_the_whole_count(self):
+        # e**500 > x: every m is decided by the streaming rule
+        assert count_log_weighted(200_000, 250.0).count == streaming_log_weighted(200_000, 250.0)
+
+
+class TestCountGuards:
+    def test_work_limit_refuses_before_walking(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("powerful_numbers called")
+
+        monkeypatch.setattr(kernsplit.powered, "powerful_numbers", refuse)
+        match = re.escape("counting up to x=100000000000000 implies ~2.33e+07 powerful-number visits")
+        with pytest.raises(ValueError, match=match):
+            count_members(10**14, Theta(1, 2))
+        with pytest.raises(ValueError, match=match):
+            count_log_weighted(10**14, 0.5)
+        with pytest.raises(ValueError, match=match):
+            log_ratio_table([10, 10**14], 1.0)
+        assert COUNT_WORK_LIMIT == 10**7
+
+    def test_past_the_sieve_budget(self, monkeypatch):
+        # 2e9 was refused when the counters sieved [1, x]; now only the prefix is sieved
+        monkeypatch.setattr(kernsplit.powered, "radical_segments", None)
+        assert count_members(2 * 10**9, Theta(1, 2)).count == 557837
+        assert count_log_weighted(2 * 10**9, 0.0).count == 557836
+
+    def test_prefix_keeps_the_sieve_budget(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("powerful_numbers called")
+
+        monkeypatch.setattr(kernsplit.powered, "powerful_numbers", refuse)
+        with pytest.raises(SieveLimitError, match="sieve limit 2147483648 exceeds"):
+            count_log_weighted(2**31, 20.0)  # e**40 > x: the whole range is the prefix
+
+
+class TestCoprimeSquarefree:
+    @pytest.mark.parametrize("cap", [1, 10, 1 << 22])
+    def test_against_brute_force(self, monkeypatch, cap):
+        monkeypatch.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", cap)
+        counts = kernsplit.powered._CoprimeSquarefree()
+        squarefree = [a for a in range(1, 3001) if all(a % (d * d) for d in range(2, 55))]
+        for primes in [(), (2,), (3,), (2, 3), (2, 5, 7), (3, 11, 13, 17)]:
+            for y in [0, 1, 2, 3, 10, 99, 100, 1000, 2999, 3000]:
+                brute = sum(1 for a in squarefree if a <= y and all(a % p for p in primes))
+                assert counts.count(y, primes) == brute, (primes, y)
+
+    def test_moebius_sum_at_large_y(self, monkeypatch):
+        monkeypatch.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", 1 << 10)
+        counts = kernsplit.powered._CoprimeSquarefree()
+        # OEIS A071172: squarefree numbers up to 10**n
+        assert [counts.count(10**n, ()) for n in (4, 6, 8, 10)] == [6083, 607926, 60792694, 6079270942]
+
+
+@given(st.integers(1, 7), st.integers(0, 10**40))
+def test_iroot(r, n):
+    a = kernsplit.powered._iroot(n, r)
+    assert a**r <= n < (a + 1) ** r
+
+
+def test_iroot_at_perfect_powers():
+    # the float estimate lands below some roots, e.g. exp(ln(1000) / 3) < 10
+    for r in range(2, 7):
+        for a in range(1, 3000):
+            assert kernsplit.powered._iroot(a**r, r) == a
+            assert kernsplit.powered._iroot(a**r - 1, r) == a - 1
 
 
 class TestSubsetCheckPowers:
