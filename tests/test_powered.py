@@ -16,7 +16,6 @@ import kernsplit.kernel
 import kernsplit.powered
 from kernsplit.kernel import SieveLimitError, radical, radical_sieve
 from kernsplit.powered import (
-    COUNT_WORK_LIMIT,
     CountReport,
     Theta,
     count_log_weighted,
@@ -403,7 +402,6 @@ class TestCountGuards:
             count_log_weighted(10**14, 0.5)
         with pytest.raises(ValueError, match=match):
             log_ratio_table([10, 10**14], 1.0)
-        assert COUNT_WORK_LIMIT == 10**7
 
     def test_past_the_sieve_budget(self, monkeypatch):
         # 2e9 was refused when the counters sieved [1, x]; now only the prefix is sieved
