@@ -31,9 +31,10 @@ import time
 
 import click
 
-from . import decompose as dec
-from . import oracle as orc
-from . import powered as pwd
+# The library modules are imported inside the commands that use them, so
+# a command loads only what it runs (count, decompose and radical never
+# load numpy).  They are bound as modules and their functions looked up
+# at call time, where patches applied to the modules take effect.
 from .kernel import factorize, radical_sieve
 
 # scans implying more lookups than this refuse to run without --force
@@ -126,6 +127,8 @@ def cmd_decompose(n: int, verify_mode: str | None, as_json: bool, as_csv: bool):
     """Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts."""
 
     def body():
+        from . import decompose as dec
+
         d = dec.split(n)
         verified: bool | None = None
         if verify_mode == "structural" and d.witness is not None:
@@ -147,6 +150,8 @@ def cmd_count(theta_text: str | None, gamma: float | None, limit: int, as_json: 
     """Count members up to --limit for one exponent parameter."""
 
     def body():
+        from . import powered as pwd
+
         if (theta_text is None) == (gamma is None):
             raise click.UsageError("exactly one of --theta / --gamma is required")
         if theta_text is not None:
@@ -165,6 +170,8 @@ def _refuse_unforced(n_lo: int, n_hi: int, mode: str) -> None:
     """Raise for a scan that needs --force; malformed ranges are left to the library."""
     if mode == "verify":
         return  # structural checks never touch the table
+    from . import oracle as orc
+
     # one sieve of n_hi plus ~n/2 lookups per n: the dense scans' cost,
     # an upper bound on the sparse ones (at most one lookup per part in G)
     est = n_hi + (n_hi * (n_hi + 1) - (n_lo - 1) * n_lo) // 4
@@ -206,12 +213,18 @@ def cmd_scan(
             _refuse_unforced(n_lo, n_hi, mode)
         params = {"from": n_lo, "to": n_hi, "mode": mode}
         if mode == "verify":
+            from . import decompose as dec
+
             report = dec.verify_range(n_lo, n_hi)
         elif mode == "oracle":
+            from . import oracle as orc
+
             orc.check_range(n_lo, n_hi, force)  # before the sieve, which can take GBs
             table = radical_sieve(n_hi)
             report = orc.constructive_vs_oracle(n_lo, n_hi, table=table, allow_large=force)
         else:
+            from . import oracle as orc
+
             params["gamma"] = gamma
             orc.check_range(n_lo, n_hi, force)
             table = radical_sieve(n_hi - 2)
@@ -239,6 +252,8 @@ def cmd_logratio(limit: int, gamma: float, points: int, as_json: bool, as_csv: b
     """
 
     def body():
+        from . import powered as pwd
+
         if limit < 10:
             raise click.UsageError("--limit must be at least 10")
         if points < 1:

@@ -34,12 +34,16 @@ arithmetic.  ``split`` and ``verify_structural`` stay the scalar
 reference.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import asdict, dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .kernel import radical
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "KERNEL_BOUND_4TH",
@@ -361,6 +365,8 @@ def _check_block(n, a, b, U, V, W, w, m1, m2) -> list[tuple[int, str]]:
     with m1 = pa*(U - W) and U - W >= 1, (2(U - W))**4 <= 432 m1**2 iff
     (U - W)**2 <= 27 * 4**a.
     """
+    import numpy as np  # only the block path vectorizes; split and its checks run without it
+
     pa, pb = 1 << a, 3**b
     a_lo, a_hi = _a_bounds(a)
     b_lo, b_hi = _b_bounds(b)
@@ -395,6 +401,8 @@ def _verify_chunk(lo: int, hi: int, a: int, b: int) -> list[tuple[int, str]]:
     """Split and structurally verify every n in [lo, hi], all with exponents (a, b)."""
     if hi >= _INT64_LIMIT:
         raise ValueError(f"block path needs n < {_INT64_LIMIT}, got {hi}")
+    import numpy as np
+
     n = np.arange(lo, hi + 1, dtype=np.int64)
     return _check_block(n, a, b, *_split_block(n, a, b))
 

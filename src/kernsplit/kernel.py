@@ -18,11 +18,15 @@ identical to a one-shot sieve regardless of segment size.
 kernels, which is all the class counters need.
 """
 
+from __future__ import annotations
+
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_FACTOR_LIMIT",
@@ -197,6 +201,8 @@ class RadicalTable:
 
 def _radical_segment(lo: int, hi: int, primes: list[int], dtype) -> np.ndarray:
     """Kernels for [lo, hi] given all primes up to sqrt(hi)."""
+    import numpy as np  # only the sieve vectorizes; factoring runs without it
+
     n = hi - lo + 1
     rad = np.ones(n, dtype=dtype)
     rem = np.arange(lo, hi + 1, dtype=dtype)
@@ -219,6 +225,8 @@ def _radical_segment(lo: int, hi: int, primes: list[int], dtype) -> np.ndarray:
 
 
 def _kernel_dtype(x: int):
+    import numpy as np
+
     return np.int32 if x <= np.iinfo(np.int32).max else np.int64
 
 
@@ -271,6 +279,8 @@ def radical_sieve(
     Takes the same arguments as ``radical_segments``; the table holds
     x + 1 entries of the narrowest signed integer type that fits x.
     """
+    import numpy as np
+
     segments = radical_segments(x, segment_size=segment_size, max_limit=max_limit)
     values = np.zeros(x + 1, dtype=_kernel_dtype(x))
     for lo, kernels in segments:

@@ -28,13 +28,16 @@ rule's over every m.  Only the log-weighted m <= e**(2*gamma) (gamma >
 0) are still decided by the rule over ``radical_segments``.
 """
 
+from __future__ import annotations
+
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .kernel import (
     DEFAULT_SEGMENT_SIZE,
@@ -45,6 +48,9 @@ from .kernel import (
     radical_segments,
     radical_sieve,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "COUNT_WORK_LIMIT",
@@ -68,6 +74,11 @@ _LOG_BAND = 1e-6
 # close to the boundary is re-evaluated at 35 significant digits
 _TIE_REL = 1e-9
 _TIE_DPS = 35
+
+# k(m) <= m, so the gamma = 0 test k*k <= m is exact in int64 for every m
+# up to isqrt(2**63 - 1) = 3_037_000_499, above the 2**30 entries of
+# kernel.DEFAULT_SIEVE_LIMIT; larger slices are refused.
+_INT64_ROOT = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +181,8 @@ class CountReport:
 
 def _theta_members(theta: Theta, lo: int, kernels: np.ndarray) -> np.ndarray:
     """mask[i] iff k(m)**q <= m**p for m = lo + i, given kernels[i] = k(m)."""
+    import numpy as np  # only the masks and the sieved prefix vectorize; the counters run without it
+
     if theta.p == theta.q:
         return np.ones(len(kernels), dtype=bool)  # k(m) <= m unconditionally
     ks = kernels.astype(np.float64)
@@ -191,8 +204,19 @@ def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
 
 def _log_weighted_members(gamma: float, lo: int, kernels: np.ndarray) -> np.ndarray:
     """mask[i] iff k(m)**2 <= m * ln(m)**(2*gamma) for m = lo + i; False at m = 1."""
+    import numpy as np
+
     skip = 1 if lo == 1 else 0  # ln(1) = 0: m = 1 is excluded by definition
     lo, kernels = lo + skip, kernels[skip:]
+    mask = np.zeros(skip + len(kernels), dtype=bool)
+    if gamma == 0:
+        # ln(m)**0 == 1: the integer test k*k <= m, with no near-ties to recheck
+        hi = lo + len(kernels) - 1
+        if hi > _INT64_ROOT:
+            raise ValueError(f"gamma = 0 test is exact in int64 up to {_INT64_ROOT}, got {hi}")
+        ks = kernels.astype(np.int64)
+        np.less_equal(ks * ks, np.arange(lo, hi + 1, dtype=np.int64), out=mask[skip:])
+        return mask
     # in place where possible: these float64 temporaries set the counters' peak memory
     lhs = kernels.astype(np.float64)
     lhs *= lhs
@@ -201,7 +225,6 @@ def _log_weighted_members(gamma: float, lo: int, kernels: np.ndarray) -> np.ndar
     with np.errstate(over="ignore"):
         rhs **= 2 * gamma
         rhs *= ms
-    mask = np.zeros(skip + len(kernels), dtype=bool)
     np.less_equal(lhs, rhs, out=mask[skip:])
     # strict: an overflowed rhs exceeds every float lhs and is no near-tie
     for i in np.nonzero(np.abs(lhs - rhs) < _TIE_REL * rhs)[0]:
@@ -215,6 +238,8 @@ def _decide_table(x: int, table: RadicalTable | None, decide) -> np.ndarray:
     The table (built when None) is decided in slices of
     ``DEFAULT_SEGMENT_SIZE``, so float temporaries stay segment-sized.
     """
+    import numpy as np
+
     if table is None:
         table = radical_sieve(x)
     elif table.limit < x:
@@ -233,7 +258,7 @@ def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
     recheck near ties.
     """
     if gamma == 0:
-        # ln(m)**0 == 1: the integer test, as the recheck decides the ties
+        # ln(m)**0 == 1: the integer test, which also decides the ties
         # k**2 == m that every powerful b with a = b // k(b)**2 hits
         return k * k <= m
     kf = float(k)
@@ -249,14 +274,22 @@ def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
 
 def _stream_count(x: int, decide) -> int:
     """Members of the rule ``decide(lo, kernels)`` in [1, x], summed over ``radical_segments(x)``."""
+    import numpy as np
+
     return sum(int(np.count_nonzero(decide(lo, kernels))) for lo, kernels in radical_segments(x))
 
 
-# Squarefree counts up to this are read from a prefix table (int8 flags
-# while it is built, int32 counts: 5 bytes per entry, 21 MB at the cap);
-# larger ones are summed from the Moebius function.  Only theta > 1/2 and
-# gamma > 0 reach y this large.
-_SQUAREFREE_TABLE_LIMIT = 1 << 22
+# Squarefree counts up to this are read from a prefix table, larger ones
+# are summed from the Moebius function.  The table is a bytearray sieve
+# accumulated into an int32 ``array``: 5 bytes and about 115 ns of pure
+# Python per entry, so its doublings up to the cap cost at most 2 * 2**18
+# entries, 60 ms.  A Moebius sum costs about 15 us of numpy calls, the
+# price of ~130 entries, and few queries pay it: theta = 1/2 at x = 1e12
+# asks for no y above 476837 and sends 2 of 7.4M queries past 2**18,
+# theta = 3/4 at 1e10 sends 360 of 1.29M and gamma = 3 at 1e10 1404 of
+# 1.51M.  Caps from 2**17 to 2**20 time alike on these counts (2 cores);
+# 2**22 adds about 1 s of table to theta = 3/4 at 1e10.
+_SQUAREFREE_TABLE_LIMIT = 1 << 18
 
 
 class _CoprimeSquarefree:
@@ -273,9 +306,8 @@ class _CoprimeSquarefree:
 
     def __init__(self):
         self._size = 0
-        self._table = memoryview(np.zeros(1, dtype=np.int32))
-        self._mu_limit = 0
-        self._squares = self._signs = np.zeros(0, dtype=np.int64)
+        self._table = array("i", [0])
+        self._mu_limit = 0  # the Moebius arrays are built on first use
 
     def count(self, y: int, primes: tuple[int, ...]) -> int:
         """Q_P(y) for the primes P, ascending."""
@@ -292,24 +324,26 @@ class _CoprimeSquarefree:
         return total
 
     def _grow_table(self, size: int) -> None:
-        flags = np.ones(size + 1, dtype=np.int8)
+        flags = bytearray([1]) * (size + 1)
         flags[0] = 0
         for p in primes_up_to(math.isqrt(size)):
-            flags[p * p :: p * p] = 0
+            flags[p * p :: p * p] = bytes(len(range(p * p, size + 1, p * p)))
         self._size = size
-        self._table = memoryview(np.cumsum(flags, dtype=np.int32))
+        self._table = array("i", accumulate(flags))
 
     def _moebius_sum(self, y: int) -> int:
         root = math.isqrt(y)
         if root > self._mu_limit:
             self._grow_moebius(max(root, 2 * self._mu_limit))
-        n = int(np.searchsorted(self._squares, y, side="right"))
-        return int(np.dot(self._signs[:n], y // self._squares[:n]))
+        n = int(self._squares.searchsorted(y, side="right"))
+        return int(self._signs[:n].dot(y // self._squares[:n]))
 
     def _grow_moebius(self, limit: int) -> None:
         # mu(d) for d <= limit from the primes up to sqrt(limit): a
         # squarefree d whose small primes multiply to less than d has
         # exactly one more prime factor, which flips the sign
+        import numpy as np
+
         ds = np.arange(limit + 1, dtype=np.int64)
         prod = np.ones(limit + 1, dtype=np.int64)
         for p in primes_up_to(math.isqrt(limit)):
@@ -342,18 +376,33 @@ def _iroot(n: int, r: int) -> int:
 # at x = 1e11 takes 2.9 s, gamma = 0.5 takes 6.8 s.  Squarefree counts above
 # the table cap are Moebius sums over the d <= sqrt(y), y <= x // b, at about
 # 4 ns a term; measured, all of them add up to less than sqrt(x) * ln(x)
-# terms (0.62x that at gamma = 3, x = 1e11), and the table grows to at most
-# 2 * 2**22 entries at 8 ns each.  Both are charged at _TERMS_PER_VISIT to a
-# visit, a third of the measured ratio.  The limit admits x up to about
-# 1.8e13, a run of 30-100 s.
+# terms (0.62x that at gamma = 3, x = 1e11).  Building the table costs
+# about 115 ns, _TERMS_PER_ENTRY terms, per entry, over at most
+# 2 * _SQUAREFREE_TABLE_LIMIT entries.  Terms are charged at
+# _TERMS_PER_VISIT to a visit, a third of the measured ratio.
+#
+# theta = p/q also compares b**p with y**(q-p) * k(b)**q in Python ints of
+# up to about q * log2(x) bits, and the cost of that grows faster than the
+# size.  Measured per visit at x = 1e9 (theta = 1/2 takes 3.8 us, where
+# these ints fit a machine word or two): theta = 199/200, 499/500 and
+# 997/1000, at 5979, 14949 and 29897 bits, add 27, 90 and 249 us, close to
+# 10 us * (bits / 3500)**1.5; theta = 1/1000 adds 168 us.  So a theta visit
+# is charged 1 + (q * log2(x) / _POWER_BITS)**1.5 visits, which refuses
+# theta = 997/1000 at x = 1e12 (~8.7e7 visits, about 15 minutes by the fit)
+# and admits it at 1e10 (~6.7e6 visits, 58 s).  The limit admits x up to
+# about 1.8e13 for theta = 1/2 and gamma, a run of 30-100 s.
 COUNT_WORK_LIMIT = 10**7
 _TERMS_PER_VISIT = 256
+_TERMS_PER_ENTRY = 32
+_POWER_BITS = 3500
 
 
-def _check_count_work(x: int) -> None:
+def _check_count_work(x: int, theta: Theta | None = None) -> None:
+    """Raise ValueError when counting up to x, for theta or else gamma, exceeds the budget."""
     root = math.isqrt(x)
-    terms = root * math.log(x) + 2 * _SQUAREFREE_TABLE_LIMIT
-    work = 2.2 * root + terms / _TERMS_PER_VISIT
+    per_visit = 1 if theta is None else 1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5
+    terms = root * math.log(x) + 2 * _SQUAREFREE_TABLE_LIMIT * _TERMS_PER_ENTRY
+    work = 2.2 * root * per_visit + terms / _TERMS_PER_VISIT
     if work > COUNT_WORK_LIMIT:
         raise ValueError(
             f"counting up to x={x} implies ~{work:.2e} powerful-number visits "
@@ -372,7 +421,7 @@ def _theta_count(x: int, theta: Theta) -> int:
     """
     if theta.p == theta.q:
         return x  # k(m) <= m unconditionally
-    _check_count_work(x)
+    _check_count_work(x, theta)
     p, q, r = theta.p, theta.q, theta.q - theta.p
     squarefree = _CoprimeSquarefree()
     total = 0

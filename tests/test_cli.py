@@ -149,12 +149,17 @@ class TestCount:
         [
             (
                 ["--theta", "1/2", "--limit", "100000000000000"],
-                "counting up to x=100000000000000 implies ~2.33e+07 powerful-number visits (> 1e+07)",
+                "counting up to x=100000000000000 implies ~2.34e+07 powerful-number visits (> 1e+07)",
             ),
             # e**40 > x: the log-weighted prefix is the whole range, past the sieve budget
             (
                 ["--gamma", "20", "--limit", "2147483648"],
                 "sieve limit 2147483648 exceeds the configured budget 1073741824",
+            ),
+            # theta visits pay for their integer powers of ~40k bits
+            (
+                ["--theta", "997/1000", "--limit", "1000000000000"],
+                "counting up to x=1000000000000 implies ~8.69e+07 powerful-number visits (> 1e+07)",
             ),
         ],
     )

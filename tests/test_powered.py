@@ -9,6 +9,7 @@ import math
 import re
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,6 +204,24 @@ class TestCountLogWeighted:
         assert count_log_weighted(2000, 250.0).count == 1998
         assert log_weighted_mask(2000, 250.0).sum() == 1998
 
+    def test_gamma_zero_mask_decides_in_integers(self, monkeypatch):
+        # ln(m)**0 == 1, so the ties k**2 == m need no recheck
+        def refuse(*args):
+            raise AssertionError("exact path taken")
+
+        monkeypatch.setattr(kernsplit.powered, "_log_weighted_member_exact", refuse)
+        x = 20_000
+        expected = [m >= 2 and radical(m) ** 2 <= m for m in range(x + 1)]
+        assert log_weighted_mask(x, 0.0).tolist() == expected
+
+    def test_gamma_zero_int64_bound(self):
+        root = kernsplit.powered._INT64_ROOT
+        decide = partial(kernsplit.powered._log_weighted_members, 0.0)
+        assert decide(root - 1, np.array([root - 1, root], dtype=np.int64)).tolist() == [False, False]
+        assert decide(root - 1, np.array([1, 2], dtype=np.int64)).tolist() == [True, True]
+        with pytest.raises(ValueError, match=f"exact in int64 up to {root}, got {root + 1}"):
+            decide(root, np.array([1, 1], dtype=np.int64))
+
     @pytest.mark.parametrize("gamma", [1e308, -1e308])
     def test_rejects_unrepresentable_normalization(self, gamma):
         # ln(100)**gamma overflows, or underflows to 0
@@ -395,13 +414,36 @@ class TestCountGuards:
             raise AssertionError("powerful_numbers called")
 
         monkeypatch.setattr(kernsplit.powered, "powerful_numbers", refuse)
-        match = re.escape("counting up to x=100000000000000 implies ~2.33e+07 powerful-number visits")
-        with pytest.raises(ValueError, match=match):
-            count_members(10**14, Theta(1, 2))
+        message = "counting up to x=100000000000000 implies ~{} powerful-number visits"
+        with pytest.raises(ValueError, match=re.escape(message.format("2.34e+07"))):
+            count_members(10**14, Theta(1, 2))  # theta visits also pay for their integer powers
+        match = re.escape(message.format("2.33e+07"))
         with pytest.raises(ValueError, match=match):
             count_log_weighted(10**14, 0.5)
         with pytest.raises(ValueError, match=match):
             log_ratio_table([10, 10**14], 1.0)
+
+    @pytest.mark.parametrize(
+        ("theta", "x", "admitted"),
+        [
+            (Theta(1, 2), 10**12, True),
+            (Theta(3, 4), 10**12, True),
+            (Theta(997, 1000), 10**10, True),
+            # the same visits with powers of ~40k bits: about 15 minutes
+            (Theta(997, 1000), 10**12, False),
+            (Theta(1, 1000), 10**12, False),
+        ],
+    )
+    def test_theta_visits_pay_for_their_powers(self, monkeypatch, theta, x, admitted):
+        class Walked(Exception):
+            pass
+
+        def walk(*args):
+            raise Walked
+
+        monkeypatch.setattr(kernsplit.powered, "powerful_numbers", walk)
+        with pytest.raises(Walked if admitted else ValueError):
+            count_members(x, theta)
 
     def test_past_the_sieve_budget(self, monkeypatch):
         # 2e9 was refused when the counters sieved [1, x]; now only the prefix is sieved
@@ -428,6 +470,26 @@ class TestCoprimeSquarefree:
             for y in [0, 1, 2, 3, 10, 99, 100, 1000, 2999, 3000]:
                 brute = sum(1 for a in squarefree if a <= y and all(a % p for p in primes))
                 assert counts.count(y, primes) == brute, (primes, y)
+
+    def test_table_at_every_doubling_and_the_cap(self):
+        cap = kernsplit.powered._SQUAREFREE_TABLE_LIMIT
+        top = cap + 100
+        squarefree = np.ones(top + 1, dtype=bool)  # sieved by every d, not only primes
+        squarefree[0] = False
+        for d in range(2, math.isqrt(top) + 1):
+            squarefree[d * d :: d * d] = False
+        # ascending y at and next to each power of two make the table double there
+        ys = {y for j in range(cap.bit_length()) for y in (2**j - 1, 2**j, 2**j + 1)}
+        ys = sorted(ys | {cap - 1, cap, cap + 1, cap + 2, top})
+        for primes in [(), (2,), (3, 5), (2, 3, 7)]:
+            coprime = squarefree.copy()
+            for p in primes:
+                coprime[::p] = False
+            prefix = np.cumsum(coprime)
+            counts = kernsplit.powered._CoprimeSquarefree()
+            for y in ys:
+                assert counts.count(y, primes) == prefix[y], (primes, y)
+            assert counts._size == cap
 
     def test_moebius_sum_at_large_y(self, monkeypatch):
         monkeypatch.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", 1 << 10)
