@@ -37,9 +37,6 @@ import click
 # at call time, where patches applied to the modules take effect.
 from .kernel import factorize, radical_sieve
 
-# scans implying more lookups than this refuse to run without --force
-FORCE_LOOKUP_LIMIT = 10**9
-
 
 def _human(v) -> str:
     if v is None:
@@ -166,33 +163,12 @@ def cmd_count(theta_text: str | None, gamma: float | None, limit: int, as_json: 
     _run(as_json, as_csv, "count", body)
 
 
-def _refuse_unforced(n_lo: int, n_hi: int, mode: str) -> None:
-    """Raise for a scan that needs --force; malformed ranges are left to the library."""
-    if mode == "verify":
-        return  # structural checks never touch the table
-    from . import oracle as orc
-
-    # one sieve of n_hi plus ~n/2 lookups per n: the dense scans' cost,
-    # an upper bound on the sparse ones (at most one lookup per part in G)
-    est = n_hi + (n_hi * (n_hi + 1) - (n_lo - 1) * n_lo) // 4
-    if est > FORCE_LOOKUP_LIMIT:
-        raise ValueError(
-            f"scan implies ~{est:.2e} kernel lookups (> {FORCE_LOOKUP_LIMIT:.0e}); "
-            "rerun with --force to proceed"
-        )
-    if n_lo <= n_hi and n_hi > orc.ORACLE_RANGE_LIMIT:
-        raise ValueError(
-            f"range end {n_hi} exceeds {orc.ORACLE_RANGE_LIMIT}; "
-            "rerun with --force to accept the quadratic cost"
-        )
-
-
 @cli.command("scan")
 @click.option("--from", "n_lo", type=int, required=True, help="First n, inclusive (>= 4).")
 @click.option("--to", "n_hi", type=int, required=True, help="Last n, inclusive.")
 @click.option("--gamma", "gamma", type=float, default=None, help="Probe log-weighted representability instead.")
 @click.option("--oracle", "use_oracle", is_flag=True, help="Compare against the exhaustive optimum.")
-@click.option("--force", "force", is_flag=True, help="Accept oracle/probe ranges past 1e5 and scans implying > 1e9 lookups.")
+@click.option("--force", "force", is_flag=True, help="Run an oracle or probe scan past its work budget (1e9 kernel lookups).")
 @_output_options
 def cmd_scan(
     n_lo: int,
@@ -209,26 +185,21 @@ def cmd_scan(
         if use_oracle and gamma is not None:
             raise click.UsageError("--oracle and --gamma are mutually exclusive")
         mode = "oracle" if use_oracle else "probe" if gamma is not None else "verify"
-        if not force:
-            _refuse_unforced(n_lo, n_hi, mode)
         params = {"from": n_lo, "to": n_hi, "mode": mode}
         if mode == "verify":
             from . import decompose as dec
 
             report = dec.verify_range(n_lo, n_hi)
-        elif mode == "oracle":
+        else:
             from . import oracle as orc
 
             orc.check_range(n_lo, n_hi, force)  # before the sieve, which can take GBs
             table = radical_sieve(n_hi)
-            report = orc.constructive_vs_oracle(n_lo, n_hi, table=table, allow_large=force)
-        else:
-            from . import oracle as orc
-
-            params["gamma"] = gamma
-            orc.check_range(n_lo, n_hi, force)
-            table = radical_sieve(n_hi - 2)
-            report = orc.conjecture_probe(n_lo, n_hi, gamma, table=table, allow_large=force)
+            if mode == "oracle":
+                report = orc.constructive_vs_oracle(n_lo, n_hi, table=table, force=force)
+            else:
+                params["gamma"] = gamma
+                report = orc.conjecture_probe(n_lo, n_hi, gamma, table=table, force=force)
         rows, result = report.to_rows(), report.summary_record()
         if mode == "probe":  # failing n are data, not verification failures
             return params, result, rows, [r for r in rows if not r["ok"]] + [result], True

@@ -230,37 +230,21 @@ def _kernel_dtype(x: int):
     return np.int32 if x <= np.iinfo(np.int32).max else np.int64
 
 
-def radical_segments(
-    x: int,
-    *,
-    segment_size: int | None = None,
-    max_limit: int = DEFAULT_SIEVE_LIMIT,
-) -> Iterator[tuple[int, np.ndarray]]:
+def radical_segments(x: int) -> Iterator[tuple[int, np.ndarray]]:
     """Kernels of [1, x], one segment at a time, left to right.
 
     Yields ``(lo, kernels)`` with ``kernels[i] = k(lo + i)``.  The
-    arguments are checked, and the primes up to sqrt(x) sieved, when
-    this is called; each segment is computed as it is consumed, so
-    memory stays O(sqrt(x) + segment_size).
-
-    Parameters
-    ----------
-    x : int
-        Upper end of the range, 1 <= x <= max_limit.
-    segment_size : int, optional
-        Entries per segment (default ``DEFAULT_SEGMENT_SIZE``).  Purely
-        an engineering knob: any value >= 1 yields the same kernels.
-    max_limit : int
-        Budget guard; requests beyond it raise SieveLimitError.
+    argument is checked, and the primes up to sqrt(x) sieved, when this
+    is called; each segment of ``DEFAULT_SEGMENT_SIZE`` entries is
+    computed as it is consumed, so memory stays O(sqrt(x) + segment).
+    Both module constants are read at call time; x past
+    ``DEFAULT_SIEVE_LIMIT`` raises SieveLimitError.
     """
     if x < 1:
         raise ValueError(f"sieve limit must be >= 1, got {x}")
-    if x > max_limit:
-        raise SieveLimitError(f"sieve limit {x} exceeds the configured budget {max_limit}")
-    seg = DEFAULT_SEGMENT_SIZE if segment_size is None else segment_size
-    if seg < 1:
-        raise ValueError(f"segment size must be >= 1, got {seg}")
-    dtype = _kernel_dtype(x)
+    if x > DEFAULT_SIEVE_LIMIT:
+        raise SieveLimitError(f"sieve limit {x} exceeds the configured budget {DEFAULT_SIEVE_LIMIT}")
+    seg, dtype = DEFAULT_SEGMENT_SIZE, _kernel_dtype(x)
     small_primes = primes_up_to(math.isqrt(x))
     return (
         (lo, _radical_segment(lo, min(lo + seg - 1, x), small_primes, dtype))
@@ -268,20 +252,15 @@ def radical_segments(
     )
 
 
-def radical_sieve(
-    x: int,
-    *,
-    segment_size: int | None = None,
-    max_limit: int = DEFAULT_SIEVE_LIMIT,
-) -> RadicalTable:
+def radical_sieve(x: int) -> RadicalTable:
     """Build the kernel table for [1, x] from ``radical_segments``.
 
-    Takes the same arguments as ``radical_segments``; the table holds
-    x + 1 entries of the narrowest signed integer type that fits x.
+    The table holds x + 1 entries of the narrowest signed integer type
+    that fits x.
     """
     import numpy as np
 
-    segments = radical_segments(x, segment_size=segment_size, max_limit=max_limit)
+    segments = radical_segments(x)
     values = np.zeros(x + 1, dtype=_kernel_dtype(x))
     for lo, kernels in segments:
         values[lo : lo + len(kernels)] = kernels

@@ -17,8 +17,11 @@ a sparse powerful-number-like set (1,003 members up to 1e4, 4,355 up to
 1e5, 18,411 up to 1e6).  The oracle ranks only the pairs with both
 parts in G, and ranks every pair for an n that has none (an optimum
 above 21), so its answer never rests on the theorem it checks.  The
-probe walks only the qualifying parts m1 <= n/2.  A range past
-``ORACLE_RANGE_LIMIT`` still requires an explicit ``allow_large=True``.
+probe walks only the qualifying parts m1 <= n/2.  Both scans price
+their work in kernel lookups: table entries, rows, and one per candidate
+part m1 <= n // 2 for each n (``SCAN_WORK_LIMIT``).  Unless ``force``,
+a scan over budget is refused before the sieve on its table and rows,
+or once its candidates are known, before the per-n loop.
 """
 
 import math
@@ -29,10 +32,10 @@ import numpy as np
 
 from .decompose import Decomposition, split
 from .kernel import RadicalTable, radical_sieve
-from .powered import log_weighted_mask
+from .powered import _decide_table, log_weighted_mask
 
 __all__ = [
-    "ORACLE_RANGE_LIMIT",
+    "SCAN_WORK_LIMIT",
     "BestSplit",
     "ComparisonReport",
     "ComparisonRow",
@@ -44,8 +47,6 @@ __all__ = [
     "decomposition_quality",
     "part_quality",
 ]
-
-ORACLE_RANGE_LIMIT = 100_000
 
 # relative slack for the float prefilter; anything this close to the
 # float minimum is re-ranked exactly
@@ -60,6 +61,20 @@ _CANDIDATE_QUALITY = 21
 # m up to isqrt(2**63 - 1) = 3_037_000_499, well above the 2**30 entries
 # of kernel.DEFAULT_SIEVE_LIMIT; larger candidate sets are refused.
 _CANDIDATE_INT64_LIMIT = math.isqrt(2**63 - 1)
+
+# Budget of one scan, in kernel lookups (good[n - m1] for one candidate
+# part): 2-13 ns each on 2 cores, ~5 ns in a large probe ([4, 1e6] at
+# gamma = 0: 2.33e9 lookups, 10.7 s with its rows).  A table entry costs
+# ~64 ns of sieve plus up to ~33 ns of candidate test, so _SIEVE_WEIGHT
+# is 20: an unforced table ends below 5e7 (~5 s; 4 B of kernel, 1 of mask
+# and 8 of part index when every part qualifies, 830 MB peak at 4.8e7).
+# A row costs 5 us (probe) to 65 us (oracle) of Python besides its lookups
+# and holds 0.35-0.75 KB until the scan ends; _ROW_WEIGHT is the probe's
+# 1000, so an unforced scan has at most 1e6 rows.  The oracle's own
+# lookups stop it from 4 near n = 2.4e5, about 22 s.
+SCAN_WORK_LIMIT = 10**9
+_SIEVE_WEIGHT = 20
+_ROW_WEIGHT = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,13 +100,18 @@ def decomposition_quality(d: Decomposition, table: RadicalTable) -> Fraction:
     )
 
 
+def _candidate_members(lo: int, kernels: np.ndarray) -> np.ndarray:
+    """mask[i] iff k(m)**2 <= 21 m for m = lo + i, in int64 (exact up to _CANDIDATE_INT64_LIMIT)."""
+    ks = kernels.astype(np.int64)
+    return ks * ks <= _CANDIDATE_QUALITY * np.arange(lo, lo + len(ks), dtype=np.int64)
+
+
 def _candidates(table: RadicalTable, top: int) -> tuple[np.ndarray, np.ndarray]:
     """``(good, G)`` over [0, top]: good[m] iff m >= 2 and k(m)**2 <= 21 m, G = flatnonzero(good)."""
     if top > _CANDIDATE_INT64_LIMIT:
         raise ValueError(f"candidate test is exact in int64 up to {_CANDIDATE_INT64_LIMIT}, got {top}")
-    k = table.values[: top + 1].astype(np.int64)
-    good = k * k <= _CANDIDATE_QUALITY * np.arange(top + 1, dtype=np.int64)
-    good[:2] = False
+    good = _decide_table(top, table, _candidate_members)
+    good[1] = False  # 1 is no part
     return good, np.flatnonzero(good)
 
 
@@ -197,15 +217,27 @@ class ComparisonReport:
         }
 
 
-def check_range(n_lo: int, n_hi: int, allow_large: bool) -> None:
-    """Raise ValueError for a malformed range, or one past ORACLE_RANGE_LIMIT unless allow_large."""
+def _part_ends(parts: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
+    """For each n in [n_lo, n_hi], how many of the ascending parts (all >= 2) are <= n // 2: its lookups."""
+    return np.searchsorted(parts, np.arange(n_lo, n_hi + 1) // 2, side="right")
+
+
+def _check_work(n_lo: int, n_hi: int, lookups: int = 0) -> None:
+    """Raise ValueError when the scan's table and rows, plus ``lookups``, exceed the budget."""
+    work = _SIEVE_WEIGHT * n_hi + _ROW_WEIGHT * (n_hi - n_lo + 1) + lookups
+    if work > SCAN_WORK_LIMIT:
+        raise ValueError(
+            f"scan of [{n_lo}, {n_hi}] implies ~{work:.2e} kernel lookups "
+            f"(> {SCAN_WORK_LIMIT:.0e}); rerun with --force to proceed"
+        )
+
+
+def check_range(n_lo: int, n_hi: int, force: bool = False) -> None:
+    """Raise ValueError for a malformed range or, unless force, one whose table and rows alone exceed the budget."""
     if not 4 <= n_lo <= n_hi:
         raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    if n_hi > ORACLE_RANGE_LIMIT and not allow_large:
-        raise ValueError(
-            f"range end {n_hi} exceeds {ORACLE_RANGE_LIMIT}; "
-            "pass allow_large=True to accept the quadratic cost"
-        )
+    if not force:
+        _check_work(n_lo, n_hi)
 
 
 def constructive_vs_oracle(
@@ -213,17 +245,20 @@ def constructive_vs_oracle(
     n_hi: int,
     *,
     table: RadicalTable | None = None,
-    allow_large: bool = False,
+    force: bool = False,
 ) -> ComparisonReport:
     """Compare split(n) against the exhaustive optimum for each n.
 
     The oracle can never be worse than the constructive split; any n
-    where it is lands in ``violations``.
+    where it is lands in ``violations``.  Unless ``force``, a scan over
+    the work budget is refused.
     """
-    check_range(n_lo, n_hi, allow_large)
+    check_range(n_lo, n_hi, force)
     if table is None:
         table = radical_sieve(n_hi)
     candidates = _candidates(table, n_hi - 2)
+    if not force:
+        _check_work(n_lo, n_hi, int(_part_ends(candidates[1], n_lo, n_hi).sum()))
     rows = []
     violations = []
     sum_split = 0.0
@@ -310,15 +345,17 @@ def conjecture_probe(
     gamma: float,
     *,
     table: RadicalTable | None = None,
-    allow_large: bool = False,
+    force: bool = False,
 ) -> ProbeReport:
-    """Scan [n_lo, n_hi] for two-part log-weighted representations."""
-    check_range(n_lo, n_hi, allow_large)
+    """Scan [n_lo, n_hi] for two-part log-weighted representations; refused over budget unless force."""
+    check_range(n_lo, n_hi, force)
     if table is None:
         table = radical_sieve(n_hi - 2)
     good = log_weighted_mask(n_hi - 2, gamma, table=table)
     members = np.flatnonzero(good)  # ascending, all >= 2
-    ends = np.searchsorted(members, np.arange(n_lo, n_hi + 1) // 2, side="right")
+    ends = _part_ends(members, n_lo, n_hi)
+    if not force:
+        _check_work(n_lo, n_hi, int(ends.sum()))
     pairs = []
     failing = []
     for n, end in zip(range(n_lo, n_hi + 1), ends.tolist()):

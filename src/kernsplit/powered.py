@@ -378,8 +378,9 @@ def _iroot(n: int, r: int) -> int:
 # 4 ns a term; measured, all of them add up to less than sqrt(x) * ln(x)
 # terms (0.62x that at gamma = 3, x = 1e11).  Building the table costs
 # about 115 ns, _TERMS_PER_ENTRY terms, per entry, over at most
-# 2 * _SQUAREFREE_TABLE_LIMIT entries.  Terms are charged at
-# _TERMS_PER_VISIT to a visit, a third of the measured ratio.
+# 2 * _SQUAREFREE_TABLE_LIMIT entries, once per call: the counts of one
+# call share a table.  Terms are charged at _TERMS_PER_VISIT to a visit, a
+# third of the measured ratio.
 #
 # theta = p/q also compares b**p with y**(q-p) * k(b)**q in Python ints of
 # up to about q * log2(x) bits, and the cost of that grows faster than the
@@ -397,20 +398,23 @@ _TERMS_PER_ENTRY = 32
 _POWER_BITS = 3500
 
 
-def _check_count_work(x: int, theta: Theta | None = None) -> None:
-    """Raise ValueError when counting up to x, for theta or else gamma, exceeds the budget."""
+def _count_work(x: int, theta: Theta | None = None) -> float:
+    """Visits of one count up to x, for theta or else gamma, besides the squarefree table."""
+    if theta is not None and theta.p == theta.q:
+        return 0.0  # every m counts: no walk
     root = math.isqrt(x)
     per_visit = 1 if theta is None else 1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5
-    terms = root * math.log(x) + 2 * _SQUAREFREE_TABLE_LIMIT * _TERMS_PER_ENTRY
-    work = 2.2 * root * per_visit + terms / _TERMS_PER_VISIT
+    return 2.2 * root * per_visit + root * math.log(x) / _TERMS_PER_VISIT
+
+
+def _check_count_work(what: str, work: float) -> None:
+    """Raise ValueError when ``what``, costing ``work`` visits plus one squarefree table, exceeds the budget."""
+    work += 2 * _SQUAREFREE_TABLE_LIMIT * _TERMS_PER_ENTRY / _TERMS_PER_VISIT
     if work > COUNT_WORK_LIMIT:
-        raise ValueError(
-            f"counting up to x={x} implies ~{work:.2e} powerful-number visits "
-            f"(> {COUNT_WORK_LIMIT:.0e})"
-        )
+        raise ValueError(f"{what} implies ~{work:.2e} powerful-number visits (> {COUNT_WORK_LIMIT:.0e})")
 
 
-def _theta_count(x: int, theta: Theta) -> int:
+def _theta_count(x: int, theta: Theta, squarefree: _CoprimeSquarefree) -> int:
     """Exact count of 1 <= m <= x with k(m)**q <= m**p, summed over powerful b.
 
     Every m is uniquely a*b with b powerful, a squarefree, gcd(a, b) = 1,
@@ -421,9 +425,7 @@ def _theta_count(x: int, theta: Theta) -> int:
     """
     if theta.p == theta.q:
         return x  # k(m) <= m unconditionally
-    _check_count_work(x, theta)
     p, q, r = theta.p, theta.q, theta.q - theta.p
-    squarefree = _CoprimeSquarefree()
     total = 0
     for b, k, primes in powerful_numbers(x):
         y = x // b
@@ -484,7 +486,7 @@ def _prefix_end(member, lo: int, hi: int, guess: int) -> int:
     return good
 
 
-def _log_weighted_count(x: int, gamma: float) -> int:
+def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) -> int:
     """Exact count of 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).
 
     With m = a*b as in ``_theta_count`` (k(m) = a*k(b)), the test for
@@ -503,12 +505,10 @@ def _log_weighted_count(x: int, gamma: float) -> int:
     ``radical_segments(E)``, which keeps its sieve budget; E = 1 for
     gamma <= 0, and E = x when e**(2*gamma) >= x.  m = 1 is excluded.
     """
-    _check_count_work(x)
     start = _monotone_start(x, gamma)
     total = _stream_count(start, partial(_log_weighted_members, gamma)) if start > 1 else 0
     if start == x:
         return total
-    squarefree = _CoprimeSquarefree()
     for b, k, primes in powerful_numbers(x):
         lo, hi = start // b + 1, x // b
         if lo > hi:
@@ -560,7 +560,8 @@ def count_members(x: int, theta: Theta) -> CountReport:
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    count = _theta_count(x, theta)
+    _check_count_work(f"counting up to x={x}", _count_work(x, theta))
+    count = _theta_count(x, theta, _CoprimeSquarefree())
     return CountReport(
         x=x,
         count=count,
@@ -600,7 +601,8 @@ def count_log_weighted(x: int, gamma: float) -> CountReport:
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     scale = _log_weight(x, gamma, math.sqrt(x))
-    count = _log_weighted_count(x, gamma)
+    _check_count_work(f"counting up to x={x}", _count_work(x))
+    count = _log_weighted_count(x, gamma, _CoprimeSquarefree())
     return CountReport(x=x, count=count, gamma=gamma, normalized=count / scale)
 
 
@@ -609,17 +611,20 @@ def log_ratio_table(xs: Sequence[int], gamma: float) -> list[dict]:
 
     N_gamma(x) is ``count_log_weighted(x, gamma).count`` and S(x) is
     ``count_members(x, Theta(1, 2)).count``, both counted afresh at
-    every x.  Raises ValueError, before counting, when some ln(x)**gamma
-    is not a finite non-zero float or the largest x exceeds the count
-    budget.
+    every x over one shared squarefree table.  Raises ValueError, before
+    counting, when some ln(x)**gamma is not a finite non-zero float or
+    the two counts at every x together exceed the count budget.
     """
     if not xs or xs[0] < 2 or any(a > b for a, b in zip(xs, xs[1:])):
         raise ValueError(f"expected ascending x values >= 2, got {list(xs)}")
     weights = [_log_weight(x, gamma) for x in xs]
-    _check_count_work(xs[-1])  # the costliest point, refused before any is counted
+    half = Theta(1, 2)
+    work = sum(_count_work(x) + _count_work(x, half) for x in xs)
+    _check_count_work(f"counting {len(xs)} points up to x={xs[-1]}", work)
+    squarefree = _CoprimeSquarefree()
     rows = []
     for x, w in zip(xs, weights):
-        nw, ns = _log_weighted_count(x, gamma), _theta_count(x, Theta(1, 2))
+        nw, ns = _log_weighted_count(x, gamma, squarefree), _theta_count(x, half, squarefree)
         rows.append({"x": x, "weighted_count": nw, "half_count": ns, "ratio": nw / (w * ns)})
     return rows
 

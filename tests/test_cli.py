@@ -206,22 +206,74 @@ class TestScan:
         assert result.exit_code != 0
 
     def test_force_guard(self):
-        # ~1e10 estimated lookups: refused immediately without --force
+        # a million rows and a table to 1e6 pass the budget: refused before the sieve
         result = runner.invoke(
-            cli, ["scan", "--from", "4", "--to", "200000", "--oracle"]
+            cli, ["scan", "--from", "4", "--to", "1000000", "--oracle"]
         )
         assert result.exit_code == 1
         assert "--force" in result.output
 
     @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "0"]])
     def test_quadratic_refusal_names_force(self, mode):
-        # past the oracle range limit but well under the lookup limit
-        args = ["scan", "--from", "100000", "--to", "100010", *mode]
+        # table and rows fit (5.1e8), the lookups over the candidate parts do not
+        args = ["scan", "--from", "4", "--to", "500000", *mode]
         result = runner.invoke(cli, args)
         assert result.exit_code == 1
-        assert "exceeds 100000" in result.output
+        assert result.output.startswith("error: scan of [4, 500000] implies ~")
         assert "--force" in result.output
         assert "allow_large" not in result.output
+
+    @pytest.mark.parametrize(
+        ("lo", "hi", "mode", "admitted"),
+        [
+            # the sparse scans' 3.1e4 and 5.6e7 lookups; the dense estimate refused both
+            (100_000, 100_010, ["--oracle"], True),
+            (4, 100_000, ["--gamma", "0"], True),
+            (4, 500_000, ["--oracle"], False),  # on its lookups
+            (4, 100_000, ["--gamma", "3"], False),  # on its lookups, a dense set
+            (4, 10**6, ["--gamma", "0"], False),  # on its rows, before the sieve
+            (900_000_000, 900_000_000, ["--oracle"], False),  # on its table, before the sieve
+        ],
+    )
+    def test_library_and_cli_refuse_alike(self, lo, hi, mode, admitted):
+        from kernsplit import oracle as orc
+
+        try:
+            if mode[0] == "--oracle":
+                orc.constructive_vs_oracle(lo, hi)
+            else:
+                orc.conjecture_probe(lo, hi, float(mode[1]))
+            expected = (0, None)
+        except ValueError as exc:
+            expected = (1, f"error: {exc}\n")
+        assert expected[0] == (0 if admitted else 1)
+        result = runner.invoke(cli, ["scan", "--from", str(lo), "--to", str(hi), *mode, "--csv"])
+        assert (result.exit_code, None if result.exit_code == 0 else result.output) == expected
+
+    def test_table_refused_before_sieving(self, monkeypatch):
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieved an over-budget table")
+
+        monkeypatch.setattr("kernsplit.cli.radical_sieve", no_sieve)
+        result = runner.invoke(cli, ["scan", "--from", "900000000", "--to", "900000000", "--oracle"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "error: scan of [900000000, 900000000] implies ~1.80e+10 kernel lookups (> 1e+09); "
+            "rerun with --force to proceed\n"
+        )
+
+    def test_lookups_refused_before_scanning(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned an over-budget range")
+
+        monkeypatch.setattr("kernsplit.oracle.split", no_scan)
+        monkeypatch.setattr("kernsplit.oracle.best_decomposition", no_scan)
+        result = runner.invoke(cli, ["scan", "--from", "4", "--to", "500000", "--oracle"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "error: scan of [4, 500000] implies ~2.89e+09 kernel lookups (> 1e+09); "
+            "rerun with --force to proceed\n"
+        )
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
     @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "0"]])
@@ -260,6 +312,18 @@ class TestLogRatio:
         for row in rows:
             assert set(row) == {"x", "weighted_count", "half_count", "ratio"}
             assert row["ratio"] > 0
+
+    def test_default_grid_at_1e9_is_admitted(self, monkeypatch):
+        # every point is charged, and the five default points up to 1e9 still fit
+        class Walked(Exception):
+            pass
+
+        def walk(*args):
+            raise Walked
+
+        monkeypatch.setattr("kernsplit.powered.powerful_numbers", walk)
+        result = runner.invoke(cli, ["logratio", "--limit", "1000000000"])
+        assert isinstance(result.exception, Walked)
 
 
 class TestNonFiniteGamma:
@@ -465,10 +529,10 @@ GOLDEN = [
         ),
     ),
     (
-        'scan --from 4 --to 200000 --oracle',
+        'scan --from 4 --to 1000000 --oracle',
         1,
         (
-            'error: scan implies ~1.00e+10 kernel lookups (> 1e+09); rerun with --force to proceed\n'
+            'error: scan of [4, 1000000] implies ~1.02e+09 kernel lookups (> 1e+09); rerun with --force to proceed\n'
         ),
     ),
     (

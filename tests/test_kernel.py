@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import kernsplit.kernel
 from kernsplit.kernel import (
     FactorLimitError,
     SieveLimitError,
@@ -139,25 +140,24 @@ def test_sieve_matches_single_shot_to_1e5():
         assert table.values[m] == radical(m), m
 
 
-def test_sieve_segmentation_is_invisible():
+def test_sieve_segmentation_is_invisible(monkeypatch):
     base = radical_sieve(10_000)
     for seg in (1, 7, 997, 4096):
-        segmented = radical_sieve(10_000, segment_size=seg)
-        assert np.array_equal(base.values, segmented.values)
+        monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", seg)
+        assert np.array_equal(base.values, radical_sieve(10_000).values)
+        assert len(list(radical_segments(10_000))) == -(-10_000 // seg)  # read at call time
 
 
-def test_sieve_rejects_bad_limits():
+def test_sieve_rejects_bad_limits(monkeypatch):
     with pytest.raises(ValueError):
         radical_sieve(0)
+    monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SIEVE_LIMIT", 1000)
+    radical_sieve(1000)  # the budget is read at call time, and inclusive
     with pytest.raises(SieveLimitError):
-        radical_sieve(1001, max_limit=1000)
-    with pytest.raises(ValueError):
-        radical_sieve(10, segment_size=0)
+        radical_sieve(1001)
     # the streaming form checks when called, before any segment is sieved
     with pytest.raises(SieveLimitError):
-        radical_segments(1001, max_limit=1000)
-    with pytest.raises(ValueError):
-        radical_segments(10, segment_size=0)
+        radical_segments(1001)
 
 
 def test_table_bounds_checked():

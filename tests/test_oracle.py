@@ -7,6 +7,7 @@ m1 in [2, n/2]: the references the sparse candidate walks are tested
 against.
 """
 
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -18,7 +19,7 @@ import kernsplit.oracle as orc
 from kernsplit.decompose import split
 from kernsplit.kernel import radical, radical_sieve
 from kernsplit.oracle import (
-    ORACLE_RANGE_LIMIT,
+    SCAN_WORK_LIMIT,
     BestSplit,
     best_decomposition,
     conjecture_probe,
@@ -72,6 +73,16 @@ def dense_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[tuple, tuple
 @cache
 def table_to(x: int):
     return radical_sieve(x)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("ran past the work check")
+
+
+def refusal(n_lo: int, n_hi: int) -> str:
+    return re.escape(f"scan of [{n_lo}, {n_hi}] implies ~") + r"[0-9.]+e\+[0-9]+" + re.escape(
+        " kernel lookups (> 1e+09); rerun with --force to proceed"
+    )
 
 
 class TestBestDecomposition:
@@ -153,10 +164,13 @@ class TestConstructiveVsOracle:
         assert 0 < report.mean_oracle_quality <= report.mean_split_quality
         assert report.summary_record()["violations"] == 0
 
-    def test_range_guard(self):
-        with pytest.raises(ValueError):
-            constructive_vs_oracle(4, ORACLE_RANGE_LIMIT + 1)
-        with pytest.raises(ValueError):
+    def test_range_guard(self, monkeypatch):
+        # over budget: refused once the candidates are known, before any n is split
+        monkeypatch.setattr(orc, "split", refuse)
+        monkeypatch.setattr(orc, "best_decomposition", refuse)
+        with pytest.raises(ValueError, match=refusal(4, 500000)):
+            constructive_vs_oracle(4, 500_000)
+        with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
             constructive_vs_oracle(3, 10)
 
 
@@ -212,8 +226,10 @@ class TestConjectureProbe:
                 assert radical(m) ** 2 <= m * math.log(m) ** (2 * gamma) * (1 + 1e-9)
 
     def test_range_guard(self):
-        with pytest.raises(ValueError):
-            conjecture_probe(4, ORACLE_RANGE_LIMIT + 1, 1.0)
+        with pytest.raises(ValueError, match=refusal(4, 1000000)):
+            conjecture_probe(4, 10**6, 1.0)
+        with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
+            conjecture_probe(5, 4, 1.0)
 
 
 class TestSparseMatchesDense:
@@ -236,9 +252,9 @@ class TestSparseMatchesDense:
         assert best_decomposition(n) == dense_best(n, table_to(n))
 
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=4, max_value=ORACLE_RANGE_LIMIT - 100))
+    @given(st.integers(min_value=4, max_value=100_000 - 100))
     def test_range_window(self, lo):
-        table = table_to(ORACLE_RANGE_LIMIT)
+        table = table_to(100_000)
         report = constructive_vs_oracle(lo, lo + 100, table=table)
         for row in report.rows:
             best = dense_best(row.n, table)
@@ -290,3 +306,66 @@ class TestSparseMatchesDense:
         table = table_to(6400)
         report = conjecture_probe(lo, hi, gamma, table=table)
         assert (report.pairs, report.failing) == dense_probe(lo, hi, gamma, table)
+
+
+# the candidate sets the scans walk: G, and the probe's qualifying parts at each gamma
+SCAN_TOP = 6000
+
+
+@cache
+def scan_parts(mode) -> np.ndarray:
+    table = table_to(SCAN_TOP)
+    if mode == "oracle":
+        return orc._candidates(table, SCAN_TOP)[1]
+    return np.flatnonzero(log_weighted_mask(SCAN_TOP, mode, table=table))
+
+
+class TestScanWork:
+    """The one cost model: table entries, rows and sparse lookups."""
+
+    @pytest.mark.parametrize("mode", ["oracle", -5.0, 0.0, 0.5, 10.0])
+    @settings(max_examples=25, deadline=None)
+    @given(lo=st.integers(min_value=4, max_value=SCAN_TOP), width=st.integers(min_value=0, max_value=300))
+    def test_lookups_count_the_parts_below_half(self, mode, lo, width):
+        hi = min(lo + width, SCAN_TOP + 2)
+        parts = scan_parts(mode)
+        brute = sum(1 for n in range(lo, hi + 1) for m1 in parts.tolist() if 2 <= m1 <= n // 2)
+        assert int(orc._part_ends(parts, lo, hi).sum()) == brute
+
+    def test_work_adds_table_rows_and_lookups(self):
+        lo, hi = 1000, 3000
+        slack = SCAN_WORK_LIMIT - orc._SIEVE_WEIGHT * hi - orc._ROW_WEIGHT * (hi - lo + 1)
+        orc._check_work(lo, hi, slack)  # the limit itself is admitted
+        with pytest.raises(ValueError, match=refusal(lo, hi)):
+            orc._check_work(lo, hi, slack + 1)
+
+    def test_table_and_rows_refused_before_the_sieve(self, monkeypatch):
+        monkeypatch.setattr(orc, "radical_sieve", refuse)
+        with pytest.raises(ValueError, match=refusal(900000000, 900000000)):
+            constructive_vs_oracle(900_000_000, 900_000_000)
+        # no part qualifies at gamma = -5, so only the rows bound this probe
+        with pytest.raises(ValueError, match=refusal(4, 100000000)):
+            conjecture_probe(4, 10**8, -5.0)
+
+    def test_lookups_refused_once_the_parts_are_known(self, monkeypatch):
+        table = table_to(100_000)
+        monkeypatch.setattr(orc, "radical_sieve", refuse)
+        with pytest.raises(ValueError, match=refusal(4, 100000)):
+            conjecture_probe(4, 100_000, 3.0, table=table)  # ~2.5e9 lookups over a dense set
+        assert conjecture_probe(4, 100_000, 0.0, table=table).satisfied == 98020
+
+    def test_force_computes_nothing(self, monkeypatch):
+        monkeypatch.setattr(orc, "_check_work", refuse)
+        assert constructive_vs_oracle(4, 100, force=True).violations == ()
+        assert conjecture_probe(4, 100, 0.0, force=True).failing[:3] == (4, 5, 6)
+        with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
+            constructive_vs_oracle(10, 4, force=True)  # a malformed range is refused all the same
+
+    def test_force_runs_over_budget(self, monkeypatch):
+        monkeypatch.setattr(orc, "SCAN_WORK_LIMIT", 10_000)
+        with pytest.raises(ValueError, match=re.escape("(> 1e+04)")):
+            constructive_vs_oracle(4, 100)
+        with pytest.raises(ValueError, match=re.escape("(> 1e+04)")):
+            conjecture_probe(4, 100, 0.0)
+        assert len(constructive_vs_oracle(4, 100, force=True).rows) == 97
+        assert len(conjecture_probe(4, 100, 0.0, force=True).pairs) == 97

@@ -420,8 +420,41 @@ class TestCountGuards:
         match = re.escape(message.format("2.33e+07"))
         with pytest.raises(ValueError, match=match):
             count_log_weighted(10**14, 0.5)
-        with pytest.raises(ValueError, match=match):
+        # a table pays for both counts at every x: ~2.33e7 + ~2.34e7 at 1e14
+        table = "counting 2 points up to x=100000000000000 implies ~4.67e+07 powerful-number visits"
+        with pytest.raises(ValueError, match=re.escape(table)):
             log_ratio_table([10, 10**14], 1.0)
+
+    def test_ratio_table_charges_every_point(self, monkeypatch):
+        class Walked(Exception):
+            pass
+
+        def walk(*args):
+            raise Walked
+
+        monkeypatch.setattr(kernsplit.powered, "powerful_numbers", walk)
+        # 186 points up to 1e13: each count alone fits the budget, all of them ~2e8 visits
+        grid = sorted({max(10, round((10**13) ** (i / 200))) for i in range(1, 201)} | {10**13})
+        with pytest.raises(ValueError, match=re.escape(f"counting {len(grid)} points up to x=10000000000000")):
+            log_ratio_table(grid, 1.0)
+        for count in (partial(count_log_weighted, gamma=1.0), partial(count_members, theta=Theta(1, 2))):
+            with pytest.raises(Walked):
+                count(10**13)
+
+    def test_ratio_table_shares_one_squarefree_table(self, monkeypatch):
+        built = []
+
+        class Counted(kernsplit.powered._CoprimeSquarefree):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(kernsplit.powered, "_CoprimeSquarefree", Counted)
+        rows = log_ratio_table([10, 1000, 10**6], 1.0)
+        assert len(built) == 1
+        assert [(r["weighted_count"], r["half_count"]) for r in rows] == [
+            (count_log_weighted(x, 1.0).count, count_members(x, Theta(1, 2)).count) for x in (10, 1000, 10**6)
+        ]
 
     @pytest.mark.parametrize(
         ("theta", "x", "admitted"),
