@@ -15,7 +15,9 @@ so a consumer such as a counter needs memory for one segment only;
 ``radical_sieve`` fills a whole table from them.  The output is
 identical to a one-shot sieve regardless of segment size.
 ``powerful_numbers`` walks the powerful numbers up to x with their
-kernels, which is all the class counters need.
+kernels, which is all the class counters need, and ``kernel_bounded``
+builds from them the sparse sets k(m)**2 <= c*m, with their kernels,
+that the oracle and the probe pair up.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "Factorization",
     "RadicalTable",
     "factorize",
+    "kernel_bounded",
     "powerful_numbers",
     "primes_up_to",
     "radical",
@@ -55,6 +58,15 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # what the oracle, the probe and the counters' log-weighted prefix need
 # at desk scale.
 DEFAULT_SIEVE_LIMIT = 1 << 30
+
+# ``kernel_bounded`` forms m = a*b and k(m) = a*k(b) in int64 with
+# a <= top // b, so both stay exact for every top up to this; larger tops
+# are refused.
+BOUNDED_INT64_LIMIT = 2**63 - 1
+
+# pairs (b, a) expanded at once by ``kernel_bounded``: its int64
+# temporaries are a few times this many entries, however large one A_b is
+_EMIT_BLOCK = 1 << 20
 
 
 class FactorLimitError(ValueError):
@@ -173,6 +185,59 @@ def powerful_numbers(x: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
             yield c, kp, qs
             stack.append((c, kp, qs, j + 1))
             c *= p
+
+
+def _squarefree_up_to(y: int) -> np.ndarray:
+    """The squarefree a in [1, y], ascending, as int64."""
+    import numpy as np
+
+    flags = np.ones(y + 1, dtype=bool)
+    flags[0] = False
+    for p in primes_up_to(math.isqrt(y)):
+        flags[p * p :: p * p] = False
+    return np.flatnonzero(flags)
+
+
+def kernel_bounded(top: int, c: int, admit=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(ms, ks)``: every 1 <= m <= top with k(m)**2 <= c*m, ascending, and ks[i] = k(ms[i]).
+
+    Every m is uniquely a*b with b powerful, a squarefree and gcd(a, b) =
+    1, and then k(m) = a*k(b), so k(m)**2 <= c*m is exactly a <= c*b //
+    k(b)**2.  For each powerful b <= top the members are therefore the
+    squarefree a coprime to b up to A_b = min(top // b, c*b // k(b)**2):
+    a prefix of one squarefree list, filtered by gcd(a, k(b)) == 1.  No
+    kernel table is built.  The walk over the ~2.17 * sqrt(top) powerful
+    b (``powerful_numbers``) comes first; ``admit(bound)``, when given,
+    is then called with bound = sum of the A_b >= len(ms), before the
+    squarefree list or any member exists, so a caller can refuse a set
+    too large by raising.  c is an int >= 0, and c >= top admits every m.
+    Raises ValueError past ``BOUNDED_INT64_LIMIT``.
+    """
+    import numpy as np
+
+    if top > BOUNDED_INT64_LIMIT:
+        raise ValueError(f"bounded kernels are exact in int64 up to {BOUNDED_INT64_LIMIT}, got {top}")
+    walk = [(b, k, a) for b, k, _ in powerful_numbers(top) if (a := min(top // b, c * b // (k * k)))]
+    if admit is not None:
+        admit(sum(a for _, _, a in walk))
+    if not walk:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    bs, kbs, a_max = (np.array(col, dtype=np.int64) for col in zip(*walk))
+    squarefree = _squarefree_up_to(int(a_max.max()))
+    counts = np.searchsorted(squarefree, a_max, side="right")  # a <= A_b, before the coprime filter
+    ends = np.cumsum(counts)
+    ms, ks = [], []
+    for lo in range(0, int(ends[-1]), _EMIT_BLOCK):
+        pos = np.arange(lo, min(lo + _EMIT_BLOCK, int(ends[-1])))
+        row = np.searchsorted(ends, pos, side="right")  # the b of each flat position
+        a = squarefree[pos - ends[row] + counts[row]]
+        kb = kbs[row]
+        coprime = np.gcd(a, kb) == 1
+        ms.append((a * bs[row])[coprime])
+        ks.append((a * kb)[coprime])
+    ms, ks = np.concatenate(ms), np.concatenate(ks)
+    order = np.argsort(ms)
+    return ms[order], ks[order]
 
 
 class RadicalTable:

@@ -10,29 +10,42 @@ Ranking is exact rational comparison throughout; floats only prefilter
 which pairs can possibly attain the minimum, and every surviving
 candidate is re-ranked with ``fractions.Fraction``.
 
-Neither search walks every m1 <= n/2.  The split certifies
-k(m)**4 <= 432 m**2, a quality of at most sqrt(432) < 21, so both parts
-of an optimal pair lie in the candidate set G = {m : k(m)**2 <= 21 m},
-a sparse powerful-number-like set (1,003 members up to 1e4, 4,355 up to
-1e5, 18,411 up to 1e6).  The oracle ranks only the pairs with both
-parts in G, and ranks every pair for an n that has none (an optimum
-above 21), so its answer never rests on the theorem it checks.  The
-probe walks only the qualifying parts m1 <= n/2.  Both scans price
-their work in kernel lookups: table entries, rows, and one per candidate
-part m1 <= n // 2 for each n (``SCAN_WORK_LIMIT``).  Unless ``force``,
-a scan over budget is refused before the sieve on its table and rows,
-or once its candidates are known, before the per-n loop.
+Neither search walks every m1 <= n/2, and neither builds a kernel
+table.  The split certifies k(m)**4 <= 432 m**2, a quality of at most
+sqrt(432) < 21, so both parts of an optimal pair lie in the candidate
+set G = {m : k(m)**2 <= 21 m} (1,003 members up to 1e4, 4,355 up to
+1e5, 18,411 up to 1e6), which ``kernel.kernel_bounded`` enumerates
+with its kernels from the powerful numbers.  The probe's qualifying
+parts are decided, by the log-weighted rule of ``powered``, within the
+same kind of superset, k(m)**2 <= C*m with C >= ln(m)**(2*gamma) over
+the range.  A window of n is then one sumset: every pair g1 <= g2 of
+parts with g1 + g2 in the window, formed in numpy blocks of at most
+``_PAIR_BLOCK`` pairs.  The oracle keeps, per n, the pairs within the
+float prefilter band of the minimum and re-ranks exactly only the n
+with more than one.  It pairs the parts of quality at most 1 first and
+G's only for the few n those miss; an n with no pair in G (an optimum
+above 21) has every pair ranked over a kernel table sieved for it, so
+its answer never rests on the theorem it checks.  The probe records,
+per n, the first (smallest) part g1 of a qualifying pair, and stops once
+no later pair can reach an n still without one.
+
+Both scans price their work in one cost model (``SCAN_WORK_LIMIT``):
+rows, candidate parts and sumset pairs.  Unless ``force``, a scan over
+budget is refused on its rows before anything is computed, on the bound
+of its parts before any part is emitted, and on its exact pair count
+before any pair is formed.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .decompose import Decomposition, split
-from .kernel import RadicalTable, radical_sieve
-from .powered import _decide_table, log_weighted_mask
+from . import kernel
+from .decompose import Decomposition, _exponent_blocks, _split_block, split
+from .kernel import kernel_bounded, radical
+from .powered import _log_weighted_members
 
 __all__ = [
     "SCAN_WORK_LIMIT",
@@ -57,24 +70,37 @@ _PREFILTER_REL = 1e-6
 # (quality <= sqrt(432) < 21) always provides one.
 _CANDIDATE_QUALITY = 21
 
-# k(m) <= m, so k*k <= m*m < 2**63 and 21*m stay exact in int64 for every
-# m up to isqrt(2**63 - 1) = 3_037_000_499, well above the 2**30 entries
-# of kernel.DEFAULT_SIEVE_LIMIT; larger candidate sets are refused.
+# quality of the first, sparser tier of parts the oracle pairs up: over
+# [4, 1e6] all but 3,447 n have a pair of quality at most 1, from 1/3 of
+# G's parts and 1/10 of its pairs
+_FIRST_TIER_QUALITY = 1
+
+# Largest n a scan accepts.  Every part is below n and k(m) <= m, so a
+# pair sum, a part's k*k (the probe's gamma = 0 test) and the split's
+# int64 block arithmetic (exact below 2**58) all stay exact in int64.
 _CANDIDATE_INT64_LIMIT = math.isqrt(2**63 - 1)
 
-# Budget of one scan, in kernel lookups (good[n - m1] for one candidate
-# part): 2-13 ns each on 2 cores, ~5 ns in a large probe ([4, 1e6] at
-# gamma = 0: 2.33e9 lookups, 10.7 s with its rows).  A table entry costs
-# ~64 ns of sieve plus up to ~33 ns of candidate test, so _SIEVE_WEIGHT
-# is 20: an unforced table ends below 5e7 (~5 s; 4 B of kernel, 1 of mask
-# and 8 of part index when every part qualifies, 830 MB peak at 4.8e7).
-# A row costs 5 us (probe) to 65 us (oracle) of Python besides its lookups
-# and holds 0.35-0.75 KB until the scan ends; _ROW_WEIGHT is the probe's
-# 1000, so an unforced scan has at most 1e6 rows.  The oracle's own
-# lookups stop it from 4 near n = 2.4e5, about 22 s.
+# pairs formed at once: their int64 and float64 temporaries are a few
+# times this many entries
+_PAIR_BLOCK = 1 << 20
+
+# n per block of an oracle window: the block's Python lists are dropped
+# before the next is built, so 4096 keeps them to ~1 MB next to the rows
+_ORACLE_BLOCK = 1 << 12
+
+# Budget of one scan, in kernel lookups: one lookup is one sumset pair
+# over the candidate parts, counted before any is formed; forming and
+# ranking one takes 2-10 ns in numpy on 2 cores.  A row costs ~2-5 us
+# (probe) to ~25 us (oracle) of Python with its output, and holds 0.4-0.8
+# KB until the scan ends; _ROW_WEIGHT prices it at the oracle's cost, so
+# an unforced scan has at most 5e5 rows.  A candidate part is charged on
+# the bound sum(A_b) known before any part exists: a dense probe superset
+# takes ~170 ns and ~30 bytes per unit of it to emit, sort and decide, so
+# _PART_WEIGHT = 40 admits one up to ~1.3e7 (3.6 s, 730 MB).  The
+# calibration table is in CHANGES.md.
 SCAN_WORK_LIMIT = 10**9
-_SIEVE_WEIGHT = 20
-_ROW_WEIGHT = 1000
+_ROW_WEIGHT = 2000
+_PART_WEIGHT = 40
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,75 +118,189 @@ def part_quality(m: int, k: int) -> Fraction:
     return Fraction(k * k, m)
 
 
-def decomposition_quality(d: Decomposition, table: RadicalTable) -> Fraction:
-    """Worse part quality of a decomposition, kernels from the table."""
-    return max(
-        part_quality(d.m1, table[d.m1]),
-        part_quality(d.m2, table[d.m2]),
-    )
+def _worse(m1: int, k1: int, m2: int, k2: int) -> Fraction:
+    """max(part_quality(m1, k1), part_quality(m2, k2)), with one Fraction built."""
+    q1, q2 = k1 * k1, k2 * k2
+    return Fraction(q1, m1) if q1 * m2 >= q2 * m1 else Fraction(q2, m2)
 
 
-def _candidate_members(lo: int, kernels: np.ndarray) -> np.ndarray:
-    """mask[i] iff k(m)**2 <= 21 m for m = lo + i, in int64 (exact up to _CANDIDATE_INT64_LIMIT)."""
-    ks = kernels.astype(np.int64)
-    return ks * ks <= _CANDIDATE_QUALITY * np.arange(lo, lo + len(ks), dtype=np.int64)
+def decomposition_quality(d: Decomposition) -> Fraction:
+    """Worse part quality of a decomposition, kernels by trial division."""
+    return _worse(d.m1, radical(d.m1), d.m2, radical(d.m2))
 
 
-def _candidates(table: RadicalTable, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(good, G)`` over [0, top]: good[m] iff m >= 2 and k(m)**2 <= 21 m, G = flatnonzero(good)."""
-    if top > _CANDIDATE_INT64_LIMIT:
-        raise ValueError(f"candidate test is exact in int64 up to {_CANDIDATE_INT64_LIMIT}, got {top}")
-    good = _decide_table(top, table, _candidate_members)
-    good[1] = False  # 1 is no part
-    return good, np.flatnonzero(good)
+def _parts(top: int, c: int, admit=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(parts, kernels)``: the m in [2, top] with k(m)**2 <= c*m, ascending."""
+    ms, ks = kernel_bounded(top, c, admit)
+    skip = 1 if len(ms) and ms[0] == 1 else 0  # 1 is no part
+    return ms[skip:], ks[skip:]
 
 
-def best_decomposition(
-    n: int,
-    *,
-    table: RadicalTable | None = None,
-    candidates: tuple[np.ndarray, np.ndarray] | None = None,
-) -> BestSplit:
+def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, count)`` per part g1 <= hi // 2, the g2 >= g1 with lo <= g1 + g2 <= hi being parts[start : start + count]."""
+    g1 = parts[: np.searchsorted(parts, hi // 2, side="right")]
+    start = np.searchsorted(parts, np.maximum(g1, lo - g1))
+    end = np.searchsorted(parts, hi - g1, side="right")
+    return start, np.maximum(end - start, 0)
+
+
+def _pairs(start: np.ndarray, count: np.ndarray):
+    """Yield index arrays ``(i1, i2)`` of the pairs of ``_pair_ranges``, ascending in i1.
+
+    Each block holds at most _PAIR_BLOCK pairs.  A window of n no wider
+    than _PAIR_BLOCK (``_n_blocks``) gives one g1 at most that many
+    pairs, so a block always ends between two runs of g1.
+    """
+    ends = np.cumsum(count)
+    i = 0
+    while i < len(count):
+        base = int(ends[i - 1]) if i else 0
+        j = max(int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")), i + 1)
+        size = int(ends[j - 1]) - base
+        if size:
+            i1 = np.repeat(np.arange(i, j), count[i:j])
+            yield i1, np.arange(size) + (start[i:j] - ends[i:j] + count[i:j] + base)[i1 - i]
+        i = j
+
+
+def _n_blocks(n_lo: int, n_hi: int, width: int):
+    """[lo, hi] blocks of at most width <= _PAIR_BLOCK n covering [n_lo, n_hi]."""
+    return ((lo, min(lo + width - 1, n_hi)) for lo in range(n_lo, n_hi + 1, width))
+
+
+def _pair_count(parts: np.ndarray, n_lo: int, n_hi: int) -> int:
+    """Exact number of pairs g1 <= g2 of parts with g1 + g2 in [n_lo, n_hi]."""
+    return int(_pair_ranges(parts, n_lo, n_hi)[1].sum())
+
+
+def _check_work(n_lo: int, n_hi: int, parts: int = 0, pairs: int = 0) -> None:
+    """Raise ValueError when the scan's rows, ``parts`` candidate parts and ``pairs`` exceed the budget."""
+    work = _ROW_WEIGHT * (n_hi - n_lo + 1) + _PART_WEIGHT * parts + pairs
+    if work > SCAN_WORK_LIMIT:
+        raise ValueError(
+            f"scan of [{n_lo}, {n_hi}] implies ~{work:.2e} kernel lookups "
+            f"(> {SCAN_WORK_LIMIT:.0e}); rerun with --force to proceed"
+        )
+
+
+def check_range(n_lo: int, n_hi: int, force: bool = False) -> None:
+    """Raise ValueError for a malformed or too large range, or unless force for rows over the budget."""
+    if not 4 <= n_lo <= n_hi:
+        raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+    if n_hi > _CANDIDATE_INT64_LIMIT:
+        raise ValueError(f"scans are exact in int64 up to n = {_CANDIDATE_INT64_LIMIT}, got {n_hi}")
+    if not force:
+        _check_work(n_lo, n_hi)
+
+
+def _scan_parts(n_lo: int, n_hi: int, c: int, force: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_parts(n_hi - 2, c)`` and the bound on their number; unless force, refused on it before any part exists."""
+    bound = 0
+
+    def admit(parts: int) -> None:
+        nonlocal bound
+        bound = parts
+        if not force:
+            _check_work(n_lo, n_hi, parts)
+
+    return *_parts(n_hi - 2, c, admit), bound
+
+
+def _best_pair(m1: list, k1: list, m2: list, k2: list) -> tuple[int, int, Fraction]:
+    """``(m1, m2, quality)`` of the exactly best pair, the first on ties; m1 ascending."""
+    best_q, best_i = None, -1
+    for i, q in enumerate(map(_worse, m1, k1, m2, k2)):
+        if best_q is None or q < best_q:
+            best_q, best_i = q, i
+    return m1[best_i], m2[best_i], best_q
+
+
+def _band(qmax: np.ndarray, fmin) -> np.ndarray:
+    """qmax within the prefilter band of fmin: a candidate for the exact minimum."""
+    return qmax <= fmin * (1 + _PREFILTER_REL) + 1e-12
+
+
+def _rank_every_pair(n: int, values: np.ndarray) -> tuple[int, int, Fraction]:
+    """The best pair of n over every m1 in [2, n/2], kernels from a table: the fallback."""
+    m1 = np.arange(2, n // 2 + 1, dtype=np.int64)
+    m2 = n - m1
+    k1 = values[m1].astype(np.int64)
+    k2 = values[m2].astype(np.int64)
+    qmax = np.maximum(k1.astype(np.float64) ** 2 / m1, k2.astype(np.float64) ** 2 / m2)
+    cand = np.flatnonzero(_band(qmax, qmax.min()))
+    return _best_pair(m1[cand].tolist(), k1[cand].tolist(), m2[cand].tolist(), k2[cand].tolist())
+
+
+def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: int, hi: int) -> tuple:
+    """``(offsets, m1, k1, m2, k2)``: the pairs of parts that can attain each n's minimum, n in [lo, hi].
+
+    The float minimum of max(q1, q2) per n over the pairs g1 + g2 = n,
+    then the pairs within its prefilter band: those of n = lo + i sit at
+    [offsets[i], offsets[i + 1]) of the lists, ascending in m1, and none
+    where n has no pair.  qual is the float quality of each part, and
+    [lo, hi] spans at most _PAIR_BLOCK n.
+    """
+    start, count = _pair_ranges(parts, lo, hi)
+    chunks = list(_pairs(start, count)) if count.sum() <= _PAIR_BLOCK else None
+    fmin = np.full(hi - lo + 1, np.inf)
+    for i1, i2 in chunks or _pairs(start, count):
+        np.minimum.at(fmin, parts[i1] + parts[i2] - lo, np.maximum(qual[i1], qual[i2]))
+    found = [], [], []
+    for i1, i2 in chunks or _pairs(start, count):
+        at = parts[i1] + parts[i2] - lo
+        near = _band(np.maximum(qual[i1], qual[i2]), fmin[at])
+        for acc, arr in zip(found, (at, i1, i2)):
+            acc.append(arr[near])
+    at, i1, i2 = (np.concatenate(acc) if acc else np.zeros(0, dtype=np.int64) for acc in found)
+    order = np.argsort(at, kind="stable")  # keeps m1 ascending within each n
+    at, i1, i2 = at[order], i1[order], i2[order]
+    offsets = np.searchsorted(at, np.arange(hi - lo + 2)).tolist()
+    return offsets, parts[i1].tolist(), kernels[i1].tolist(), parts[i2].tolist(), kernels[i2].tolist()
+
+
+def _best_of_n(n: int, parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray) -> tuple[int, int, Fraction]:
+    """``(m1, m2, quality)`` of n's best pair over the parts, or over every pair when the parts have none."""
+    offsets, *pairs = _band_pairs(parts, kernels, qual, n, n)
+    if offsets[1]:
+        return _best_pair(*pairs)
+    # an optimum above _CANDIDATE_QUALITY: rank every pair, over a table sieved for this n
+    return _rank_every_pair(n, kernel.radical_sieve(n - 2).values)
+
+
+def _oracle_block(parts: np.ndarray, kernels: np.ndarray, lo: int, hi: int) -> list[tuple]:
+    """``(m1, m2, quality)`` of the best pair of every n in [lo, hi], a window of at most _PAIR_BLOCK n.
+
+    The pairs of the parts with quality at most _FIRST_TIER_QUALITY come
+    first: an n with such a pair has its optimum among them, since any
+    other pair has a part of higher quality.  Only the few n with none
+    rank the pairs of all of G (``_best_of_n``).
+    """
+    qual = kernels.astype(np.float64) ** 2 / parts
+    tier = kernels * kernels <= _FIRST_TIER_QUALITY * parts
+    offsets, m1, k1, m2, k2 = _band_pairs(parts[tier], kernels[tier], qual[tier], lo, hi)
+    best = []
+    for n, s, e in zip(range(lo, hi + 1), offsets, offsets[1:]):
+        if e - s == 1:  # the common case: one pair in the band
+            best.append((m1[s], m2[s], _worse(m1[s], k1[s], m2[s], k2[s])))
+        elif e > s:
+            best.append(_best_pair(m1[s:e], k1[s:e], m2[s:e], k2[s:e]))
+        else:
+            best.append(_best_of_n(n, parts, kernels, qual))
+    return best
+
+
+def best_decomposition(n: int) -> BestSplit:
     """Exhaustive minimum of max(quality(m1), quality(m2)) over m1 + m2 = n.
 
     Ranks the pairs with both parts in the candidate set (module
-    docstring), or every pair when there is none.  ``candidates`` is the
-    ``(good, G)`` of ``_candidates(table, top)`` for some top >= n - 2;
-    range scans build it once, a standalone call builds its own.
+    docstring), or every pair when there is none: the one-n window of
+    ``constructive_vs_oracle``.
     """
     if n < 4:
         raise ValueError(f"no two-part decompositions below 4, got {n}")
-    if table is None:
-        table = radical_sieve(n - 2)
-    elif table.limit < n - 2:
-        raise ValueError(f"table limit {table.limit} is below n-2={n - 2}")
-    if candidates is None:
-        candidates = _candidates(table, n - 2)
-    good, G = candidates
-    if good.size < n - 1:
-        raise ValueError(f"candidates end at {good.size - 1}, below n-2={n - 2}")
-    m1 = G[: np.searchsorted(G, n // 2, side="right")]
-    m1 = m1[good[n - m1]]
-    if not m1.size:  # optimum above _CANDIDATE_QUALITY: rank every pair
-        m1 = np.arange(2, n // 2 + 1, dtype=np.int64)
-    m2 = n - m1
-    k1 = table.values[m1].astype(np.int64)
-    k2 = table.values[m2].astype(np.int64)
-    q1 = k1.astype(np.float64) ** 2 / m1
-    q2 = k2.astype(np.float64) ** 2 / m2
-    qmax = np.maximum(q1, q2)
-    fmin = float(qmax.min())
-    cand = np.nonzero(qmax <= fmin * (1 + _PREFILTER_REL) + 1e-12)[0]
-    best_q: Fraction | None = None
-    best_i = -1
-    for i in cand:  # ascending m1, so strict < keeps the smallest m1 on ties
-        q = max(
-            part_quality(int(m1[i]), int(k1[i])),
-            part_quality(int(m2[i]), int(k2[i])),
-        )
-        if best_q is None or q < best_q:
-            best_q, best_i = q, int(i)
-    return BestSplit(n, int(m1[best_i]), int(m2[best_i]), best_q)
+    parts, kernels = _parts(n - 2, _CANDIDATE_QUALITY)
+    ((m1, m2, q),) = _oracle_block(parts, kernels, n, n)
+    return BestSplit(n, m1, m2, q)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,16 +316,21 @@ class ComparisonRow:
 
     @property
     def ok(self) -> bool:
-        return self.oracle_quality <= self.split_quality
+        o, s = self.oracle_quality, self.split_quality
+        return o.numerator * s.denominator <= s.numerator * o.denominator  # o <= s, in ints
 
     def to_record(self) -> dict:
-        rec = {f.name: getattr(self, f.name) for f in fields(self)}
-        rec.update(
-            split_quality=str(self.split_quality),
-            oracle_quality=str(self.oracle_quality),
-            ok=self.ok,
-        )
-        return rec
+        return {
+            "n": self.n,
+            "split_m1": self.split_m1,
+            "split_m2": self.split_m2,
+            "split_quality": str(self.split_quality),
+            "split_fallback": self.split_fallback,
+            "oracle_m1": self.oracle_m1,
+            "oracle_m2": self.oracle_m2,
+            "oracle_quality": str(self.oracle_quality),
+            "ok": self.ok,
+        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,82 +362,74 @@ class ComparisonReport:
         }
 
 
-def _part_ends(parts: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
-    """For each n in [n_lo, n_hi], how many of the ascending parts (all >= 2) are <= n // 2: its lookups."""
-    return np.searchsorted(parts, np.arange(n_lo, n_hi + 1) // 2, side="right")
+def _split_block_parts(lo: int, hi: int) -> tuple[list, list]:
+    """``split(n)``'s parts ``(m1s, m2s)`` for every n in [lo, hi], per exponent block in int64."""
+    small = [split(n) for n in range(lo, min(hi, 6) + 1)]
+    m1s, m2s = [d.m1 for d in small], [d.m2 for d in small]
+    for a_lo, a_hi, a, b in _exponent_blocks(max(lo, 7), hi):
+        *_, m1, m2 = _split_block(np.arange(a_lo, a_hi + 1, dtype=np.int64), a, b)
+        m1s += m1.tolist()
+        m2s += m2.tolist()
+    return m1s, m2s
 
 
-def _check_work(n_lo: int, n_hi: int, lookups: int = 0) -> None:
-    """Raise ValueError when the scan's table and rows, plus ``lookups``, exceed the budget."""
-    work = _SIEVE_WEIGHT * n_hi + _ROW_WEIGHT * (n_hi - n_lo + 1) + lookups
-    if work > SCAN_WORK_LIMIT:
-        raise ValueError(
-            f"scan of [{n_lo}, {n_hi}] implies ~{work:.2e} kernel lookups "
-            f"(> {SCAN_WORK_LIMIT:.0e}); rerun with --force to proceed"
-        )
+def _kernels_of(ms: list, parts: np.ndarray, kernels: np.ndarray) -> list:
+    """k(m) for each m, looked up in the parts, or by trial division for an m not among them."""
+    if not len(parts):
+        return [radical(m) for m in ms]
+    arr = np.array(ms, dtype=np.int64)
+    at = np.minimum(np.searchsorted(parts, arr), len(parts) - 1)
+    hit = parts[at] == arr
+    return [k if h else radical(m) for m, k, h in zip(ms, kernels[at].tolist(), hit.tolist())]
 
 
-def check_range(n_lo: int, n_hi: int, force: bool = False) -> None:
-    """Raise ValueError for a malformed range or, unless force, one whose table and rows alone exceed the budget."""
-    if not 4 <= n_lo <= n_hi:
-        raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    if not force:
-        _check_work(n_lo, n_hi)
-
-
-def constructive_vs_oracle(
-    n_lo: int,
-    n_hi: int,
-    *,
-    table: RadicalTable | None = None,
-    force: bool = False,
-) -> ComparisonReport:
+def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> ComparisonReport:
     """Compare split(n) against the exhaustive optimum for each n.
 
     The oracle can never be worse than the constructive split; any n
     where it is lands in ``violations``.  Unless ``force``, a scan over
-    the work budget is refused.
+    the work budget is refused before the step that would exceed it.
     """
     check_range(n_lo, n_hi, force)
-    if table is None:
-        table = radical_sieve(n_hi)
-    candidates = _candidates(table, n_hi - 2)
+    parts, kernels, bound = _scan_parts(n_lo, n_hi, _CANDIDATE_QUALITY, force)
     if not force:
-        _check_work(n_lo, n_hi, int(_part_ends(candidates[1], n_lo, n_hi).sum()))
+        _check_work(n_lo, n_hi, bound, _pair_count(parts, n_lo, n_hi))
     rows = []
-    violations = []
-    sum_split = 0.0
-    sum_oracle = 0.0
-    for n in range(n_lo, n_hi + 1):
-        d = split(n)
-        sq = decomposition_quality(d, table)
-        best = best_decomposition(n, table=table, candidates=candidates)
-        row = ComparisonRow(
-            n=n,
-            split_m1=d.m1,
-            split_m2=d.m2,
-            split_quality=sq,
-            split_fallback=d.fallback,
-            oracle_m1=best.m1,
-            oracle_m2=best.m2,
-            oracle_quality=best.quality,
-        )
-        rows.append(row)
-        if not row.ok:
-            violations.append(n)
-        sum_split += float(sq)
-        sum_oracle += float(best.quality)
-    count = len(rows)
+    for lo, hi in _n_blocks(n_lo, n_hi, _ORACLE_BLOCK):
+        best = _oracle_block(parts, kernels, lo, hi)
+        m1s, m2s = _split_block_parts(lo, hi)
+        k1s, k2s = _kernels_of(m1s, parts, kernels), _kernels_of(m2s, parts, kernels)
+        ns = range(lo, hi + 1)
+        fallback = (n <= 6 for n in ns)  # split has no witness below 7
+        rows += map(ComparisonRow, ns, m1s, m2s, map(_worse, m1s, k1s, m2s, k2s), fallback, *zip(*best))
+    return _report(n_lo, n_hi, rows)
+
+
+def _report(n_lo: int, n_hi: int, rows: list) -> ComparisonReport:
+    """The report over the rows, with floats deciding every comparison they can.
+
+    float(q) rounds correctly, hence monotonically: float(o) < float(s)
+    implies o < s, and the largest q has the largest float, so only the
+    rows at those floats are compared exactly.  The means add the floats
+    left to right (``np.cumsum``), as a loop over the rows does.
+    """
+    split_f = _floats(row.split_quality for row in rows)
+    oracle_f = _floats(row.oracle_quality for row in rows)
     return ComparisonReport(
         n_lo=n_lo,
         n_hi=n_hi,
         rows=tuple(rows),
-        violations=tuple(violations),
-        max_split_quality=max(r.split_quality for r in rows),
-        mean_split_quality=sum_split / count,
-        max_oracle_quality=max(r.oracle_quality for r in rows),
-        mean_oracle_quality=sum_oracle / count,
+        violations=tuple(rows[i].n for i in np.flatnonzero(oracle_f >= split_f) if not rows[i].ok),
+        max_split_quality=max(rows[i].split_quality for i in np.flatnonzero(split_f == split_f.max())),
+        mean_split_quality=float(np.cumsum(split_f)[-1]) / len(rows),
+        max_oracle_quality=max(rows[i].oracle_quality for i in np.flatnonzero(oracle_f == oracle_f.max())),
+        mean_oracle_quality=float(np.cumsum(oracle_f)[-1]) / len(rows),
     )
+
+
+def _floats(qs) -> np.ndarray:
+    """float(q) for each Fraction q, as float64: numerator / denominator, correctly rounded."""
+    return np.fromiter((q.numerator / q.denominator for q in qs), dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,37 +476,54 @@ class ProbeReport:
         }
 
 
-def conjecture_probe(
-    n_lo: int,
-    n_hi: int,
-    gamma: float,
-    *,
-    table: RadicalTable | None = None,
-    force: bool = False,
-) -> ProbeReport:
-    """Scan [n_lo, n_hi] for two-part log-weighted representations; refused over budget unless force."""
+def _weight_bound(top: int, gamma: float) -> int:
+    """An int C >= ln(m)**(2*gamma) for every 2 <= m <= top, with float slack; at most top.
+
+    The weight is increasing in m for gamma > 0 and decreasing for
+    gamma < 0, so its maximum is at top or at 2; it is exactly 1 at
+    gamma = 0.  C = top admits every m (k(m)**2 <= m * top), which is
+    also the answer when the weight overflows.
+    """
+    if gamma == 0:
+        return 1
+    try:
+        bound = math.log(top if gamma > 0 else 2) ** (2 * gamma) * (1 + 1e-6)
+    except OverflowError:
+        return top
+    return top if bound >= top else math.floor(bound) + 1
+
+
+def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False) -> ProbeReport:
+    """Scan [n_lo, n_hi] for two-part log-weighted representations; refused over budget unless force.
+
+    gamma must be finite; that is checked before anything is priced or
+    enumerated.
+    """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     check_range(n_lo, n_hi, force)
-    if table is None:
-        table = radical_sieve(n_hi - 2)
-    good = log_weighted_mask(n_hi - 2, gamma, table=table)
-    members = np.flatnonzero(good)  # ascending, all >= 2
-    ends = _part_ends(members, n_lo, n_hi)
+    ms, ks, bound = _scan_parts(n_lo, n_hi, _weight_bound(n_hi - 2, gamma), force)
+    members = ms[_log_weighted_members(gamma, ms, ks)]  # ascending, all >= 2
     if not force:
-        _check_work(n_lo, n_hi, int(ends.sum()))
-    pairs = []
-    failing = []
-    for n, end in zip(range(n_lo, n_hi + 1), ends.tolist()):
-        m1 = members[:end]
-        hits = good[n - m1]  # both parts qualify, m1 ascending
-        if hits.any():
-            pairs.append((n, int(m1[hits.argmax()])))
-        else:
-            pairs.append((n, None))
-            failing.append(n)
+        _check_work(n_lo, n_hi, bound, _pair_count(members, n_lo, n_hi))
+    none = np.iinfo(np.int64).max
+    first = []
+    for lo, hi in _n_blocks(n_lo, n_hi, _PAIR_BLOCK):
+        witness = np.full(hi - lo + 1, none)
+        for i1, i2 in _pairs(*_pair_ranges(members, lo, hi)):
+            g1 = members[i1]
+            np.minimum.at(witness, g1 + members[i2] - lo, g1)
+            # later pairs have g1 >= the next part, so they only reach n >= twice it
+            after = i1[-1] + 1
+            reach = 2 * int(members[after]) - lo if after < len(members) else hi - lo + 1
+            if witness[max(reach, 0) :].max(initial=0) < none:
+                break
+        first += witness.tolist()
+    pairs = tuple((n, None if m1 == none else m1) for n, m1 in zip(range(n_lo, n_hi + 1), first))
     return ProbeReport(
         n_lo=n_lo,
         n_hi=n_hi,
         gamma=gamma,
-        pairs=tuple(pairs),
-        failing=tuple(failing),
+        pairs=pairs,
+        failing=tuple(n for n, m1 in pairs if m1 is None),
     )

@@ -8,14 +8,15 @@ point.  theta = 1/2 gives the classical squarefull-flavored class: all
 powerful numbers belong, along with composites like 48 whose square
 content is merely large.
 
-Each class has one decision rule over a slice of kernels, with a
-log-space prefilter: cases further than a generous margin from the
+Each class has one decision rule over arrays of m and their kernels,
+contiguous or not, with a log-space prefilter: cases further than a generous margin from the
 boundary are decided in float, everything near it is re-decided with
 exact big integers (or with mpmath at >= 30 significant digits for the
 log-weighted class, whose right-hand side m * ln(m)**(2*gamma) is not
 rational).  Results are therefore identical to element-by-element exact
 evaluation.  The masks apply the rule to a ``RadicalTable`` and are the
-dense reference.
+dense reference; the probe in ``oracle`` applies the log-weighted rule
+to its sparse candidate parts.
 
 The counters sieve nothing.  Every m is uniquely a*b with b powerful, a
 squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so for each of
@@ -179,19 +180,17 @@ class CountReport:
         )
 
 
-def _theta_members(theta: Theta, lo: int, kernels: np.ndarray) -> np.ndarray:
-    """mask[i] iff k(m)**q <= m**p for m = lo + i, given kernels[i] = k(m)."""
+def _theta_members(theta: Theta, ms: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """mask[i] iff k(m)**q <= m**p for m = ms[i], given kernels[i] = k(m)."""
     import numpy as np  # only the masks and the sieved prefix vectorize; the counters run without it
 
     if theta.p == theta.q:
         return np.ones(len(kernels), dtype=bool)  # k(m) <= m unconditionally
-    ks = kernels.astype(np.float64)
-    ms = np.arange(lo, lo + len(kernels), dtype=np.float64)
-    diff = theta.q * np.log(ks) - theta.p * np.log(ms)
+    diff = theta.q * np.log(kernels.astype(np.float64)) - theta.p * np.log(ms.astype(np.float64))
     band = _LOG_BAND * (1 + theta.p + theta.q)
     mask = diff < -band
     for i in np.nonzero(np.abs(diff) <= band)[0]:
-        mask[i] = int(kernels[i]) ** theta.q <= (lo + int(i)) ** theta.p
+        mask[i] = int(kernels[i]) ** theta.q <= int(ms[i]) ** theta.p
     return mask
 
 
@@ -202,38 +201,41 @@ def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
         return mp.mpf(k * k) <= mp.mpf(m) * mp.log(m) ** (2 * gamma)
 
 
-def _log_weighted_members(gamma: float, lo: int, kernels: np.ndarray) -> np.ndarray:
-    """mask[i] iff k(m)**2 <= m * ln(m)**(2*gamma) for m = lo + i; False at m = 1."""
+def _log_weighted_members(gamma: float, ms: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """mask[i] iff k(m)**2 <= m * ln(m)**(2*gamma) for m = ms[i], ascending; False at m = 1.
+
+    The ms need not be contiguous: the same rule decides a table slice
+    and a sparse candidate set.
+    """
     import numpy as np
 
-    skip = 1 if lo == 1 else 0  # ln(1) = 0: m = 1 is excluded by definition
-    lo, kernels = lo + skip, kernels[skip:]
+    skip = 1 if len(ms) and ms[0] == 1 else 0  # ln(1) = 0: m = 1 is excluded by definition
+    ms, kernels = ms[skip:], kernels[skip:]
     mask = np.zeros(skip + len(kernels), dtype=bool)
     if gamma == 0:
         # ln(m)**0 == 1: the integer test k*k <= m, with no near-ties to recheck
-        hi = lo + len(kernels) - 1
-        if hi > _INT64_ROOT:
-            raise ValueError(f"gamma = 0 test is exact in int64 up to {_INT64_ROOT}, got {hi}")
+        if len(ms) and ms[-1] > _INT64_ROOT:
+            raise ValueError(f"gamma = 0 test is exact in int64 up to {_INT64_ROOT}, got {ms[-1]}")
         ks = kernels.astype(np.int64)
-        np.less_equal(ks * ks, np.arange(lo, hi + 1, dtype=np.int64), out=mask[skip:])
+        np.less_equal(ks * ks, ms, out=mask[skip:])
         return mask
     # in place where possible: these float64 temporaries set the counters' peak memory
     lhs = kernels.astype(np.float64)
     lhs *= lhs
-    ms = np.arange(lo, lo + len(kernels), dtype=np.float64)
-    rhs = np.log(ms)
+    mf = ms.astype(np.float64)
+    rhs = np.log(mf)
     with np.errstate(over="ignore"):
         rhs **= 2 * gamma
-        rhs *= ms
+        rhs *= mf
     np.less_equal(lhs, rhs, out=mask[skip:])
     # strict: an overflowed rhs exceeds every float lhs and is no near-tie
     for i in np.nonzero(np.abs(lhs - rhs) < _TIE_REL * rhs)[0]:
-        mask[skip + i] = _log_weighted_member_exact(lo + int(i), int(kernels[i]), gamma)
+        mask[skip + i] = _log_weighted_member_exact(int(ms[i]), int(kernels[i]), gamma)
     return mask
 
 
 def _decide_table(x: int, table: RadicalTable | None, decide) -> np.ndarray:
-    """Boolean array of length x + 1: the rule ``decide(lo, kernels)`` over [1, x], index 0 False.
+    """Boolean array of length x + 1: the rule ``decide(ms, kernels)`` over [1, x], index 0 False.
 
     The table (built when None) is decided in slices of
     ``DEFAULT_SEGMENT_SIZE``, so float temporaries stay segment-sized.
@@ -247,7 +249,7 @@ def _decide_table(x: int, table: RadicalTable | None, decide) -> np.ndarray:
     mask = np.zeros(x + 1, dtype=bool)
     for lo in range(1, x + 1, DEFAULT_SEGMENT_SIZE):
         hi = min(lo + DEFAULT_SEGMENT_SIZE, x + 1)
-        mask[lo:hi] = decide(lo, table.values[lo:hi])
+        mask[lo:hi] = decide(np.arange(lo, hi, dtype=np.int64), table.values[lo:hi])
     return mask
 
 
@@ -273,10 +275,13 @@ def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
 
 
 def _stream_count(x: int, decide) -> int:
-    """Members of the rule ``decide(lo, kernels)`` in [1, x], summed over ``radical_segments(x)``."""
+    """Members of the rule ``decide(ms, kernels)`` in [1, x], summed over ``radical_segments(x)``."""
     import numpy as np
 
-    return sum(int(np.count_nonzero(decide(lo, kernels))) for lo, kernels in radical_segments(x))
+    return sum(
+        int(np.count_nonzero(decide(np.arange(lo, lo + len(kernels), dtype=np.int64), kernels)))
+        for lo, kernels in radical_segments(x)
+    )
 
 
 # Squarefree counts up to this are read from a prefix table, larger ones

@@ -206,7 +206,7 @@ class TestScan:
         assert result.exit_code != 0
 
     def test_force_guard(self):
-        # a million rows and a table to 1e6 pass the budget: refused before the sieve
+        # a million rows are over the budget: refused before anything is enumerated
         result = runner.invoke(
             cli, ["scan", "--from", "4", "--to", "1000000", "--oracle"]
         )
@@ -215,7 +215,7 @@ class TestScan:
 
     @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "0"]])
     def test_quadratic_refusal_names_force(self, mode):
-        # table and rows fit (5.1e8), the lookups over the candidate parts do not
+        # the rows alone fit (just under 1e9), with the parts they do not
         args = ["scan", "--from", "4", "--to", "500000", *mode]
         result = runner.invoke(cli, args)
         assert result.exit_code == 1
@@ -226,13 +226,12 @@ class TestScan:
     @pytest.mark.parametrize(
         ("lo", "hi", "mode", "admitted"),
         [
-            # the sparse scans' 3.1e4 and 5.6e7 lookups; the dense estimate refused both
             (100_000, 100_010, ["--oracle"], True),
             (4, 100_000, ["--gamma", "0"], True),
-            (4, 500_000, ["--oracle"], False),  # on its lookups
-            (4, 100_000, ["--gamma", "3"], False),  # on its lookups, a dense set
-            (4, 10**6, ["--gamma", "0"], False),  # on its rows, before the sieve
-            (900_000_000, 900_000_000, ["--oracle"], False),  # on its table, before the sieve
+            (4, 500_000, ["--oracle"], False),  # on its rows and parts
+            (4, 100_000, ["--gamma", "3"], False),  # on its pairs, a dense set
+            (4, 10**6, ["--gamma", "0"], False),  # on its rows, before any part
+            (900_000_000, 900_000_000, ["--oracle"], True),  # no table: 1.2e6 parts from the powerful numbers
         ],
     )
     def test_library_and_cli_refuse_alike(self, lo, hi, mode, admitted):
@@ -251,14 +250,14 @@ class TestScan:
         assert (result.exit_code, None if result.exit_code == 0 else result.output) == expected
 
     def test_table_refused_before_sieving(self, monkeypatch):
-        def no_sieve(*args, **kwargs):
-            raise AssertionError("sieved an over-budget table")
+        def no_parts(*args, **kwargs):
+            raise AssertionError("enumerated the parts of an over-budget scan")
 
-        monkeypatch.setattr("kernsplit.cli.radical_sieve", no_sieve)
-        result = runner.invoke(cli, ["scan", "--from", "900000000", "--to", "900000000", "--oracle"])
+        monkeypatch.setattr("kernsplit.oracle.kernel_bounded", no_parts)
+        result = runner.invoke(cli, ["scan", "--from", "4", "--to", "2000000", "--oracle"])
         assert result.exit_code == 1
         assert result.output == (
-            "error: scan of [900000000, 900000000] implies ~1.80e+10 kernel lookups (> 1e+09); "
+            "error: scan of [4, 2000000] implies ~4.00e+09 kernel lookups (> 1e+09); "
             "rerun with --force to proceed\n"
         )
 
@@ -267,11 +266,11 @@ class TestScan:
             raise AssertionError("scanned an over-budget range")
 
         monkeypatch.setattr("kernsplit.oracle.split", no_scan)
-        monkeypatch.setattr("kernsplit.oracle.best_decomposition", no_scan)
-        result = runner.invoke(cli, ["scan", "--from", "4", "--to", "500000", "--oracle"])
+        monkeypatch.setattr("kernsplit.oracle._pairs", no_scan)
+        result = runner.invoke(cli, ["scan", "--from", "100000000", "--to", "100450000", "--oracle"])
         assert result.exit_code == 1
         assert result.output == (
-            "error: scan of [4, 500000] implies ~2.89e+09 kernel lookups (> 1e+09); "
+            "error: scan of [100000000, 100450000] implies ~1.13e+09 kernel lookups (> 1e+09); "
             "rerun with --force to proceed\n"
         )
 
@@ -279,13 +278,31 @@ class TestScan:
     @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "0"]])
     @pytest.mark.parametrize("lo, hi", [(50000001, 50000000), (900000001, 900000000), (3, 10)])
     def test_bad_range_refused_before_sieving(self, monkeypatch, lo, hi, mode, force):
-        def no_sieve(*args, **kwargs):
-            raise AssertionError("sieved before checking the range")
+        def no_parts(*args, **kwargs):
+            raise AssertionError("enumerated before checking the range")
 
-        monkeypatch.setattr("kernsplit.cli.radical_sieve", no_sieve)
+        monkeypatch.setattr("kernsplit.oracle.kernel_bounded", no_parts)
         result = runner.invoke(cli, ["scan", "--from", str(lo), "--to", str(hi), *mode, *force])
         assert result.exit_code == 1
         assert result.output == f"error: need 4 <= n_lo <= n_hi, got [{lo}, {hi}]\n"
+
+    def test_collector_paused_only_in_the_body(self, monkeypatch):
+        import gc
+
+        import kernsplit.decompose
+
+        seen = []
+        real = kernsplit.decompose.verify_range
+
+        def recording(lo, hi):
+            seen.append(gc.isenabled())
+            return real(lo, hi)
+
+        monkeypatch.setattr(kernsplit.decompose, "verify_range", recording)
+        assert runner.invoke(cli, ["scan", "--from", "4", "--to", "10"]).exit_code == 0
+        assert seen == [False] and gc.isenabled()
+        assert runner.invoke(cli, ["scan", "--from", "10", "--to", "4"]).exit_code == 1
+        assert gc.isenabled()
 
     def test_oracle_csv_header(self):
         result = runner.invoke(
@@ -532,7 +549,14 @@ GOLDEN = [
         'scan --from 4 --to 1000000 --oracle',
         1,
         (
-            'error: scan of [4, 1000000] implies ~1.02e+09 kernel lookups (> 1e+09); rerun with --force to proceed\n'
+            'error: scan of [4, 1000000] implies ~2.00e+09 kernel lookups (> 1e+09); rerun with --force to proceed\n'
+        ),
+    ),
+    (
+        'scan --from 4 --to 1000000 --gamma 0',
+        1,
+        (
+            'error: scan of [4, 1000000] implies ~2.00e+09 kernel lookups (> 1e+09); rerun with --force to proceed\n'
         ),
     ),
     (

@@ -5,15 +5,18 @@ plus a distinct-prime product loop that shares no code with the
 implementation.
 """
 
+from functools import cache
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import kernsplit.kernel
 from kernsplit.kernel import (
     FactorLimitError,
     SieveLimitError,
     factorize,
+    kernel_bounded,
     powerful_numbers,
     primes_up_to,
     radical,
@@ -190,3 +193,69 @@ def test_powerful_numbers_counts(x, count):
     # OEIS A118896: 2027 powerful numbers up to 1e6
     assert sum(1 for _ in powerful_numbers(x)) == count
     assert list(powerful_numbers(0)) == []
+
+
+@cache
+def kernels_to(x: int) -> np.ndarray:
+    return radical_sieve(x).values.astype(np.int64)
+
+
+def sieved_bounded(top: int, c: int) -> np.ndarray:
+    """The m in [1, top] with k(m)**2 <= c*m, from the sieve's table."""
+    values = kernels_to(top)
+    ms = np.flatnonzero(values * values <= c * np.arange(top + 1, dtype=np.int64))
+    return ms[ms >= 1]
+
+
+@pytest.mark.parametrize(("x", "parts"), [(10**4, 1003), (10**5, 4355), (10**6, 18411)])
+def test_kernel_bounded_against_the_sieve(x, parts):
+    ms, ks = kernel_bounded(x, 21)
+    assert np.array_equal(ms, sieved_bounded(x, 21))
+    assert np.array_equal(ks, kernels_to(x)[ms])
+    assert len(ms) - 1 == parts  # m = 1, then the oracle's candidate parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=4000))
+def test_kernel_bounded_any_bound(top, c):
+    # c = 0 admits nothing, c >= top every m
+    ms, ks = kernel_bounded(top, c)
+    if top == 0:
+        assert len(ms) == len(ks) == 0
+        return
+    assert np.array_equal(ms, sieved_bounded(top, c))
+    assert np.array_equal(ks, kernels_to(top)[ms])
+
+
+def test_kernel_bounded_emit_blocks_are_invisible(monkeypatch):
+    expected = [kernel_bounded(5000, c) for c in (21, 5000)]
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(kernsplit.kernel, "_EMIT_BLOCK", block)
+        for (ms, ks), c in zip(expected, (21, 5000)):
+            got_ms, got_ks = kernel_bounded(5000, c)
+            assert np.array_equal(got_ms, ms) and np.array_equal(got_ks, ks)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("ran past the check")
+
+
+def test_kernel_bounded_admits_before_emitting(monkeypatch):
+    bounds = []
+    ms, _ = kernel_bounded(10**5, 21, bounds.append)
+    assert bounds[0] >= len(ms)
+
+    def stop(bound):
+        raise ValueError(f"refused at {bound}")
+
+    monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
+    with pytest.raises(ValueError, match=f"refused at {bounds[0]}"):
+        kernel_bounded(10**5, 21, stop)
+
+
+def test_kernel_bounded_int64_bound(monkeypatch):
+    limit = kernsplit.kernel.BOUNDED_INT64_LIMIT
+    assert limit == np.iinfo(np.int64).max  # m = a*b and a*k(b) are at most top
+    monkeypatch.setattr(kernsplit.kernel, "powerful_numbers", refuse)
+    with pytest.raises(ValueError, match=f"exact in int64 up to {limit}, got {limit + 1}"):
+        kernel_bounded(limit + 1, 1)

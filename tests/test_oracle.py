@@ -3,10 +3,12 @@
 ``brute_best`` re-solves the minimax problem with plain Fractions and
 no prefiltering, guarding the production path's float candidate screen.
 ``dense_best`` and ``dense_probe`` are the dense scans over every
-m1 in [2, n/2]: the references the sparse candidate walks are tested
-against.
+m1 in [2, n/2].  ``loop_oracle`` and ``loop_probe`` are the per-n loops
+over a kernel table's sparse candidate parts, which the whole-window
+sumsets replaced: the references the block scans are tested against.
 """
 
+import math
 import re
 from fractions import Fraction
 from functools import cache
@@ -15,19 +17,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kernsplit.kernel
 import kernsplit.oracle as orc
-from kernsplit.decompose import split
+from kernsplit.decompose import _INT64_LIMIT, split
 from kernsplit.kernel import radical, radical_sieve
 from kernsplit.oracle import (
     SCAN_WORK_LIMIT,
     BestSplit,
+    ComparisonReport,
+    ComparisonRow,
     best_decomposition,
     conjecture_probe,
     constructive_vs_oracle,
     decomposition_quality,
     part_quality,
 )
-from kernsplit.powered import log_weighted_mask
+from kernsplit.powered import _log_weighted_members, count_log_weighted, log_weighted_mask
 
 
 def brute_best(n: int) -> tuple[int, int, Fraction]:
@@ -43,9 +48,8 @@ def brute_best(n: int) -> tuple[int, int, Fraction]:
     return best
 
 
-def dense_best(n: int, table) -> BestSplit:
-    """Float prefilter and exact re-rank over every m1 in [2, n/2]."""
-    m1 = np.arange(2, n // 2 + 1, dtype=np.int64)
+def rank(n: int, m1: np.ndarray, table) -> BestSplit:
+    """Float prefilter and exact re-rank over the pairs (m1, n - m1), m1 ascending."""
     m2 = n - m1
     k1 = table.values[m1].astype(np.int64)
     k2 = table.values[m2].astype(np.int64)
@@ -59,6 +63,11 @@ def dense_best(n: int, table) -> BestSplit:
     return BestSplit(n, int(m1[best_i]), int(m2[best_i]), best_q)
 
 
+def dense_best(n: int, table) -> BestSplit:
+    """Float prefilter and exact re-rank over every m1 in [2, n/2]."""
+    return rank(n, np.arange(2, n // 2 + 1, dtype=np.int64), table)
+
+
 def dense_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[tuple, tuple]:
     """``(pairs, failing)`` of the probe from the slices good[2 : n/2 + 1] and good[n - m1]."""
     good = log_weighted_mask(n_hi - 2, gamma, table=table)
@@ -67,6 +76,57 @@ def dense_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[tuple, tuple
         half = n // 2
         hits = good[2 : half + 1] & good[n - 2 : n - half - 1 : -1]
         pairs.append((n, 2 + int(hits.argmax()) if hits.any() else None))
+    return tuple(pairs), tuple(n for n, m1 in pairs if m1 is None)
+
+
+def table_parts(table, top: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(good, G)`` over [0, top] from a kernel table: good[m] iff m >= 2 and k(m)**2 <= c*m."""
+    k = table.values[: top + 1].astype(np.int64)
+    good = k * k <= c * np.arange(top + 1, dtype=np.int64)
+    good[:2] = False
+    return good, np.flatnonzero(good)
+
+
+def loop_best(n: int, table, good: np.ndarray, G: np.ndarray) -> BestSplit:
+    """One n of the per-n loop: the pairs m1 in G, m1 <= n/2, n - m1 in G, or every pair when none."""
+    m1 = G[: np.searchsorted(G, n // 2, side="right")]
+    m1 = m1[good[n - m1]]
+    return rank(n, m1, table) if m1.size else dense_best(n, table)
+
+
+def loop_oracle(n_lo: int, n_hi: int, table) -> ComparisonReport:
+    """``constructive_vs_oracle`` as the per-n loop over a kernel table, with the G of orc._CANDIDATE_QUALITY."""
+    good, G = table_parts(table, n_hi - 2, orc._CANDIDATE_QUALITY)
+    rows = []
+    sum_split = sum_oracle = 0.0
+    for n in range(n_lo, n_hi + 1):
+        d = split(n)
+        sq = max(part_quality(d.m1, table[d.m1]), part_quality(d.m2, table[d.m2]))
+        best = loop_best(n, table, good, G)
+        rows.append(ComparisonRow(n, d.m1, d.m2, sq, d.fallback, best.m1, best.m2, best.quality))
+        sum_split += float(sq)
+        sum_oracle += float(best.quality)
+    return ComparisonReport(
+        n_lo=n_lo,
+        n_hi=n_hi,
+        rows=tuple(rows),
+        violations=tuple(r.n for r in rows if r.oracle_quality > r.split_quality),
+        max_split_quality=max(r.split_quality for r in rows),
+        mean_split_quality=sum_split / len(rows),
+        max_oracle_quality=max(r.oracle_quality for r in rows),
+        mean_oracle_quality=sum_oracle / len(rows),
+    )
+
+
+def loop_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[tuple, tuple]:
+    """``(pairs, failing)`` of the probe as the per-n loop over the qualifying parts m1 <= n/2."""
+    good = log_weighted_mask(n_hi - 2, gamma, table=table)
+    members = np.flatnonzero(good)
+    pairs = []
+    for n in range(n_lo, n_hi + 1):
+        m1 = members[: np.searchsorted(members, n // 2, side="right")]
+        hits = good[n - m1]
+        pairs.append((n, int(m1[hits.argmax()]) if hits.any() else None))
     return tuple(pairs), tuple(n for n, m1 in pairs if m1 is None)
 
 
@@ -85,6 +145,11 @@ def refusal(n_lo: int, n_hi: int) -> str:
     )
 
 
+def window(lo_min: int, lo_max: int, width: int):
+    """(lo, hi) strategy: lo in [lo_min, lo_max], hi - lo in [0, width]."""
+    return st.tuples(st.integers(lo_min, lo_max), st.integers(0, width)).map(lambda t: (t[0], t[0] + t[1]))
+
+
 class TestBestDecomposition:
     def test_examples(self):
         b4 = best_decomposition(4)
@@ -96,9 +161,8 @@ class TestBestDecomposition:
         assert b100.quality == 1
 
     def test_against_unfiltered_brute_force(self):
-        table = radical_sieve(300)
         for n in range(4, 301):
-            b = best_decomposition(n, table=table)
+            b = best_decomposition(n)
             m1, m2, q = brute_best(n)
             assert (b.m1, b.m2, b.quality) == (m1, m2, q), n
 
@@ -107,15 +171,13 @@ class TestBestDecomposition:
         assert best_decomposition(100).m1 == 4
 
     def test_deterministic(self):
-        table = radical_sieve(5000)
-        first = [best_decomposition(n, table=table) for n in range(4, 200)]
-        second = [best_decomposition(n, table=table) for n in range(4, 200)]
+        first = [best_decomposition(n) for n in range(4, 200)]
+        second = [best_decomposition(n) for n in range(4, 200)]
         assert first == second
 
     def test_parts_ordered(self):
-        table = radical_sieve(2000)
         for n in range(4, 1001):
-            b = best_decomposition(n, table=table)
+            b = best_decomposition(n)
             assert 2 <= b.m1 <= b.m2
             assert b.m1 + b.m2 == n
 
@@ -132,9 +194,11 @@ class TestQuality:
 
     def test_split_quality_within_certified_bound(self):
         # k(m)**4 <= 432 m**2 means quality**2 <= 432, exactly
-        table = radical_sieve(2000)
+        table = table_to(2000)
         for n in range(4, 2001):
-            q = decomposition_quality(split(n), table)
+            d = split(n)
+            q = decomposition_quality(d)
+            assert q == max(part_quality(d.m1, table[d.m1]), part_quality(d.m2, table[d.m2]))
             assert q * q <= 432
 
 
@@ -165,13 +229,20 @@ class TestConstructiveVsOracle:
         assert report.summary_record()["violations"] == 0
 
     def test_range_guard(self, monkeypatch):
-        # over budget: refused once the candidates are known, before any n is split
+        # over budget on its pairs: refused once the parts are known, before any pair is formed or n split
         monkeypatch.setattr(orc, "split", refuse)
-        monkeypatch.setattr(orc, "best_decomposition", refuse)
-        with pytest.raises(ValueError, match=refusal(4, 500000)):
-            constructive_vs_oracle(4, 500_000)
+        monkeypatch.setattr(orc, "_pairs", refuse)
+        with pytest.raises(ValueError, match=refusal(100000000, 100450000)):
+            constructive_vs_oracle(100_000_000, 100_450_000)
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
             constructive_vs_oracle(3, 10)
+
+    def test_violation_reported(self, monkeypatch):
+        # split parts given kernel 1 on purpose look better than many optima: each such n is a violation
+        monkeypatch.setattr(orc, "_kernels_of", lambda ms, parts, kernels: [1] * len(ms))
+        report = constructive_vs_oracle(4, 300)
+        assert report.violations == tuple(r.n for r in report.rows if r.oracle_quality > r.split_quality)
+        assert 4 in report.violations and len(report.violations) > 100
 
 
 class TestConjectureProbe:
@@ -188,14 +259,15 @@ class TestConjectureProbe:
         assert report.failing == (4, 5)
         assert report.satisfied == 95
 
-    def test_rejects_non_finite_gamma(self):
-        for gamma in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
-                conjecture_probe(4, 100, gamma)
+    def test_rejects_non_finite_gamma(self, monkeypatch):
+        # before anything is priced or enumerated
+        monkeypatch.setattr(orc, "kernel_bounded", refuse)
+        monkeypatch.setattr(orc, "check_range", refuse)
+        for gamma in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma}"):
+                conjecture_probe(40_000_000, 40_000_000, gamma)
 
     def test_gamma_zero_range_against_brute_force(self):
-        import math
-
         good = {
             m for m in range(2, 99) if radical(m) ** 2 <= m * math.log(m) ** 0
         }
@@ -214,8 +286,6 @@ class TestConjectureProbe:
         )
 
     def test_pairs_are_witnesses(self):
-        import math
-
         gamma = 0.5
         report = conjecture_probe(4, 200, gamma)
         for n, m1 in report.pairs:
@@ -233,19 +303,17 @@ class TestConjectureProbe:
 
 
 class TestSparseMatchesDense:
-    """The candidate walks against the dense scans they replace."""
+    """The whole-window scans against the dense scans over every pair."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=4, max_value=5000))
     def test_best_decomposition_small_n(self, n):
-        table = table_to(5000)
-        assert best_decomposition(n, table=table) == dense_best(n, table)
+        assert best_decomposition(n) == dense_best(n, table_to(5000))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=98_000, max_value=102_000))
     def test_best_decomposition_near_1e5(self, n):
-        table = table_to(102_000)
-        assert best_decomposition(n, table=table) == dense_best(n, table)
+        assert best_decomposition(n) == dense_best(n, table_to(102_000))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 100])
     def test_fallback_sizes_and_tie(self, n):
@@ -255,7 +323,7 @@ class TestSparseMatchesDense:
     @given(st.integers(min_value=4, max_value=100_000 - 100))
     def test_range_window(self, lo):
         table = table_to(100_000)
-        report = constructive_vs_oracle(lo, lo + 100, table=table)
+        report = constructive_vs_oracle(lo, lo + 100)
         for row in report.rows:
             best = dense_best(row.n, table)
             assert (row.oracle_m1, row.oracle_m2, row.oracle_quality) == (best.m1, best.m2, best.quality)
@@ -265,37 +333,35 @@ class TestSparseMatchesDense:
         # below the split's quality many n have no candidate pair; cap 0 leaves none at all
         monkeypatch.setattr(orc, "_CANDIDATE_QUALITY", cap)
         table = table_to(2000)
-        good, G = orc._candidates(table, 2000)
+        good, G = table_parts(table, 2000, cap)
         fallbacks = 0
         for n in range(4, 2001):
             m1 = G[G <= n // 2]
             fallbacks += not good[n - m1].any()
-            assert best_decomposition(n, table=table) == dense_best(n, table), n
+            assert best_decomposition(n) == dense_best(n, table), n
         assert 0 < fallbacks < 1997 if cap else fallbacks == 1997
 
     def test_range_builds_candidates_once(self, monkeypatch):
         calls = []
-        real = orc._candidates
+        real = orc.kernel_bounded
 
-        def counting(table, top):
-            calls.append(top)
-            return real(table, top)
+        def counting(top, c, admit=None):
+            calls.append((top, c))
+            return real(top, c, admit)
 
-        monkeypatch.setattr(orc, "_candidates", counting)
+        monkeypatch.setattr(orc, "kernel_bounded", counting)
         constructive_vs_oracle(4, 300)
-        assert calls == [298]
+        assert calls == [(298, 21)]
 
-    def test_short_candidates_rejected(self):
-        table = table_to(1000)
-        with pytest.raises(ValueError, match="candidates end"):
-            best_decomposition(1000, table=table, candidates=orc._candidates(table, 500))
-
-    def test_int64_bound(self):
+    def test_int64_bound(self, monkeypatch):
         limit = orc._CANDIDATE_INT64_LIMIT
-        assert limit * limit < 2**63 <= (limit + 1) ** 2
-        assert orc._CANDIDATE_QUALITY * limit < 2**63
-        with pytest.raises(ValueError, match="exact in int64"):
-            orc._candidates(table_to(100), limit + 1)
+        assert limit * limit < 2**63 <= (limit + 1) ** 2  # a part's k*k
+        assert 2 * limit < 2**63 and limit < _INT64_LIMIT  # pair sums, and the split's int64 block
+        monkeypatch.setattr(orc, "kernel_bounded", refuse)
+        orc.check_range(limit, limit, force=True)  # the limit itself is admitted
+        for scan in (constructive_vs_oracle, lambda lo, hi, force: conjecture_probe(lo, hi, 0.0, force=force)):
+            with pytest.raises(ValueError, match=f"exact in int64 up to n = {limit}, got {limit + 1}"):
+                scan(limit + 1, limit + 1, force=True)
 
     # -5: one member below 6400; 0 and 0.5: sparse; 10: every m >= 3
     @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0])
@@ -303,12 +369,125 @@ class TestSparseMatchesDense:
     @given(lo=st.integers(min_value=4, max_value=6000), width=st.integers(min_value=0, max_value=400))
     def test_probe(self, gamma, lo, width):
         hi = lo + width
-        table = table_to(6400)
-        report = conjecture_probe(lo, hi, gamma, table=table)
-        assert (report.pairs, report.failing) == dense_probe(lo, hi, gamma, table)
+        report = conjecture_probe(lo, hi, gamma)
+        assert (report.pairs, report.failing) == dense_probe(lo, hi, gamma, table_to(6400))
+
+    # the weight's maximum is at m = 2 for gamma < 0 and overflows at +-1e308: a dense superset
+    @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0, 1e308, -1e308])
+    def test_superset_bound_is_sound(self, gamma):
+        for lo, hi in [(4, 1500), (3000, 3400)]:
+            report = conjecture_probe(lo, hi, gamma)
+            assert (report.pairs, report.failing) == dense_probe(lo, hi, gamma, table_to(3400))
+        top = 3398
+        c = orc._weight_bound(top, gamma)
+        assert c == 1 if gamma == 0 else c == top if abs(gamma) == 1e308 else 1 <= c <= top
+        w = [math.log(m) ** (2 * gamma) for m in range(2, top + 1)] if abs(gamma) < 1e308 else [math.inf]
+        assert c >= min(max(w), top)
 
 
-# the candidate sets the scans walk: G, and the probe's qualifying parts at each gamma
+class TestBlockMatchesLoop:
+    """The block sumsets against the per-n loops they replaced."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(window(4, 200_000 - 300, 300))
+    def test_oracle_up_to_2e5(self, lohi):
+        assert constructive_vs_oracle(*lohi, force=True) == loop_oracle(*lohi, table_to(200_000))
+
+    @settings(max_examples=4, deadline=None)
+    @given(window(998_000, 1_001_800, 200))
+    def test_oracle_near_1e6(self, lohi):
+        assert constructive_vs_oracle(*lohi, force=True) == loop_oracle(*lohi, table_to(1_002_000))
+
+    @settings(max_examples=10, deadline=None)
+    @given(window(4, 20_000, 600), st.sampled_from([1, 3, 64]))
+    def test_oracle_across_block_edges(self, lohi, cap):
+        # pair blocks of a few pairs and oracle blocks of a few n: many edges inside one window
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orc, "_PAIR_BLOCK", cap * 16)
+            mp.setattr(orc, "_ORACLE_BLOCK", cap * 16)
+            got = constructive_vs_oracle(*lohi, force=True)
+        assert got == loop_oracle(*lohi, table_to(20_600))
+
+    @settings(max_examples=6, deadline=None)
+    @given(window(4, 2_500, 300), st.sampled_from([0, 1]))
+    def test_oracle_fallback(self, lohi, cap):
+        # with G patched smaller, an n with no pair in G ranks every pair, over a table sieved for it
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orc, "_CANDIDATE_QUALITY", cap)
+            got = constructive_vs_oracle(*lohi, force=True)
+            want = loop_oracle(*lohi, table_to(2_800))
+        assert got == want
+
+    @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0])
+    @settings(max_examples=8, deadline=None)
+    @given(lohi=window(4, 200_000 - 400, 400))
+    def test_probe_up_to_2e5(self, gamma, lohi):
+        report = conjecture_probe(*lohi, gamma, force=True)
+        assert (report.pairs, report.failing) == loop_probe(*lohi, gamma, table_to(200_000))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @settings(max_examples=3, deadline=None)
+    @given(lohi=window(998_000, 1_001_500, 500))
+    def test_probe_near_1e6(self, gamma, lohi):
+        report = conjecture_probe(*lohi, gamma, force=True)
+        assert (report.pairs, report.failing) == loop_probe(*lohi, gamma, table_to(1_002_000))
+
+    @pytest.mark.parametrize("gamma", [0.0, 10.0])
+    @settings(max_examples=8, deadline=None)
+    @given(lohi=window(4, 20_000, 600), cap=st.sampled_from([1, 3, 64]))
+    def test_probe_across_block_edges(self, gamma, lohi, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orc, "_PAIR_BLOCK", cap * 16)
+            report = conjecture_probe(*lohi, gamma, force=True)
+        assert (report.pairs, report.failing) == loop_probe(*lohi, gamma, table_to(20_600))
+
+    @settings(max_examples=6, deadline=None)
+    @given(window(4, 30_000, 300))
+    def test_oracle_wide_band(self, lohi):
+        # a band this wide holds many pairs per n: the exact re-rank alone picks the optimum
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orc, "_PREFILTER_REL", 1.0)
+            got = constructive_vs_oracle(*lohi, force=True)
+        assert got == loop_oracle(*lohi, table_to(30_300))
+
+    def test_report_decides_float_ties_exactly(self):
+        # (2**60 + 1) / 2**60 and 1 round to the same float
+        above, one = Fraction(2**60 + 1, 2**60), Fraction(1)
+        rows = [
+            ComparisonRow(10, 2, 8, one, False, 2, 8, above),  # a violation only in exact terms
+            ComparisonRow(11, 2, 9, above, False, 2, 9, one),
+            ComparisonRow(12, 2, 10, one, False, 2, 10, one),
+        ]
+        report = orc._report(10, 12, rows)
+        assert report.violations == (10,)
+        assert report.max_split_quality == report.max_oracle_quality == above
+        assert orc._report(10, 12, rows[::-1]).max_split_quality == above
+
+    def test_scans_reach_no_sieve(self, monkeypatch):
+        monkeypatch.setattr(kernsplit.kernel, "radical_sieve", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "radical_segments", refuse)
+        assert constructive_vs_oracle(4, 3000).violations == ()
+        for gamma in (-5.0, 0.0, 0.5, 10.0):
+            conjecture_probe(4, 3000, gamma)
+        # only the all-pairs fallback sieves: an n with no pair in G
+        monkeypatch.setattr(orc, "_CANDIDATE_QUALITY", 0)
+        with pytest.raises(AssertionError, match="ran past"):
+            constructive_vs_oracle(4, 10)
+
+
+class TestProbeParts:
+    """The probe's qualifying parts: the log-weighted rule over the enumerated superset."""
+
+    @pytest.mark.parametrize("gamma", [-5.0, -0.5, 0.0, 0.5, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("x", [2, 3, 1000, 54321])
+    def test_size_is_the_count(self, gamma, x):
+        ms, ks = orc._parts(x, orc._weight_bound(x, gamma))
+        members = ms[_log_weighted_members(gamma, ms, ks)]
+        assert len(members) == count_log_weighted(x, gamma).count
+        assert np.array_equal(members, np.flatnonzero(log_weighted_mask(x, gamma, table=table_to(54321))))
+
+
+# the candidate sets the scans pair up: G, and the probe's qualifying parts at each gamma
 SCAN_TOP = 6000
 
 
@@ -316,43 +495,55 @@ SCAN_TOP = 6000
 def scan_parts(mode) -> np.ndarray:
     table = table_to(SCAN_TOP)
     if mode == "oracle":
-        return orc._candidates(table, SCAN_TOP)[1]
+        return table_parts(table, SCAN_TOP, orc._CANDIDATE_QUALITY)[1]
     return np.flatnonzero(log_weighted_mask(SCAN_TOP, mode, table=table))
 
 
 class TestScanWork:
-    """The one cost model: table entries, rows and sparse lookups."""
+    """The one cost model: rows, candidate parts and sumset pairs."""
 
     @pytest.mark.parametrize("mode", ["oracle", -5.0, 0.0, 0.5, 10.0])
     @settings(max_examples=25, deadline=None)
     @given(lo=st.integers(min_value=4, max_value=SCAN_TOP), width=st.integers(min_value=0, max_value=300))
     def test_lookups_count_the_parts_below_half(self, mode, lo, width):
+        # one lookup per pair: a part m1 <= n // 2 whose n - m1 is a part too
         hi = min(lo + width, SCAN_TOP + 2)
         parts = scan_parts(mode)
-        brute = sum(1 for n in range(lo, hi + 1) for m1 in parts.tolist() if 2 <= m1 <= n // 2)
-        assert int(orc._part_ends(parts, lo, hi).sum()) == brute
+        members = set(parts.tolist())
+        brute = sum(1 for n in range(lo, hi + 1) for m1 in members if m1 <= n // 2 and n - m1 in members)
+        assert orc._pair_count(parts, lo, hi) == brute
+        start, count = orc._pair_ranges(parts, lo, hi)
+        formed = [(int(parts[a]), int(parts[b])) for i1, i2 in orc._pairs(start, count) for a, b in zip(i1, i2)]
+        assert len(formed) == len(set(formed)) == brute
+        assert all(m1 <= m2 and lo <= m1 + m2 <= hi for m1, m2 in formed)
 
     def test_work_adds_table_rows_and_lookups(self):
-        lo, hi = 1000, 3000
-        slack = SCAN_WORK_LIMIT - orc._SIEVE_WEIGHT * hi - orc._ROW_WEIGHT * (hi - lo + 1)
-        orc._check_work(lo, hi, slack)  # the limit itself is admitted
+        lo, hi, parts = 1000, 3000, 1234
+        slack = SCAN_WORK_LIMIT - orc._ROW_WEIGHT * (hi - lo + 1) - orc._PART_WEIGHT * parts
+        orc._check_work(lo, hi, parts, slack)  # the limit itself is admitted
         with pytest.raises(ValueError, match=refusal(lo, hi)):
-            orc._check_work(lo, hi, slack + 1)
+            orc._check_work(lo, hi, parts, slack + 1)
 
     def test_table_and_rows_refused_before_the_sieve(self, monkeypatch):
-        monkeypatch.setattr(orc, "radical_sieve", refuse)
-        with pytest.raises(ValueError, match=refusal(900000000, 900000000)):
-            constructive_vs_oracle(900_000_000, 900_000_000)
-        # no part qualifies at gamma = -5, so only the rows bound this probe
+        # on the rows alone, before the walk over the powerful numbers
+        monkeypatch.setattr(kernsplit.kernel, "powerful_numbers", refuse)
         with pytest.raises(ValueError, match=refusal(4, 100000000)):
             conjecture_probe(4, 10**8, -5.0)
+        with pytest.raises(ValueError, match=refusal(4, 600000)):
+            constructive_vs_oracle(4, 600_000)
+
+    def test_parts_refused_before_they_exist(self, monkeypatch):
+        # a dense superset (gamma = 10: every m) is refused on the bound of its parts
+        monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
+        with pytest.raises(ValueError, match=refusal(48000000, 48000000)):
+            conjecture_probe(48_000_000, 48_000_000, 10.0)
 
     def test_lookups_refused_once_the_parts_are_known(self, monkeypatch):
-        table = table_to(100_000)
-        monkeypatch.setattr(orc, "radical_sieve", refuse)
+        monkeypatch.setattr(orc, "_pairs", refuse)
         with pytest.raises(ValueError, match=refusal(4, 100000)):
-            conjecture_probe(4, 100_000, 3.0, table=table)  # ~2.5e9 lookups over a dense set
-        assert conjecture_probe(4, 100_000, 0.0, table=table).satisfied == 98020
+            conjecture_probe(4, 100_000, 3.0)  # ~2.5e9 pairs over a dense set
+        monkeypatch.undo()
+        assert conjecture_probe(4, 100_000, 0.0).satisfied == 98020
 
     def test_force_computes_nothing(self, monkeypatch):
         monkeypatch.setattr(orc, "_check_work", refuse)

@@ -217,10 +217,11 @@ class TestCountLogWeighted:
     def test_gamma_zero_int64_bound(self):
         root = kernsplit.powered._INT64_ROOT
         decide = partial(kernsplit.powered._log_weighted_members, 0.0)
-        assert decide(root - 1, np.array([root - 1, root], dtype=np.int64)).tolist() == [False, False]
-        assert decide(root - 1, np.array([1, 2], dtype=np.int64)).tolist() == [True, True]
+        ms = np.array([root - 1, root], dtype=np.int64)
+        assert decide(ms, np.array([root - 1, root], dtype=np.int64)).tolist() == [False, False]
+        assert decide(ms, np.array([1, 2], dtype=np.int64)).tolist() == [True, True]
         with pytest.raises(ValueError, match=f"exact in int64 up to {root}, got {root + 1}"):
-            decide(root, np.array([1, 1], dtype=np.int64))
+            decide(ms + 1, np.array([1, 1], dtype=np.int64))
 
     @pytest.mark.parametrize("gamma", [1e308, -1e308])
     def test_rejects_unrepresentable_normalization(self, gamma):
