@@ -5,14 +5,13 @@ distinct primes dividing m, i.e. the largest squarefree divisor of m.
 By convention k(1) = 1.
 
 Single values are factored by trial division with a hard size bound so
-that oversized inputs fail loudly instead of stalling.  Bulk evaluation
-over a range [1, x] goes through a segmented multiplicative sieve: each
-prime p <= sqrt(x) contributes one factor p to the kernel of its
-multiples, the p-power content is divided out of a parallel remainder
-array, and whatever remainder survives (> 1) is the unique prime factor
-above sqrt(x).  ``radical_segments`` yields the segments left to right,
-so a consumer such as a counter needs memory for one segment only;
-``radical_sieve`` fills a whole table from them.  The output is
+that oversized inputs fail loudly instead of stalling.  A kernel table
+over [1, x] comes from ``radical_sieve``, a segmented multiplicative
+sieve: each prime p <= sqrt(x) contributes one factor p to the kernel of
+its multiples, the p-power content is divided out of a parallel
+remainder array, and whatever remainder survives (> 1) is the unique
+prime factor above sqrt(x).  Segments are sieved left to right into the
+table, so the temporaries stay segment-sized, and the output is
 identical to a one-shot sieve regardless of segment size.
 ``powerful_numbers`` walks the powerful numbers up to x with their
 kernels, which is all the class counters need, and ``kernel_bounded``
@@ -43,20 +42,18 @@ __all__ = [
     "powerful_numbers",
     "primes_up_to",
     "radical",
-    "radical_segments",
     "radical_sieve",
 ]
 
 DEFAULT_FACTOR_LIMIT = 10**12
 
-# Entries sieved per segment.  A segment's working set (two int arrays
-# of this length, plus the rules' float64 temporaries) is the memory a
-# streaming pass needs besides the primes up to sqrt(x).
+# Entries sieved per segment.  A segment's working set, two int arrays
+# of this length, is the memory ``radical_sieve`` needs besides the
+# table and the primes up to sqrt(x).
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 # Refuse tables larger than this outright; ~1e9 entries is already past
-# what the oracle, the probe and the counters' log-weighted prefix need
-# at desk scale.
+# what the oracle's all-pairs fallback needs at desk scale.
 DEFAULT_SIEVE_LIMIT = 1 << 30
 
 # ``kernel_bounded`` forms m = a*b and k(m) = a*k(b) in int64 with
@@ -289,44 +286,24 @@ def _radical_segment(lo: int, hi: int, primes: list[int], dtype) -> np.ndarray:
     return rad
 
 
-def _kernel_dtype(x: int):
+def radical_sieve(x: int) -> RadicalTable:
+    """Build the kernel table for [1, x], one segment of ``DEFAULT_SEGMENT_SIZE`` entries at a time.
+
+    The table holds x + 1 entries of the narrowest signed integer type
+    that fits x.  Both module constants are read at call time; x past
+    ``DEFAULT_SIEVE_LIMIT`` raises SieveLimitError before anything is
+    allocated.
+    """
     import numpy as np
 
-    return np.int32 if x <= np.iinfo(np.int32).max else np.int64
-
-
-def radical_segments(x: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Kernels of [1, x], one segment at a time, left to right.
-
-    Yields ``(lo, kernels)`` with ``kernels[i] = k(lo + i)``.  The
-    argument is checked, and the primes up to sqrt(x) sieved, when this
-    is called; each segment of ``DEFAULT_SEGMENT_SIZE`` entries is
-    computed as it is consumed, so memory stays O(sqrt(x) + segment).
-    Both module constants are read at call time; x past
-    ``DEFAULT_SIEVE_LIMIT`` raises SieveLimitError.
-    """
     if x < 1:
         raise ValueError(f"sieve limit must be >= 1, got {x}")
     if x > DEFAULT_SIEVE_LIMIT:
         raise SieveLimitError(f"sieve limit {x} exceeds the configured budget {DEFAULT_SIEVE_LIMIT}")
-    seg, dtype = DEFAULT_SEGMENT_SIZE, _kernel_dtype(x)
+    seg, dtype = DEFAULT_SEGMENT_SIZE, np.int32 if x <= np.iinfo(np.int32).max else np.int64
     small_primes = primes_up_to(math.isqrt(x))
-    return (
-        (lo, _radical_segment(lo, min(lo + seg - 1, x), small_primes, dtype))
-        for lo in range(1, x + 1, seg)
-    )
-
-
-def radical_sieve(x: int) -> RadicalTable:
-    """Build the kernel table for [1, x] from ``radical_segments``.
-
-    The table holds x + 1 entries of the narrowest signed integer type
-    that fits x.
-    """
-    import numpy as np
-
-    segments = radical_segments(x)
-    values = np.zeros(x + 1, dtype=_kernel_dtype(x))
-    for lo, kernels in segments:
-        values[lo : lo + len(kernels)] = kernels
+    values = np.zeros(x + 1, dtype=dtype)
+    for lo in range(1, x + 1, seg):
+        hi = min(lo + seg - 1, x)
+        values[lo : hi + 1] = _radical_segment(lo, hi, small_primes, dtype)
     return RadicalTable(x, values)

@@ -8,25 +8,20 @@ point.  theta = 1/2 gives the classical squarefull-flavored class: all
 powerful numbers belong, along with composites like 48 whose square
 content is merely large.
 
-Each class has one decision rule over arrays of m and their kernels,
-contiguous or not, with a log-space prefilter: cases further than a generous margin from the
-boundary are decided in float, everything near it is re-decided with
-exact big integers (or with mpmath at >= 30 significant digits for the
-log-weighted class, whose right-hand side m * ln(m)**(2*gamma) is not
-rational).  Results are therefore identical to element-by-element exact
-evaluation.  The masks apply the rule to a ``RadicalTable`` and are the
-dense reference; the probe in ``oracle`` applies the log-weighted rule
-to its sparse candidate parts.
+The log-weighted class k(m)**2 <= m * ln(m)**(2*gamma) has one decision
+rule, in a vector form for the probe in ``oracle`` and a scalar form
+for the counter, with a float prefilter: everything within a relative
+1e-9 of the boundary is re-decided with mpmath at 35 significant
+digits, since the right-hand side is not rational.  Results are
+therefore identical to element-by-element exact evaluation.
 
 The counters sieve nothing.  Every m is uniquely a*b with b powerful, a
 squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so for each of
 the ~2.17 * sqrt(x) powerful b <= x the members are the squarefree a
-coprime to b up to a threshold: an exact integer root for theta, and
-for gamma the end of a prefix, found with the rule's own scalar
-decision, once m > e**(2*gamma) makes the test monotone in a.  Those
-squarefree counts are exact integer sums, so the counts equal the
-rule's over every m.  Only the log-weighted m <= e**(2*gamma) (gamma >
-0) are still decided by the rule over ``radical_segments``.
+coprime to b in an interval: up to an exact integer root for theta, and
+for gamma an interval of a around e**(2*gamma) / b whose ends are found
+with the rule's own scalar decision.  Those squarefree counts are exact
+integer sums, so the counts equal the rule's over every m.
 """
 
 from __future__ import annotations
@@ -36,19 +31,10 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .kernel import (
-    DEFAULT_SEGMENT_SIZE,
-    RadicalTable,
-    factorize,
-    powerful_numbers,
-    primes_up_to,
-    radical_segments,
-    radical_sieve,
-)
+from .kernel import factorize, powerful_numbers, primes_up_to
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,15 +47,9 @@ __all__ = [
     "count_members",
     "is_member",
     "log_ratio_table",
-    "log_weighted_mask",
-    "membership_mask",
     "multiplicity_index",
     "subset_check_powers",
 ]
-
-# absolute slack (in log space) below which the prefilter defers to
-# exact evaluation; ~1e6 times wider than float64 error at these scales
-_LOG_BAND = 1e-6
 
 # relative near-tie band for the log-weighted comparison; anything this
 # close to the boundary is re-evaluated at 35 significant digits
@@ -77,8 +57,8 @@ _TIE_REL = 1e-9
 _TIE_DPS = 35
 
 # k(m) <= m, so the gamma = 0 test k*k <= m is exact in int64 for every m
-# up to isqrt(2**63 - 1) = 3_037_000_499, above the 2**30 entries of
-# kernel.DEFAULT_SIEVE_LIMIT; larger slices are refused.
+# up to isqrt(2**63 - 1) = 3_037_000_499, the largest n a probe scans
+# (oracle._CANDIDATE_INT64_LIMIT); larger ms are refused.
 _INT64_ROOT = math.isqrt(2**63 - 1)
 
 
@@ -180,20 +160,6 @@ class CountReport:
         )
 
 
-def _theta_members(theta: Theta, ms: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """mask[i] iff k(m)**q <= m**p for m = ms[i], given kernels[i] = k(m)."""
-    import numpy as np  # only the masks and the sieved prefix vectorize; the counters run without it
-
-    if theta.p == theta.q:
-        return np.ones(len(kernels), dtype=bool)  # k(m) <= m unconditionally
-    diff = theta.q * np.log(kernels.astype(np.float64)) - theta.p * np.log(ms.astype(np.float64))
-    band = _LOG_BAND * (1 + theta.p + theta.q)
-    mask = diff < -band
-    for i in np.nonzero(np.abs(diff) <= band)[0]:
-        mask[i] = int(kernels[i]) ** theta.q <= int(ms[i]) ** theta.p
-    return mask
-
-
 def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
     from mpmath import mp  # only near-ties need it; keeps it off the import path
 
@@ -219,7 +185,7 @@ def _log_weighted_members(gamma: float, ms: np.ndarray, kernels: np.ndarray) -> 
         ks = kernels.astype(np.int64)
         np.less_equal(ks * ks, ms, out=mask[skip:])
         return mask
-    # in place where possible: these float64 temporaries set the counters' peak memory
+    # in place where possible: these float64 temporaries set the probe's peak memory
     lhs = kernels.astype(np.float64)
     lhs *= lhs
     mf = ms.astype(np.float64)
@@ -231,25 +197,6 @@ def _log_weighted_members(gamma: float, ms: np.ndarray, kernels: np.ndarray) -> 
     # strict: an overflowed rhs exceeds every float lhs and is no near-tie
     for i in np.nonzero(np.abs(lhs - rhs) < _TIE_REL * rhs)[0]:
         mask[skip + i] = _log_weighted_member_exact(int(ms[i]), int(kernels[i]), gamma)
-    return mask
-
-
-def _decide_table(x: int, table: RadicalTable | None, decide) -> np.ndarray:
-    """Boolean array of length x + 1: the rule ``decide(ms, kernels)`` over [1, x], index 0 False.
-
-    The table (built when None) is decided in slices of
-    ``DEFAULT_SEGMENT_SIZE``, so float temporaries stay segment-sized.
-    """
-    import numpy as np
-
-    if table is None:
-        table = radical_sieve(x)
-    elif table.limit < x:
-        raise ValueError(f"table limit {table.limit} is below x={x}")
-    mask = np.zeros(x + 1, dtype=bool)
-    for lo in range(1, x + 1, DEFAULT_SEGMENT_SIZE):
-        hi = min(lo + DEFAULT_SEGMENT_SIZE, x + 1)
-        mask[lo:hi] = decide(np.arange(lo, hi, dtype=np.int64), table.values[lo:hi])
     return mask
 
 
@@ -272,16 +219,6 @@ def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
     if abs(lhs - rhs) < _TIE_REL * rhs:
         return _log_weighted_member_exact(m, k, gamma)
     return lhs <= rhs
-
-
-def _stream_count(x: int, decide) -> int:
-    """Members of the rule ``decide(ms, kernels)`` in [1, x], summed over ``radical_segments(x)``."""
-    import numpy as np
-
-    return sum(
-        int(np.count_nonzero(decide(np.arange(lo, lo + len(kernels), dtype=np.int64), kernels)))
-        for lo, kernels in radical_segments(x)
-    )
 
 
 # Squarefree counts up to this are read from a prefix table, larger ones
@@ -395,21 +332,30 @@ def _iroot(n: int, r: int) -> int:
 # 10 us * (bits / 3500)**1.5; theta = 1/1000 adds 168 us.  So a theta visit
 # is charged 1 + (q * log2(x) / _POWER_BITS)**1.5 visits, which refuses
 # theta = 997/1000 at x = 1e12 (~8.7e7 visits, about 15 minutes by the fit)
-# and admits it at 1e10 (~6.7e6 visits, 58 s).  The limit admits x up to
-# about 1.8e13 for theta = 1/2 and gamma, a run of 30-100 s.
+# and admits it at 1e10 (~6.7e6 visits, 58 s).
+#
+# gamma charges each of the ~2.2 * e**gamma powerful b below e**(2*gamma) a
+# second visit, for the search of the lower end of its interval of a:
+# gamma = 20, where every b <= x has one, takes 94.6 s at x = 1e13 against
+# 51.4 s at gamma = 0, and 144 s against 80 s at 1.8e13.  The limit admits
+# x up to about 1.8e13 for theta = 1/2 and gamma = 0, a run of 30-80 s, and
+# up to about 4.8e12 when e**(2*gamma) >= x.
 COUNT_WORK_LIMIT = 10**7
 _TERMS_PER_VISIT = 256
 _TERMS_PER_ENTRY = 32
 _POWER_BITS = 3500
 
 
-def _count_work(x: int, theta: Theta | None = None) -> float:
+def _count_work(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float:
     """Visits of one count up to x, for theta or else gamma, besides the squarefree table."""
     if theta is not None and theta.p == theta.q:
         return 0.0  # every m counts: no walk
     root = math.isqrt(x)
-    per_visit = 1 if theta is None else 1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5
-    return 2.2 * root * per_visit + root * math.log(x) / _TERMS_PER_VISIT
+    if theta is None:
+        visits = root + math.exp(min(gamma, math.log(x) / 2))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
+    else:
+        visits = root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
+    return 2.2 * visits + root * math.log(x) / _TERMS_PER_VISIT
 
 
 def _check_count_work(what: str, work: float) -> None:
@@ -450,23 +396,27 @@ def _monotone_start(x: int, gamma: float) -> int:
     return min(x, math.floor(math.exp(2 * gamma) * (1 + 1e-9)) + 1)
 
 
-def _log_weighted_estimate(b: int, k: int, gamma: float, lo: int, hi: int) -> int:
-    """Float estimate, in [lo, hi], of the last a with (a*k)**2 <= a*b*ln(a*b)**(2*gamma).
+def _log_weighted_estimate(b: int, k: int, gamma: float, inner: int, outer: int) -> int:
+    """Float estimate, between inner and outer, of the a nearest outer with (a*k)**2 <= a*b*ln(a*b)**(2*gamma).
 
     Newton steps on G(u) = u + ln(k**2 / b) - 2*gamma*ln(u + ln b), u = ln a,
-    which is increasing where ln(a*b) > 2*gamma; only a guess for
-    ``_prefix_end``, never a decision.
+    from ln(outer) towards ln(inner).  G has its minimum at a = e**(2*gamma) / b
+    (none for gamma <= 0), so it is monotone between the two when they
+    lie on one side of that; only a guess for ``_prefix_end``, never a
+    decision.
     """
     ln_b, ln_c = math.log(b), math.log(k * k / b)
-    u_lo, u_hi = math.log(lo), math.log(hi)
-    u = u_hi
+    u_in, u_out = math.log(inner), math.log(outer)
+    u_min, u_max = (u_in, u_out) if inner < outer else (u_out, u_in)
+    u = u_out
     for _ in range(6):
         v = u + ln_b
         g = u + ln_c - 2 * gamma * math.log(v)
-        if u == (u_lo if g > 0 else u_hi):
-            break  # the last a is hi, or below lo
-        step = g / (1 - 2 * gamma / v)
-        u = min(max(u - step, u_lo), u_hi)
+        if u == (u_in if g > 0 else u_out):
+            break  # the a nearest outer is outer, or beyond inner
+        slope = 1 - 2 * gamma / v
+        step = g / slope if slope else 0.0  # a zero slope is the minimum of G: stop there
+        u = min(max(u - step, u_min), u_max)
         if abs(step) < 1e-12:
             break
     return int(math.exp(u))
@@ -500,32 +450,43 @@ def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) ->
 
         f'(a) = 1/a - 2*gamma / (a*ln(a*b)) = (ln(a*b) - 2*gamma) / (a*ln(a*b)),
 
-    positive whenever a*b > e**(2*gamma): for every a*b > 1 when gamma <= 0.
-    So past E = ``_monotone_start(x, gamma)`` the members with a given b
-    are the a in (E // b, A_b] for one threshold A_b.  A_b is found from
-    a float estimate and fixed up with ``_log_weighted_member``, the same
-    scalar decision (float test, 35-digit recheck near ties) as the
-    streaming rule, and each b adds the squarefree a coprime to b in
-    that interval.  The m <= E are decided by the streaming rule over
-    ``radical_segments(E)``, which keeps its sieve budget; E = 1 for
-    gamma <= 0, and E = x when e**(2*gamma) >= x.  m = 1 is excluded.
+    so f falls while a*b < e**(2*gamma) and rises after: it rises for
+    every a*b > 1 when gamma <= 0.  The members with a given b are
+    therefore one interval [L_b, R_b] of the a in [lo, x // b], and when
+    it is not empty it holds the integer minimiser of f, next to t =
+    e**(2*gamma) / b.  lo is 1, and 2 for b = 1: m = 1 is excluded.
+    - When b*lo >= E = ``_monotone_start(x, gamma)``, f only rises and
+      the interval is a prefix from lo.
+    - Otherwise the a within one of floor(t), clamped to [lo, x // b],
+      are tested.  If none is a member, b adds nothing; if one is, L_b is
+      found below it and R_b above it.
+    Each end is found from a float estimate and fixed up with
+    ``_log_weighted_member``, the same scalar decision (float test,
+    35-digit recheck near ties) as the probe's rule, and each b adds the
+    squarefree a coprime to b in [L_b, R_b].  Nothing is sieved.
     """
     start = _monotone_start(x, gamma)
-    total = _stream_count(start, partial(_log_weighted_members, gamma)) if start > 1 else 0
-    if start == x:
-        return total
+    peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
+    total = 0
     for b, k, primes in powerful_numbers(x):
-        lo, hi = start // b + 1, x // b
-        if lo > hi:
-            continue
-        end = _prefix_end(
-            lambda a: _log_weighted_member(a * b, a * k, gamma),
-            lo,
-            hi,
-            _log_weighted_estimate(b, k, gamma, lo, hi),
-        )
-        if end >= lo:
-            total += squarefree.count(end, primes) - squarefree.count(lo - 1, primes)
+        lo, hi = 2 if b == 1 else 1, x // b
+
+        def member(a: int) -> bool:
+            return _log_weighted_member(a * b, a * k, gamma)
+
+        first = lo
+        if b * lo < start:
+            t = int(peak / b)  # the a within one of t, clamped to [lo, hi]
+            near = range(min(max(t - 1, lo), hi), max(min(t + 1, hi), lo) + 1)
+            found = next((a for a in near if member(a)), 0)
+            if not found:
+                continue
+            guess = _log_weighted_estimate(b, k, gamma, found, lo)
+            first = _prefix_end(lambda a: not member(a), lo, found - 1, guess) + 1
+            lo = found + 1  # R_b >= found: search above it
+        end = _prefix_end(member, lo, hi, _log_weighted_estimate(b, k, gamma, lo, hi)) if lo <= hi else hi
+        if end >= first:
+            total += squarefree.count(end, primes) - squarefree.count(first - 1, primes)
     return total
 
 
@@ -542,20 +503,6 @@ def _log_weight(x: int, gamma: float, scale: float = 1.0) -> float:
             f"normalization by ln(x)**gamma is not a finite non-zero float at gamma={gamma}, x={x}"
         )
     return weight
-
-
-def membership_mask(
-    x: int, theta: Theta, *, table: RadicalTable | None = None
-) -> np.ndarray:
-    """Boolean array of length x + 1: mask[m] iff k(m)**q <= m**p.
-
-    Index 0 is always False.  Equivalent to calling ``is_member`` on
-    every m; the float prefilter only short-circuits cases far from the
-    boundary.  The dense reference for ``count_members``.
-    """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    return _decide_table(x, table, partial(_theta_members, theta))
 
 
 def count_members(x: int, theta: Theta) -> CountReport:
@@ -575,38 +522,18 @@ def count_members(x: int, theta: Theta) -> CountReport:
     )
 
 
-def log_weighted_mask(
-    x: int, gamma: float, *, table: RadicalTable | None = None
-) -> np.ndarray:
-    """Boolean array of length x + 1: mask[m] iff k(m)**2 <= m * ln(m)**(2*gamma).
-
-    Defined for m >= 2 (indices 0 and 1 are always False; m = 1 has
-    ln(1) = 0 and is excluded by definition).  Comparisons within a
-    relative 1e-9 of the boundary are re-evaluated at 35 significant
-    digits, ties counting as members.  gamma must be finite.  The dense
-    reference for ``count_log_weighted``.
-    """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    return _decide_table(x, table, partial(_log_weighted_members, gamma))
-
-
 def count_log_weighted(x: int, gamma: float) -> CountReport:
     """Count 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma), over the powerful numbers up to x.
 
     At gamma = 0 this is exactly the theta = 1/2 count minus the m = 1
-    contribution.  Only the m <= e**(2*gamma) are sieved (gamma > 0).
-    Raises ValueError, before any sieving, when the normalization
-    sqrt(x) * ln(x)**gamma is not a finite non-zero float or the cost
-    exceeds ``COUNT_WORK_LIMIT``, and SieveLimitError when the sieved
-    prefix exceeds the sieve budget.
+    contribution.  Raises ValueError, before the walk, when the
+    normalization sqrt(x) * ln(x)**gamma is not a finite non-zero float
+    or the cost exceeds ``COUNT_WORK_LIMIT``.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     scale = _log_weight(x, gamma, math.sqrt(x))
-    _check_count_work(f"counting up to x={x}", _count_work(x))
+    _check_count_work(f"counting up to x={x}", _count_work(x, gamma=gamma))
     count = _log_weighted_count(x, gamma, _CoprimeSquarefree())
     return CountReport(x=x, count=count, gamma=gamma, normalized=count / scale)
 
@@ -624,7 +551,7 @@ def log_ratio_table(xs: Sequence[int], gamma: float) -> list[dict]:
         raise ValueError(f"expected ascending x values >= 2, got {list(xs)}")
     weights = [_log_weight(x, gamma) for x in xs]
     half = Theta(1, 2)
-    work = sum(_count_work(x) + _count_work(x, half) for x in xs)
+    work = sum(_count_work(x, gamma=gamma) + _count_work(x, half) for x in xs)
     _check_count_work(f"counting {len(xs)} points up to x={xs[-1]}", work)
     squarefree = _CoprimeSquarefree()
     rows = []

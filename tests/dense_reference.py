@@ -1,0 +1,65 @@
+"""Dense references: a class rule decided for every m of a kernel table.
+
+``membership_mask`` and ``log_weighted_mask`` decide each m in [1, x]
+from a ``radical_sieve`` table, in slices of ``SEGMENT`` entries so the
+float temporaries stay slice-sized; ``SEGMENT`` is read at call time.
+The log-weighted rule is the library's own vector rule, the one the
+probe applies to its sparse parts.  The theta rule is a float prefilter
+in log space with an exact integer recheck near the boundary.
+"""
+
+from functools import partial
+
+import numpy as np
+
+from kernsplit.kernel import RadicalTable, radical_sieve
+from kernsplit.powered import Theta, _log_weighted_members
+
+# absolute slack (in log space) below which the theta prefilter defers to
+# exact evaluation; ~1e6 times wider than float64 error at these scales
+LOG_BAND = 1e-6
+
+# entries decided per slice
+SEGMENT = 1 << 20
+
+
+def theta_members(theta: Theta, ms: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """mask[i] iff k(m)**q <= m**p for m = ms[i], given kernels[i] = k(m)."""
+    if theta.p == theta.q:
+        return np.ones(len(kernels), dtype=bool)  # k(m) <= m unconditionally
+    diff = theta.q * np.log(kernels.astype(np.float64)) - theta.p * np.log(ms.astype(np.float64))
+    band = LOG_BAND * (1 + theta.p + theta.q)
+    mask = diff < -band
+    for i in np.nonzero(np.abs(diff) <= band)[0]:
+        mask[i] = int(kernels[i]) ** theta.q <= int(ms[i]) ** theta.p
+    return mask
+
+
+def decide_table(x: int, table: RadicalTable | None, decide) -> np.ndarray:
+    """Boolean array of length x + 1: the rule ``decide(ms, kernels)`` over [1, x], index 0 False."""
+    if table is None:
+        table = radical_sieve(x)
+    elif table.limit < x:
+        raise ValueError(f"table limit {table.limit} is below x={x}")
+    mask = np.zeros(x + 1, dtype=bool)
+    for lo in range(1, x + 1, SEGMENT):
+        hi = min(lo + SEGMENT, x + 1)
+        mask[lo:hi] = decide(np.arange(lo, hi, dtype=np.int64), table.values[lo:hi])
+    return mask
+
+
+def membership_mask(x: int, theta: Theta, *, table: RadicalTable | None = None) -> np.ndarray:
+    """mask[m] iff k(m)**q <= m**p, for 0 <= m <= x; the dense reference for ``count_members``."""
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    return decide_table(x, table, partial(theta_members, theta))
+
+
+def log_weighted_mask(x: int, gamma: float, *, table: RadicalTable | None = None) -> np.ndarray:
+    """mask[m] iff m >= 2 and k(m)**2 <= m * ln(m)**(2*gamma), for 0 <= m <= x.
+
+    The dense reference for ``count_log_weighted`` and the probe's parts.
+    """
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
+    return decide_table(x, table, partial(_log_weighted_members, gamma))

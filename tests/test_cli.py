@@ -144,6 +144,12 @@ class TestCount:
         assert result.exit_code == 0
         assert "count=557837" in result.output
 
+    def test_log_weighted_past_the_sieve_budget(self):
+        # e**40 > x: every m lies below e**(2*gamma), and none is sieved
+        result = runner.invoke(cli, ["count", "--gamma", "20", "--limit", "2147483648"])
+        assert result.exit_code == 0
+        assert "count=2147483646 " in result.output
+
     @pytest.mark.parametrize(
         ("args", "error"),
         [
@@ -151,10 +157,10 @@ class TestCount:
                 ["--theta", "1/2", "--limit", "100000000000000"],
                 "counting up to x=100000000000000 implies ~2.34e+07 powerful-number visits (> 1e+07)",
             ),
-            # e**40 > x: the log-weighted prefix is the whole range, past the sieve budget
+            # e**40 > x: every b searches both ends of its interval, two visits each
             (
-                ["--gamma", "20", "--limit", "2147483648"],
-                "sieve limit 2147483648 exceeds the configured budget 1073741824",
+                ["--gamma", "20", "--limit", "100000000000000"],
+                "counting up to x=100000000000000 implies ~4.53e+07 powerful-number visits (> 1e+07)",
             ),
             # theta visits pay for their integer powers of ~40k bits
             (

@@ -49,6 +49,8 @@ def modules_after(*args: str) -> set[str]:
         ["count", "--gamma", "0", "--limit", "20025018"],
         ["decompose", "100", "--verify", "structural"],
         ["radical", "360"],
+        # e**(2*gamma) = e > 2: b = 1 takes the search around t = e / b
+        ["count", "--gamma", "0.5", "--limit", "20025018"],
     ],
 )
 def test_command_runs_without_numpy_or_mpmath(args):

@@ -20,7 +20,6 @@ from kernsplit.kernel import (
     powerful_numbers,
     primes_up_to,
     radical,
-    radical_segments,
     radical_sieve,
 )
 
@@ -145,10 +144,20 @@ def test_sieve_matches_single_shot_to_1e5():
 
 def test_sieve_segmentation_is_invisible(monkeypatch):
     base = radical_sieve(10_000)
+    sieve_segment = kernsplit.kernel._radical_segment
+    segments = []
+
+    def counted(lo, hi, *args):
+        segments.append((lo, hi))
+        return sieve_segment(lo, hi, *args)
+
+    monkeypatch.setattr(kernsplit.kernel, "_radical_segment", counted)
     for seg in (1, 7, 997, 4096):
+        segments.clear()
         monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", seg)
         assert np.array_equal(base.values, radical_sieve(10_000).values)
-        assert len(list(radical_segments(10_000))) == -(-10_000 // seg)  # read at call time
+        assert len(segments) == -(-10_000 // seg)  # read at call time
+        assert max(hi - lo + 1 for lo, hi in segments) == min(seg, 10_000)
 
 
 def test_sieve_rejects_bad_limits(monkeypatch):
@@ -156,11 +165,17 @@ def test_sieve_rejects_bad_limits(monkeypatch):
         radical_sieve(0)
     monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SIEVE_LIMIT", 1000)
     radical_sieve(1000)  # the budget is read at call time, and inclusive
-    with pytest.raises(SieveLimitError):
-        radical_sieve(1001)
-    # the streaming form checks when called, before any segment is sieved
-    with pytest.raises(SieveLimitError):
-        radical_segments(1001)
+
+    def refuse(*args):
+        raise AssertionError("sieved past the budget")
+
+    # checked before any prime or segment is sieved, and before the table is
+    # allocated: 2**62 entries would not fit
+    monkeypatch.setattr(kernsplit.kernel, "primes_up_to", refuse)
+    monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
+    for x in (1001, 2**62):
+        with pytest.raises(SieveLimitError):
+            radical_sieve(x)
 
 
 def test_table_bounds_checked():

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernsplit.kernel
 import kernsplit.oracle as orc
+from dense_reference import log_weighted_mask
 from kernsplit.decompose import _INT64_LIMIT, split
 from kernsplit.kernel import radical, radical_sieve
 from kernsplit.oracle import (
@@ -32,7 +33,7 @@ from kernsplit.oracle import (
     decomposition_quality,
     part_quality,
 )
-from kernsplit.powered import _log_weighted_members, count_log_weighted, log_weighted_mask
+from kernsplit.powered import _log_weighted_members, count_log_weighted
 
 
 def brute_best(n: int) -> tuple[int, int, Fraction]:
@@ -465,7 +466,7 @@ class TestBlockMatchesLoop:
 
     def test_scans_reach_no_sieve(self, monkeypatch):
         monkeypatch.setattr(kernsplit.kernel, "radical_sieve", refuse)
-        monkeypatch.setattr(kernsplit.kernel, "radical_segments", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
         assert constructive_vs_oracle(4, 3000).violations == ()
         for gamma in (-5.0, 0.0, 0.5, 10.0):
             conjecture_probe(4, 3000, gamma)

@@ -2,7 +2,9 @@
 
 Counting examples are frozen from an in-test enumeration oracle that
 walks every m with a per-element radical, independent of the sieve and
-prefilter machinery under test.
+prefilter machinery under test.  The counters are also checked against
+the dense masks of ``dense_reference``, which decide every m of a kernel
+table.
 """
 
 import math
@@ -13,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_reference
 import kernsplit.kernel
 import kernsplit.powered
-from kernsplit.kernel import SieveLimitError, radical, radical_sieve
+from dense_reference import log_weighted_mask, membership_mask
+from kernsplit.kernel import radical, radical_sieve
 from kernsplit.powered import (
     CountReport,
     Theta,
@@ -23,8 +27,6 @@ from kernsplit.powered import (
     count_members,
     is_member,
     log_ratio_table,
-    log_weighted_mask,
-    membership_mask,
     multiplicity_index,
     subset_check_powers,
 )
@@ -42,14 +44,14 @@ def enumerate_log_weighted(x: int, gamma: float) -> list[int]:
     return out
 
 
-def streaming_members(x: int, theta: Theta) -> int:
-    """Reference for ``count_members``: the theta rule over every segment of [1, x]."""
-    return kernsplit.powered._stream_count(x, partial(kernsplit.powered._theta_members, theta))
+def dense_members(x: int, theta: Theta) -> int:
+    """Reference for ``count_members``: the theta rule over every m of a table of [1, x]."""
+    return int(membership_mask(x, theta).sum())
 
 
-def streaming_log_weighted(x: int, gamma: float) -> int:
-    """Reference for ``count_log_weighted``: the log-weighted rule over every segment of [1, x]."""
-    return kernsplit.powered._stream_count(x, partial(kernsplit.powered._log_weighted_members, gamma))
+def dense_log_weighted(x: int, gamma: float) -> int:
+    """Reference for ``count_log_weighted``: the log-weighted rule over every m of a table of [1, x]."""
+    return int(log_weighted_mask(x, gamma).sum())
 
 
 class TestTheta:
@@ -191,8 +193,6 @@ class TestCountLogWeighted:
     def test_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError, match="finite"):
             count_log_weighted(100, gamma)
-        with pytest.raises(ValueError, match="finite"):
-            log_weighted_mask(100, gamma)
 
 
     def test_overflowed_weight_needs_no_exact_path(self, monkeypatch):
@@ -232,7 +232,7 @@ class TestCountLogWeighted:
             log_ratio_table([10, 100], gamma)
 
 
-# streaming segment sizes small enough to cut x into many segments
+# segment sizes small enough to cut x into many segments
 SEGMENTS = st.integers(min_value=1, max_value=300)
 
 
@@ -246,8 +246,8 @@ def x_and_segment(draw):
 
 
 class TestStreamingMatchesDense:
-    """The counters against the dense masks, with independent slicings (the sieve now
-    slices only the log-weighted prefix m <= e**(2*gamma))."""
+    """The counters, which stream over the powerful numbers, against the dense masks,
+    whose table is sieved and decided in segments of independent sizes."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -259,24 +259,21 @@ class TestStreamingMatchesDense:
     def test_counts(self, xs, dense_seg, theta, gamma):
         x, seg = xs
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernsplit.powered, "DEFAULT_SEGMENT_SIZE", dense_seg)
-            members = int(membership_mask(x, theta).sum())
-            weighted = int(log_weighted_mask(x, gamma).sum())
+            mp.setattr(dense_reference, "SEGMENT", dense_seg)
             mp.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", seg)
+            members = dense_members(x, theta)
+            weighted = dense_log_weighted(x, gamma)
             assert count_members(x, theta).count == members
             assert count_log_weighted(x, gamma).count == weighted
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.integers(min_value=2, max_value=3000), min_size=1, max_size=8),
-        SEGMENTS,
         st.sampled_from([0.0, 0.5, 1.0, 2.5]),
     )
-    def test_ratio_table_reads_counts_at_every_x(self, grid, seg, gamma):
+    def test_ratio_table_reads_counts_at_every_x(self, grid, gamma):
         xs = sorted(grid)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", seg)
-            rows = log_ratio_table(xs, gamma)
+        rows = log_ratio_table(xs, gamma)
         half = Theta(1, 2)
         assert [r["x"] for r in rows] == xs
         for r in rows:
@@ -284,6 +281,7 @@ class TestStreamingMatchesDense:
             assert r["half_count"] == count_members(r["x"], half).count
 
     def test_reads_off_counts_at_segment_edges(self, monkeypatch):
+        monkeypatch.setattr(dense_reference, "SEGMENT", 64)
         monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", 64)
         xs = [2, 63, 64, 65, 128, 129, 130]
         for x in xs:
@@ -296,10 +294,10 @@ class TestStreamingMatchesDense:
 
     def test_counters_build_no_table(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("radical_sieve called")
+            raise AssertionError("sieve called")
 
-        monkeypatch.setattr(kernsplit.powered, "radical_sieve", refuse)
         monkeypatch.setattr(kernsplit.kernel, "radical_sieve", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
         monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", 64)
         assert count_members(1000, Theta(1, 2)).count == len(enumerate_members(1000, Theta(1, 2)))
         assert count_log_weighted(1000, 1.0).count == len(enumerate_log_weighted(1000, 1.0))
@@ -313,7 +311,10 @@ POWERFUL = sorted(
 )
 THETAS = st.integers(1, 6).flatmap(lambda q: st.builds(Theta, st.integers(1, q), st.just(q)))
 GAMMAS = st.one_of(
-    st.sampled_from([-3.0, -0.5, 0.0, 0.5, 1.0, 2.5, 4.0]), st.floats(min_value=-8, max_value=8)
+    st.sampled_from([-3.0, -0.5, 0.0, 0.5, 1.0, 2.5, 4.0]),
+    st.floats(min_value=-8, max_value=8),
+    # e**(2*gamma) in (1, e**16]: the b below it search both ways from a next to e**(2*gamma) / b
+    st.floats(min_value=0, max_value=8, exclude_min=True),
 )
 # squarefree table caps: small ones send most counts to the Moebius sums
 TABLE_CAPS = st.sampled_from([1, 5, 64, 1 << 22])
@@ -334,32 +335,31 @@ def count_x(draw, lo: int = 1) -> int:
 
 @st.composite
 def gamma_and_x(draw) -> tuple[float, int]:
-    """gamma and x >= 2, with x often at or next to where the monotone range starts."""
+    """gamma and x >= 2, with x often at or next to e**(2*gamma) or a powerful number."""
     gamma = draw(GAMMAS)
     start = kernsplit.powered._monotone_start(X_MAX, gamma)
-    x = draw(st.one_of(count_x(lo=2), st.integers(start - 1, start + 2)))
+    peak = math.floor(math.exp(min(2 * gamma, math.log(X_MAX))))
+    x = draw(st.one_of(count_x(lo=2), st.integers(start - 1, start + 2), st.integers(peak - 1, peak + 1)))
     return gamma, min(max(x, 2), X_MAX)
 
 
 class TestPowerfulSumMatchesReferences:
-    """The counters over powerful b against the streaming and dense references."""
+    """The counters over powerful b against the dense references."""
 
     @settings(max_examples=40, deadline=None)
     @given(count_x(), THETAS, TABLE_CAPS)
     def test_theta_counts(self, x, theta, cap):
-        expected = streaming_members(x, theta)
-        assert int(membership_mask(x, theta).sum()) == expected
+        expected = dense_members(x, theta)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", cap)
             assert count_members(x, theta).count == expected
 
-    # the threshold search must be right from any guess
-    @settings(max_examples=40, deadline=None)
+    # the searches for both ends of each b's interval must be right from any guess
+    @settings(max_examples=60, deadline=None)
     @given(gamma_and_x(), TABLE_CAPS, st.sampled_from([0, -1, 1, -37, 1000, -(10**9), 10**9]))
     def test_log_weighted_counts(self, gamma_x, cap, guess_offset):
         gamma, x = gamma_x
-        expected = streaming_log_weighted(x, gamma)
-        assert int(log_weighted_mask(x, gamma).sum()) == expected
+        expected = dense_log_weighted(x, gamma)
         estimate = kernsplit.powered._log_weighted_estimate
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", cap)
@@ -373,28 +373,29 @@ class TestPowerfulSumMatchesReferences:
     def test_boundary_hits(self):
         # k(8)**3 == 8: m = 8 counts at theta = 1/3; k(4)**2 == 4 at gamma = 0
         for x in (7, 8, 9):
-            assert count_members(x, Theta(1, 3)).count == streaming_members(x, Theta(1, 3))
+            assert count_members(x, Theta(1, 3)).count == dense_members(x, Theta(1, 3))
         assert count_members(8, Theta(1, 3)).count == count_members(7, Theta(1, 3)).count + 1
         assert count_log_weighted(4, 0.0).count == 1
 
     def test_theta_and_nonpositive_gamma_never_sieve(self, monkeypatch):
+        # the counters never sieve, at any theta or gamma, e**(2*gamma) below or past x
         x = 100_000
         thetas = [Theta(1, 3), Theta(1, 2), Theta(2, 3), Theta(5, 6)]
-        gammas = [-3.0, -0.5, 0.0]
-        expected = [streaming_members(x, t) for t in thetas] + [
-            streaming_log_weighted(x, g) for g in gammas
+        gammas = [-3.0, -0.5, 0.0, 0.5, 2.5, 250.0]
+        expected = [dense_members(x, t) for t in thetas] + [dense_log_weighted(x, g) for g in gammas]
+        ratios = [
+            (dense_log_weighted(xr, 2.5), dense_members(xr, Theta(1, 2))) for xr in (10, 100, 1000, x)
         ]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("radical_segments called")
+            raise AssertionError("sieve called")
 
-        monkeypatch.setattr(kernsplit.powered, "radical_segments", refuse)
-        got = [count_members(x, t).count for t in thetas] + [
-            count_log_weighted(x, g).count for g in gammas
-        ]
+        monkeypatch.setattr(kernsplit.kernel, "radical_sieve", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
+        got = [count_members(x, t).count for t in thetas] + [count_log_weighted(x, g).count for g in gammas]
         assert got == expected
-        with pytest.raises(AssertionError, match="radical_segments"):
-            count_log_weighted(x, 0.5)  # m <= e**1 is still sieved
+        rows = log_ratio_table([10, 100, 1000, x], 2.5)
+        assert [(r["weighted_count"], r["half_count"]) for r in rows] == ratios
 
     def test_gamma_zero_identity_at_1e7(self):
         x = 10**7
@@ -402,11 +403,11 @@ class TestPowerfulSumMatchesReferences:
 
     def test_overflowed_weight_is_a_member(self):
         # ln(2)**-2000 overflows a float: m = 2 is a member, m = 3 is not
-        assert count_log_weighted(3, -1000.0).count == streaming_log_weighted(3, -1000.0) == 1
+        assert count_log_weighted(3, -1000.0).count == dense_log_weighted(3, -1000.0) == 1
 
     def test_large_gamma_prefix_is_the_whole_count(self):
-        # e**500 > x: every m is decided by the streaming rule
-        assert count_log_weighted(200_000, 250.0).count == streaming_log_weighted(200_000, 250.0)
+        # e**500 > x: every m lies below e**(2*gamma), where the test falls in a for each b
+        assert count_log_weighted(200_000, 250.0).count == dense_log_weighted(200_000, 250.0)
 
 
 class TestCountGuards:
@@ -421,6 +422,11 @@ class TestCountGuards:
         match = re.escape(message.format("2.33e+07"))
         with pytest.raises(ValueError, match=match):
             count_log_weighted(10**14, 0.5)
+        # e**40 > x: every b also searches the lower end of its interval, a second visit
+        with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~1.43e+07")):
+            count_log_weighted(10**13, 20.0)
+        with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~2.17e+07")):
+            log_ratio_table([10**13], 20.0)  # ~1.47e7 at gamma = 0
         # a table pays for both counts at every x: ~2.33e7 + ~2.34e7 at 1e14
         table = "counting 2 points up to x=100000000000000 implies ~4.67e+07 powerful-number visits"
         with pytest.raises(ValueError, match=re.escape(table)):
@@ -480,18 +486,16 @@ class TestCountGuards:
             count_members(x, theta)
 
     def test_past_the_sieve_budget(self, monkeypatch):
-        # 2e9 was refused when the counters sieved [1, x]; now only the prefix is sieved
-        monkeypatch.setattr(kernsplit.powered, "radical_segments", None)
+        # past the sieve budget of 2**30 entries: nothing is sieved
+        monkeypatch.setattr(kernsplit.kernel, "_radical_segment", None)
         assert count_members(2 * 10**9, Theta(1, 2)).count == 557837
         assert count_log_weighted(2 * 10**9, 0.0).count == 557836
 
     def test_prefix_keeps_the_sieve_budget(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("powerful_numbers called")
-
-        monkeypatch.setattr(kernsplit.powered, "powerful_numbers", refuse)
-        with pytest.raises(SieveLimitError, match="sieve limit 2147483648 exceeds"):
-            count_log_weighted(2**31, 20.0)  # e**40 > x: the whole range is the prefix
+        # e**40 > x = 2**31, past the sieve budget: every m lies below e**(2*gamma),
+        # and the powerful walk counts them without a table
+        monkeypatch.setattr(kernsplit.kernel, "_radical_segment", None)
+        assert count_log_weighted(2**31, 20.0).count == 2**31 - 2
 
 
 class TestCoprimeSquarefree:
