@@ -28,9 +28,11 @@ is what ``verify_structural`` checks without factoring anything.  For
 4 <= n <= 6 the exponent inequalities have no solution with a, b >= 1
 and the pair (2, n - 2) is used instead.
 
-``verify_range`` runs the same construction and the same checks block by
-block: over a run of n sharing (a, b), every step is int64 array
-arithmetic.  ``split`` and ``verify_structural`` stay the scalar
+``verify_range`` decides the same checks for a whole run of n sharing
+(a, b) at once.  There w depends on n mod 2**a alone, n = 3**b * w
+(mod 2**a), so every condition is an identity of the construction or an
+interval in n for each w, and only the few w that can fail are visited,
+in Python integers.  ``split`` and ``verify_structural`` stay the scalar
 reference.
 """
 
@@ -38,12 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING
+from itertools import chain
 
 from .kernel import radical
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "KERNEL_BOUND_4TH",
@@ -61,34 +60,6 @@ __all__ = [
 
 # fourth power of the kernel-bound constant 2 * 27**(1/4)
 KERNEL_BOUND_4TH = 432
-
-# First n the block path leaves to the scalar path.  Once the checks
-# before it hold, every value the block path computes or compares is
-# below 32 * n: the largest are 27 * 4**a and 16 * 9**b, both under
-# 21 * n because the exponent inequalities give 4**a < 4 n / sqrt(27)
-# and 9**b < sqrt(27) n / 4.  32 * n < 2**63 for every n below this.
-_INT64_LIMIT = 2**58
-
-# n per int64 chunk; bounds the block path's memory whatever the range
-_CHUNK = 2**13
-
-# the conditions of verify_structural, in the order it checks them
-_REASONS = (
-    "a_range",
-    "b_range",
-    "quotient",
-    "remainder",
-    "remainder_range",
-    "w_range",
-    "linear_identity",
-    "part1_value",
-    "part2_value",
-    "part_sum",
-    "part2_range",
-    "part1_min",
-    "part2_kernel_bound",
-    "part1_kernel_bound",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,93 +309,85 @@ def _exponent_blocks(n_lo: int, n_hi: int):
             b += 1
 
 
-def _split_block(n: np.ndarray, a: int, b: int) -> tuple[np.ndarray, ...]:
-    """``split`` over an int64 array of n that all have exponents (a, b).
+def _block_violations(lo: int, hi: int, a: int, b: int) -> list[tuple[int, str]]:
+    """(n, reason) for each n in [lo, hi] whose split with exponents (a, b) fails, sorted by n.
 
-    Returns the arrays (U, V, W, w, m1, m2).  Requires n < _INT64_LIMIT.
+    Requires a, b >= 1.  The reason is that of the first condition of
+    ``verify_structural`` the split fails.  With pa = 2**a and pb = 3**b,
+    n's split depends on n mod pa alone through w, the one value in
+    [1, pa] with n = pb*w (mod pa).  Quotient through part sum are then
+    identities of the construction, given pb * inv = 1 (mod pa).  The
+    range conditions are intervals in n.  For each w, with K the kernel
+    bound and D = isqrt(K * 4**a // 16), the last three are
+
+        part1_min            n >= pa + pb*w
+        part2_kernel_bound   81 * w**2 <= K * 9**b
+        part1_kernel_bound   n <= pb*w + pa*D
+
+    where the kernel bounds (3w)**4 <= K * m2**2 and (2(U - W))**4 <=
+    K * m1**2 are divided by w**2 and (U - W)**2, both >= 1 once
+    part1_min holds.  Only the w that can fail within [lo, hi] are
+    visited, and their failing n are listed by stepping through the
+    class.
     """
     pa, pb = 1 << a, 3**b
-    U = (n >> a) - 1
-    V = n - (U << a)
-    w = (V * pow(pb, -1, pa)) & (pa - 1)
-    w[w == 0] = pa
-    W = (pb * w - V) >> a
-    return U, V, W, w, (U - W) << a, pb * w
-
-
-def _check_block(n, a, b, U, V, W, w, m1, m2) -> list[tuple[int, str]]:
-    """``verify_structural`` over int64 arrays; (n, reason) per failing n.
-
-    Evaluates every condition as one row of a boolean matrix, in the
-    scalar order; the reason is the first failing row.  Each row is exact
-    in int64 for n < _INT64_LIMIT whenever the rows before it hold, which
-    is all the first failing row needs.  The linear identity is tested as
-    pa | (pb*w - V) and W == (pb*w - V) / pa, which never multiplies the
-    unchecked W.  The kernel bounds use their reduced forms: with
-    m2 = pb*w and w >= 1, (3w)**4 <= 432 m2**2 iff 3 w**2 <= 16 * 9**b;
-    with m1 = pa*(U - W) and U - W >= 1, (2(U - W))**4 <= 432 m1**2 iff
-    (U - W)**2 <= 27 * 4**a.
-    """
-    import numpy as np  # only the block path vectorizes; split and its checks run without it
-
-    pa, pb = 1 << a, 3**b
-    a_lo, a_hi = _a_bounds(a)
-    b_lo, b_hi = _b_bounds(b)
-    num = pb * w - V
-    rows = np.stack(
-        [
-            (a_lo < n) & (n <= a_hi),
-            (b_lo < n) & (n <= b_hi),
-            U == (n >> a) - 1,
-            V == n - (U << a),
-            (pa <= V) & (V < 2 * pa),
-            (1 <= w) & (w <= pa),
-            ((num & (pa - 1)) == 0) & ((num >> a) == W),
-            m1 == ((U - W) << a),
-            m2 == pb * w,
-            m1 + m2 == n,
-            (pb <= m2) & (m2 <= pa * pb) & (pa * pb < n),
-            m1 >= pa,
-            3 * w * w <= 16 * 9**b,
-            (U - W) ** 2 <= 27 * 4**a,
-        ]
-    )
-    ok = rows.all(axis=0)
-    if ok.all():
-        return []
-    bad = np.flatnonzero(~ok)
-    first = rows[:, bad].argmin(axis=0)
-    return [(int(n[i]), _REASONS[r]) for i, r in zip(bad, first)]
-
-
-def _verify_chunk(lo: int, hi: int, a: int, b: int) -> list[tuple[int, str]]:
-    """Split and structurally verify every n in [lo, hi], all with exponents (a, b)."""
-    if hi >= _INT64_LIMIT:
-        raise ValueError(f"block path needs n < {_INT64_LIMIT}, got {hi}")
-    import numpy as np
-
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    return _check_block(n, a, b, *_split_block(n, a, b))
+    inv = pow(pb, -1, pa)
+    (a_lo, a_hi), (b_lo, b_hi) = _a_bounds(a), _b_bounds(b)
+    out = []
+    g_lo, g_hi = lo, hi
+    for reason, ok_lo, ok_hi in (
+        ("a_range", a_lo + 1, a_hi),
+        ("b_range", b_lo + 1, b_hi),
+        ("linear_identity", lo if pb * inv % pa == 1 else hi + 1, hi),
+        ("part2_range", pa * pb + 1, hi),
+    ):
+        cut_lo = min(max(g_lo, ok_lo), g_hi + 1)
+        cut_hi = max(min(g_hi, ok_hi), cut_lo - 1)
+        out += [(n, reason) for n in chain(range(g_lo, cut_lo), range(cut_hi + 1, g_hi + 1))]
+        g_lo, g_hi = cut_lo, cut_hi
+    K = KERNEL_BOUND_4TH
+    D = math.isqrt(K * 4**a // 16)
+    w_fit = math.isqrt(K * 9**b // 81)  # part2_kernel_bound holds up to here
+    # part1_kernel_bound can fail only up to w_low; part1_min and
+    # part2_kernel_bound only from w_high on
+    w_low = min(pa, -((pa * D - g_hi) // pb) - 1)
+    w_high = max(w_low + 1, min((g_lo - pa) // pb + 1, w_fit + 1), 1)
+    ws = chain(range(1, w_low + 1), range(w_high, pa + 1))
+    if g_hi - g_lo + 1 < max(w_low, 0) + max(pa + 1 - w_high, 0):  # fewer n than classes: take the classes met
+        ws = [w for n in range(g_lo, g_hi + 1) if not w_low < (w := n * inv % pa or pa) < w_high]
+    for w in ws:
+        first = g_lo + (pb * w - g_lo) % pa
+        part1_min = pa + pb * w  # a member of the class, as pb*w + pa*D is
+        out += [(n, "part1_min") for n in range(first, min(part1_min, g_hi + 1), pa)]
+        if w > w_fit:
+            out += [(n, "part2_kernel_bound") for n in range(max(first, part1_min), g_hi + 1, pa)]
+        else:
+            over = pb * w + pa * D + pa
+            out += [(n, "part1_kernel_bound") for n in range(max(first, over), g_hi + 1, pa)]
+    out.sort()
+    return out
 
 
 def verify_range(n_lo: int, n_hi: int) -> RangeScanReport:
     """Split and verify every n in [n_lo, n_hi].
 
-    Witnessed cases below _INT64_LIMIT are split and checked in int64
-    chunks per exponent block, with the same conditions and reason codes
-    as ``verify_structural``, which checks the cases at or above it.  The
-    small-n fallback goes through ``verify_exact``.
+    Witnessed cases are checked per exponent block by residue class,
+    with the same conditions and reason codes as ``verify_structural``;
+    at both ends of every block the scalar ``split`` and
+    ``verify_structural`` must agree with the class path.  The small-n
+    fallback goes through ``verify_exact``.
     """
     if not 4 <= n_lo <= n_hi:
         raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     violations = [
         (n, "exact") for n in range(n_lo, min(n_hi, 6) + 1) if not verify_exact(split(n))
     ]
-    for lo, hi, a, b in _exponent_blocks(max(n_lo, 7), min(n_hi, _INT64_LIMIT - 1)):
-        for start in range(lo, hi + 1, _CHUNK):
-            violations += _verify_chunk(start, min(start + _CHUNK - 1, hi), a, b)
-    for n in range(max(n_lo, 7, _INT64_LIMIT), n_hi + 1):
-        res = verify_structural(split(n))
-        if not res.ok:
-            violations.append((n, res.reason))
+    for lo, hi, a, b in _exponent_blocks(max(n_lo, 7), n_hi):
+        found = _block_violations(lo, hi, a, b)
+        for n, edge in ((lo, found[:1]), (hi, found[-1:])):
+            got = next((reason for m, reason in edge if m == n), None)
+            want = verify_structural(split(n)).reason
+            if got != want:
+                raise RuntimeError(f"class path gives {got} at n={n}, verify_structural {want}")
+        violations += found
     return RangeScanReport(n_lo, n_hi, n_hi - n_lo + 1, tuple(violations))

@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernel
-from .decompose import Decomposition, _exponent_blocks, _split_block, split
+from .decompose import Decomposition, _exponent_blocks, split
 from .kernel import kernel_bounded, radical
 from .powered import _log_weighted_members
 
@@ -77,7 +77,7 @@ _FIRST_TIER_QUALITY = 1
 
 # Largest n a scan accepts.  Every part is below n and k(m) <= m, so a
 # pair sum, a part's k*k (the probe's gamma = 0 test) and the split's
-# int64 block arithmetic (exact below 2**58) all stay exact in int64.
+# int64 block arithmetic (exact below 2**62) all stay exact in int64.
 _CANDIDATE_INT64_LIMIT = math.isqrt(2**63 - 1)
 
 # pairs formed at once: their int64 and float64 temporaries are a few
@@ -360,6 +360,22 @@ class ComparisonReport:
             "max_oracle_quality": str(self.max_oracle_quality),
             "mean_oracle_quality": self.mean_oracle_quality,
         }
+
+
+def _split_block(n: np.ndarray, a: int, b: int) -> tuple[np.ndarray, ...]:
+    """``split`` over an int64 array of n that all have exponents (a, b).
+
+    Returns the arrays (U, V, W, w, m1, m2).  Every value is below 2 * n:
+    V * inv < 2 * 4**a < 2 * n and 3**b * w <= 2**a * 3**b < n by the
+    exponent inequalities, so int64 is exact below n = 2**62.
+    """
+    pa, pb = 1 << a, 3**b
+    U = (n >> a) - 1
+    V = n - (U << a)
+    w = (V * pow(pb, -1, pa)) & (pa - 1)
+    w[w == 0] = pa
+    W = (pb * w - V) >> a
+    return U, V, W, w, (U - W) << a, pb * w
 
 
 def _split_block_parts(lo: int, hi: int) -> tuple[list, list]:

@@ -233,6 +233,9 @@ def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
 # 2**22 adds about 1 s of table to theta = 3/4 at 1e10.
 _SQUAREFREE_TABLE_LIMIT = 1 << 18
 
+# d per segment of the Moebius build: its int64 temporaries are 2 MB each
+_MOEBIUS_SEGMENT = 1 << 18
+
 
 class _CoprimeSquarefree:
     """Exact Q_P(y): the squarefree a <= y coprime to every prime of P.
@@ -277,27 +280,33 @@ class _CoprimeSquarefree:
         root = math.isqrt(y)
         if root > self._mu_limit:
             self._grow_moebius(max(root, 2 * self._mu_limit))
-        n = int(self._squares.searchsorted(y, side="right"))
-        return int(self._signs[:n].dot(y // self._squares[:n]))
+        plus = self._plus[: self._plus.searchsorted(y, side="right")]
+        minus = self._minus[: self._minus.searchsorted(y, side="right")]
+        return int((y // plus).sum()) - int((y // minus).sum())
 
     def _grow_moebius(self, limit: int) -> None:
-        # mu(d) for d <= limit from the primes up to sqrt(limit): a
-        # squarefree d whose small primes multiply to less than d has
-        # exactly one more prime factor, which flips the sign
+        # mu(d) for the d up to limit not yet known, from the primes up
+        # to sqrt(limit), one segment at a time: a squarefree d whose
+        # small primes multiply to less than d has exactly one more prime
+        # factor, which flips the sign.  Only the squares d**2 of the d
+        # with mu(d) = +1 and -1 are kept, in two ascending arrays.
         import numpy as np
 
-        ds = np.arange(limit + 1, dtype=np.int64)
-        prod = np.ones(limit + 1, dtype=np.int64)
-        for p in primes_up_to(math.isqrt(limit)):
-            prod[::p] *= -p
-            prod[:: p * p] = 0
-        mu = np.sign(prod)
-        mu[np.abs(prod) < ds] *= -1
-        mu[0] = 0
-        nonzero = np.flatnonzero(mu)
+        primes = primes_up_to(math.isqrt(limit))
+        plus, minus = ([self._plus], [self._minus]) if self._mu_limit else ([], [])
+        for start in range(self._mu_limit + 1, limit + 1, _MOEBIUS_SEGMENT):
+            d = np.arange(start, min(start + _MOEBIUS_SEGMENT, limit + 1), dtype=np.int64)
+            prod = np.ones(len(d), dtype=np.int64)
+            mu = np.ones(len(d), dtype=np.int8)
+            for p in primes:
+                prod[-start % p :: p] *= p
+                mu[-start % p :: p] *= -1
+                mu[-start % (p * p) :: p * p] = 0
+            mu[prod < d] *= -1
+            plus.append(d[mu == 1] ** 2)
+            minus.append(d[mu == -1] ** 2)
         self._mu_limit = limit
-        self._squares = nonzero * nonzero
-        self._signs = mu[nonzero]
+        self._plus, self._minus = np.concatenate(plus), np.concatenate(minus)
 
 
 def _iroot(n: int, r: int) -> int:

@@ -181,6 +181,16 @@ class TestScan:
         assert result.exit_code == 0
         assert "violations=0" in result.output
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(4, 10**15), (2**58, 2**58 + 10**7 - 1), (4, 10**30)],
+    )
+    def test_verify_mode_answers_at_any_size(self, lo, hi):
+        # residue classes, not n: each of these takes milliseconds
+        result = runner.invoke(cli, ["scan", "--from", str(lo), "--to", str(hi)])
+        assert result.exit_code == 0
+        assert result.output == f"n_lo={lo} n_hi={hi} checked={hi - lo + 1} violations=0\n"
+
     def test_bad_range(self):
         result = runner.invoke(cli, ["scan", "--from", "10", "--to", "4"])
         assert result.exit_code == 1

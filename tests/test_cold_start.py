@@ -51,6 +51,7 @@ def modules_after(*args: str) -> set[str]:
         ["radical", "360"],
         # e**(2*gamma) = e > 2: b = 1 takes the search around t = e / b
         ["count", "--gamma", "0.5", "--limit", "20025018"],
+        ["scan", "--from", "4", "--to", "1000000"],
     ],
 )
 def test_command_runs_without_numpy_or_mpmath(args):

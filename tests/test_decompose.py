@@ -13,14 +13,10 @@ from hypothesis import given, strategies as st
 
 from kernsplit import decompose
 from kernsplit.decompose import (
-    _CHUNK,
-    _INT64_LIMIT,
     Decomposition,
     SplitWitness,
-    _check_block,
+    _block_violations,
     _exponent_blocks,
-    _split_block,
-    _verify_chunk,
     choose_exponents,
     solve_diophantine,
     split,
@@ -28,6 +24,7 @@ from kernsplit.decompose import (
     verify_range,
     verify_structural,
 )
+from kernsplit.oracle import _split_block
 
 
 def brute_force_exponents(n: int) -> tuple[list[int], list[int]]:
@@ -232,7 +229,7 @@ class TestVerifyRange:
             verify_range(10, 4)
 
 
-def scalar_violations(n_lo, n_hi, tamper=lambda d: d):
+def scalar_violations(n_lo, n_hi):
     """The per-n reference loop: split, then verify_structural or verify_exact."""
     out = []
     for n in range(n_lo, n_hi + 1):
@@ -241,37 +238,44 @@ def scalar_violations(n_lo, n_hi, tamper=lambda d: d):
             if not verify_exact(d):
                 out.append((n, "exact"))
         else:
-            res = verify_structural(tamper(d))
+            res = verify_structural(d)
             if not res.ok:
                 out.append((n, res.reason))
     return out
 
 
-def block_decompositions(n_lo, n_hi):
-    """split(n) for every n in [n_lo, n_hi] (n_lo >= 7), rebuilt from _split_block."""
+def split_with(n, a, b):
+    """split(n) with the exponents (a, b) in place of choose_exponents(n)."""
+    pa = 1 << a
+    U = n // pa - 1
+    V = n - pa * U
+    W, w = solve_diophantine(V, a, b)
+    return Decomposition(n, pa * (U - W), 3**b * w, SplitWitness(a, b, U, V, W, w))
+
+
+def structural_violations(lo, hi, a, b):
+    """The per-n reference for _block_violations(lo, hi, a, b)."""
     out = []
-    for lo, hi, a, b in _exponent_blocks(n_lo, n_hi):
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        for row in zip(n, *_split_block(n, a, b)):
-            k, U, V, W, w, m1, m2 = map(int, row)
-            out.append(Decomposition(k, m1, m2, SplitWitness(a, b, U, V, W, w)))
+    for n in range(lo, hi + 1):
+        res = verify_structural(split_with(n, a, b))
+        if not res.ok:
+            out.append((n, res.reason))
     return out
 
 
-def block_reason(d: Decomposition):
-    """The block path's reason for one witnessed decomposition, None if it passes."""
-    wit = d.witness
-    arrays = [
-        np.array([v], dtype=np.int64)
-        for v in (d.n, wit.U, wit.V, wit.W, wit.w, d.m1, d.m2)
-    ]
-    n, U, V, W, w, m1, m2 = arrays
-    found = _check_block(n, wit.a, wit.b, U, V, W, w, m1, m2)
-    return found[0][1] if found else None
+# the upper end of every exponent block up to 2**62
+BLOCK_EDGES = [hi for _, hi, _, _ in _exponent_blocks(7, 2**62)]
 
+# the kernel bound tightened step by step, so that there are failures to compare
+BOUNDS = (432, 400, 300, 100, 20)
 
-# the upper end of every exponent block below the int64 limit
-BLOCK_EDGES = [hi for _, hi, _, _ in _exponent_blocks(7, _INT64_LIMIT - 1)]
+# window starts: anywhere below 1e15, next to a block edge, or next to 2**58,
+# where 32 * n stops fitting in int64
+starts = st.one_of(
+    st.integers(min_value=4, max_value=10**15),
+    st.builds(lambda e, d: max(4, e + d), st.sampled_from(BLOCK_EDGES), st.integers(-300, 300)),
+    st.integers(min_value=2**58 - 300, max_value=2**58 + 300),
+)
 
 
 class TestExponentBlocks:
@@ -293,62 +297,36 @@ class TestExponentBlocks:
             assert nxt == hi + 1
 
 
+def block_decompositions(n_lo, n_hi):
+    """split(n) for every n in [n_lo, n_hi] (n_lo >= 7), rebuilt from the oracle's int64 _split_block."""
+    out = []
+    for lo, hi, a, b in _exponent_blocks(n_lo, n_hi):
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        for row in zip(n, *_split_block(n, a, b)):
+            k, U, V, W, w, m1, m2 = map(int, row)
+            out.append(Decomposition(k, m1, m2, SplitWitness(a, b, U, V, W, w)))
+    return out
+
+
 class TestBlockPath:
+    """The per-block paths against the per-n loop: verify_range, which
+    checks whole residue classes, and the oracle's int64 split."""
+
     def test_witnesses_at_block_edges_and_landmarks(self):
-        ns = {1339, 7, _INT64_LIMIT - 1}
+        ns = {1339, 7, 2**62 - 1}
         for edge in BLOCK_EDGES:
             ns |= {edge - 1, edge, edge + 1, edge + 2}
-        for n in sorted(k for k in ns if 7 <= k < _INT64_LIMIT):
+        for n in sorted(k for k in ns if 7 <= k < 2**62):
             (d,) = block_decompositions(n, n)
             assert d == split(n), n
         assert block_decompositions(1339, 1339)[0].witness.W == -1
 
-    @given(st.integers(min_value=7, max_value=10**15), st.integers(min_value=0, max_value=300))
+    @given(
+        st.one_of(st.integers(min_value=7, max_value=10**15), st.integers(min_value=2**62 - 10**15, max_value=2**62 - 301)),
+        st.integers(min_value=0, max_value=300),
+    )
     def test_witnesses_match_split_on_windows(self, lo, length):
-        assert block_decompositions(lo, lo + length) == [
-            split(n) for n in range(lo, lo + length + 1)
-        ]
-
-    @given(
-        st.integers(min_value=7, max_value=10**15),
-        st.sampled_from(["U", "V", "W", "w", "m1", "m2"]),
-        st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-(2**40), max_value=2**40)),
-    )
-    def test_tampered_witness_reason_matches_scalar(self, n, field, delta):
-        d = split(n)
-        if field in ("m1", "m2"):
-            bad = dataclasses.replace(d, **{field: getattr(d, field) + delta})
-        else:
-            changed = {field: getattr(d.witness, field) + delta}
-            bad = dataclasses.replace(d, witness=dataclasses.replace(d.witness, **changed))
-        assert block_reason(bad) == verify_structural(bad).reason
-
-    @given(
-        st.integers(min_value=7, max_value=10**15),
-        st.sampled_from(["a", "b"]),
-        st.integers(min_value=-2, max_value=2),
-    )
-    def test_tampered_exponent_reason_matches_scalar(self, n, field, delta):
-        d = split(n)
-        value = getattr(d.witness, field) + delta
-        if value < 1:
-            return
-        bad = dataclasses.replace(d, witness=dataclasses.replace(d.witness, **{field: value}))
-        assert block_reason(bad) == verify_structural(bad).reason
-
-    def test_range_preserving_tamper_is_w_range(self):
-        d = split(100)
-        wit = d.witness
-        bad = dataclasses.replace(
-            d, witness=dataclasses.replace(wit, w=wit.w + (1 << wit.a), W=wit.W + 3**wit.b)
-        )
-        assert block_reason(bad) == verify_structural(bad).reason == "w_range"
-
-    def test_chunk_at_int64_limit(self):
-        lo, hi, a, b = list(_exponent_blocks(_INT64_LIMIT - 200, _INT64_LIMIT - 1))[-1]
-        assert _verify_chunk(lo, hi, a, b) == scalar_violations(lo, hi) == []
-        with pytest.raises(ValueError):
-            _verify_chunk(lo, _INT64_LIMIT, a, b)
+        assert block_decompositions(lo, lo + length) == [split(n) for n in range(lo, lo + length + 1)]
 
     @pytest.mark.parametrize(
         "n_lo, n_hi",
@@ -357,29 +335,71 @@ class TestBlockPath:
             (5, 6),
             (BLOCK_EDGES[5] - 30, BLOCK_EDGES[5] + 30),
             (BLOCK_EDGES[20] - 30, BLOCK_EDGES[20] + 30),
-            (_INT64_LIMIT - 30, _INT64_LIMIT + 30),
-            (7, 3 * _CHUNK + 7),
+            (2**58 - 30, 2**58 + 30),
+            (7, 24583),
         ],
     )
     def test_verify_range_matches_scalar_loop(self, n_lo, n_hi, monkeypatch):
-        # corrupt m2 at every n divisible by 7 on both paths, so the scan
-        # has violations to report on either side of every seam
-        def tamper(d):
-            return dataclasses.replace(d, m2=d.m2 + 1) if d.n % 7 == 0 else d
+        # both paths read the kernel bound at call time
+        for bound in BOUNDS:
+            monkeypatch.setattr(decompose, "KERNEL_BOUND_4TH", bound)
+            report = verify_range(n_lo, n_hi)
+            assert report.checked == n_hi - n_lo + 1
+            assert report.violations == tuple(scalar_violations(n_lo, n_hi))
 
-        real = decompose._split_block
+    @given(starts, st.integers(min_value=0, max_value=300), st.sampled_from(BOUNDS))
+    def test_windows_match_scalar_loop(self, lo, length, bound):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "KERNEL_BOUND_4TH", bound)
+            assert verify_range(lo, lo + length).violations == tuple(scalar_violations(lo, lo + length))
 
-        def corrupt_split_block(n, a, b):
-            U, V, W, w, m1, m2 = real(n, a, b)
-            return U, V, W, w, m1, m2 + (n % 7 == 0)
+    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=10**12))
+    def test_windows_across_2_58(self, below, above):
+        lo, hi = 2**58 - below, 2**58 + above
+        report = verify_range(lo, hi)
+        assert report.checked == hi - lo + 1 and report.violations == ()
+        assert scalar_violations(lo, lo + 50) == scalar_violations(hi - 50, hi) == []
 
-        clean = verify_range(n_lo, n_hi)
-        assert clean.violations == tuple(scalar_violations(n_lo, n_hi)) == ()
-        monkeypatch.setattr(decompose, "_split_block", corrupt_split_block)
-        monkeypatch.setattr(decompose, "split", lambda n: tamper(split(n)))
-        report = verify_range(n_lo, n_hi)
-        assert report.checked == n_hi - n_lo + 1
-        assert report.violations == tuple(scalar_violations(n_lo, n_hi, tamper))
+    @given(
+        starts,
+        st.integers(min_value=0, max_value=300),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from([-1, 1]),
+        st.sampled_from(BOUNDS),
+    )
+    def test_tampered_exponent_reason_matches_scalar(self, lo, length, field, delta, bound):
+        lo = max(lo, 7)
+        a, b = choose_exponents(lo)
+        a, b = (a + delta, b) if field == "a" else (a, b + delta)
+        if min(a, b) < 1:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "KERNEL_BOUND_4TH", bound)
+            got = _block_violations(lo, lo + length, a, b)
+            assert got == structural_violations(lo, lo + length, a, b)
+
+    def test_every_reachable_reason_shows_up(self, monkeypatch):
+        # a wrong exponent fails its range, a tighter bound a kernel bound;
+        # the other ten conditions hold for every n once both exponents fit
+        reached = set()
+        for bound in BOUNDS:
+            monkeypatch.setattr(decompose, "KERNEL_BOUND_4TH", bound)
+            for edge in BLOCK_EDGES[:12]:
+                lo, hi = max(7, edge - 40), edge + 40
+                a, b = choose_exponents(lo)
+                for exps in ((a, b), (a + 1, b), (a, b + 1), (a - 1, b), (a, b - 1)):
+                    if min(exps) < 1:
+                        continue
+                    got = _block_violations(lo, hi, *exps)
+                    assert got == structural_violations(lo, hi, *exps)
+                    reached |= {reason for _, reason in got}
+        assert reached == {"a_range", "b_range", "part2_kernel_bound", "part1_kernel_bound"}
+
+    def test_disagreement_with_split_is_an_error(self, monkeypatch):
+        # the scalar split is re-run at both ends of every block
+        monkeypatch.setattr(decompose, "split", lambda n: dataclasses.replace(d := split(n), m2=d.m2 + (n > 6)))
+        with pytest.raises(RuntimeError, match="verify_structural"):
+            verify_range(4, 100)
 
 
 class TestRecords:

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import kernsplit.kernel
 import kernsplit.oracle as orc
 from dense_reference import log_weighted_mask
-from kernsplit.decompose import _INT64_LIMIT, split
+from kernsplit.decompose import split
 from kernsplit.kernel import radical, radical_sieve
 from kernsplit.oracle import (
     SCAN_WORK_LIMIT,
@@ -357,7 +357,7 @@ class TestSparseMatchesDense:
     def test_int64_bound(self, monkeypatch):
         limit = orc._CANDIDATE_INT64_LIMIT
         assert limit * limit < 2**63 <= (limit + 1) ** 2  # a part's k*k
-        assert 2 * limit < 2**63 and limit < _INT64_LIMIT  # pair sums, and the split's int64 block
+        assert 2 * limit < 2**63 and limit < 2**62  # pair sums, and the split's int64 block
         monkeypatch.setattr(orc, "kernel_bounded", refuse)
         orc.check_range(limit, limit, force=True)  # the limit itself is admitted
         for scan in (constructive_vs_oracle, lambda lo, hi, force: conjecture_probe(lo, hi, 0.0, force=force)):
