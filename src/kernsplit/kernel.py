@@ -13,16 +13,17 @@ remainder array, and whatever remainder survives (> 1) is the unique
 prime factor above sqrt(x).  Segments are sieved left to right into the
 table, so the temporaries stay segment-sized, and the output is
 identical to a one-shot sieve regardless of segment size.
-``powerful_numbers`` walks the powerful numbers up to x with their
+``powerful_sum`` walks the powerful numbers up to x with their
 kernels, which is all the class counters need, and ``kernel_bounded``
-builds from them the sparse sets k(m)**2 <= c*m, with their kernels,
+builds from the same walk the sparse sets k(m)**2 <= c*m, with their kernels,
 that the oracle and the probe pair up.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,7 +40,7 @@ __all__ = [
     "RadicalTable",
     "factorize",
     "kernel_bounded",
-    "powerful_numbers",
+    "powerful_sum",
     "primes_up_to",
     "radical",
     "radical_sieve",
@@ -153,35 +154,55 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if flags[i]]
 
 
-def powerful_numbers(x: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """Yield ``(b, k(b), primes of b)`` for every powerful b <= x, b = 1 first.
+def powerful_sum(
+    x: int,
+    visit: Callable[[int, int, Sequence[int]], int],
+    leaves: Callable[[int, int, Sequence[int], Sequence[int]], int] | None = None,
+) -> int:
+    """Sum of ``visit(b, k(b), primes of b)`` over every powerful b <= x, b = 1 first.
 
     b is powerful when p**2 divides b for every prime p dividing b.  The
     walk is a depth-first search over ``primes_up_to(isqrt(x))``: a node
     b with largest prime index j extends to b * p**e, e >= 2, for primes
-    past j.  Nodes are generated as they are consumed, and the stack
-    holds, for each prime of the current b, at most one frame per power
-    of that prime up to x, so memory is the primes plus O(log(x)**2),
-    never the ~2.17 * sqrt(x) numbers themselves.  The primes of b come ascending; the order of the b is
-    unspecified.
+    past j.  The primes of b are the walk's own list, ascending: a visit
+    may read it but not keep it, and no tuple is built per b.  Memory is
+    the primes plus one frame per prime of the current b (and the list
+    handed to ``leaves``), never the ~2.17 * sqrt(x) numbers themselves.  The order of the b after the
+    first is unspecified.
+
+    A child b * p**2 with p**3 > x // b is a leaf: no higher power of p
+    and no larger prime fits below x.  With ``leaves`` given, such
+    children are not visited; ``leaves(b, k(b), primes of b, ps)`` is
+    called instead, once per b that has any, with the ascending list ps
+    of their p, and its value is added in their place.
     """
     if x < 1:
-        return
+        return 0
     primes = primes_up_to(math.isqrt(x))
-    yield 1, 1, ()
-    stack = [(1, 1, (), 0)]  # (b, k(b), primes of b, index of the next prime to try)
-    while stack:
-        b, k, ps, j = stack[-1]
-        if j == len(primes) or b * primes[j] ** 2 > x:
-            stack.pop()
-            continue
-        stack[-1] = (b, k, ps, j + 1)
-        p = primes[j]
-        kp, qs, c = k * p, ps + (p,), b * p * p
-        while c <= x:
-            yield c, kp, qs
-            stack.append((c, kp, qs, j + 1))
-            c *= p
+    path: list[int] = []
+
+    def extend(b: int, k: int, j: int) -> int:
+        # the sum over the b * p**e * ..., e >= 2, with p = primes[i], i >= j
+        total, rest = 0, x // b
+        for i in range(j, len(primes)):
+            p = primes[i]
+            if p * p > rest:
+                break
+            if leaves is not None and p * p * p > rest:
+                total += leaves(b, k, path, primes[i : bisect_right(primes, math.isqrt(rest), i)])
+                break
+            c, kp = b * p * p, k * p
+            deeper = x // primes[i + 1] ** 2 if i + 1 < len(primes) else 0  # c has children while c <= deeper
+            path.append(p)
+            while c <= x:
+                total += visit(c, kp, path)
+                if c <= deeper:
+                    total += extend(c, kp, i + 1)
+                c *= p
+            path.pop()
+        return total
+
+    return visit(1, 1, path) + extend(1, 1, 0)
 
 
 def _squarefree_up_to(y: int) -> np.ndarray:
@@ -204,7 +225,7 @@ def kernel_bounded(top: int, c: int, admit=None) -> tuple[np.ndarray, np.ndarray
     squarefree a coprime to b up to A_b = min(top // b, c*b // k(b)**2):
     a prefix of one squarefree list, filtered by gcd(a, k(b)) == 1.  No
     kernel table is built.  The walk over the ~2.17 * sqrt(top) powerful
-    b (``powerful_numbers``) comes first; ``admit(bound)``, when given,
+    b (``powerful_sum``) comes first; ``admit(bound)``, when given,
     is then called with bound = sum of the A_b >= len(ms), before the
     squarefree list or any member exists, so a caller can refuse a set
     too large by raising.  c is an int >= 0, and c >= top admits every m.
@@ -214,9 +235,16 @@ def kernel_bounded(top: int, c: int, admit=None) -> tuple[np.ndarray, np.ndarray
 
     if top > BOUNDED_INT64_LIMIT:
         raise ValueError(f"bounded kernels are exact in int64 up to {BOUNDED_INT64_LIMIT}, got {top}")
-    walk = [(b, k, a) for b, k, _ in powerful_numbers(top) if (a := min(top // b, c * b // (k * k)))]
+    walk = []
+
+    def visit(b: int, k: int, _) -> int:
+        if a := min(top // b, c * b // (k * k)):
+            walk.append((b, k, a))
+        return a
+
+    bound = powerful_sum(top, visit)
     if admit is not None:
-        admit(sum(a for _, _, a in walk))
+        admit(bound)
     if not walk:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     bs, kbs, a_max = (np.array(col, dtype=np.int64) for col in zip(*walk))

@@ -45,7 +45,6 @@ import numpy as np
 from . import kernel
 from .decompose import Decomposition, _exponent_blocks, split
 from .kernel import kernel_bounded, radical
-from .powered import _log_weighted_members
 
 __all__ = [
     "SCAN_WORK_LIMIT",
@@ -515,6 +514,8 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
     gamma must be finite; that is checked before anything is priced or
     enumerated.
     """
+    from .powered import _log_weighted_members  # only the probe decides the class: the oracle scan skips the import
+
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     check_range(n_lo, n_hi, force)

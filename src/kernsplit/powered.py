@@ -28,13 +28,15 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import TYPE_CHECKING
 
-from .kernel import factorize, powerful_numbers, primes_up_to
+from .kernel import factorize, powerful_sum, primes_up_to
 
 if TYPE_CHECKING:
     import numpy as np
@@ -221,6 +223,29 @@ def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
     return lhs <= rhs
 
 
+# Q_P(y) for y below _SMALL_Y depends only on which primes under 16 are
+# in P, so it is read from a row of _SMALL_COUNTS, keyed by their product
+# gcd(k, _SMALL_KERNEL) for k the product of P.  At x = 1e11, 89% of
+# the powerful b ask for one this small at theta = 1/2, and 75% at 3/4.
+_SMALL_Y = 16
+_SMALL_KERNEL = 2 * 3 * 5 * 7 * 11 * 13
+
+
+def _small_counts() -> dict[int, list[int]]:
+    # a < 16 is squarefree when neither 4 nor 9 divides it; each prime p
+    # then splits every row g into g and g * p by Q_{P+p}(y) = Q_P(y) - Q_{P+p}(y // p)
+    rows = {1: list(accumulate(int(a % 4 != 0 and a % 9 != 0) for a in range(_SMALL_Y)))}
+    for p in (2, 3, 5, 7, 11, 13):
+        for g, row in list(rows.items()):
+            split = [0] * _SMALL_Y
+            for y in range(1, _SMALL_Y):
+                split[y] = row[y] - split[y // p]
+            rows[g * p] = split
+    return rows
+
+
+_SMALL_COUNTS = _small_counts()
+
 # Squarefree counts up to this are read from a prefix table, larger ones
 # are summed from the Moebius function.  The table is a bytearray sieve
 # accumulated into an int32 ``array``: 5 bytes and about 115 ns of pure
@@ -240,13 +265,15 @@ _MOEBIUS_SEGMENT = 1 << 18
 class _CoprimeSquarefree:
     """Exact Q_P(y): the squarefree a <= y coprime to every prime of P.
 
-    Q of the empty set is read from a prefix table for y up to
+    Below _SMALL_Y, Q_P(y) is read from ``_SMALL_COUNTS``.  Q of the
+    empty set is read from a prefix table for y up to
     ``_SQUAREFREE_TABLE_LIMIT`` and is sum(mu(d) * (y // d**2) for d <=
     isqrt(y)) above it; both are grown on demand, doubling, so they stay
     within twice the largest y asked for.  Primes are peeled one at a
-    time with Q_{P+p}(y) = Q_P(y) - Q_{P+p}(y // p): a squarefree a
-    coprime to P is coprime to p as well, or it is p * a' with a'
-    squarefree, coprime to P + p and a' <= y // p.
+    time, the largest first, with Q_{P+p}(y) = Q_P(y) - Q_{P+p}(y // p):
+    a squarefree a coprime to P is coprime to p as well, or it is p * a'
+    with a' squarefree, coprime to P + p and a' <= y // p.  A prime
+    above y is dropped first, since it divides no a <= y.
     """
 
     def __init__(self):
@@ -254,19 +281,35 @@ class _CoprimeSquarefree:
         self._table = array("i", [0])
         self._mu_limit = 0  # the Moebius arrays are built on first use
 
-    def count(self, y: int, primes: tuple[int, ...]) -> int:
-        """Q_P(y) for the primes P, ascending."""
-        if not primes or y < primes[0]:
-            if y > self._size and self._size < _SQUAREFREE_TABLE_LIMIT:
-                self._grow_table(min(max(y, 2 * self._size), _SQUAREFREE_TABLE_LIMIT))
-            return self._table[y] if y <= self._size else self._moebius_sum(y)
-        p, rest = primes[-1], primes[:-1]
+    def count(self, y: int, k: int, primes: Sequence[int]) -> int:
+        """Q_P(y) for the primes P of the squarefree k, given ascending as ``primes``."""
+        if y < _SMALL_Y:
+            return _SMALL_COUNTS[math.gcd(k, _SMALL_KERNEL)][y]
+        self._reach(y)
+        return self._peel(y, primes, [1, *accumulate(primes, mul)], len(primes))
+
+    def _peel(self, y: int, primes: Sequence[int], prods: list[int], n: int) -> int:
+        # Q at y >= _SMALL_Y over primes[:n], prods[i] the product of primes[:i]
+        table, size = self._table, self._size
         total, sign = 0, 1
-        while y:
-            total += sign * self.count(y, rest)
-            y //= p
+        while True:
+            while n and primes[n - 1] > y:
+                n -= 1
+            if y < _SMALL_Y:
+                return total + sign * _SMALL_COUNTS[prods[n]][y]  # primes[:n] <= y < 16
+            if n == 0:
+                return total + sign * (table[y] if y <= size else self._moebius_sum(y))
+            # Q_P(y) = Q_{P-p}(y) - Q_P(y // p) for p = primes[n - 1], the largest
+            if n > 1:
+                total += sign * self._peel(y, primes, prods, n - 1)
+            else:
+                total += sign * (table[y] if y <= size else self._moebius_sum(y))
+            y //= primes[n - 1]
             sign = -sign
-        return total
+
+    def _reach(self, y: int) -> None:
+        if y > self._size and self._size < _SQUAREFREE_TABLE_LIMIT:
+            self._grow_table(min(max(y, 2 * self._size), _SQUAREFREE_TABLE_LIMIT))
 
     def _grow_table(self, size: int) -> None:
         flags = bytearray([1]) * (size + 1)
@@ -321,21 +364,30 @@ def _iroot(n: int, r: int) -> int:
     return a
 
 
-# Budget of one exact count, in powerful b visited.  The walk visits the
-# zeta(3/2)/zeta(3) * sqrt(x) < 2.2 * sqrt(x) powerful b <= x (Golomb 1970;
-# Bateman-Grosswald 1958), at 3-10 us of Python each on 2 cores: theta = 1/2
-# at x = 1e11 takes 2.9 s, gamma = 0.5 takes 6.8 s.  Squarefree counts above
-# the table cap are Moebius sums over the d <= sqrt(y), y <= x // b, at about
-# 4 ns a term; measured, all of them add up to less than sqrt(x) * ln(x)
-# terms (0.62x that at gamma = 3, x = 1e11).  Building the table costs
-# about 115 ns, _TERMS_PER_ENTRY terms, per entry, over at most
-# 2 * _SQUAREFREE_TABLE_LIMIT entries, once per call: the counts of one
-# call share a table.  Terms are charged at _TERMS_PER_VISIT to a visit, a
-# third of the measured ratio.
+# Budget of one exact count, in visits of the walk over the powerful
+# numbers, at 3-8 us of Python each on 2 cores, squarefree counts
+# included.  There are zeta(3/2)/zeta(3) * sqrt(x) < 2.2 * sqrt(x)
+# powerful b <= x (Golomb 1970; Bateman-Grosswald 1958):
+# - theta != 1/2 visits each of them: theta = 3/4 at x = 1e11 makes 680k
+#   visits in 1.8 s.
+# - gamma != 0 visits each and gallops to the ends of its interval of a:
+#   gamma = 0.5 takes 5.4 s at 1e11.  Each of the ~2.2 * e**gamma
+#   powerful b below e**(2*gamma) also searches the lower end, a second
+#   visit: gamma = 20, where every b <= x does, takes 8.9 s at 1e11.
+# - theta = 1/2, and gamma = 0 on its walk, visit only the b that are no
+#   leaves of the walk and count the leaves in bulk: 2.37-2.45 *
+#   x**0.42 visits from x = 1e9 (15k, 0.05 s) to 1e14 (1.8M, 7.4 s).
+# Squarefree counts above the table cap are Moebius sums over the d <=
+# sqrt(y), y <= x // b, at about 4 ns a term; measured, all of them add
+# up to less than sqrt(x) * ln(x) terms (0.62x that at gamma = 3, x =
+# 1e11).  Building the table costs about 115 ns, _TERMS_PER_ENTRY terms,
+# per entry, over at most 2 * _SQUAREFREE_TABLE_LIMIT entries, once per
+# call: the counts of one call share a table.  Terms are charged at
+# _TERMS_PER_VISIT to a visit, a third of the measured ratio.
 #
 # theta = p/q also compares b**p with y**(q-p) * k(b)**q in Python ints of
 # up to about q * log2(x) bits, and the cost of that grows faster than the
-# size.  Measured per visit at x = 1e9 (theta = 1/2 takes 3.8 us, where
+# size.  Measured per visit at x = 1e9 (theta = 1/2 took 3.8 us, where
 # these ints fit a machine word or two): theta = 199/200, 499/500 and
 # 997/1000, at 5979, 14949 and 29897 bits, add 27, 90 and 249 us, close to
 # 10 us * (bits / 3500)**1.5; theta = 1/1000 adds 168 us.  So a theta visit
@@ -343,16 +395,13 @@ def _iroot(n: int, r: int) -> int:
 # theta = 997/1000 at x = 1e12 (~8.7e7 visits, about 15 minutes by the fit)
 # and admits it at 1e10 (~6.7e6 visits, 58 s).
 #
-# gamma charges each of the ~2.2 * e**gamma powerful b below e**(2*gamma) a
-# second visit, for the search of the lower end of its interval of a:
-# gamma = 20, where every b <= x has one, takes 94.6 s at x = 1e13 against
-# 51.4 s at gamma = 0, and 144 s against 80 s at 1.8e13.  The limit admits
-# x up to about 1.8e13 for theta = 1/2 and gamma = 0, a run of 30-80 s, and
-# up to about 4.8e12 when e**(2*gamma) >= x.
+# The limit admits x up to about 1.1e15 for theta = 1/2 and gamma = 0,
+# 1.8e13 for theta = 3/4 and gamma = 0.5, and 4.8e12 when e**(2*gamma) >= x.
 COUNT_WORK_LIMIT = 10**7
 _TERMS_PER_VISIT = 256
 _TERMS_PER_ENTRY = 32
 _POWER_BITS = 3500
+_HALF_VISITS, _HALF_EXPONENT = 2.5, 0.42
 
 
 def _count_work(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float:
@@ -360,11 +409,13 @@ def _count_work(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float
     if theta is not None and theta.p == theta.q:
         return 0.0  # every m counts: no walk
     root = math.isqrt(x)
-    if theta is None:
-        visits = root + math.exp(min(gamma, math.log(x) / 2))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
+    if (theta is None and gamma == 0) or theta == Theta(1, 2):
+        visits = _HALF_VISITS * x**_HALF_EXPONENT
+    elif theta is None:
+        visits = 2.2 * (root + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
     else:
-        visits = root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
-    return 2.2 * visits + root * math.log(x) / _TERMS_PER_VISIT
+        visits = 2.2 * root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
+    return visits + root * math.log(x) / _TERMS_PER_VISIT
 
 
 def _check_count_work(what: str, work: float) -> None:
@@ -382,18 +433,36 @@ def _theta_count(x: int, theta: Theta, squarefree: _CoprimeSquarefree) -> int:
     b**p, i.e. a <= iroot(b**p // k(b)**q, q - p), and each b adds the
     squarefree a coprime to b up to that bound, capped at x // b.  b = a
     = 1 gives m = 1.  Integers throughout: no float decides a count.
+
+    At theta = 1/2 the bound of a leaf child b * p**2 of the walk (p**3 >
+    x // b) is b's own, T = b // k(b)**2, and its cap x // (b * p**2) is
+    below p, so p drops out of its count: it adds Q_b(min(x // (b *
+    p**2), T)) for the primes of b.  Summed over those p, that is the
+    number of p with x // (b * p**2) >= v for each squarefree v <= T
+    coprime to b, one bisection per v, in place of a visit per p.
     """
     if theta.p == theta.q:
         return x  # k(m) <= m unconditionally
     p, q, r = theta.p, theta.q, theta.q - theta.p
-    total = 0
-    for b, k, primes in powerful_numbers(x):
+    count = squarefree.count
+
+    def visit(b: int, k: int, primes: Sequence[int]) -> int:
         y = x // b
         if y**r * k**q > b**p:
             y = _iroot(b**p // k**q, r)
-        if y:
-            total += squarefree.count(y, primes)
-    return total
+        return count(y, k, primes)
+
+    def leaves(b: int, k: int, primes: Sequence[int], ps: Sequence[int]) -> int:
+        rest = x // b
+        total, before = 0, 0  # before: the squarefree a < v
+        for v in range(1, min(b // (k * k), rest // ps[0] ** 2) + 1):
+            upto = count(v, 1, ())  # the squarefree a <= v
+            if upto > before and math.gcd(v, k) == 1:
+                total += bisect_right(ps, math.isqrt(rest // v))
+            before = upto
+        return total
+
+    return powerful_sum(x, visit, leaves if 2 * p == q else None)
 
 
 def _monotone_start(x: int, gamma: float) -> int:
@@ -473,11 +542,17 @@ def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) ->
     ``_log_weighted_member``, the same scalar decision (float test,
     35-digit recheck near ties) as the probe's rule, and each b adds the
     squarefree a coprime to b in [L_b, R_b].  Nothing is sieved.
+
+    At gamma = 0 the rule is k(m)**2 <= m, the theta = 1/2 class without
+    m = 1, and it is counted on that walk, in integers.
     """
+    if gamma == 0:
+        return _theta_count(x, Theta(1, 2), squarefree) - 1
     start = _monotone_start(x, gamma)
     peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
-    total = 0
-    for b, k, primes in powerful_numbers(x):
+    count = squarefree.count
+
+    def visit(b: int, k: int, primes: Sequence[int]) -> int:
         lo, hi = 2 if b == 1 else 1, x // b
 
         def member(a: int) -> bool:
@@ -489,14 +564,14 @@ def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) ->
             near = range(min(max(t - 1, lo), hi), max(min(t + 1, hi), lo) + 1)
             found = next((a for a in near if member(a)), 0)
             if not found:
-                continue
+                return 0
             guess = _log_weighted_estimate(b, k, gamma, found, lo)
             first = _prefix_end(lambda a: not member(a), lo, found - 1, guess) + 1
             lo = found + 1  # R_b >= found: search above it
         end = _prefix_end(member, lo, hi, _log_weighted_estimate(b, k, gamma, lo, hi)) if lo <= hi else hi
-        if end >= first:
-            total += squarefree.count(end, primes) - squarefree.count(first - 1, primes)
-    return total
+        return count(end, k, primes) - count(first - 1, k, primes) if end >= first else 0
+
+    return powerful_sum(x, visit)
 
 
 def _log_weight(x: int, gamma: float, scale: float = 1.0) -> float:

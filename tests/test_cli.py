@@ -154,8 +154,8 @@ class TestCount:
         ("args", "error"),
         [
             (
-                ["--theta", "1/2", "--limit", "100000000000000"],
-                "counting up to x=100000000000000 implies ~2.34e+07 powerful-number visits (> 1e+07)",
+                ["--theta", "3/4", "--limit", "100000000000000"],
+                "counting up to x=100000000000000 implies ~2.36e+07 powerful-number visits (> 1e+07)",
             ),
             # e**40 > x: every b searches both ends of its interval, two visits each
             (
@@ -166,6 +166,11 @@ class TestCount:
             (
                 ["--theta", "997/1000", "--limit", "1000000000000"],
                 "counting up to x=1000000000000 implies ~8.69e+07 powerful-number visits (> 1e+07)",
+            ),
+            # theta = 1/2 visits only the b that are no leaves of the walk: 1e14 is admitted
+            (
+                ["--theta", "1/2", "--limit", "10000000000000000"],
+                "counting up to x=10000000000000000 implies ~2.76e+07 powerful-number visits (> 1e+07)",
             ),
         ],
     )
@@ -354,7 +359,7 @@ class TestLogRatio:
         def walk(*args):
             raise Walked
 
-        monkeypatch.setattr("kernsplit.powered.powerful_numbers", walk)
+        monkeypatch.setattr("kernsplit.powered.powerful_sum", walk)
         result = runner.invoke(cli, ["logratio", "--limit", "1000000000"])
         assert isinstance(result.exception, Walked)
 

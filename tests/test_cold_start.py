@@ -66,6 +66,12 @@ def test_verify_scan_loads_neither_oracle_nor_powered():
     assert not {"kernsplit.oracle", "kernsplit.powered"} & loaded
 
 
+def test_oracle_scan_loads_no_powered():
+    loaded = modules_after("scan", "--from", "4", "--to", "1000", "--oracle")
+    assert "kernsplit.oracle" in loaded
+    assert "kernsplit.powered" not in loaded
+
+
 def test_gamma_zero_probe_decides_in_integers():
     loaded = modules_after("scan", "--from", "4", "--to", "20000", "--gamma", "0")
     assert "numpy" in loaded and "mpmath" not in loaded

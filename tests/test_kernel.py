@@ -17,7 +17,7 @@ from kernsplit.kernel import (
     SieveLimitError,
     factorize,
     kernel_bounded,
-    powerful_numbers,
+    powerful_sum,
     primes_up_to,
     radical,
     radical_sieve,
@@ -188,26 +188,58 @@ def test_table_bounds_checked():
         table[-3]
 
 
-def test_powerful_numbers_against_naive_oracle():
-    x = 3000
-    expected = {
+def walked(x: int, leaves: bool = False) -> tuple[list, list]:
+    """The visits ``(b, k, primes)`` of one walk up to x, and the leaf groups ``(b, k, primes, ps)``."""
+    visits, groups = [], []
+
+    def visit(b, k, primes):
+        visits.append((b, k, tuple(primes)))
+        return 1
+
+    def leaf(b, k, primes, ps):
+        groups.append((b, k, tuple(primes), list(ps)))
+        return len(ps)
+
+    total = powerful_sum(x, visit, leaf if leaves else None)
+    assert total == len(visits) + sum(len(g[3]) for g in groups)
+    return visits, groups
+
+
+def naive_powerful(x: int) -> set[int]:
+    return {
         m
         for m in range(1, x + 1)
         if all(m % (p * p) == 0 for p in range(2, m + 1) if m % p == 0 and naive_is_prime(p))
     }
-    walked = list(powerful_numbers(x))
-    assert walked[0] == (1, 1, ())
-    assert sorted(b for b, _, _ in walked) == sorted(expected)  # each b exactly once
-    for b, k, primes in walked:
+
+
+def test_powerful_numbers_against_naive_oracle():
+    x = 3000
+    visits, groups = walked(x)
+    assert visits[0] == (1, 1, ()) and not groups
+    assert sorted(b for b, _, _ in visits) == sorted(naive_powerful(x))  # each b exactly once
+    for b, k, primes in visits:
         assert k == naive_radical(b)
         assert list(primes) == sorted(p for p in range(2, b + 1) if b % p == 0 and naive_is_prime(p))
+
+
+@pytest.mark.parametrize("x", [1, 8, 100, 3000, 3375, 3376])
+def test_powerful_sum_hands_over_the_leaves(x):
+    # every b is visited or handed over as a leaf b' * p**2 of a visited b', never both
+    visits, groups = walked(x, leaves=True)
+    assert visits[0] == (1, 1, ())
+    leaves = [(b * p * p, k * p, (*primes, p)) for b, k, primes, ps in groups for p in ps]
+    assert sorted(visits + leaves) == sorted(walked(x)[0])
+    for b, _, _, ps in groups:
+        assert ps == sorted(ps) and all(p**3 > x // b >= p * p for p in ps)
+        assert (b, naive_radical(b)) in {(v[0], v[1]) for v in visits}
 
 
 @pytest.mark.parametrize(("x", "count"), [(1, 1), (3, 1), (4, 2), (8, 3), (9, 4), (10**6, 2027)])
 def test_powerful_numbers_counts(x, count):
     # OEIS A118896: 2027 powerful numbers up to 1e6
-    assert sum(1 for _ in powerful_numbers(x)) == count
-    assert list(powerful_numbers(0)) == []
+    assert powerful_sum(x, lambda b, k, primes: 1) == count
+    assert powerful_sum(0, lambda b, k, primes: 1) == 0
 
 
 @cache
@@ -271,6 +303,6 @@ def test_kernel_bounded_admits_before_emitting(monkeypatch):
 def test_kernel_bounded_int64_bound(monkeypatch):
     limit = kernsplit.kernel.BOUNDED_INT64_LIMIT
     assert limit == np.iinfo(np.int64).max  # m = a*b and a*k(b) are at most top
-    monkeypatch.setattr(kernsplit.kernel, "powerful_numbers", refuse)
+    monkeypatch.setattr(kernsplit.kernel, "powerful_sum", refuse)
     with pytest.raises(ValueError, match=f"exact in int64 up to {limit}, got {limit + 1}"):
         kernel_bounded(limit + 1, 1)

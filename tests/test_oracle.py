@@ -527,7 +527,7 @@ class TestScanWork:
 
     def test_table_and_rows_refused_before_the_sieve(self, monkeypatch):
         # on the rows alone, before the walk over the powerful numbers
-        monkeypatch.setattr(kernsplit.kernel, "powerful_numbers", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "powerful_sum", refuse)
         with pytest.raises(ValueError, match=refusal(4, 100000000)):
             conjecture_probe(4, 10**8, -5.0)
         with pytest.raises(ValueError, match=refusal(4, 600000)):

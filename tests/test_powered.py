@@ -10,12 +10,14 @@ table.
 import math
 import re
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference
+import walk_reference
 import kernsplit.kernel
 import kernsplit.powered
 from dense_reference import log_weighted_mask, membership_mask
@@ -410,25 +412,60 @@ class TestPowerfulSumMatchesReferences:
         assert count_log_weighted(200_000, 250.0).count == dense_log_weighted(200_000, 250.0)
 
 
+WALK_MAX = 1 << 20
+WALK_POWERFUL = sorted(
+    {a * a * c**3 for c in range(1, 102) for a in range(1, math.isqrt(WALK_MAX // c**3) + 1)}
+)
+
+
+@st.composite
+def walk_x(draw) -> int:
+    """2 <= x <= WALK_MAX + 1, at or next to a powerful number or a power of two."""
+    centre = draw(st.one_of(st.sampled_from(WALK_POWERFUL), st.integers(1, 20).map(lambda k: 2**k)))
+    return max(centre + draw(st.integers(-1, 1)), 2)
+
+
+class TestWalkMatchesPerVisitReference:
+    """One walk with the small-count table and the bulk leaves, against a visit per powerful b."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_x(), st.sampled_from([Theta(1, 2), Theta(1, 3), Theta(2, 3), Theta(3, 4), Theta(5, 7)]))
+    def test_theta_counts(self, x, theta):
+        assert count_members(x, theta).count == walk_reference.theta_count(x, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_x(), st.sampled_from([-1.0, 0.0, 0.5, 3.0, 20.0]))
+    def test_log_weighted_counts(self, x, gamma):
+        assert count_log_weighted(x, gamma).count == walk_reference.log_weighted_count(x, gamma)
+
+    def test_gamma_zero_on_the_half_walk_at_1e7(self):
+        # the log-weighted walk at gamma = 0 decides k**2 <= m in integers, b by b
+        x = 10**7 + 1
+        assert count_log_weighted(x, 0.0).count == walk_reference.log_weighted_count(x, 0.0) == 23367
+
+
 class TestCountGuards:
     def test_work_limit_refuses_before_walking(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("powerful_numbers called")
+            raise AssertionError("powerful_sum called")
 
-        monkeypatch.setattr(kernsplit.powered, "powerful_numbers", refuse)
-        message = "counting up to x=100000000000000 implies ~{} powerful-number visits"
-        with pytest.raises(ValueError, match=re.escape(message.format("2.34e+07"))):
-            count_members(10**14, Theta(1, 2))  # theta visits also pay for their integer powers
-        match = re.escape(message.format("2.33e+07"))
-        with pytest.raises(ValueError, match=match):
+        monkeypatch.setattr(kernsplit.powered, "powerful_sum", refuse)
+        message = "counting up to x={} implies ~{} powerful-number visits"
+        # theta = 1/2 and gamma = 0 visit only the b that are no leaves of the walk
+        for count in (partial(count_members, theta=Theta(1, 2)), partial(count_log_weighted, gamma=0.0)):
+            with pytest.raises(ValueError, match=re.escape(message.format(10**16, "2.76e+07"))):
+                count(10**16)
+        with pytest.raises(ValueError, match=re.escape(message.format(10**14, "2.36e+07"))):
+            count_members(10**14, Theta(3, 4))  # theta visits also pay for their integer powers
+        with pytest.raises(ValueError, match=re.escape(message.format(10**14, "2.33e+07"))):
             count_log_weighted(10**14, 0.5)
         # e**40 > x: every b also searches the lower end of its interval, a second visit
         with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~1.43e+07")):
             count_log_weighted(10**13, 20.0)
-        with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~2.17e+07")):
-            log_ratio_table([10**13], 20.0)  # ~1.47e7 at gamma = 0
-        # a table pays for both counts at every x: ~2.33e7 + ~2.34e7 at 1e14
-        table = "counting 2 points up to x=100000000000000 implies ~4.67e+07 powerful-number visits"
+        with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~1.54e+07")):
+            log_ratio_table([10**13], 20.0)  # ~1.1e6 for theta = 1/2
+        # a table pays for both counts at every x: ~2.33e7 + ~3.16e6 at 1e14
+        table = "counting 2 points up to x=100000000000000 implies ~2.65e+07 powerful-number visits"
         with pytest.raises(ValueError, match=re.escape(table)):
             log_ratio_table([10, 10**14], 1.0)
 
@@ -439,7 +476,7 @@ class TestCountGuards:
         def walk(*args):
             raise Walked
 
-        monkeypatch.setattr(kernsplit.powered, "powerful_numbers", walk)
+        monkeypatch.setattr(kernsplit.powered, "powerful_sum", walk)
         # 186 points up to 1e13: each count alone fits the budget, all of them ~2e8 visits
         grid = sorted({max(10, round((10**13) ** (i / 200))) for i in range(1, 201)} | {10**13})
         with pytest.raises(ValueError, match=re.escape(f"counting {len(grid)} points up to x=10000000000000")):
@@ -481,7 +518,7 @@ class TestCountGuards:
         def walk(*args):
             raise Walked
 
-        monkeypatch.setattr(kernsplit.powered, "powerful_numbers", walk)
+        monkeypatch.setattr(kernsplit.powered, "powerful_sum", walk)
         with pytest.raises(Walked if admitted else ValueError):
             count_members(x, theta)
 
@@ -507,7 +544,7 @@ class TestCoprimeSquarefree:
         for primes in [(), (2,), (3,), (2, 3), (2, 5, 7), (3, 11, 13, 17)]:
             for y in [0, 1, 2, 3, 10, 99, 100, 1000, 2999, 3000]:
                 brute = sum(1 for a in squarefree if a <= y and all(a % p for p in primes))
-                assert counts.count(y, primes) == brute, (primes, y)
+                assert counts.count(y, math.prod(primes), primes) == brute, (primes, y)
 
     def test_table_at_every_doubling_and_the_cap(self):
         cap = kernsplit.powered._SQUAREFREE_TABLE_LIMIT
@@ -526,14 +563,31 @@ class TestCoprimeSquarefree:
             prefix = np.cumsum(coprime)
             counts = kernsplit.powered._CoprimeSquarefree()
             for y in ys:
-                assert counts.count(y, primes) == prefix[y], (primes, y)
+                assert counts.count(y, math.prod(primes), primes) == prefix[y], (primes, y)
             assert counts._size == cap
+
+    def test_small_counts_by_brute_force(self):
+        # every subset of the primes below 16, with and without primes past them in k
+        counts = kernsplit.powered._CoprimeSquarefree()
+        for r in range(7):
+            for primes in combinations((2, 3, 5, 7, 11, 13), r):
+                k = math.prod(primes)
+                for y in range(16):
+                    brute = sum(
+                        1
+                        for a in range(1, y + 1)
+                        if all(a % (d * d) for d in range(2, a + 1)) and all(a % p for p in primes)
+                    )
+                    assert kernsplit.powered._SMALL_COUNTS[k][y] == brute, (primes, y)
+                    assert counts.count(y, k, primes) == brute
+                    assert counts.count(y, k * 17 * 1009, (*primes, 17, 1009)) == brute
+        assert counts._size == 0  # no table for the small counts
 
     def test_moebius_sum_at_large_y(self, monkeypatch):
         monkeypatch.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", 1 << 10)
         counts = kernsplit.powered._CoprimeSquarefree()
         # OEIS A071172: squarefree numbers up to 10**n
-        assert [counts.count(10**n, ()) for n in (4, 6, 8, 10)] == [6083, 607926, 60792694, 6079270942]
+        assert [counts.count(10**n, 1, ()) for n in (4, 6, 8, 10)] == [6083, 607926, 60792694, 6079270942]
 
 
 @given(st.integers(1, 7), st.integers(0, 10**40))

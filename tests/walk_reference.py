@@ -1,0 +1,110 @@
+"""Per-visit references for the counters over the powerful numbers.
+
+``powerful_numbers`` yields every powerful b <= x with its kernel and
+primes, one tuple per b, and ``theta_count`` / ``log_weighted_count``
+visit each b and add its squarefree count, with the recursion of
+``coprime_squarefree`` over a plain prefix table.  They share with the
+library only ``primes_up_to`` and the class rules themselves (``_iroot``
+and the log-weighted decision and searches), not the walk, the
+small-count table, the bulk leaves or the squarefree counts.
+"""
+
+import math
+from array import array
+from itertools import accumulate
+
+from kernsplit.kernel import primes_up_to
+from kernsplit.powered import (
+    Theta,
+    _iroot,
+    _log_weighted_estimate,
+    _log_weighted_member,
+    _monotone_start,
+    _prefix_end,
+)
+
+
+def powerful_numbers(x: int):
+    """Yield ``(b, k(b), primes of b)`` for every powerful b <= x, b = 1 first."""
+    if x < 1:
+        return
+    primes = primes_up_to(math.isqrt(x))
+    yield 1, 1, ()
+    stack = [(1, 1, (), 0)]  # (b, k(b), primes of b, index of the next prime to try)
+    while stack:
+        b, k, ps, j = stack[-1]
+        if j == len(primes) or b * primes[j] ** 2 > x:
+            stack.pop()
+            continue
+        stack[-1] = (b, k, ps, j + 1)
+        p = primes[j]
+        kp, qs, c = k * p, ps + (p,), b * p * p
+        while c <= x:
+            yield c, kp, qs
+            stack.append((c, kp, qs, j + 1))
+            c *= p
+
+
+def squarefree_prefix(y: int) -> array:
+    """table[n] = the number of squarefree a <= n, for 0 <= n <= y, 4 bytes an entry."""
+    flags = bytearray([1]) * (y + 1)
+    flags[0] = 0
+    for d in range(2, math.isqrt(y) + 1):
+        flags[d * d :: d * d] = bytes(len(range(d * d, y + 1, d * d)))
+    return array("i", accumulate(flags))
+
+
+def coprime_squarefree(y: int, primes: tuple[int, ...], table: array) -> int:
+    """The squarefree a <= y coprime to every prime of primes (ascending)."""
+    if not primes or y < primes[0]:
+        return table[y]
+    p, rest = primes[-1], primes[:-1]
+    total, sign = 0, 1
+    while y:
+        total += sign * coprime_squarefree(y, rest, table)
+        y //= p
+        sign = -sign
+    return total
+
+
+def theta_count(x: int, theta: Theta) -> int:
+    """1 <= m <= x with k(m)**q <= m**p: each powerful b adds the a <= min(x // b, its root bound)."""
+    if theta.p == theta.q:
+        return x
+    p, q, r = theta.p, theta.q, theta.q - theta.p
+    table = squarefree_prefix(x)
+    total = 0
+    for b, k, primes in powerful_numbers(x):
+        y = x // b
+        if y**r * k**q > b**p:
+            y = _iroot(b**p // k**q, r)
+        total += coprime_squarefree(y, primes, table)
+    return total
+
+
+def log_weighted_count(x: int, gamma: float) -> int:
+    """2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma): each powerful b adds its interval [L_b, R_b] of a."""
+    table = squarefree_prefix(x)
+    start = _monotone_start(x, gamma)
+    peak = math.exp(min(2 * gamma, math.log(x)))
+    total = 0
+    for b, k, primes in powerful_numbers(x):
+        lo, hi = 2 if b == 1 else 1, x // b
+
+        def member(a: int) -> bool:
+            return _log_weighted_member(a * b, a * k, gamma)
+
+        first = lo
+        if b * lo < start:
+            t = int(peak / b)
+            near = range(min(max(t - 1, lo), hi), max(min(t + 1, hi), lo) + 1)
+            found = next((a for a in near if member(a)), 0)
+            if not found:
+                continue
+            guess = _log_weighted_estimate(b, k, gamma, found, lo)
+            first = _prefix_end(lambda a: not member(a), lo, found - 1, guess) + 1
+            lo = found + 1
+        end = _prefix_end(member, lo, hi, _log_weighted_estimate(b, k, gamma, lo, hi)) if lo <= hi else hi
+        if end >= first:
+            total += coprime_squarefree(end, primes, table) - coprime_squarefree(first - 1, primes, table)
+    return total
