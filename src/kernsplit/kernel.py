@@ -15,8 +15,9 @@ table, so the temporaries stay segment-sized, and the output is
 identical to a one-shot sieve regardless of segment size.
 ``powerful_sum`` walks the powerful numbers up to x with their
 kernels, which is all the class counters need, and ``kernel_bounded``
-builds from the same walk the sparse sets k(m)**2 <= c*m, with their kernels,
-that the oracle and the probe pair up.
+builds from the same walk, with their kernels, the sparse sets that the
+oracle and the probe pair up: the m = a*b whose squarefree a lies in an
+interval given per powerful b.
 """
 
 from __future__ import annotations
@@ -216,19 +217,22 @@ def _squarefree_up_to(y: int) -> np.ndarray:
     return np.flatnonzero(flags)
 
 
-def kernel_bounded(top: int, c: int, admit=None) -> tuple[np.ndarray, np.ndarray]:
-    """``(ms, ks)``: every 1 <= m <= top with k(m)**2 <= c*m, ascending, and ks[i] = k(ms[i]).
+def kernel_bounded(
+    top: int, interval: Callable[[int, int], tuple[int, int]], admit=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ms, ks)``: every m = a*b <= top with a in ``interval(b, k(b))``, ascending, and ks[i] = k(ms[i]).
 
     Every m is uniquely a*b with b powerful, a squarefree and gcd(a, b) =
-    1, and then k(m) = a*k(b), so k(m)**2 <= c*m is exactly a <= c*b //
-    k(b)**2.  For each powerful b <= top the members are therefore the
-    squarefree a coprime to b up to A_b = min(top // b, c*b // k(b)**2):
-    a prefix of one squarefree list, filtered by gcd(a, k(b)) == 1.  No
-    kernel table is built.  The walk over the ~2.17 * sqrt(top) powerful
-    b (``powerful_sum``) comes first; ``admit(bound)``, when given,
-    is then called with bound = sum of the A_b >= len(ms), before the
-    squarefree list or any member exists, so a caller can refuse a set
-    too large by raising.  c is an int >= 0, and c >= top admits every m.
+    1, and then k(m) = a*k(b).  For each powerful b <= top,
+    ``interval(b, k(b))`` gives the a it admits as [lo, hi], lo >= 1,
+    clamped here to hi <= top // b and empty when hi < lo; the members
+    are the squarefree a coprime to b in it: a run of one squarefree
+    list, filtered by gcd(a, k(b)) == 1.  So (1, c*b // k(b)**2) gives
+    every m with k(m)**2 <= c*m.  No kernel table is built.  The walk over
+    the ~2.17 * sqrt(top) powerful b (``powerful_sum``) comes first;
+    ``admit(bound)``, when given, is then called with bound = the sum of
+    the interval widths >= len(ms), before the squarefree list or any
+    member exists, so a caller can refuse a set too large by raising.
     Raises ValueError past ``BOUNDED_INT64_LIMIT``.
     """
     import numpy as np
@@ -238,29 +242,38 @@ def kernel_bounded(top: int, c: int, admit=None) -> tuple[np.ndarray, np.ndarray
     walk = []
 
     def visit(b: int, k: int, _) -> int:
-        if a := min(top // b, c * b // (k * k)):
-            walk.append((b, k, a))
-        return a
+        lo, hi = interval(b, k)
+        hi = min(hi, top // b)
+        if hi < lo:
+            return 0
+        walk.append((b, k, lo, hi))
+        return hi - lo + 1
 
     bound = powerful_sum(top, visit)
     if admit is not None:
         admit(bound)
+    none = np.zeros(0, dtype=np.int64)
     if not walk:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    bs, kbs, a_max = (np.array(col, dtype=np.int64) for col in zip(*walk))
-    squarefree = _squarefree_up_to(int(a_max.max()))
-    counts = np.searchsorted(squarefree, a_max, side="right")  # a <= A_b, before the coprime filter
+        return none, none
+    bs, kbs, a_lo, a_hi = (np.array(col, dtype=np.int64) for col in zip(*walk))
+    squarefree = _squarefree_up_to(int(a_hi.max()))
+    first = np.searchsorted(squarefree, a_lo)  # the squarefree a in [lo, hi], before the coprime filter
+    counts = np.searchsorted(squarefree, a_hi, side="right") - first
     ends = np.cumsum(counts)
-    ms, ks = [], []
-    for lo in range(0, int(ends[-1]), _EMIT_BLOCK):
-        pos = np.arange(lo, min(lo + _EMIT_BLOCK, int(ends[-1])))
+    total = int(ends[-1])
+
+    def emit(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        # the members at flat positions [lo, lo + _EMIT_BLOCK); the block's temporaries die on return
+        pos = np.arange(lo, min(lo + _EMIT_BLOCK, total))
         row = np.searchsorted(ends, pos, side="right")  # the b of each flat position
-        a = squarefree[pos - ends[row] + counts[row]]
+        a = squarefree[pos - ends[row] + counts[row] + first[row]]
         kb = kbs[row]
         coprime = np.gcd(a, kb) == 1
-        ms.append((a * bs[row])[coprime])
-        ks.append((a * kb)[coprime])
-    ms, ks = np.concatenate(ms), np.concatenate(ks)
+        return (a * bs[row])[coprime], (a * kb)[coprime]
+
+    blocks = [emit(lo) for lo in range(0, total, _EMIT_BLOCK)] or [(none, none)]  # the intervals may hold no squarefree a
+    ms, ks = (np.concatenate(col) for col in zip(*blocks))
+    del blocks  # before the sort's temporaries
     order = np.argsort(ms)
     return ms[order], ks[order]
 

@@ -14,20 +14,22 @@ Neither search walks every m1 <= n/2, and neither builds a kernel
 table.  The split certifies k(m)**4 <= 432 m**2, a quality of at most
 sqrt(432) < 21, so both parts of an optimal pair lie in the candidate
 set G = {m : k(m)**2 <= 21 m} (1,003 members up to 1e4, 4,355 up to
-1e5, 18,411 up to 1e6), which ``kernel.kernel_bounded`` enumerates
-with its kernels from the powerful numbers.  The probe's qualifying
-parts are decided, by the log-weighted rule of ``powered``, within the
-same kind of superset, k(m)**2 <= C*m with C >= ln(m)**(2*gamma) over
-the range.  A window of n is then one sumset: every pair g1 <= g2 of
-parts with g1 + g2 in the window, formed in numpy blocks of at most
+1e5, 18,411 up to 1e6).  ``kernel.kernel_bounded`` enumerates it with
+its kernels from the powerful numbers: for each powerful b, the
+squarefree a coprime to b up to 21*b // k(b)**2.  The probe's
+qualifying parts come from the same walk, each b's interval of a found
+by the log-weighted counter's own search
+(``powered._log_weighted_interval``), so they are exactly the members.
+A window of n is then one sumset: every pair g1 <= g2 of parts with
+g1 + g2 in the window, formed in numpy blocks of at most
 ``_PAIR_BLOCK`` pairs.  The oracle keeps, per n, the pairs within the
 float prefilter band of the minimum and re-ranks exactly only the n
 with more than one.  It pairs the parts of quality at most 1 first and
 G's only for the few n those miss; an n with no pair in G (an optimum
-above 21) has every pair ranked over a kernel table sieved for it, so
-its answer never rests on the theorem it checks.  The probe records,
-per n, the first (smallest) part g1 of a qualifying pair, and stops once
-no later pair can reach an n still without one.
+above 21) has every pair ranked, its parts every m in [2, n - 2] from
+the same walk, so its answer never rests on the theorem it checks.
+The probe records, per n, the first (smallest) part g1 of a qualifying
+pair, and stops once no later pair can reach an n still without one.
 
 Both scans price their work in one cost model (``SCAN_WORK_LIMIT``):
 rows, candidate parts and sumset pairs.  Unless ``force``, a scan over
@@ -42,7 +44,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernel
 from .decompose import Decomposition, _exponent_blocks, split
 from .kernel import kernel_bounded, radical
 
@@ -93,9 +94,10 @@ _ORACLE_BLOCK = 1 << 12
 # (probe) to ~25 us (oracle) of Python with its output, and holds 0.4-0.8
 # KB until the scan ends; _ROW_WEIGHT prices it at the oracle's cost, so
 # an unforced scan has at most 5e5 rows.  A candidate part is charged on
-# the bound sum(A_b) known before any part exists: a dense probe superset
-# takes ~170 ns and ~30 bytes per unit of it to emit, sort and decide, so
-# _PART_WEIGHT = 40 admits one up to ~1.3e7 (3.6 s, 730 MB).  The
+# the bound known before any part exists, the sum of the widths of the
+# per-b intervals of a: a dense probe set (every m, gamma = 10) takes
+# ~140 ns and ~25 bytes per unit of it to emit and sort, so _PART_WEIGHT
+# = 40 admits one up to ~2.3e7 units, n near 1.2e7 (3.3 s, 550 MB).  The
 # calibration table is in CHANGES.md.
 SCAN_WORK_LIMIT = 10**9
 _ROW_WEIGHT = 2000
@@ -128,9 +130,14 @@ def decomposition_quality(d: Decomposition) -> Fraction:
     return _worse(d.m1, radical(d.m1), d.m2, radical(d.m2))
 
 
-def _parts(top: int, c: int, admit=None) -> tuple[np.ndarray, np.ndarray]:
-    """``(parts, kernels)``: the m in [2, top] with k(m)**2 <= c*m, ascending."""
-    ms, ks = kernel_bounded(top, c, admit)
+def _quality_at_most(c: int):
+    """The interval of ``kernel_bounded`` for k(m)**2 <= c*m: with m = a*b, a <= c*b // k(b)**2."""
+    return lambda b, k: (1, c * b // (k * k))
+
+
+def _parts(top: int, interval, admit=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(parts, kernels)``: the m in [2, top] that ``kernel_bounded(top, interval)`` gives, ascending."""
+    ms, ks = kernel_bounded(top, interval, admit)
     skip = 1 if len(ms) and ms[0] == 1 else 0  # 1 is no part
     return ms[skip:], ks[skip:]
 
@@ -192,8 +199,8 @@ def check_range(n_lo: int, n_hi: int, force: bool = False) -> None:
         _check_work(n_lo, n_hi)
 
 
-def _scan_parts(n_lo: int, n_hi: int, c: int, force: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_parts(n_hi - 2, c)`` and the bound on their number; unless force, refused on it before any part exists."""
+def _scan_parts(n_lo: int, n_hi: int, interval, force: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_parts(n_hi - 2, interval)`` and the bound on their number; unless force, refused on it before any part exists."""
     bound = 0
 
     def admit(parts: int) -> None:
@@ -202,7 +209,7 @@ def _scan_parts(n_lo: int, n_hi: int, c: int, force: bool) -> tuple[np.ndarray, 
         if not force:
             _check_work(n_lo, n_hi, parts)
 
-    return *_parts(n_hi - 2, c, admit), bound
+    return *_parts(n_hi - 2, interval, admit), bound
 
 
 def _best_pair(m1: list, k1: list, m2: list, k2: list) -> tuple[int, int, Fraction]:
@@ -217,17 +224,6 @@ def _best_pair(m1: list, k1: list, m2: list, k2: list) -> tuple[int, int, Fracti
 def _band(qmax: np.ndarray, fmin) -> np.ndarray:
     """qmax within the prefilter band of fmin: a candidate for the exact minimum."""
     return qmax <= fmin * (1 + _PREFILTER_REL) + 1e-12
-
-
-def _rank_every_pair(n: int, values: np.ndarray) -> tuple[int, int, Fraction]:
-    """The best pair of n over every m1 in [2, n/2], kernels from a table: the fallback."""
-    m1 = np.arange(2, n // 2 + 1, dtype=np.int64)
-    m2 = n - m1
-    k1 = values[m1].astype(np.int64)
-    k2 = values[m2].astype(np.int64)
-    qmax = np.maximum(k1.astype(np.float64) ** 2 / m1, k2.astype(np.float64) ** 2 / m2)
-    cand = np.flatnonzero(_band(qmax, qmax.min()))
-    return _best_pair(m1[cand].tolist(), k1[cand].tolist(), m2[cand].tolist(), k2[cand].tolist())
 
 
 def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: int, hi: int) -> tuple:
@@ -260,10 +256,10 @@ def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: in
 def _best_of_n(n: int, parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray) -> tuple[int, int, Fraction]:
     """``(m1, m2, quality)`` of n's best pair over the parts, or over every pair when the parts have none."""
     offsets, *pairs = _band_pairs(parts, kernels, qual, n, n)
-    if offsets[1]:
-        return _best_pair(*pairs)
-    # an optimum above _CANDIDATE_QUALITY: rank every pair, over a table sieved for this n
-    return _rank_every_pair(n, kernel.radical_sieve(n - 2).values)
+    if not offsets[1]:  # an optimum above _CANDIDATE_QUALITY: every m in [2, n - 2] is a part
+        parts, kernels = _parts(n - 2, lambda b, k: (1, (n - 2) // b))
+        offsets, *pairs = _band_pairs(parts, kernels, kernels.astype(np.float64) ** 2 / parts, n, n)
+    return _best_pair(*pairs)
 
 
 def _oracle_block(parts: np.ndarray, kernels: np.ndarray, lo: int, hi: int) -> list[tuple]:
@@ -297,7 +293,7 @@ def best_decomposition(n: int) -> BestSplit:
     """
     if n < 4:
         raise ValueError(f"no two-part decompositions below 4, got {n}")
-    parts, kernels = _parts(n - 2, _CANDIDATE_QUALITY)
+    parts, kernels = _parts(n - 2, _quality_at_most(_CANDIDATE_QUALITY))
     ((m1, m2, q),) = _oracle_block(parts, kernels, n, n)
     return BestSplit(n, m1, m2, q)
 
@@ -406,7 +402,7 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     the work budget is refused before the step that would exceed it.
     """
     check_range(n_lo, n_hi, force)
-    parts, kernels, bound = _scan_parts(n_lo, n_hi, _CANDIDATE_QUALITY, force)
+    parts, kernels, bound = _scan_parts(n_lo, n_hi, _quality_at_most(_CANDIDATE_QUALITY), force)
     if not force:
         _check_work(n_lo, n_hi, bound, _pair_count(parts, n_lo, n_hi))
     rows = []
@@ -491,36 +487,18 @@ class ProbeReport:
         }
 
 
-def _weight_bound(top: int, gamma: float) -> int:
-    """An int C >= ln(m)**(2*gamma) for every 2 <= m <= top, with float slack; at most top.
-
-    The weight is increasing in m for gamma > 0 and decreasing for
-    gamma < 0, so its maximum is at top or at 2; it is exactly 1 at
-    gamma = 0.  C = top admits every m (k(m)**2 <= m * top), which is
-    also the answer when the weight overflows.
-    """
-    if gamma == 0:
-        return 1
-    try:
-        bound = math.log(top if gamma > 0 else 2) ** (2 * gamma) * (1 + 1e-6)
-    except OverflowError:
-        return top
-    return top if bound >= top else math.floor(bound) + 1
-
-
 def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False) -> ProbeReport:
     """Scan [n_lo, n_hi] for two-part log-weighted representations; refused over budget unless force.
 
     gamma must be finite; that is checked before anything is priced or
     enumerated.
     """
-    from .powered import _log_weighted_members  # only the probe decides the class: the oracle scan skips the import
+    from .powered import _log_weighted_interval  # only the probe decides the class: the oracle scan skips the import
 
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     check_range(n_lo, n_hi, force)
-    ms, ks, bound = _scan_parts(n_lo, n_hi, _weight_bound(n_hi - 2, gamma), force)
-    members = ms[_log_weighted_members(gamma, ms, ks)]  # ascending, all >= 2
+    members, _, bound = _scan_parts(n_lo, n_hi, _log_weighted_interval(n_hi - 2, gamma), force)
     if not force:
         _check_work(n_lo, n_hi, bound, _pair_count(members, n_lo, n_hi))
     none = np.iinfo(np.int64).max

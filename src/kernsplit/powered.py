@@ -9,19 +9,20 @@ powerful numbers belong, along with composites like 48 whose square
 content is merely large.
 
 The log-weighted class k(m)**2 <= m * ln(m)**(2*gamma) has one decision
-rule, in a vector form for the probe in ``oracle`` and a scalar form
-for the counter, with a float prefilter: everything within a relative
-1e-9 of the boundary is re-decided with mpmath at 35 significant
-digits, since the right-hand side is not rational.  Results are
-therefore identical to element-by-element exact evaluation.
+rule, ``_log_weighted_member``, with a float prefilter: everything
+within a relative 1e-9 of the boundary is re-decided with mpmath at 35
+significant digits, since the right-hand side is not rational.  Results
+are therefore identical to element-by-element exact evaluation.
 
 The counters sieve nothing.  Every m is uniquely a*b with b powerful, a
 squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so for each of
 the ~2.17 * sqrt(x) powerful b <= x the members are the squarefree a
 coprime to b in an interval: up to an exact integer root for theta, and
-for gamma an interval of a around e**(2*gamma) / b whose ends are found
-with the rule's own scalar decision.  Those squarefree counts are exact
-integer sums, so the counts equal the rule's over every m.
+for gamma the interval [L_b, R_b] that ``_log_weighted_interval`` finds
+around e**(2*gamma) / b with the rule itself (at gamma = 0 the integer
+bound b // k(b)**2).  Those squarefree counts are exact integer sums, so
+the counts equal the rule's over every m.  The probe in ``oracle`` takes
+its parts from the same intervals.
 """
 
 from __future__ import annotations
@@ -29,17 +30,13 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .kernel import factorize, powerful_sum, primes_up_to
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "COUNT_WORK_LIMIT",
@@ -57,11 +54,6 @@ __all__ = [
 # close to the boundary is re-evaluated at 35 significant digits
 _TIE_REL = 1e-9
 _TIE_DPS = 35
-
-# k(m) <= m, so the gamma = 0 test k*k <= m is exact in int64 for every m
-# up to isqrt(2**63 - 1) = 3_037_000_499, the largest n a probe scans
-# (oracle._CANDIDATE_INT64_LIMIT); larger ms are refused.
-_INT64_ROOT = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,49 +161,12 @@ def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
         return mp.mpf(k * k) <= mp.mpf(m) * mp.log(m) ** (2 * gamma)
 
 
-def _log_weighted_members(gamma: float, ms: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """mask[i] iff k(m)**2 <= m * ln(m)**(2*gamma) for m = ms[i], ascending; False at m = 1.
-
-    The ms need not be contiguous: the same rule decides a table slice
-    and a sparse candidate set.
-    """
-    import numpy as np
-
-    skip = 1 if len(ms) and ms[0] == 1 else 0  # ln(1) = 0: m = 1 is excluded by definition
-    ms, kernels = ms[skip:], kernels[skip:]
-    mask = np.zeros(skip + len(kernels), dtype=bool)
-    if gamma == 0:
-        # ln(m)**0 == 1: the integer test k*k <= m, with no near-ties to recheck
-        if len(ms) and ms[-1] > _INT64_ROOT:
-            raise ValueError(f"gamma = 0 test is exact in int64 up to {_INT64_ROOT}, got {ms[-1]}")
-        ks = kernels.astype(np.int64)
-        np.less_equal(ks * ks, ms, out=mask[skip:])
-        return mask
-    # in place where possible: these float64 temporaries set the probe's peak memory
-    lhs = kernels.astype(np.float64)
-    lhs *= lhs
-    mf = ms.astype(np.float64)
-    rhs = np.log(mf)
-    with np.errstate(over="ignore"):
-        rhs **= 2 * gamma
-        rhs *= mf
-    np.less_equal(lhs, rhs, out=mask[skip:])
-    # strict: an overflowed rhs exceeds every float lhs and is no near-tie
-    for i in np.nonzero(np.abs(lhs - rhs) < _TIE_REL * rhs)[0]:
-        mask[skip + i] = _log_weighted_member_exact(int(ms[i]), int(kernels[i]), gamma)
-    return mask
-
-
 def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
-    """k**2 <= m * ln(m)**(2*gamma) for one m >= 2, decided as ``_log_weighted_members`` does.
+    """k**2 <= m * ln(m)**(2*gamma) for one m >= 2, given k = k(m).
 
-    The same float test in the same operation order, and the same exact
-    recheck near ties.
+    A float test, re-decided by ``_log_weighted_member_exact`` within a
+    relative _TIE_REL of the boundary.
     """
-    if gamma == 0:
-        # ln(m)**0 == 1: the integer test, which also decides the ties
-        # k**2 == m that every powerful b with a = b // k(b)**2 hits
-        return k * k <= m
     kf = float(k)
     lhs = kf * kf
     try:
@@ -494,6 +449,8 @@ def _log_weighted_estimate(b: int, k: int, gamma: float, inner: int, outer: int)
             break  # the a nearest outer is outer, or beyond inner
         slope = 1 - 2 * gamma / v
         step = g / slope if slope else 0.0  # a zero slope is the minimum of G: stop there
+        if not math.isfinite(step):
+            break  # 2*gamma overflowed (gamma = +-1e308): no Newton step, keep the guess
         u = min(max(u - step, u_min), u_max)
         if abs(step) < 1e-12:
             break
@@ -519,40 +476,39 @@ def _prefix_end(member, lo: int, hi: int, guess: int) -> int:
     return good
 
 
-def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) -> int:
-    """Exact count of 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).
+def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[int, int]]:
+    """``interval(b, k(b)) -> (L_b, R_b)``: for a powerful b <= x, the a <= x // b whose a*b, with kernel a*k(b), passes.
 
-    With m = a*b as in ``_theta_count`` (k(m) = a*k(b)), the test for
-    fixed b is f(a) <= 0 with f(a) = ln(a*k(b)**2 / (b*ln(a*b)**(2*gamma)))
-    and
+    The class is 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).  With
+    m = a*b as in ``_theta_count`` (k(m) = a*k(b)), the test for fixed b
+    is f(a) <= 0 with f(a) = ln(a*k(b)**2 / (b*ln(a*b)**(2*gamma))) and
 
         f'(a) = 1/a - 2*gamma / (a*ln(a*b)) = (ln(a*b) - 2*gamma) / (a*ln(a*b)),
 
     so f falls while a*b < e**(2*gamma) and rises after: it rises for
     every a*b > 1 when gamma <= 0.  The members with a given b are
-    therefore one interval [L_b, R_b] of the a in [lo, x // b], and when
-    it is not empty it holds the integer minimiser of f, next to t =
-    e**(2*gamma) / b.  lo is 1, and 2 for b = 1: m = 1 is excluded.
+    therefore one interval [L_b, R_b] of the a in [lo, x // b], empty
+    when R_b < L_b, and when it is not empty it holds the integer
+    minimiser of f, next to t = e**(2*gamma) / b.  lo is 1, and 2 for
+    b = 1: m = 1 is excluded.
+    - At gamma = 0 the test is k(m)**2 <= m, so R_b = min(x // b,
+      b // k(b)**2), in integers.
     - When b*lo >= E = ``_monotone_start(x, gamma)``, f only rises and
       the interval is a prefix from lo.
     - Otherwise the a within one of floor(t), clamped to [lo, x // b],
-      are tested.  If none is a member, b adds nothing; if one is, L_b is
-      found below it and R_b above it.
+      are tested.  If none is a member, the interval is empty; if one
+      is, L_b is found below it and R_b above it.
     Each end is found from a float estimate and fixed up with
-    ``_log_weighted_member``, the same scalar decision (float test,
-    35-digit recheck near ties) as the probe's rule, and each b adds the
-    squarefree a coprime to b in [L_b, R_b].  Nothing is sieved.
-
-    At gamma = 0 the rule is k(m)**2 <= m, the theta = 1/2 class without
-    m = 1, and it is counted on that walk, in integers.
+    ``_log_weighted_member``, the class's one decision (float test,
+    35-digit recheck near ties).  The members m = a*b are then the
+    squarefree a coprime to b in the interval.
     """
     if gamma == 0:
-        return _theta_count(x, Theta(1, 2), squarefree) - 1
+        return lambda b, k: (2 if b == 1 else 1, min(x // b, b // (k * k)))
     start = _monotone_start(x, gamma)
     peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
-    count = squarefree.count
 
-    def visit(b: int, k: int, primes: Sequence[int]) -> int:
+    def interval(b: int, k: int) -> tuple[int, int]:
         lo, hi = 2 if b == 1 else 1, x // b
 
         def member(a: int) -> bool:
@@ -564,11 +520,30 @@ def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) ->
             near = range(min(max(t - 1, lo), hi), max(min(t + 1, hi), lo) + 1)
             found = next((a for a in near if member(a)), 0)
             if not found:
-                return 0
+                return lo, lo - 1
             guess = _log_weighted_estimate(b, k, gamma, found, lo)
             first = _prefix_end(lambda a: not member(a), lo, found - 1, guess) + 1
             lo = found + 1  # R_b >= found: search above it
         end = _prefix_end(member, lo, hi, _log_weighted_estimate(b, k, gamma, lo, hi)) if lo <= hi else hi
+        return first, end
+
+    return interval
+
+
+def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) -> int:
+    """Exact count of 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).
+
+    Each powerful b adds the squarefree a coprime to b in its interval
+    from ``_log_weighted_interval``.  Nothing is sieved.  At gamma = 0
+    the class is the theta = 1/2 class without m = 1, and it is counted
+    on that walk, whose leaves are counted in bulk.
+    """
+    if gamma == 0:
+        return _theta_count(x, Theta(1, 2), squarefree) - 1
+    interval, count = _log_weighted_interval(x, gamma), squarefree.count
+
+    def visit(b: int, k: int, primes: Sequence[int]) -> int:
+        first, end = interval(b, k)
         return count(end, k, primes) - count(first - 1, k, primes) if end >= first else 0
 
     return powerful_sum(x, visit)
@@ -627,20 +602,22 @@ def log_ratio_table(xs: Sequence[int], gamma: float) -> list[dict]:
 
     N_gamma(x) is ``count_log_weighted(x, gamma).count`` and S(x) is
     ``count_members(x, Theta(1, 2)).count``, both counted afresh at
-    every x over one shared squarefree table.  Raises ValueError, before
+    every x over one shared squarefree table; at gamma = 0, N_0(x) is
+    S(x) - 1, and one walk gives both.  Raises ValueError, before
     counting, when some ln(x)**gamma is not a finite non-zero float or
-    the two counts at every x together exceed the count budget.
+    the counts at every x together exceed the count budget.
     """
     if not xs or xs[0] < 2 or any(a > b for a, b in zip(xs, xs[1:])):
         raise ValueError(f"expected ascending x values >= 2, got {list(xs)}")
     weights = [_log_weight(x, gamma) for x in xs]
     half = Theta(1, 2)
-    work = sum(_count_work(x, gamma=gamma) + _count_work(x, half) for x in xs)
+    work = sum(_count_work(x, half) + (_count_work(x, gamma=gamma) if gamma else 0) for x in xs)
     _check_count_work(f"counting {len(xs)} points up to x={xs[-1]}", work)
     squarefree = _CoprimeSquarefree()
     rows = []
     for x, w in zip(xs, weights):
-        nw, ns = _log_weighted_count(x, gamma, squarefree), _theta_count(x, half, squarefree)
+        ns = _theta_count(x, half, squarefree)
+        nw = ns - 1 if gamma == 0 else _log_weighted_count(x, gamma, squarefree)
         rows.append({"x": x, "weighted_count": nw, "half_count": ns, "ratio": nw / (w * ns)})
     return rows
 

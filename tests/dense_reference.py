@@ -3,17 +3,20 @@
 ``membership_mask`` and ``log_weighted_mask`` decide each m in [1, x]
 from a ``radical_sieve`` table, in slices of ``SEGMENT`` entries so the
 float temporaries stay slice-sized; ``SEGMENT`` is read at call time.
-The log-weighted rule is the library's own vector rule, the one the
-probe applies to its sparse parts.  The theta rule is a float prefilter
-in log space with an exact integer recheck near the boundary.
+The log-weighted rule is the library's decision in numpy form: the same
+float test in the same operation order, with the library's exact
+recheck (read from ``kernsplit.powered`` at call time) near ties, and
+the integer test k*k <= m at gamma = 0.  The theta rule is a float
+prefilter in log space with an exact integer recheck near the boundary.
 """
 
 from functools import partial
 
 import numpy as np
 
+import kernsplit.powered
 from kernsplit.kernel import RadicalTable, radical_sieve
-from kernsplit.powered import Theta, _log_weighted_members
+from kernsplit.powered import Theta
 
 # absolute slack (in log space) below which the theta prefilter defers to
 # exact evaluation; ~1e6 times wider than float64 error at these scales
@@ -32,6 +35,30 @@ def theta_members(theta: Theta, ms: np.ndarray, kernels: np.ndarray) -> np.ndarr
     mask = diff < -band
     for i in np.nonzero(np.abs(diff) <= band)[0]:
         mask[i] = int(kernels[i]) ** theta.q <= int(ms[i]) ** theta.p
+    return mask
+
+
+def log_weighted_members(gamma: float, ms: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """mask[i] iff k(m)**2 <= m * ln(m)**(2*gamma) for m = ms[i], ascending; False at m = 1."""
+    skip = 1 if len(ms) and ms[0] == 1 else 0  # ln(1) = 0: m = 1 is excluded by definition
+    ms, kernels = ms[skip:], kernels[skip:]
+    mask = np.zeros(skip + len(kernels), dtype=bool)
+    if gamma == 0:
+        # ln(m)**0 == 1: the integer test k*k <= m, with no near-ties to recheck
+        ks = kernels.astype(np.int64)
+        np.less_equal(ks * ks, ms, out=mask[skip:])
+        return mask
+    lhs = kernels.astype(np.float64)
+    lhs *= lhs
+    mf = ms.astype(np.float64)
+    rhs = np.log(mf)
+    with np.errstate(over="ignore"):
+        rhs **= 2 * gamma
+        rhs *= mf
+    np.less_equal(lhs, rhs, out=mask[skip:])
+    # strict: an overflowed rhs exceeds every float lhs and is no near-tie
+    for i in np.nonzero(np.abs(lhs - rhs) < kernsplit.powered._TIE_REL * rhs)[0]:
+        mask[skip + i] = kernsplit.powered._log_weighted_member_exact(int(ms[i]), int(kernels[i]), gamma)
     return mask
 
 
@@ -62,4 +89,4 @@ def log_weighted_mask(x: int, gamma: float, *, table: RadicalTable | None = None
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    return decide_table(x, table, partial(_log_weighted_members, gamma))
+    return decide_table(x, table, partial(log_weighted_members, gamma))

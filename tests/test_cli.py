@@ -402,6 +402,14 @@ class TestLargeGamma:
             "n_lo=4 n_hi=20 gamma=1e+308 checked=17 satisfied=15 failing=[4, 5]\n"
         )
 
+    def test_probe_at_negative_overflow(self):
+        # ln(m)**-2e308 is 0 for m >= 3 and overflows at m = 2: only 4 = 2 + 2 splits
+        result = runner.invoke(cli, ["scan", "--from", "4", "--to", "20", "--gamma", "-1e308"])
+        assert result.exit_code == 0
+        assert result.output.endswith(
+            f"n_lo=4 n_hi=20 gamma=-1e+308 checked=17 satisfied=1 failing={list(range(5, 21))}\n"
+        )
+
 
 # Full terminal output (stdout, then any error line) and exit status of
 # every command in each output form.  Covers cases the targeted tests

@@ -247,6 +247,11 @@ def kernels_to(x: int) -> np.ndarray:
     return radical_sieve(x).values.astype(np.int64)
 
 
+def quality_at_most(c: int):
+    """The interval of a, per powerful b, that gives the m with k(m)**2 <= c*m."""
+    return lambda b, k: (1, c * b // (k * k))
+
+
 def sieved_bounded(top: int, c: int) -> np.ndarray:
     """The m in [1, top] with k(m)**2 <= c*m, from the sieve's table."""
     values = kernels_to(top)
@@ -254,9 +259,22 @@ def sieved_bounded(top: int, c: int) -> np.ndarray:
     return ms[ms >= 1]
 
 
+def sieved_in_intervals(top: int, interval) -> list[int]:
+    """The m in [1, top] whose squarefree part a lies in interval(b, k(b)), b = m // a, from the sieve's table."""
+    values = kernels_to(top)
+    out = []
+    for m in range(1, top + 1):
+        k = int(values[m])
+        kb = int(values[m // k])  # m // k(m) has exactly the primes of m's powerful part
+        a = k // kb
+        lo, hi = interval(m // a, kb)
+        out += [m] if lo <= a <= hi else []
+    return out
+
+
 @pytest.mark.parametrize(("x", "parts"), [(10**4, 1003), (10**5, 4355), (10**6, 18411)])
 def test_kernel_bounded_against_the_sieve(x, parts):
-    ms, ks = kernel_bounded(x, 21)
+    ms, ks = kernel_bounded(x, quality_at_most(21))
     assert np.array_equal(ms, sieved_bounded(x, 21))
     assert np.array_equal(ks, kernels_to(x)[ms])
     assert len(ms) - 1 == parts  # m = 1, then the oracle's candidate parts
@@ -266,7 +284,7 @@ def test_kernel_bounded_against_the_sieve(x, parts):
 @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=4000))
 def test_kernel_bounded_any_bound(top, c):
     # c = 0 admits nothing, c >= top every m
-    ms, ks = kernel_bounded(top, c)
+    ms, ks = kernel_bounded(top, quality_at_most(c))
     if top == 0:
         assert len(ms) == len(ks) == 0
         return
@@ -274,12 +292,30 @@ def test_kernel_bounded_any_bound(top, c):
     assert np.array_equal(ks, kernels_to(top)[ms])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=-3, max_value=3000),
+    st.integers(min_value=0, max_value=3),
+)
+def test_kernel_bounded_any_interval(top, lo, width, grow):
+    # lower ends above 1, intervals past top // b, empty ones, and runs with no squarefree a
+    def interval(b, k):
+        start = lo + (b % 7) * grow
+        return start, start + width
+
+    ms, ks = kernel_bounded(top, interval)
+    assert ms.tolist() == sieved_in_intervals(top, interval)
+    assert np.array_equal(ks, kernels_to(top)[ms])
+
+
 def test_kernel_bounded_emit_blocks_are_invisible(monkeypatch):
-    expected = [kernel_bounded(5000, c) for c in (21, 5000)]
+    expected = [kernel_bounded(5000, quality_at_most(c)) for c in (21, 5000)]
     for block in (1, 7, 4096):
         monkeypatch.setattr(kernsplit.kernel, "_EMIT_BLOCK", block)
         for (ms, ks), c in zip(expected, (21, 5000)):
-            got_ms, got_ks = kernel_bounded(5000, c)
+            got_ms, got_ks = kernel_bounded(5000, quality_at_most(c))
             assert np.array_equal(got_ms, ms) and np.array_equal(got_ks, ks)
 
 
@@ -289,7 +325,7 @@ def refuse(*args, **kwargs):
 
 def test_kernel_bounded_admits_before_emitting(monkeypatch):
     bounds = []
-    ms, _ = kernel_bounded(10**5, 21, bounds.append)
+    ms, _ = kernel_bounded(10**5, quality_at_most(21), bounds.append)
     assert bounds[0] >= len(ms)
 
     def stop(bound):
@@ -297,7 +333,7 @@ def test_kernel_bounded_admits_before_emitting(monkeypatch):
 
     monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
     with pytest.raises(ValueError, match=f"refused at {bounds[0]}"):
-        kernel_bounded(10**5, 21, stop)
+        kernel_bounded(10**5, quality_at_most(21), stop)
 
 
 def test_kernel_bounded_int64_bound(monkeypatch):
@@ -305,4 +341,4 @@ def test_kernel_bounded_int64_bound(monkeypatch):
     assert limit == np.iinfo(np.int64).max  # m = a*b and a*k(b) are at most top
     monkeypatch.setattr(kernsplit.kernel, "powerful_sum", refuse)
     with pytest.raises(ValueError, match=f"exact in int64 up to {limit}, got {limit + 1}"):
-        kernel_bounded(limit + 1, 1)
+        kernel_bounded(limit + 1, quality_at_most(1))

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernsplit.kernel
 import kernsplit.oracle as orc
+import kernsplit.powered
 from dense_reference import log_weighted_mask
 from kernsplit.decompose import split
 from kernsplit.kernel import radical, radical_sieve
@@ -33,7 +34,7 @@ from kernsplit.oracle import (
     decomposition_quality,
     part_quality,
 )
-from kernsplit.powered import _log_weighted_members, count_log_weighted
+from kernsplit.powered import count_log_weighted
 
 
 def brute_best(n: int) -> tuple[int, int, Fraction]:
@@ -346,13 +347,13 @@ class TestSparseMatchesDense:
         calls = []
         real = orc.kernel_bounded
 
-        def counting(top, c, admit=None):
-            calls.append((top, c))
-            return real(top, c, admit)
+        def counting(top, interval, admit=None):
+            calls.append((top, interval(8, 2), interval(9, 3)))
+            return real(top, interval, admit)
 
         monkeypatch.setattr(orc, "kernel_bounded", counting)
         constructive_vs_oracle(4, 300)
-        assert calls == [(298, 21)]
+        assert calls == [(298, (1, 21 * 8 // 4), (1, 21))]  # a <= 21*b // k(b)**2
 
     def test_int64_bound(self, monkeypatch):
         limit = orc._CANDIDATE_INT64_LIMIT
@@ -364,26 +365,15 @@ class TestSparseMatchesDense:
             with pytest.raises(ValueError, match=f"exact in int64 up to n = {limit}, got {limit + 1}"):
                 scan(limit + 1, limit + 1, force=True)
 
-    # -5: one member below 6400; 0 and 0.5: sparse; 10: every m >= 3
-    @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0])
+    # -5: one member below 6400; 0 and 0.5: sparse; 10: every m >= 3;
+    # 1e308: every m >= 3 and -1e308 only m = 2, with the weight overflowed
+    @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0, 1e308, -1e308])
     @settings(max_examples=25, deadline=None)
     @given(lo=st.integers(min_value=4, max_value=6000), width=st.integers(min_value=0, max_value=400))
     def test_probe(self, gamma, lo, width):
         hi = lo + width
         report = conjecture_probe(lo, hi, gamma)
         assert (report.pairs, report.failing) == dense_probe(lo, hi, gamma, table_to(6400))
-
-    # the weight's maximum is at m = 2 for gamma < 0 and overflows at +-1e308: a dense superset
-    @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0, 1e308, -1e308])
-    def test_superset_bound_is_sound(self, gamma):
-        for lo, hi in [(4, 1500), (3000, 3400)]:
-            report = conjecture_probe(lo, hi, gamma)
-            assert (report.pairs, report.failing) == dense_probe(lo, hi, gamma, table_to(3400))
-        top = 3398
-        c = orc._weight_bound(top, gamma)
-        assert c == 1 if gamma == 0 else c == top if abs(gamma) == 1e308 else 1 <= c <= top
-        w = [math.log(m) ** (2 * gamma) for m in range(2, top + 1)] if abs(gamma) < 1e308 else [math.inf]
-        assert c >= min(max(w), top)
 
 
 class TestBlockMatchesLoop:
@@ -470,21 +460,35 @@ class TestBlockMatchesLoop:
         assert constructive_vs_oracle(4, 3000).violations == ()
         for gamma in (-5.0, 0.0, 0.5, 10.0):
             conjecture_probe(4, 3000, gamma)
-        # only the all-pairs fallback sieves: an n with no pair in G
+        # nor does the all-pairs fallback, which every n takes when G is empty
         monkeypatch.setattr(orc, "_CANDIDATE_QUALITY", 0)
-        with pytest.raises(AssertionError, match="ran past"):
-            constructive_vs_oracle(4, 10)
+        assert constructive_vs_oracle(4, 300).violations == ()
 
 
 class TestProbeParts:
-    """The probe's qualifying parts: the log-weighted rule over the enumerated superset."""
+    """The probe's qualifying parts, from the counter's per-b intervals, against the counter and the dense mask."""
 
     @pytest.mark.parametrize("gamma", [-5.0, -0.5, 0.0, 0.5, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("x", [2, 3, 1000, 54321])
-    def test_size_is_the_count(self, gamma, x):
-        ms, ks = orc._parts(x, orc._weight_bound(x, gamma))
-        members = ms[_log_weighted_members(gamma, ms, ks)]
-        assert len(members) == count_log_weighted(x, gamma).count
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_size_is_the_count(self, gamma, x, data):
+        # besides the anchor: gamma in [-8, 8], at and next to ln(x)/2, where e**(2*gamma) = x, and +-1e308
+        edge = math.log(x) / 2
+        gamma = data.draw(
+            st.one_of(
+                st.just(gamma),
+                st.floats(min_value=-8, max_value=8),
+                st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]),
+                st.sampled_from([edge - 1e-9, edge + 1e-9, 1e308, -1e308]),
+            ),
+            label="gamma",
+        )
+        members, _ = orc._parts(x, kernsplit.powered._log_weighted_interval(x, gamma))
+        counted = kernsplit.powered._log_weighted_count(x, gamma, kernsplit.powered._CoprimeSquarefree())
+        assert len(members) == counted
+        if abs(gamma) < 1e308:  # the public counter refuses ln(x)**gamma = inf or 0
+            assert count_log_weighted(x, gamma).count == counted
         assert np.array_equal(members, np.flatnonzero(log_weighted_mask(x, gamma, table=table_to(54321))))
 
 

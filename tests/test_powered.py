@@ -216,15 +216,6 @@ class TestCountLogWeighted:
         expected = [m >= 2 and radical(m) ** 2 <= m for m in range(x + 1)]
         assert log_weighted_mask(x, 0.0).tolist() == expected
 
-    def test_gamma_zero_int64_bound(self):
-        root = kernsplit.powered._INT64_ROOT
-        decide = partial(kernsplit.powered._log_weighted_members, 0.0)
-        ms = np.array([root - 1, root], dtype=np.int64)
-        assert decide(ms, np.array([root - 1, root], dtype=np.int64)).tolist() == [False, False]
-        assert decide(ms, np.array([1, 2], dtype=np.int64)).tolist() == [True, True]
-        with pytest.raises(ValueError, match=f"exact in int64 up to {root}, got {root + 1}"):
-            decide(ms + 1, np.array([1, 1], dtype=np.int64))
-
     @pytest.mark.parametrize("gamma", [1e308, -1e308])
     def test_rejects_unrepresentable_normalization(self, gamma):
         # ln(100)**gamma overflows, or underflows to 0
@@ -407,6 +398,12 @@ class TestPowerfulSumMatchesReferences:
         # ln(2)**-2000 overflows a float: m = 2 is a member, m = 3 is not
         assert count_log_weighted(3, -1000.0).count == dense_log_weighted(3, -1000.0) == 1
 
+    @pytest.mark.parametrize("gamma", [1e308, -1e308])
+    def test_overflowed_gamma_walks(self, gamma):
+        # 2*gamma overflows, so the Newton estimate has no finite step; the probe walks these gammas
+        walked = kernsplit.powered._log_weighted_count(3398, gamma, kernsplit.powered._CoprimeSquarefree())
+        assert walked == dense_log_weighted(3398, gamma) == (3396 if gamma > 0 else 1)
+
     def test_large_gamma_prefix_is_the_whole_count(self):
         # e**500 > x: every m lies below e**(2*gamma), where the test falls in a for each b
         assert count_log_weighted(200_000, 250.0).count == dense_log_weighted(200_000, 250.0)
@@ -484,6 +481,31 @@ class TestCountGuards:
         for count in (partial(count_log_weighted, gamma=1.0), partial(count_members, theta=Theta(1, 2))):
             with pytest.raises(Walked):
                 count(10**13)
+
+    def test_ratio_table_walks_once_at_gamma_zero(self, monkeypatch):
+        # N_0(x) = S(x) - 1: one theta = 1/2 walk per point, and the budget charges one
+        walks = []
+        real = kernsplit.powered.powerful_sum
+
+        def counting(x, *args):
+            walks.append(x)
+            return real(x, *args)
+
+        monkeypatch.setattr(kernsplit.powered, "powerful_sum", counting)
+        rows = log_ratio_table([10**6, 10**8], 0.0)
+        assert walks == [10**6, 10**8]
+        assert [(r["weighted_count"], r["half_count"]) for r in rows] == [(5780, 5781), (93360, 93361)]
+
+        class Walked(Exception):
+            pass
+
+        def walk(*args):
+            raise Walked
+
+        # ~6.7e6 visits for one walk at 5e14, so two would be over the budget
+        monkeypatch.setattr(kernsplit.powered, "powerful_sum", walk)
+        with pytest.raises(Walked):
+            log_ratio_table([5 * 10**14], 0.0)
 
     def test_ratio_table_shares_one_squarefree_table(self, monkeypatch):
         built = []

@@ -5,8 +5,8 @@ primes, one tuple per b, and ``theta_count`` / ``log_weighted_count``
 visit each b and add its squarefree count, with the recursion of
 ``coprime_squarefree`` over a plain prefix table.  They share with the
 library only ``primes_up_to`` and the class rules themselves (``_iroot``
-and the log-weighted decision and searches), not the walk, the
-small-count table, the bulk leaves or the squarefree counts.
+and the log-weighted interval of each b), not the walk, the small-count
+table, the bulk leaves or the squarefree counts.
 """
 
 import math
@@ -14,14 +14,7 @@ from array import array
 from itertools import accumulate
 
 from kernsplit.kernel import primes_up_to
-from kernsplit.powered import (
-    Theta,
-    _iroot,
-    _log_weighted_estimate,
-    _log_weighted_member,
-    _monotone_start,
-    _prefix_end,
-)
+from kernsplit.powered import Theta, _iroot, _log_weighted_interval
 
 
 def powerful_numbers(x: int):
@@ -85,26 +78,10 @@ def theta_count(x: int, theta: Theta) -> int:
 def log_weighted_count(x: int, gamma: float) -> int:
     """2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma): each powerful b adds its interval [L_b, R_b] of a."""
     table = squarefree_prefix(x)
-    start = _monotone_start(x, gamma)
-    peak = math.exp(min(2 * gamma, math.log(x)))
+    interval = _log_weighted_interval(x, gamma)
     total = 0
     for b, k, primes in powerful_numbers(x):
-        lo, hi = 2 if b == 1 else 1, x // b
-
-        def member(a: int) -> bool:
-            return _log_weighted_member(a * b, a * k, gamma)
-
-        first = lo
-        if b * lo < start:
-            t = int(peak / b)
-            near = range(min(max(t - 1, lo), hi), max(min(t + 1, hi), lo) + 1)
-            found = next((a for a in near if member(a)), 0)
-            if not found:
-                continue
-            guess = _log_weighted_estimate(b, k, gamma, found, lo)
-            first = _prefix_end(lambda a: not member(a), lo, found - 1, guess) + 1
-            lo = found + 1
-        end = _prefix_end(member, lo, hi, _log_weighted_estimate(b, k, gamma, lo, hi)) if lo <= hi else hi
+        first, end = interval(b, k)
         if end >= first:
             total += coprime_squarefree(end, primes, table) - coprime_squarefree(first - 1, primes, table)
     return total
