@@ -20,6 +20,7 @@ _SOURCES = {
             "choose_exponents",
             "solve_diophantine",
             "split",
+            "split_parts",
             "verify_exact",
             "verify_range",
             "verify_structural",

@@ -32,8 +32,9 @@ and the pair (2, n - 2) is used instead.
 (a, b) at once.  There w depends on n mod 2**a alone, n = 3**b * w
 (mod 2**a), so every condition is an identity of the construction or an
 interval in n for each w, and only the few w that can fail are visited,
-in Python integers.  ``split`` and ``verify_structural`` stay the scalar
-reference.
+in Python integers.  ``split_parts`` gives the parts of a whole range
+from the same per-block w.  ``split`` and ``verify_structural`` stay the
+scalar reference.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
+from operator import sub
 
 from .kernel import radical
 
@@ -53,6 +55,7 @@ __all__ = [
     "choose_exponents",
     "solve_diophantine",
     "split",
+    "split_parts",
     "verify_exact",
     "verify_range",
     "verify_structural",
@@ -166,6 +169,23 @@ def split(n: int) -> Decomposition:
     m1 = pa * (U - W)
     m2 = 3**b * w
     return Decomposition(n, m1, m2, SplitWitness(a, b, U, V, W, w))
+
+
+def split_parts(n_lo: int, n_hi: int) -> tuple[list[int], list[int]]:
+    """The parts ``(m1s, m2s)`` of ``split(n)`` for every n in [n_lo, n_hi], n_lo >= 4.
+
+    Per exponent block, w = n * inv % 2**a (0 read as 2**a), m2 = 3**b * w
+    and m1 = n - m2, in Python integers: exact at any n.
+    """
+    small = [split(n) for n in range(n_lo, min(n_hi, 6) + 1)]
+    m1s, m2s = [d.m1 for d in small], [d.m2 for d in small]
+    for lo, hi, a, b in _exponent_blocks(max(n_lo, 7), n_hi):
+        pa, pb = 1 << a, 3**b
+        inv = pow(pb, -1, pa)
+        m2 = [pb * (n * inv % pa or pa) for n in range(lo, hi + 1)]
+        m1s += map(sub, range(lo, hi + 1), m2)
+        m2s += m2
+    return m1s, m2s
 
 
 @dataclass(frozen=True, slots=True)

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decompose import Decomposition, _exponent_blocks, split
+from .decompose import Decomposition, split_parts
 from .kernel import kernel_bounded, radical
 
 __all__ = [
@@ -75,9 +75,10 @@ _CANDIDATE_QUALITY = 21
 # G's parts and 1/10 of its pairs
 _FIRST_TIER_QUALITY = 1
 
-# Largest n a scan accepts.  Every part is below n and k(m) <= m, so a
-# pair sum, a part's k*k (the probe's gamma = 0 test) and the split's
-# int64 block arithmetic (exact below 2**62) all stay exact in int64.
+# Largest n a scan accepts.  Every part is below n, so a pair sum is
+# below 2n, and the first tier's kernels * kernels runs only on G, where
+# k**2 <= 21 m < 21 n: both stay exact in int64 up to n near 4.4e17.  No
+# int64 term needs this smaller value; it stays as the pinned refusal.
 _CANDIDATE_INT64_LIMIT = math.isqrt(2**63 - 1)
 
 # pairs formed at once: their int64 and float64 temporaries are a few
@@ -357,33 +358,6 @@ class ComparisonReport:
         }
 
 
-def _split_block(n: np.ndarray, a: int, b: int) -> tuple[np.ndarray, ...]:
-    """``split`` over an int64 array of n that all have exponents (a, b).
-
-    Returns the arrays (U, V, W, w, m1, m2).  Every value is below 2 * n:
-    V * inv < 2 * 4**a < 2 * n and 3**b * w <= 2**a * 3**b < n by the
-    exponent inequalities, so int64 is exact below n = 2**62.
-    """
-    pa, pb = 1 << a, 3**b
-    U = (n >> a) - 1
-    V = n - (U << a)
-    w = (V * pow(pb, -1, pa)) & (pa - 1)
-    w[w == 0] = pa
-    W = (pb * w - V) >> a
-    return U, V, W, w, (U - W) << a, pb * w
-
-
-def _split_block_parts(lo: int, hi: int) -> tuple[list, list]:
-    """``split(n)``'s parts ``(m1s, m2s)`` for every n in [lo, hi], per exponent block in int64."""
-    small = [split(n) for n in range(lo, min(hi, 6) + 1)]
-    m1s, m2s = [d.m1 for d in small], [d.m2 for d in small]
-    for a_lo, a_hi, a, b in _exponent_blocks(max(lo, 7), hi):
-        *_, m1, m2 = _split_block(np.arange(a_lo, a_hi + 1, dtype=np.int64), a, b)
-        m1s += m1.tolist()
-        m2s += m2.tolist()
-    return m1s, m2s
-
-
 def _kernels_of(ms: list, parts: np.ndarray, kernels: np.ndarray) -> list:
     """k(m) for each m, looked up in the parts, or by trial division for an m not among them."""
     if not len(parts):
@@ -408,7 +382,7 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     rows = []
     for lo, hi in _n_blocks(n_lo, n_hi, _ORACLE_BLOCK):
         best = _oracle_block(parts, kernels, lo, hi)
-        m1s, m2s = _split_block_parts(lo, hi)
+        m1s, m2s = split_parts(lo, hi)
         k1s, k2s = _kernels_of(m1s, parts, kernels), _kernels_of(m2s, parts, kernels)
         ns = range(lo, hi + 1)
         fallback = (n <= 6 for n in ns)  # split has no witness below 7

@@ -325,10 +325,11 @@ def _iroot(n: int, r: int) -> int:
 # powerful b <= x (Golomb 1970; Bateman-Grosswald 1958):
 # - theta != 1/2 visits each of them: theta = 3/4 at x = 1e11 makes 680k
 #   visits in 1.8 s.
-# - gamma != 0 visits each and gallops to the ends of its interval of a:
-#   gamma = 0.5 takes 5.4 s at 1e11.  Each of the ~2.2 * e**gamma
-#   powerful b below e**(2*gamma) also searches the lower end, a second
-#   visit: gamma = 20, where every b <= x does, takes 8.9 s at 1e11.
+# - gamma != 0 visits each and tests a = x // b, galloping to the end of
+#   its interval of a only when that fails: gamma = 0.5 takes 2.4-2.8 s
+#   at 1e11.  Each of the ~2.2 * e**gamma powerful b below e**(2*gamma)
+#   also searches the lower end, a second visit: gamma = 20, where every
+#   b <= x does, takes 4.6-6.0 s at 1e11.
 # - theta = 1/2, and gamma = 0 on its walk, visit only the b that are no
 #   leaves of the walk and count the leaves in bulk: 2.37-2.45 *
 #   x**0.42 visits from x = 1e9 (15k, 0.05 s) to 1e14 (1.8M, 7.4 s).
@@ -429,50 +430,24 @@ def _monotone_start(x: int, gamma: float) -> int:
     return min(x, math.floor(math.exp(2 * gamma) * (1 + 1e-9)) + 1)
 
 
-def _log_weighted_estimate(b: int, k: int, gamma: float, inner: int, outer: int) -> int:
-    """Float estimate, between inner and outer, of the a nearest outer with (a*k)**2 <= a*b*ln(a*b)**(2*gamma).
-
-    Newton steps on G(u) = u + ln(k**2 / b) - 2*gamma*ln(u + ln b), u = ln a,
-    from ln(outer) towards ln(inner).  G has its minimum at a = e**(2*gamma) / b
-    (none for gamma <= 0), so it is monotone between the two when they
-    lie on one side of that; only a guess for ``_prefix_end``, never a
-    decision.
-    """
-    ln_b, ln_c = math.log(b), math.log(k * k / b)
-    u_in, u_out = math.log(inner), math.log(outer)
-    u_min, u_max = (u_in, u_out) if inner < outer else (u_out, u_in)
-    u = u_out
-    for _ in range(6):
-        v = u + ln_b
-        g = u + ln_c - 2 * gamma * math.log(v)
-        if u == (u_in if g > 0 else u_out):
-            break  # the a nearest outer is outer, or beyond inner
-        slope = 1 - 2 * gamma / v
-        step = g / slope if slope else 0.0  # a zero slope is the minimum of G: stop there
-        if not math.isfinite(step):
-            break  # 2*gamma overflowed (gamma = +-1e308): no Newton step, keep the guess
-        u = min(max(u - step, u_min), u_max)
-        if abs(step) < 1e-12:
-            break
-    return int(math.exp(u))
-
-
-def _prefix_end(member, lo: int, hi: int, guess: int) -> int:
+def _prefix_end(member, lo: int, hi: int) -> int:
     """Largest a in [lo, hi] with member(a), or lo - 1 if none; member must hold on a prefix.
 
-    Gallops from the guess, doubling its step, then bisects, so a guess
-    off by d costs O(log d) calls to member.
+    Gallops up from lo, doubling its step, then bisects, so an end d
+    past lo costs O(log d) calls to member.
     """
-    good, bad = lo - 1, hi + 1
-    a, step = min(max(guess, lo), hi), 1
+    good, bad, step = lo - 1, hi + 1, 1
+    while good + step < bad:
+        if not member(good + step):
+            bad = good + step
+            break
+        good, step = good + step, 2 * step
     while bad - good > 1:
-        if member(a):
-            good, a = a, a + step
+        mid = (good + bad) // 2
+        if member(mid):
+            good = mid
         else:
-            bad, a = a, a - step
-        step *= 2
-        if not good < a < bad:
-            a = (good + bad) // 2
+            bad = mid
     return good
 
 
@@ -498,9 +473,10 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
     - Otherwise the a within one of floor(t), clamped to [lo, x // b],
       are tested.  If none is a member, the interval is empty; if one
       is, L_b is found below it and R_b above it.
-    Each end is found from a float estimate and fixed up with
-    ``_log_weighted_member``, the class's one decision (float test,
-    35-digit recheck near ties).  The members m = a*b are then the
+    Each end is found with ``_log_weighted_member`` alone, the class's
+    one decision (float test, 35-digit recheck near ties): R_b is x // b
+    when that a passes, and otherwise both ends are galloped to from
+    below (``_prefix_end``).  The members m = a*b are then the
     squarefree a coprime to b in the interval.
     """
     if gamma == 0:
@@ -521,11 +497,11 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
             found = next((a for a in near if member(a)), 0)
             if not found:
                 return lo, lo - 1
-            guess = _log_weighted_estimate(b, k, gamma, found, lo)
-            first = _prefix_end(lambda a: not member(a), lo, found - 1, guess) + 1
+            first = _prefix_end(lambda a: not member(a), lo, found - 1) + 1
             lo = found + 1  # R_b >= found: search above it
-        end = _prefix_end(member, lo, hi, _log_weighted_estimate(b, k, gamma, lo, hi)) if lo <= hi else hi
-        return first, end
+        if lo > hi or member(hi):
+            return first, hi
+        return first, _prefix_end(member, lo, hi - 1)
 
     return interval
 

@@ -286,7 +286,7 @@ class TestScan:
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned an over-budget range")
 
-        monkeypatch.setattr("kernsplit.oracle.split", no_scan)
+        monkeypatch.setattr("kernsplit.oracle.split_parts", no_scan)
         monkeypatch.setattr("kernsplit.oracle._pairs", no_scan)
         result = runner.invoke(cli, ["scan", "--from", "100000000", "--to", "100450000", "--oracle"])
         assert result.exit_code == 1

@@ -7,7 +7,6 @@ first-principles integer arithmetic in the tests themselves.
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,11 +19,11 @@ from kernsplit.decompose import (
     choose_exponents,
     solve_diophantine,
     split,
+    split_parts,
     verify_exact,
     verify_range,
     verify_structural,
 )
-from kernsplit.oracle import _split_block
 
 
 def brute_force_exponents(n: int) -> tuple[list[int], list[int]]:
@@ -297,36 +296,34 @@ class TestExponentBlocks:
             assert nxt == hi + 1
 
 
-def block_decompositions(n_lo, n_hi):
-    """split(n) for every n in [n_lo, n_hi] (n_lo >= 7), rebuilt from the oracle's int64 _split_block."""
-    out = []
-    for lo, hi, a, b in _exponent_blocks(n_lo, n_hi):
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        for row in zip(n, *_split_block(n, a, b)):
-            k, U, V, W, w, m1, m2 = map(int, row)
-            out.append(Decomposition(k, m1, m2, SplitWitness(a, b, U, V, W, w)))
-    return out
+def scalar_parts(n_lo, n_hi):
+    """The per-n reference for split_parts: the parts of split(n) for every n in [n_lo, n_hi]."""
+    ds = [split(n) for n in range(n_lo, n_hi + 1)]
+    return [d.m1 for d in ds], [d.m2 for d in ds]
 
 
 class TestBlockPath:
     """The per-block paths against the per-n loop: verify_range, which
-    checks whole residue classes, and the oracle's int64 split."""
+    checks whole residue classes, and split_parts."""
 
     def test_witnesses_at_block_edges_and_landmarks(self):
-        ns = {1339, 7, 2**62 - 1}
-        for edge in BLOCK_EDGES:
-            ns |= {edge - 1, edge, edge + 1, edge + 2}
-        for n in sorted(k for k in ns if 7 <= k < 2**62):
-            (d,) = block_decompositions(n, n)
-            assert d == split(n), n
-        assert block_decompositions(1339, 1339)[0].witness.W == -1
+        # windows across every block edge, past 2**62 as below it: Python integers are exact at any n
+        for _, edge, _, _ in _exponent_blocks(7, 10**40):
+            lo, hi = max(4, edge - 3), edge + 3
+            assert split_parts(lo, hi) == scalar_parts(lo, hi), edge
+        for n in (4, 5, 6, 7, 1339, 2**62 - 1, 2**62, 2**63, 2**64 + 1):
+            assert split_parts(n, n) == scalar_parts(n, n), n
 
     @given(
-        st.one_of(st.integers(min_value=7, max_value=10**15), st.integers(min_value=2**62 - 10**15, max_value=2**62 - 301)),
+        st.one_of(
+            st.integers(min_value=4, max_value=10**15),
+            st.integers(min_value=2**62 - 10**15, max_value=2**62 + 10**15),
+            st.integers(min_value=4, max_value=10**40),
+        ),
         st.integers(min_value=0, max_value=300),
     )
     def test_witnesses_match_split_on_windows(self, lo, length):
-        assert block_decompositions(lo, lo + length) == [split(n) for n in range(lo, lo + length + 1)]
+        assert split_parts(lo, lo + length) == scalar_parts(lo, lo + length)
 
     @pytest.mark.parametrize(
         "n_lo, n_hi",

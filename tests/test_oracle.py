@@ -232,7 +232,7 @@ class TestConstructiveVsOracle:
 
     def test_range_guard(self, monkeypatch):
         # over budget on its pairs: refused once the parts are known, before any pair is formed or n split
-        monkeypatch.setattr(orc, "split", refuse)
+        monkeypatch.setattr(orc, "split_parts", refuse)
         monkeypatch.setattr(orc, "_pairs", refuse)
         with pytest.raises(ValueError, match=refusal(100000000, 100450000)):
             constructive_vs_oracle(100_000_000, 100_450_000)
@@ -357,8 +357,8 @@ class TestSparseMatchesDense:
 
     def test_int64_bound(self, monkeypatch):
         limit = orc._CANDIDATE_INT64_LIMIT
-        assert limit * limit < 2**63 <= (limit + 1) ** 2  # a part's k*k
-        assert 2 * limit < 2**63 and limit < 2**62  # pair sums, and the split's int64 block
+        assert limit * limit < 2**63 <= (limit + 1) ** 2  # the pinned value, isqrt(2**63 - 1)
+        assert 2 * limit < 2**63 and 21 * limit < 2**63  # pair sums, and G's kernels * kernels
         monkeypatch.setattr(orc, "kernel_bounded", refuse)
         orc.check_range(limit, limit, force=True)  # the limit itself is admitted
         for scan in (constructive_vs_oracle, lambda lo, hi, force: conjecture_probe(lo, hi, 0.0, force=force)):

@@ -347,20 +347,13 @@ class TestPowerfulSumMatchesReferences:
             mp.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", cap)
             assert count_members(x, theta).count == expected
 
-    # the searches for both ends of each b's interval must be right from any guess
     @settings(max_examples=60, deadline=None)
-    @given(gamma_and_x(), TABLE_CAPS, st.sampled_from([0, -1, 1, -37, 1000, -(10**9), 10**9]))
-    def test_log_weighted_counts(self, gamma_x, cap, guess_offset):
+    @given(gamma_and_x(), TABLE_CAPS)
+    def test_log_weighted_counts(self, gamma_x, cap):
         gamma, x = gamma_x
         expected = dense_log_weighted(x, gamma)
-        estimate = kernsplit.powered._log_weighted_estimate
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernsplit.powered, "_SQUAREFREE_TABLE_LIMIT", cap)
-            mp.setattr(
-                kernsplit.powered,
-                "_log_weighted_estimate",
-                lambda *args: estimate(*args) + guess_offset,
-            )
             assert count_log_weighted(x, gamma).count == expected
 
     def test_boundary_hits(self):
@@ -400,7 +393,7 @@ class TestPowerfulSumMatchesReferences:
 
     @pytest.mark.parametrize("gamma", [1e308, -1e308])
     def test_overflowed_gamma_walks(self, gamma):
-        # 2*gamma overflows, so the Newton estimate has no finite step; the probe walks these gammas
+        # 2*gamma overflows, so ln(m)**(2*gamma) is 0 or inf; the probe walks these gammas
         walked = kernsplit.powered._log_weighted_count(3398, gamma, kernsplit.powered._CoprimeSquarefree())
         assert walked == dense_log_weighted(3398, gamma) == (3396 if gamma > 0 else 1)
 
@@ -555,6 +548,34 @@ class TestCountGuards:
         # and the powerful walk counts them without a table
         monkeypatch.setattr(kernsplit.kernel, "_radical_segment", None)
         assert count_log_weighted(2**31, 20.0).count == 2**31 - 2
+
+
+@st.composite
+def prefix_ranges(draw) -> tuple[int, int, int]:
+    """(lo, hi, end): a range of up to 1e18 a, empty ones too, and the end of a prefix anywhere in [lo - 1, hi]."""
+    lo = draw(st.integers(1, 10**18))
+    hi = lo - 1 + draw(st.one_of(st.integers(0, 64), st.integers(0, 10**18)))
+    near_lo, near_hi = st.integers(lo - 1, min(hi, lo + 64)), st.integers(max(lo - 1, hi - 64), hi)
+    return lo, hi, draw(st.one_of(st.integers(lo - 1, hi), near_lo, near_hi))
+
+
+class TestPrefixEnd:
+    @settings(max_examples=300)
+    @given(prefix_ranges())
+    def test_matches_a_linear_scan(self, lo_hi_end):
+        lo, hi, end = lo_hi_end
+        calls = []
+
+        def member(a: int) -> bool:
+            assert lo <= a <= hi
+            calls.append(a)
+            return a <= end
+
+        got = kernsplit.powered._prefix_end(member, lo, hi)
+        assert got == end
+        assert len(calls) <= 2 * math.log2(end - lo + 2) + 2
+        if hi - lo < 1000:
+            assert got == next((a - 1 for a in range(lo, hi + 1) if not member(a)), hi)
 
 
 class TestCoprimeSquarefree:
