@@ -54,9 +54,16 @@ DEFAULT_FACTOR_LIMIT = 10**12
 # table and the primes up to sqrt(x).
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Refuse tables larger than this outright; ~1e9 entries is already past
-# what the oracle's all-pairs fallback needs at desk scale.
-DEFAULT_SIEVE_LIMIT = 1 << 30
+# Refuse tables larger than this outright: the table of x + 1 int32
+# entries is 4 bytes each, so 2**28 entries is 1 GiB, before the segment
+# temporaries and the primes.
+DEFAULT_SIEVE_LIMIT = 1 << 28
+
+# There are zeta(3/2)/zeta(3) * sqrt(x) + zeta(2/3)/zeta(2) * x**(1/3) +
+# o(x**(1/6)) powerful b <= x (Bateman-Grosswald 1958), and the second
+# term is negative, so fewer than POWERFUL_DENSITY * sqrt(x): the visits
+# of ``powerful_sum`` (2,027 at 1e6 and 214,122 at 1e10).
+POWERFUL_DENSITY = 2.2
 
 # ``kernel_bounded`` forms m = a*b and k(m) = a*k(b) in int64 with
 # a <= top // b, so both stay exact for every top up to this; larger tops
@@ -168,8 +175,8 @@ def powerful_sum(
     past j.  The primes of b are the walk's own list, ascending: a visit
     may read it but not keep it, and no tuple is built per b.  Memory is
     the primes plus one frame per prime of the current b (and the list
-    handed to ``leaves``), never the ~2.17 * sqrt(x) numbers themselves.  The order of the b after the
-    first is unspecified.
+    handed to ``leaves``), never the < POWERFUL_DENSITY * sqrt(x) numbers
+    themselves.  The order of the b after the first is unspecified.
 
     A child b * p**2 with p**3 > x // b is a leaf: no higher power of p
     and no larger prime fits below x.  With ``leaves`` given, such
@@ -229,8 +236,8 @@ def kernel_bounded(
     are the squarefree a coprime to b in it: a run of one squarefree
     list, filtered by gcd(a, k(b)) == 1.  So (1, c*b // k(b)**2) gives
     every m with k(m)**2 <= c*m.  No kernel table is built.  The walk over
-    the ~2.17 * sqrt(top) powerful b (``powerful_sum``) comes first;
-    ``admit(bound)``, when given, is then called with bound = the sum of
+    the < POWERFUL_DENSITY * sqrt(top) powerful b (``powerful_sum``) comes
+    first; ``admit(bound)``, when given, is then called with bound = the sum of
     the interval widths >= len(ms), before the squarefree list or any
     member exists, so a caller can refuse a set too large by raising.
     Raises ValueError past ``BOUNDED_INT64_LIMIT``.

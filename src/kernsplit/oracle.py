@@ -24,18 +24,21 @@ A window of n is then one sumset: every pair g1 <= g2 of parts with
 g1 + g2 in the window, formed in numpy blocks of at most
 ``_PAIR_BLOCK`` pairs.  The oracle keeps, per n, the pairs within the
 float prefilter band of the minimum and re-ranks exactly only the n
-with more than one.  It pairs the parts of quality at most 1 first and
-G's only for the few n those miss; an n with no pair in G (an optimum
-above 21) has every pair ranked, its parts every m in [2, n - 2] from
-the same walk, so its answer never rests on the theorem it checks.
+with more than one, over ascending tiers of parts: quality at most 1,
+G, then every m in [2, n - 2] from the same walk, each for the n that
+the tiers before it missed.  So an n with no pair in G (an optimum above
+21) has every pair ranked: no answer rests on the theorem it checks.
 The probe records, per n, the first (smallest) part g1 of a qualifying
 pair, and stops once no later pair can reach an n still without one.
 
-Both scans price their work in one cost model (``SCAN_WORK_LIMIT``):
-rows, candidate parts and sumset pairs.  Unless ``force``, a scan over
-budget is refused on its rows before anything is computed, on the bound
-of its parts before any part is emitted, and on its exact pair count
-before any pair is formed.
+Both scans take their parts from ``_admit``, priced in one cost model
+(``SCAN_WORK_LIMIT``): rows, the walk over the powerful numbers,
+candidate parts and sumset pairs.  Unless ``force``, a scan over budget
+is refused on its rows and walk before any b is visited, on the bound of
+its parts before any part is emitted, and on its exact pair count before
+any pair is formed.  Forced or not, 21*n >= 2**63 is refused: pair sums
+stay below 2n, and the int64 tier mask k**2 <= c*m, c <= 21, runs on G
+alone, where k**2 <= 21*m < 21*n.
 """
 
 import math
@@ -45,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .decompose import Decomposition, split_parts
-from .kernel import kernel_bounded, radical
+from .kernel import POWERFUL_DENSITY, kernel_bounded, radical
 
 __all__ = [
     "SCAN_WORK_LIMIT",
@@ -54,7 +57,6 @@ __all__ = [
     "ComparisonRow",
     "ProbeReport",
     "best_decomposition",
-    "check_range",
     "conjecture_probe",
     "constructive_vs_oracle",
     "decomposition_quality",
@@ -75,12 +77,6 @@ _CANDIDATE_QUALITY = 21
 # G's parts and 1/10 of its pairs
 _FIRST_TIER_QUALITY = 1
 
-# Largest n a scan accepts.  Every part is below n, so a pair sum is
-# below 2n, and the first tier's kernels * kernels runs only on G, where
-# k**2 <= 21 m < 21 n: both stay exact in int64 up to n near 4.4e17.  No
-# int64 term needs this smaller value; it stays as the pinned refusal.
-_CANDIDATE_INT64_LIMIT = math.isqrt(2**63 - 1)
-
 # pairs formed at once: their int64 and float64 temporaries are a few
 # times this many entries
 _PAIR_BLOCK = 1 << 20
@@ -94,7 +90,11 @@ _ORACLE_BLOCK = 1 << 12
 # ranking one takes 2-10 ns in numpy on 2 cores.  A row costs ~2-5 us
 # (probe) to ~25 us (oracle) of Python with its output, and holds 0.4-0.8
 # KB until the scan ends; _ROW_WEIGHT prices it at the oracle's cost, so
-# an unforced scan has at most 5e5 rows.  A candidate part is charged on
+# an unforced scan has at most 5e5 rows.  The walk's < POWERFUL_DENSITY
+# * sqrt(n_hi) visits take 2-4 us of Python and keep ~150 bytes each
+# until the parts exist; _WALK_WEIGHT prices one at 1000 lookups, so n
+# past ~2.1e11 is refused before the walk (n = 1e12 would walk 2.4 s and
+# 351 MB, 1e13 13-28 s and 1.07 GB).  A candidate part is charged on
 # the bound known before any part exists, the sum of the widths of the
 # per-b intervals of a: a dense probe set (every m, gamma = 10) takes
 # ~140 ns and ~25 bytes per unit of it to emit and sort, so _PART_WEIGHT
@@ -102,6 +102,7 @@ _ORACLE_BLOCK = 1 << 12
 # calibration table is in CHANGES.md.
 SCAN_WORK_LIMIT = 10**9
 _ROW_WEIGHT = 2000
+_WALK_WEIGHT = 1000
 _PART_WEIGHT = 40
 
 
@@ -181,8 +182,9 @@ def _pair_count(parts: np.ndarray, n_lo: int, n_hi: int) -> int:
 
 
 def _check_work(n_lo: int, n_hi: int, parts: int = 0, pairs: int = 0) -> None:
-    """Raise ValueError when the scan's rows, ``parts`` candidate parts and ``pairs`` exceed the budget."""
-    work = _ROW_WEIGHT * (n_hi - n_lo + 1) + _PART_WEIGHT * parts + pairs
+    """Raise ValueError when the scan's rows, its walk, ``parts`` candidate parts and ``pairs`` exceed the budget."""
+    walk = math.ceil(POWERFUL_DENSITY * math.sqrt(n_hi))
+    work = _ROW_WEIGHT * (n_hi - n_lo + 1) + _WALK_WEIGHT * walk + _PART_WEIGHT * parts + pairs
     if work > SCAN_WORK_LIMIT:
         raise ValueError(
             f"scan of [{n_lo}, {n_hi}] implies ~{work:.2e} kernel lookups "
@@ -190,27 +192,26 @@ def _check_work(n_lo: int, n_hi: int, parts: int = 0, pairs: int = 0) -> None:
         )
 
 
-def check_range(n_lo: int, n_hi: int, force: bool = False) -> None:
-    """Raise ValueError for a malformed or too large range, or unless force for rows over the budget."""
+def _admit(n_lo: int, n_hi: int, interval_to, force: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``_parts(n_hi - 2, interval_to(n_hi - 2))`` for a scan of [n_lo, n_hi], refused as the module docstring says."""
     if not 4 <= n_lo <= n_hi:
         raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    if n_hi > _CANDIDATE_INT64_LIMIT:
-        raise ValueError(f"scans are exact in int64 up to n = {_CANDIDATE_INT64_LIMIT}, got {n_hi}")
-    if not force:
-        _check_work(n_lo, n_hi)
-
-
-def _scan_parts(n_lo: int, n_hi: int, interval, force: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_parts(n_hi - 2, interval)`` and the bound on their number; unless force, refused on it before any part exists."""
+    if _CANDIDATE_QUALITY * n_hi >= 2**63:
+        raise ValueError(f"scans are exact in int64 up to n = {(2**63 - 1) // _CANDIDATE_QUALITY}, got {n_hi}")
+    interval = interval_to(n_hi - 2)
+    if force:
+        return _parts(n_hi - 2, interval)
+    _check_work(n_lo, n_hi)
     bound = 0
 
     def admit(parts: int) -> None:
         nonlocal bound
         bound = parts
-        if not force:
-            _check_work(n_lo, n_hi, parts)
+        _check_work(n_lo, n_hi, parts)
 
-    return *_parts(n_hi - 2, interval, admit), bound
+    parts, kernels = _parts(n_hi - 2, interval, admit)
+    _check_work(n_lo, n_hi, bound, _pair_count(parts, n_lo, n_hi))
+    return parts, kernels
 
 
 def _best_pair(m1: list, k1: list, m2: list, k2: list) -> tuple[int, int, Fraction]:
@@ -254,34 +255,38 @@ def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: in
     return offsets, parts[i1].tolist(), kernels[i1].tolist(), parts[i2].tolist(), kernels[i2].tolist()
 
 
-def _best_of_n(n: int, parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray) -> tuple[int, int, Fraction]:
-    """``(m1, m2, quality)`` of n's best pair over the parts, or over every pair when the parts have none."""
-    offsets, *pairs = _band_pairs(parts, kernels, qual, n, n)
-    if not offsets[1]:  # an optimum above _CANDIDATE_QUALITY: every m in [2, n - 2] is a part
-        parts, kernels = _parts(n - 2, lambda b, k: (1, (n - 2) // b))
-        offsets, *pairs = _band_pairs(parts, kernels, kernels.astype(np.float64) ** 2 / parts, n, n)
-    return _best_pair(*pairs)
-
-
 def _oracle_block(parts: np.ndarray, kernels: np.ndarray, lo: int, hi: int) -> list[tuple]:
     """``(m1, m2, quality)`` of the best pair of every n in [lo, hi], a window of at most _PAIR_BLOCK n.
 
-    The pairs of the parts with quality at most _FIRST_TIER_QUALITY come
-    first: an n with such a pair has its optimum among them, since any
-    other pair has a part of higher quality.  Only the few n with none
-    rank the pairs of all of G (``_best_of_n``).
+    The tiers ascend in quality: the parts of G with quality at most
+    _FIRST_TIER_QUALITY, then all of G, then every m in [2, n - 2] (c =
+    n).  An n with a pair in a tier has its optimum among that tier's
+    pairs, since any other pair has a part of higher quality, so a tier
+    ranks only the n that the tiers before it left without a pair: the
+    first the whole window at once, each later one n by n.
     """
     qual = kernels.astype(np.float64) ** 2 / parts
-    tier = kernels * kernels <= _FIRST_TIER_QUALITY * parts
-    offsets, m1, k1, m2, k2 = _band_pairs(parts[tier], kernels[tier], qual[tier], lo, hi)
-    best = []
-    for n, s, e in zip(range(lo, hi + 1), offsets, offsets[1:]):
-        if e - s == 1:  # the common case: one pair in the band
-            best.append((m1[s], m2[s], _worse(m1[s], k1[s], m2[s], k2[s])))
-        elif e > s:
-            best.append(_best_pair(m1[s:e], k1[s:e], m2[s:e], k2[s:e]))
-        else:
-            best.append(_best_of_n(n, parts, kernels, qual))
+    best, todo = [None] * (hi - lo + 1), [(lo, hi)]
+    for c in (_FIRST_TIER_QUALITY, _CANDIDATE_QUALITY, None):
+        if not todo:
+            break
+        if c is not None:
+            keep = kernels * kernels <= c * parts
+            tier = parts[keep], kernels[keep], qual[keep]
+        missed = []
+        for w_lo, w_hi in todo:
+            if c is None:  # c = n: every m in [2, n - 2], from the same walk
+                ms, ks = _parts(w_hi - 2, _quality_at_most(w_hi))
+                tier = ms, ks, ks.astype(np.float64) ** 2 / ms
+            offsets, m1, k1, m2, k2 = _band_pairs(*tier, w_lo, w_hi)
+            for n, s, e in zip(range(w_lo, w_hi + 1), offsets, offsets[1:]):
+                if e - s == 1:  # the common case: one pair in the band
+                    best[n - lo] = m1[s], m2[s], _worse(m1[s], k1[s], m2[s], k2[s])
+                elif e > s:
+                    best[n - lo] = _best_pair(m1[s:e], k1[s:e], m2[s:e], k2[s:e])
+                else:
+                    missed.append((n, n))
+        todo = missed
     return best
 
 
@@ -292,9 +297,7 @@ def best_decomposition(n: int) -> BestSplit:
     docstring), or every pair when there is none: the one-n window of
     ``constructive_vs_oracle``.
     """
-    if n < 4:
-        raise ValueError(f"no two-part decompositions below 4, got {n}")
-    parts, kernels = _parts(n - 2, _quality_at_most(_CANDIDATE_QUALITY))
+    parts, kernels = _admit(n, n, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force=True)
     ((m1, m2, q),) = _oracle_block(parts, kernels, n, n)
     return BestSplit(n, m1, m2, q)
 
@@ -375,10 +378,7 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     where it is lands in ``violations``.  Unless ``force``, a scan over
     the work budget is refused before the step that would exceed it.
     """
-    check_range(n_lo, n_hi, force)
-    parts, kernels, bound = _scan_parts(n_lo, n_hi, _quality_at_most(_CANDIDATE_QUALITY), force)
-    if not force:
-        _check_work(n_lo, n_hi, bound, _pair_count(parts, n_lo, n_hi))
+    parts, kernels = _admit(n_lo, n_hi, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force)
     rows = []
     for lo, hi in _n_blocks(n_lo, n_hi, _ORACLE_BLOCK):
         best = _oracle_block(parts, kernels, lo, hi)
@@ -471,10 +471,7 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
 
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    check_range(n_lo, n_hi, force)
-    members, _, bound = _scan_parts(n_lo, n_hi, _log_weighted_interval(n_hi - 2, gamma), force)
-    if not force:
-        _check_work(n_lo, n_hi, bound, _pair_count(members, n_lo, n_hi))
+    members, _ = _admit(n_lo, n_hi, lambda top: _log_weighted_interval(top, gamma), force)
     none = np.iinfo(np.int64).max
     first = []
     for lo, hi in _n_blocks(n_lo, n_hi, _PAIR_BLOCK):

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .kernel import factorize, powerful_sum, primes_up_to
+from .kernel import POWERFUL_DENSITY, factorize, powerful_sum, primes_up_to
 
 __all__ = [
     "COUNT_WORK_LIMIT",
@@ -321,15 +321,15 @@ def _iroot(n: int, r: int) -> int:
 
 # Budget of one exact count, in visits of the walk over the powerful
 # numbers, at 3-8 us of Python each on 2 cores, squarefree counts
-# included.  There are zeta(3/2)/zeta(3) * sqrt(x) < 2.2 * sqrt(x)
-# powerful b <= x (Golomb 1970; Bateman-Grosswald 1958):
+# included.  There are fewer than POWERFUL_DENSITY * sqrt(x) powerful
+# b <= x (``kernel.POWERFUL_DENSITY``):
 # - theta != 1/2 visits each of them: theta = 3/4 at x = 1e11 makes 680k
 #   visits in 1.8 s.
 # - gamma != 0 visits each and tests a = x // b, galloping to the end of
 #   its interval of a only when that fails: gamma = 0.5 takes 2.4-2.8 s
-#   at 1e11.  Each of the ~2.2 * e**gamma powerful b below e**(2*gamma)
-#   also searches the lower end, a second visit: gamma = 20, where every
-#   b <= x does, takes 4.6-6.0 s at 1e11.
+#   at 1e11.  Each of the < POWERFUL_DENSITY * e**gamma powerful b below
+#   e**(2*gamma) also searches the lower end, a second visit: gamma = 20,
+#   where every b <= x does, takes 4.6-6.0 s at 1e11.
 # - theta = 1/2, and gamma = 0 on its walk, visit only the b that are no
 #   leaves of the walk and count the leaves in bulk: 2.37-2.45 *
 #   x**0.42 visits from x = 1e9 (15k, 0.05 s) to 1e14 (1.8M, 7.4 s).
@@ -368,9 +368,9 @@ def _count_work(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float
     if (theta is None and gamma == 0) or theta == Theta(1, 2):
         visits = _HALF_VISITS * x**_HALF_EXPONENT
     elif theta is None:
-        visits = 2.2 * (root + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
+        visits = POWERFUL_DENSITY * (root + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
     else:
-        visits = 2.2 * root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
+        visits = POWERFUL_DENSITY * root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
     return visits + root * math.log(x) / _TERMS_PER_VISIT
 
 

@@ -291,7 +291,7 @@ class TestScan:
         result = runner.invoke(cli, ["scan", "--from", "100000000", "--to", "100450000", "--oracle"])
         assert result.exit_code == 1
         assert result.output == (
-            "error: scan of [100000000, 100450000] implies ~1.13e+09 kernel lookups (> 1e+09); "
+            "error: scan of [100000000, 100450000] implies ~1.15e+09 kernel lookups (> 1e+09); "
             "rerun with --force to proceed\n"
         )
 

@@ -5,6 +5,7 @@ plus a distinct-prime product loop that shares no code with the
 implementation.
 """
 
+import math
 from functools import cache
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernsplit.kernel
 from kernsplit.kernel import (
+    POWERFUL_DENSITY,
     FactorLimitError,
     SieveLimitError,
     factorize,
@@ -163,14 +165,20 @@ def test_sieve_segmentation_is_invisible(monkeypatch):
 def test_sieve_rejects_bad_limits(monkeypatch):
     with pytest.raises(ValueError):
         radical_sieve(0)
-    monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SIEVE_LIMIT", 1000)
-    radical_sieve(1000)  # the budget is read at call time, and inclusive
 
     def refuse(*args):
         raise AssertionError("sieved past the budget")
 
     # checked before any prime or segment is sieved, and before the table is
-    # allocated: 2**62 entries would not fit
+    # allocated: the default admits an int32 table of 1 GiB, 2**28 entries
+    with monkeypatch.context() as mp:
+        mp.setattr(kernsplit.kernel, "primes_up_to", refuse)
+        mp.setattr(kernsplit.kernel, "_radical_segment", refuse)
+        for x in (2**28 + 1, 2**30):
+            with pytest.raises(SieveLimitError, match=f"sieve limit {x} exceeds the configured budget {2**28}"):
+                radical_sieve(x)
+    monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SIEVE_LIMIT", 1000)
+    radical_sieve(1000)  # the budget is read at call time, and inclusive
     monkeypatch.setattr(kernsplit.kernel, "primes_up_to", refuse)
     monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
     for x in (1001, 2**62):
@@ -240,6 +248,12 @@ def test_powerful_numbers_counts(x, count):
     # OEIS A118896: 2027 powerful numbers up to 1e6
     assert powerful_sum(x, lambda b, k, primes: 1) == count
     assert powerful_sum(0, lambda b, k, primes: 1) == 0
+
+
+@pytest.mark.parametrize(("x", "count"), [(10**3, 54), (10**6, 2027), (10**9, 67231)])
+def test_powerful_density_bounds_the_walk(x, count):
+    # zeta(3/2)/zeta(3) * sqrt(x) plus a negative x**(1/3) term: what the scan and count budgets charge
+    assert powerful_sum(x, lambda *a: 1) == count < POWERFUL_DENSITY * math.sqrt(x)
 
 
 @cache

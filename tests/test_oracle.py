@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import kernsplit.kernel
 import kernsplit.oracle as orc
@@ -264,7 +264,7 @@ class TestConjectureProbe:
     def test_rejects_non_finite_gamma(self, monkeypatch):
         # before anything is priced or enumerated
         monkeypatch.setattr(orc, "kernel_bounded", refuse)
-        monkeypatch.setattr(orc, "check_range", refuse)
+        monkeypatch.setattr(orc, "_admit", refuse)
         for gamma in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma}"):
                 conjecture_probe(40_000_000, 40_000_000, gamma)
@@ -356,14 +356,20 @@ class TestSparseMatchesDense:
         assert calls == [(298, (1, 21 * 8 // 4), (1, 21))]  # a <= 21*b // k(b)**2
 
     def test_int64_bound(self, monkeypatch):
-        limit = orc._CANDIDATE_INT64_LIMIT
-        assert limit * limit < 2**63 <= (limit + 1) ** 2  # the pinned value, isqrt(2**63 - 1)
-        assert 2 * limit < 2**63 and 21 * limit < 2**63  # pair sums, and G's kernels * kernels
+        # the largest n with 21 * n < 2**63: G's kernels * kernels <= c * parts, and pair sums below 2n
+        limit = 439_208_192_231_179_800
+        assert orc._CANDIDATE_QUALITY * limit < 2**63 <= orc._CANDIDATE_QUALITY * (limit + 1)
         monkeypatch.setattr(orc, "kernel_bounded", refuse)
-        orc.check_range(limit, limit, force=True)  # the limit itself is admitted
-        for scan in (constructive_vs_oracle, lambda lo, hi, force: conjecture_probe(lo, hi, 0.0, force=force)):
+        runs = (
+            lambda n: constructive_vs_oracle(n, n, force=True),
+            lambda n: conjecture_probe(n, n, 0.5, force=True),
+            best_decomposition,
+        )
+        for run in runs:
+            with pytest.raises(AssertionError, match="ran past the work check"):
+                run(limit)  # the limit itself is admitted: on to the walk
             with pytest.raises(ValueError, match=f"exact in int64 up to n = {limit}, got {limit + 1}"):
-                scan(limit + 1, limit + 1, force=True)
+                run(limit + 1)
 
     # -5: one member below 6400; 0 and 0.5: sparse; 10: every m >= 3;
     # 1e308: every m >= 3 and -1e308 only m = 2, with the weight overflowed
@@ -399,11 +405,13 @@ class TestBlockMatchesLoop:
             got = constructive_vs_oracle(*lohi, force=True)
         assert got == loop_oracle(*lohi, table_to(20_600))
 
-    @settings(max_examples=6, deadline=None)
-    @given(window(4, 2_500, 300), st.sampled_from([0, 1]))
-    def test_oracle_fallback(self, lohi, cap):
-        # with G patched smaller, an n with no pair in G ranks every pair, over a table sieved for it
+    @settings(max_examples=12, deadline=None)
+    @given(window(4, 2_500, 300), st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 2, 21]))
+    def test_oracle_fallback(self, lohi, first, cap):
+        # with the tiers patched smaller, each can miss: an n with no pair in G ranks every pair
+        assume(first <= cap)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orc, "_FIRST_TIER_QUALITY", first)
             mp.setattr(orc, "_CANDIDATE_QUALITY", cap)
             got = constructive_vs_oracle(*lohi, force=True)
             want = loop_oracle(*lohi, table_to(2_800))
@@ -524,7 +532,8 @@ class TestScanWork:
 
     def test_work_adds_table_rows_and_lookups(self):
         lo, hi, parts = 1000, 3000, 1234
-        slack = SCAN_WORK_LIMIT - orc._ROW_WEIGHT * (hi - lo + 1) - orc._PART_WEIGHT * parts
+        walk = math.ceil(kernsplit.kernel.POWERFUL_DENSITY * math.sqrt(hi))  # 121 visits at most
+        slack = SCAN_WORK_LIMIT - orc._ROW_WEIGHT * (hi - lo + 1) - orc._WALK_WEIGHT * walk - orc._PART_WEIGHT * parts
         orc._check_work(lo, hi, parts, slack)  # the limit itself is admitted
         with pytest.raises(ValueError, match=refusal(lo, hi)):
             orc._check_work(lo, hi, parts, slack + 1)
@@ -536,6 +545,15 @@ class TestScanWork:
             conjecture_probe(4, 10**8, -5.0)
         with pytest.raises(ValueError, match=refusal(4, 600000)):
             constructive_vs_oracle(4, 600_000)
+
+    @pytest.mark.parametrize("lo", [10**12, 10**13])
+    def test_walk_refused_before_it_starts(self, monkeypatch, lo):
+        # the walk over the ~2.2 * sqrt(n) powerful b is priced before any b is visited
+        monkeypatch.setattr(kernsplit.kernel, "powerful_sum", refuse)
+        with pytest.raises(ValueError, match=refusal(lo, lo + 100)):
+            constructive_vs_oracle(lo, lo + 100)
+        with pytest.raises(ValueError, match=refusal(lo, lo + 100)):
+            conjecture_probe(lo, lo + 100, 0.5)
 
     def test_parts_refused_before_they_exist(self, monkeypatch):
         # a dense superset (gamma = 10: every m) is refused on the bound of its parts
