@@ -24,10 +24,11 @@ A window of n is then one sumset: every pair g1 <= g2 of parts with
 g1 + g2 in the window, formed in numpy blocks of at most
 ``_PAIR_BLOCK`` pairs.  The oracle keeps, per n, the pairs within the
 float prefilter band of the minimum and re-ranks exactly only the n
-with more than one, over ascending tiers of parts: quality at most 1,
-G, then every m in [2, n - 2] from the same walk, each for the n that
-the tiers before it missed.  So an n with no pair in G (an optimum above
-21) has every pair ranked: no answer rests on the theorem it checks.
+with more than one, over ascending tiers of parts: quality at most 1
+and G, both built once per scan, then every m in [2, n - 2] from the
+same walk, each for the n that the tiers before it missed.  So an n with
+no pair in G (an optimum above 21) has every pair ranked: no answer
+rests on the theorem it checks.
 The probe records, per n, the first (smallest) part g1 of a qualifying
 pair, and stops once no later pair can reach an n still without one.
 
@@ -38,10 +39,13 @@ is refused on its rows and walk before any b is visited, on the bound of
 its parts before any part is emitted, and on its exact pair count before
 any pair is formed.  Forced or not, 21*n >= 2**63 is refused: pair sums
 stay below 2n, and the int64 tier mask k**2 <= c*m, c <= 21, runs on G
-alone, where k**2 <= 21*m < 21*n.
+alone, where k**2 <= 21*m < 21*n.  So is a scan whose parts' bound, at
+``_PART_BYTES`` a unit, exceeds the physical memory, before any part
+exists.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,6 +109,10 @@ _ROW_WEIGHT = 2000
 _WALK_WEIGHT = 1000
 _PART_WEIGHT = 40
 
+# bytes per unit of the parts' width bound, as measured above: a scan
+# whose bound needs more than the physical memory is refused, even forced
+_PART_BYTES = 25
+
 
 @dataclass(frozen=True, slots=True)
 class BestSplit:
@@ -133,15 +141,8 @@ def decomposition_quality(d: Decomposition) -> Fraction:
 
 
 def _quality_at_most(c: int):
-    """The interval of ``kernel_bounded`` for k(m)**2 <= c*m: with m = a*b, a <= c*b // k(b)**2."""
-    return lambda b, k: (1, c * b // (k * k))
-
-
-def _parts(top: int, interval, admit=None) -> tuple[np.ndarray, np.ndarray]:
-    """``(parts, kernels)``: the m in [2, top] that ``kernel_bounded(top, interval)`` gives, ascending."""
-    ms, ks = kernel_bounded(top, interval, admit)
-    skip = 1 if len(ms) and ms[0] == 1 else 0  # 1 is no part
-    return ms[skip:], ks[skip:]
+    """The interval of ``kernel_bounded`` for the parts m >= 2 with k(m)**2 <= c*m: with m = a*b, a <= c*b // k(b)**2."""
+    return lambda b, k: (2 if b == 1 else 1, c * b // (k * k))
 
 
 def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,24 +194,30 @@ def _check_work(n_lo: int, n_hi: int, parts: int = 0, pairs: int = 0) -> None:
 
 
 def _admit(n_lo: int, n_hi: int, interval_to, force: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``_parts(n_hi - 2, interval_to(n_hi - 2))`` for a scan of [n_lo, n_hi], refused as the module docstring says."""
+    """``kernel_bounded(n_hi - 2, interval_to(n_hi - 2))`` for a scan of [n_lo, n_hi], refused as the module docstring says."""
     if not 4 <= n_lo <= n_hi:
         raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if _CANDIDATE_QUALITY * n_hi >= 2**63:
         raise ValueError(f"scans are exact in int64 up to n = {(2**63 - 1) // _CANDIDATE_QUALITY}, got {n_hi}")
-    interval = interval_to(n_hi - 2)
-    if force:
-        return _parts(n_hi - 2, interval)
-    _check_work(n_lo, n_hi)
+    if not force:
+        _check_work(n_lo, n_hi)
     bound = 0
 
     def admit(parts: int) -> None:
         nonlocal bound
         bound = parts
-        _check_work(n_lo, n_hi, parts)
+        if not force:
+            _check_work(n_lo, n_hi, parts)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if _PART_BYTES * parts > memory:
+            raise ValueError(
+                f"scan of [{n_lo}, {n_hi}] needs ~{_PART_BYTES * parts:.2e} bytes for its parts, "
+                f"more than the {memory:.2e} bytes of physical memory, forced or not"
+            )
 
-    parts, kernels = _parts(n_hi - 2, interval, admit)
-    _check_work(n_lo, n_hi, bound, _pair_count(parts, n_lo, n_hi))
+    parts, kernels = kernel_bounded(n_hi - 2, interval_to(n_hi - 2), admit)
+    if not force:
+        _check_work(n_lo, n_hi, bound, _pair_count(parts, n_lo, n_hi))
     return parts, kernels
 
 
@@ -255,30 +262,36 @@ def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: in
     return offsets, parts[i1].tolist(), kernels[i1].tolist(), parts[i2].tolist(), kernels[i2].tolist()
 
 
-def _oracle_block(parts: np.ndarray, kernels: np.ndarray, lo: int, hi: int) -> list[tuple]:
+def _tier(parts: np.ndarray, kernels: np.ndarray) -> tuple:
+    """``(parts, kernels, qualities)``: a tier of the oracle, with the float quality of each part."""
+    return parts, kernels, kernels.astype(np.float64) ** 2 / parts
+
+
+def _tiers(parts: np.ndarray, kernels: np.ndarray) -> list[tuple]:
+    """The tiers over G, built once per scan: its parts of quality at most _FIRST_TIER_QUALITY, then G."""
+    keep = kernels * kernels <= _FIRST_TIER_QUALITY * parts
+    return [_tier(parts[keep], kernels[keep]), _tier(parts, kernels)]
+
+
+def _oracle_block(tiers: list[tuple], lo: int, hi: int) -> list[tuple]:
     """``(m1, m2, quality)`` of the best pair of every n in [lo, hi], a window of at most _PAIR_BLOCK n.
 
-    The tiers ascend in quality: the parts of G with quality at most
-    _FIRST_TIER_QUALITY, then all of G, then every m in [2, n - 2] (c =
-    n).  An n with a pair in a tier has its optimum among that tier's
-    pairs, since any other pair has a part of higher quality, so a tier
-    ranks only the n that the tiers before it left without a pair: the
-    first the whole window at once, each later one n by n.
+    The tiers ascend in quality: those of ``_tiers``, then every m in
+    [2, n - 2] (c = n), built here for each n that reaches it.  An n with
+    a pair in a tier has its optimum among that tier's pairs, since any
+    other pair has a part of higher quality, so a tier ranks only the n
+    that the tiers before it left without a pair: the first the whole
+    window at once, each later one n by n.
     """
-    qual = kernels.astype(np.float64) ** 2 / parts
     best, todo = [None] * (hi - lo + 1), [(lo, hi)]
-    for c in (_FIRST_TIER_QUALITY, _CANDIDATE_QUALITY, None):
+    for tier in (*tiers, None):
         if not todo:
             break
-        if c is not None:
-            keep = kernels * kernels <= c * parts
-            tier = parts[keep], kernels[keep], qual[keep]
         missed = []
         for w_lo, w_hi in todo:
-            if c is None:  # c = n: every m in [2, n - 2], from the same walk
-                ms, ks = _parts(w_hi - 2, _quality_at_most(w_hi))
-                tier = ms, ks, ks.astype(np.float64) ** 2 / ms
-            offsets, m1, k1, m2, k2 = _band_pairs(*tier, w_lo, w_hi)
+            # the last tier, c = n: every m in [2, n - 2], from the same walk
+            ranked = tier or _tier(*kernel_bounded(w_hi - 2, _quality_at_most(w_hi)))
+            offsets, m1, k1, m2, k2 = _band_pairs(*ranked, w_lo, w_hi)
             for n, s, e in zip(range(w_lo, w_hi + 1), offsets, offsets[1:]):
                 if e - s == 1:  # the common case: one pair in the band
                     best[n - lo] = m1[s], m2[s], _worse(m1[s], k1[s], m2[s], k2[s])
@@ -297,8 +310,8 @@ def best_decomposition(n: int) -> BestSplit:
     docstring), or every pair when there is none: the one-n window of
     ``constructive_vs_oracle``.
     """
-    parts, kernels = _admit(n, n, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force=True)
-    ((m1, m2, q),) = _oracle_block(parts, kernels, n, n)
+    tiers = _tiers(*_admit(n, n, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force=True))
+    ((m1, m2, q),) = _oracle_block(tiers, n, n)
     return BestSplit(n, m1, m2, q)
 
 
@@ -379,9 +392,9 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     the work budget is refused before the step that would exceed it.
     """
     parts, kernels = _admit(n_lo, n_hi, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force)
-    rows = []
+    tiers, rows = _tiers(parts, kernels), []
     for lo, hi in _n_blocks(n_lo, n_hi, _ORACLE_BLOCK):
-        best = _oracle_block(parts, kernels, lo, hi)
+        best = _oracle_block(tiers, lo, hi)
         m1s, m2s = split_parts(lo, hi)
         k1s, k2s = _kernels_of(m1s, parts, kernels), _kernels_of(m2s, parts, kernels)
         ns = range(lo, hi + 1)

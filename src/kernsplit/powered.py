@@ -15,14 +15,14 @@ significant digits, since the right-hand side is not rational.  Results
 are therefore identical to element-by-element exact evaluation.
 
 The counters sieve nothing.  Every m is uniquely a*b with b powerful, a
-squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so for each of
-the ~2.17 * sqrt(x) powerful b <= x the members are the squarefree a
-coprime to b in an interval: up to an exact integer root for theta, and
-for gamma the interval [L_b, R_b] that ``_log_weighted_interval`` finds
+squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so each class is a
+rule giving each of the ~2.17 * sqrt(x) powerful b <= x an interval of
+a: up to an exact integer root for theta (``_theta_interval``), and for
+gamma the interval [L_b, R_b] that ``_log_weighted_interval`` finds
 around e**(2*gamma) / b with the rule itself (at gamma = 0 the integer
-bound b // k(b)**2).  Those squarefree counts are exact integer sums, so
-the counts equal the rule's over every m.  The probe in ``oracle`` takes
-its parts from the same intervals.
+bound b // k(b)**2).  ``_interval_count`` adds the squarefree a coprime
+to b in each: exact integer sums, so the counts equal the rule's over
+every m.  The probe in ``oracle`` takes its parts from the same intervals.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
@@ -87,9 +86,6 @@ class Theta:
         except ValueError as exc:
             raise ValueError(f"cannot parse theta from {text!r}") from exc
         raise ValueError(f"cannot parse theta from {text!r}")
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
     def as_float(self) -> float:
         return self.p / self.q
@@ -330,9 +326,9 @@ def _iroot(n: int, r: int) -> int:
 #   at 1e11.  Each of the < POWERFUL_DENSITY * e**gamma powerful b below
 #   e**(2*gamma) also searches the lower end, a second visit: gamma = 20,
 #   where every b <= x does, takes 4.6-6.0 s at 1e11.
-# - theta = 1/2, and gamma = 0 on its walk, visit only the b that are no
-#   leaves of the walk and count the leaves in bulk: 2.37-2.45 *
-#   x**0.42 visits from x = 1e9 (15k, 0.05 s) to 1e14 (1.8M, 7.4 s).
+# - theta = 1/2 and gamma = 0 visit only the b that are no leaves of the
+#   walk and count the leaves in bulk: 2.37-2.45 * x**0.42 visits from
+#   x = 1e9 (15k, 0.05 s) to 1e14 (1.8M, 7.4 s).
 # Squarefree counts above the table cap are Moebius sums over the d <=
 # sqrt(y), y <= x // b, at about 4 ns a term; measured, all of them add
 # up to less than sqrt(x) * ln(x) terms (0.62x that at gamma = 3, x =
@@ -381,44 +377,23 @@ def _check_count_work(what: str, work: float) -> None:
         raise ValueError(f"{what} implies ~{work:.2e} powerful-number visits (> {COUNT_WORK_LIMIT:.0e})")
 
 
-def _theta_count(x: int, theta: Theta, squarefree: _CoprimeSquarefree) -> int:
-    """Exact count of 1 <= m <= x with k(m)**q <= m**p, summed over powerful b.
+def _theta_interval(x: int, theta: Theta) -> Callable[[int, int], tuple[int, int]]:
+    """``interval(b, k(b)) -> (1, A_b)``: for a powerful b <= x, the a <= x // b whose a*b, with kernel a*k(b), passes.
 
-    Every m is uniquely a*b with b powerful, a squarefree, gcd(a, b) = 1,
-    and then k(m) = a*k(b).  So k(m)**q <= m**p is a**(q-p) * k(b)**q <=
-    b**p, i.e. a <= iroot(b**p // k(b)**q, q - p), and each b adds the
-    squarefree a coprime to b up to that bound, capped at x // b.  b = a
+    The class is 1 <= m <= x with k(m)**q <= m**p, theta = p/q < 1.  With
+    m = a*b as in the module docstring, the test is a**(q-p) * k(b)**q <=
+    b**p, so A_b is iroot(b**p // k(b)**q, q - p) capped at x // b; b = a
     = 1 gives m = 1.  Integers throughout: no float decides a count.
-
-    At theta = 1/2 the bound of a leaf child b * p**2 of the walk (p**3 >
-    x // b) is b's own, T = b // k(b)**2, and its cap x // (b * p**2) is
-    below p, so p drops out of its count: it adds Q_b(min(x // (b *
-    p**2), T)) for the primes of b.  Summed over those p, that is the
-    number of p with x // (b * p**2) >= v for each squarefree v <= T
-    coprime to b, one bisection per v, in place of a visit per p.
     """
-    if theta.p == theta.q:
-        return x  # k(m) <= m unconditionally
     p, q, r = theta.p, theta.q, theta.q - theta.p
-    count = squarefree.count
 
-    def visit(b: int, k: int, primes: Sequence[int]) -> int:
+    def interval(b: int, k: int) -> tuple[int, int]:
         y = x // b
         if y**r * k**q > b**p:
             y = _iroot(b**p // k**q, r)
-        return count(y, k, primes)
+        return 1, y
 
-    def leaves(b: int, k: int, primes: Sequence[int], ps: Sequence[int]) -> int:
-        rest = x // b
-        total, before = 0, 0  # before: the squarefree a < v
-        for v in range(1, min(b // (k * k), rest // ps[0] ** 2) + 1):
-            upto = count(v, 1, ())  # the squarefree a <= v
-            if upto > before and math.gcd(v, k) == 1:
-                total += bisect_right(ps, math.isqrt(rest // v))
-            before = upto
-        return total
-
-    return powerful_sum(x, visit, leaves if 2 * p == q else None)
+    return interval
 
 
 def _monotone_start(x: int, gamma: float) -> int:
@@ -455,7 +430,7 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
     """``interval(b, k(b)) -> (L_b, R_b)``: for a powerful b <= x, the a <= x // b whose a*b, with kernel a*k(b), passes.
 
     The class is 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).  With
-    m = a*b as in ``_theta_count`` (k(m) = a*k(b)), the test for fixed b
+    m = a*b as in ``_theta_interval`` (k(m) = a*k(b)), the test for fixed b
     is f(a) <= 0 with f(a) = ln(a*k(b)**2 / (b*ln(a*b)**(2*gamma))) and
 
         f'(a) = 1/a - 2*gamma / (a*ln(a*b)) = (ln(a*b) - 2*gamma) / (a*ln(a*b)),
@@ -506,23 +481,47 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
     return interval
 
 
-def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) -> int:
-    """Exact count of 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).
+def _interval_count(x: int, interval, squarefree: _CoprimeSquarefree, bulk_leaves: bool) -> int:
+    """Exact count of the m = a*b <= x with a in ``interval(b, k(b))``, over the powerful b <= x.
 
-    Each powerful b adds the squarefree a coprime to b in its interval
-    from ``_log_weighted_interval``.  Nothing is sieved.  At gamma = 0
-    the class is the theta = 1/2 class without m = 1, and it is counted
-    on that walk, whose leaves are counted in bulk.
+    Each b adds the squarefree a coprime to b in its interval [first,
+    end], end <= x // b.  With ``bulk_leaves`` (theta = 1/2, gamma = 0),
+    a leaf child b * p**2 of the walk (p**3 > x // b) starts at a = 1 and
+    ends where b does unless its cap x // (b * p**2) < p is lower, so p
+    drops out of its count: summed over those p, it is the number of p
+    with x // (b * p**2) >= v for each squarefree v <= end coprime to b,
+    one bisection per v, in place of a visit per p.
     """
-    if gamma == 0:
-        return _theta_count(x, Theta(1, 2), squarefree) - 1
-    interval, count = _log_weighted_interval(x, gamma), squarefree.count
+    count = squarefree.count
 
     def visit(b: int, k: int, primes: Sequence[int]) -> int:
         first, end = interval(b, k)
-        return count(end, k, primes) - count(first - 1, k, primes) if end >= first else 0
+        below = count(first - 1, k, primes) if first > 1 else 0  # nothing below a = 1
+        return count(end, k, primes) - below if end >= first else 0
 
-    return powerful_sum(x, visit)
+    def leaves(b: int, k: int, primes: Sequence[int], ps: Sequence[int]) -> int:
+        rest = x // b
+        total, before = 0, 0  # before: the squarefree a < v
+        for v in range(1, min(interval(b, k)[1], rest // ps[0] ** 2) + 1):
+            upto = count(v, 1, ())  # the squarefree a <= v
+            if upto > before and math.gcd(v, k) == 1:
+                total += bisect_right(ps, math.isqrt(rest // v))
+            before = upto
+        return total
+
+    return powerful_sum(x, visit, leaves if bulk_leaves else None)
+
+
+def _theta_count(x: int, theta: Theta, squarefree: _CoprimeSquarefree) -> int:
+    """Exact count of 1 <= m <= x with k(m)**q <= m**p: every m at theta = 1, else over ``_theta_interval``."""
+    if theta.p == theta.q:
+        return x  # k(m) <= m unconditionally
+    return _interval_count(x, _theta_interval(x, theta), squarefree, 2 * theta.p == theta.q)
+
+
+def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) -> int:
+    """Exact count of 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma), over ``_log_weighted_interval``."""
+    return _interval_count(x, _log_weighted_interval(x, gamma), squarefree, gamma == 0)
 
 
 def _log_weight(x: int, gamma: float, scale: float = 1.0) -> float:

@@ -12,6 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ import kernsplit.oracle as orc
 import kernsplit.powered
 from dense_reference import log_weighted_mask
 from kernsplit.decompose import split
-from kernsplit.kernel import radical, radical_sieve
+from kernsplit.kernel import kernel_bounded, radical, radical_sieve
 from kernsplit.oracle import (
     SCAN_WORK_LIMIT,
     BestSplit,
@@ -406,11 +407,15 @@ class TestBlockMatchesLoop:
         assert got == loop_oracle(*lohi, table_to(20_600))
 
     @settings(max_examples=12, deadline=None)
-    @given(window(4, 2_500, 300), st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 2, 21]))
-    def test_oracle_fallback(self, lohi, first, cap):
-        # with the tiers patched smaller, each can miss: an n with no pair in G ranks every pair
+    @given(
+        window(4, 2_500, 300), st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 2, 21]), st.sampled_from([16, 48])
+    )
+    def test_oracle_fallback(self, lohi, first, cap, block):
+        # with the tiers patched smaller, each can miss: an n with no pair in G ranks every pair;
+        # with oracle blocks of a few n, one tier list serves many blocks
         assume(first <= cap)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orc, "_ORACLE_BLOCK", block)
             mp.setattr(orc, "_FIRST_TIER_QUALITY", first)
             mp.setattr(orc, "_CANDIDATE_QUALITY", cap)
             got = constructive_vs_oracle(*lohi, force=True)
@@ -492,7 +497,7 @@ class TestProbeParts:
             ),
             label="gamma",
         )
-        members, _ = orc._parts(x, kernsplit.powered._log_weighted_interval(x, gamma))
+        members, _ = kernel_bounded(x, kernsplit.powered._log_weighted_interval(x, gamma))
         counted = kernsplit.powered._log_weighted_count(x, gamma, kernsplit.powered._CoprimeSquarefree())
         assert len(members) == counted
         if abs(gamma) < 1e308:  # the public counter refuses ln(x)**gamma = inf or 0
@@ -574,6 +579,25 @@ class TestScanWork:
         assert conjecture_probe(4, 100, 0.0, force=True).failing[:3] == (4, 5, 6)
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
             constructive_vs_oracle(10, 4, force=True)  # a malformed range is refused all the same
+
+    def test_forced_parts_keep_a_memory_bound(self, monkeypatch):
+        widths = []  # the width bound of conjecture_probe(4, 100, 10.0)
+        kernel_bounded(98, kernsplit.powered._log_weighted_interval(98, 10.0), widths.append)
+        # gamma = 10 near 1e9: every m >= 3 is a part, a width bound of ~1.94e9 units (~48 GB)
+        monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
+        physical = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)  # 8 GiB
+        monkeypatch.setattr(orc, "os", physical)
+        with pytest.raises(ValueError, match=r"needs ~4\.86e\+10 bytes for its parts, more than the 8\.59e\+09"):
+            conjecture_probe(10**9, 10**9 + 50, 10.0, force=True)
+        # at the bound the parts are built: the patched squarefree list is reached
+        physical.sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": orc._PART_BYTES * widths[0]}.get
+        with pytest.raises(AssertionError, match="ran past the work check"):
+            conjecture_probe(4, 100, 10.0, force=True)
+        physical.sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": orc._PART_BYTES * widths[0] - 1}.get
+        with pytest.raises(ValueError, match="physical memory, forced or not"):
+            conjecture_probe(4, 100, 10.0, force=True)
+        with pytest.raises(ValueError, match="physical memory, forced or not"):
+            conjecture_probe(4, 100, 10.0)  # unforced, under the work budget: the same bound
 
     def test_force_runs_over_budget(self, monkeypatch):
         monkeypatch.setattr(orc, "SCAN_WORK_LIMIT", 10_000)

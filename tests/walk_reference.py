@@ -2,11 +2,11 @@
 
 ``powerful_numbers`` yields every powerful b <= x with its kernel and
 primes, one tuple per b, and ``theta_count`` / ``log_weighted_count``
-visit each b and add its squarefree count, with the recursion of
-``coprime_squarefree`` over a plain prefix table.  They share with the
-library only ``primes_up_to`` and the class rules themselves (``_iroot``
-and the log-weighted interval of each b), not the walk, the small-count
-table, the bulk leaves or the squarefree counts.
+visit each b and add the squarefree count of its interval of a, with the
+recursion of ``coprime_squarefree`` over a plain prefix table.  They
+share with the library only ``primes_up_to`` and the class rules
+themselves (the theta and log-weighted intervals of each b), not the
+walk, the small-count table, the bulk leaves or the squarefree counts.
 """
 
 import math
@@ -14,7 +14,7 @@ from array import array
 from itertools import accumulate
 
 from kernsplit.kernel import primes_up_to
-from kernsplit.powered import Theta, _iroot, _log_weighted_interval
+from kernsplit.powered import Theta, _log_weighted_interval, _theta_interval
 
 
 def powerful_numbers(x: int):
@@ -60,28 +60,22 @@ def coprime_squarefree(y: int, primes: tuple[int, ...], table: array) -> int:
     return total
 
 
-def theta_count(x: int, theta: Theta) -> int:
-    """1 <= m <= x with k(m)**q <= m**p: each powerful b adds the a <= min(x // b, its root bound)."""
-    if theta.p == theta.q:
-        return x
-    p, q, r = theta.p, theta.q, theta.q - theta.p
+def interval_count(x: int, interval) -> int:
+    """The m = a*b <= x with a in ``interval(b, k(b))``: each powerful b adds the squarefree a coprime to b in it."""
     table = squarefree_prefix(x)
-    total = 0
-    for b, k, primes in powerful_numbers(x):
-        y = x // b
-        if y**r * k**q > b**p:
-            y = _iroot(b**p // k**q, r)
-        total += coprime_squarefree(y, primes, table)
-    return total
-
-
-def log_weighted_count(x: int, gamma: float) -> int:
-    """2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma): each powerful b adds its interval [L_b, R_b] of a."""
-    table = squarefree_prefix(x)
-    interval = _log_weighted_interval(x, gamma)
     total = 0
     for b, k, primes in powerful_numbers(x):
         first, end = interval(b, k)
         if end >= first:
             total += coprime_squarefree(end, primes, table) - coprime_squarefree(first - 1, primes, table)
     return total
+
+
+def theta_count(x: int, theta: Theta) -> int:
+    """1 <= m <= x with k(m)**q <= m**p: each powerful b adds the a <= min(x // b, its root bound)."""
+    return x if theta.p == theta.q else interval_count(x, _theta_interval(x, theta))
+
+
+def log_weighted_count(x: int, gamma: float) -> int:
+    """2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma): each powerful b adds its interval [L_b, R_b] of a."""
+    return interval_count(x, _log_weighted_interval(x, gamma))
