@@ -184,7 +184,7 @@ def cmd_count(theta_text: str | None, gamma: float | None, limit: int, as_json: 
 @click.option("--to", "n_hi", type=int, required=True, help="Last n, inclusive.")
 @click.option("--gamma", "gamma", type=float, default=None, help="Probe log-weighted representability instead.")
 @click.option("--oracle", "use_oracle", is_flag=True, help="Compare against the exhaustive optimum.")
-@click.option("--force", "force", is_flag=True, help="Run an oracle or probe scan past its work budget (1e9 kernel lookups).")
+@click.option("--force", "force", is_flag=True, help="Run an oracle or probe scan past its budget of 60 s and 1 GiB.")
 @_output_options
 def cmd_scan(
     n_lo: int,

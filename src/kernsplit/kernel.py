@@ -18,11 +18,15 @@ kernels, which is all the class counters need, and ``kernel_bounded``
 builds from the same walk, with their kernels, the sparse sets that the
 oracle and the probe pair up: the m = a*b whose squarefree a lies in an
 interval given per powerful b.
+
+Every walk, count, sieve and scan is priced here in seconds and bytes,
+and ``check_budget`` refuses it, before the work, over the one budget.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -34,11 +38,13 @@ if TYPE_CHECKING:
 __all__ = [
     "DEFAULT_FACTOR_LIMIT",
     "DEFAULT_SEGMENT_SIZE",
-    "DEFAULT_SIEVE_LIMIT",
+    "MEMORY_LIMIT",
+    "WORK_LIMIT_S",
     "FactorLimitError",
     "SieveLimitError",
     "Factorization",
     "RadicalTable",
+    "check_budget",
     "factorize",
     "kernel_bounded",
     "powerful_sum",
@@ -53,11 +59,6 @@ DEFAULT_FACTOR_LIMIT = 10**12
 # of this length, is the memory ``radical_sieve`` needs besides the
 # table and the primes up to sqrt(x).
 DEFAULT_SEGMENT_SIZE = 1 << 20
-
-# Refuse tables larger than this outright: the table of x + 1 int32
-# entries is 4 bytes each, so 2**28 entries is 1 GiB, before the segment
-# temporaries and the primes.
-DEFAULT_SIEVE_LIMIT = 1 << 28
 
 # There are zeta(3/2)/zeta(3) * sqrt(x) + zeta(2/3)/zeta(2) * x**(1/3) +
 # o(x**(1/6)) powerful b <= x (Bateman-Grosswald 1958), and the second
@@ -80,7 +81,58 @@ class FactorLimitError(ValueError):
 
 
 class SieveLimitError(ValueError):
-    """Requested table exceeds the configured sieve budget."""
+    """Requested table exceeds the memory budget."""
+
+
+# The one budget of every command that walks, counts, sieves or scans,
+# and the price of each unit of its work.  Measured on 2 cores (Xeon, 7.8
+# GB, Python 3.11, numpy 2.4) with os.wait4 on CLI children, and with
+# timers and tracemalloc in process; the table is in CHANGES.md.
+# - A visit of ``powerful_sum``: 1.4 us (the oracle's interval) to 4 us
+#   (the probe's search) in ``kernel_bounded``, and 3-8 us in a count
+#   with its squarefree counts.  ``kernel_bounded`` keeps ~145 bytes a
+#   visit until its parts exist, and 64 more while it builds its columns.
+# - A scan row: 2-5 us (probe) to ~25 us (oracle) of Python with its
+#   output.  The oracle holds ~810 bytes a row until the scan ends, the
+#   probe ~380.  Both are priced at the oracle's, with margin for the
+#   interpreter, so no admitted scan peaks above MEMORY_LIMIT.
+# - A unit of the width bound of a scan's parts (``kernel_bounded``'s
+#   ``admit``): ~140 ns and ~25 bytes to emit and sort in a dense probe
+#   set (every m, gamma = 10), 115-130 ns and 17-19 bytes over G.
+# - A sumset pair: 2-10 ns in numpy, formed in blocks of bounded size.
+# - A Moebius term of a squarefree count (~4 ns) and an entry of the
+#   squarefree prefix table (~115 ns): priced at 1/256 and 1/8 of a
+#   visit, the ratios of the count budget they replace, so every count
+#   keeps the verdict it had when counts were priced in visits.
+# - An entry of ``radical_sieve``'s int32 table: 4 bytes, so x = 2**28 is
+#   the largest table admitted.
+WORK_LIMIT_S = 60.0
+MEMORY_LIMIT = 1 << 30
+WALK_VISIT_S, WALK_VISIT_BYTES = 6e-6, 200
+ROW_S, ROW_BYTES = 25e-6, 850
+PART_S, PART_BYTES = 140e-9, 25
+PAIR_S = 10e-9
+SQUAREFREE_TERM_S = WALK_VISIT_S / 256
+TABLE_ENTRY_S = WALK_VISIT_S / 8
+SIEVE_ENTRY_BYTES = 4
+
+
+def check_budget(what: str, seconds: float, nbytes: float, *, force: bool | None = None, error: type = ValueError):
+    """Raise ``error`` when ``what``, priced at ``seconds`` and ``nbytes``, is over the budget, read at call time.
+
+    ``force`` is None for work that cannot be forced, False for a scan,
+    whose message then names --force, and True for a forced scan, refused
+    only when ``nbytes`` exceed the physical memory.
+    """
+    if force:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        over, budget = nbytes > memory, f"the {memory / 2**30:.3g} GiB of physical memory, forced or not"
+    else:
+        over = seconds > WORK_LIMIT_S or nbytes > MEMORY_LIMIT
+        budget = f"the budget of {WORK_LIMIT_S:g} s and {MEMORY_LIMIT / 2**30:g} GiB"
+    if over:
+        hint = "; rerun with --force to proceed" if force is False else ""
+        raise error(f"{what} implies ~{seconds:.3g} s and ~{nbytes:.3g} bytes, over {budget}{hint}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,16 +390,14 @@ def radical_sieve(x: int) -> RadicalTable:
     """Build the kernel table for [1, x], one segment of ``DEFAULT_SEGMENT_SIZE`` entries at a time.
 
     The table holds x + 1 entries of the narrowest signed integer type
-    that fits x.  Both module constants are read at call time; x past
-    ``DEFAULT_SIEVE_LIMIT`` raises SieveLimitError before anything is
-    allocated.
+    that fits x.  The segment size is read at call time; a table over the
+    memory budget raises SieveLimitError before anything is allocated.
     """
     import numpy as np
 
     if x < 1:
         raise ValueError(f"sieve limit must be >= 1, got {x}")
-    if x > DEFAULT_SIEVE_LIMIT:
-        raise SieveLimitError(f"sieve limit {x} exceeds the configured budget {DEFAULT_SIEVE_LIMIT}")
+    check_budget(f"sieving up to x={x}", 0, SIEVE_ENTRY_BYTES * x, error=SieveLimitError)
     seg, dtype = DEFAULT_SEGMENT_SIZE, np.int32 if x <= np.iinfo(np.int32).max else np.int64
     small_primes = primes_up_to(math.isqrt(x))
     values = np.zeros(x + 1, dtype=dtype)

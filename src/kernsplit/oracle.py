@@ -32,30 +32,29 @@ rests on the theorem it checks.
 The probe records, per n, the first (smallest) part g1 of a qualifying
 pair, and stops once no later pair can reach an n still without one.
 
-Both scans take their parts from ``_admit``, priced in one cost model
-(``SCAN_WORK_LIMIT``): rows, the walk over the powerful numbers,
-candidate parts and sumset pairs.  Unless ``force``, a scan over budget
-is refused on its rows and walk before any b is visited, on the bound of
-its parts before any part is emitted, and on its exact pair count before
-any pair is formed.  Forced or not, 21*n >= 2**63 is refused: pair sums
-stay below 2n, and the int64 tier mask k**2 <= c*m, c <= 21, runs on G
-alone, where k**2 <= 21*m < 21*n.  So is a scan whose parts' bound, at
-``_PART_BYTES`` a unit, exceeds the physical memory, before any part
-exists.
+Both scans take their parts from ``_admit``, priced by
+``kernel.check_budget`` in seconds and bytes: rows, the walk over the
+powerful numbers, candidate parts and sumset pairs.  Unless ``force``, a
+scan over budget is refused on its rows and walk before any b is
+visited, on the bound of its parts before any part is emitted, and on
+its exact pair count before any pair is formed.  Forced or not, 21*n >=
+2**63 is refused: pair sums stay below 2n, and the int64 tier mask
+k**2 <= c*m, c <= 21, runs on G alone, where k**2 <= 21*m < 21*n.  So
+is a forced scan whose rows, walk and parts need more bytes than the
+physical memory, before the step that would hold them.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .decompose import Decomposition, split_parts
-from .kernel import POWERFUL_DENSITY, kernel_bounded, radical
+from .kernel import PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
+from .kernel import check_budget, kernel_bounded, radical
 
 __all__ = [
-    "SCAN_WORK_LIMIT",
     "BestSplit",
     "ComparisonReport",
     "ComparisonRow",
@@ -88,30 +87,6 @@ _PAIR_BLOCK = 1 << 20
 # n per block of an oracle window: the block's Python lists are dropped
 # before the next is built, so 4096 keeps them to ~1 MB next to the rows
 _ORACLE_BLOCK = 1 << 12
-
-# Budget of one scan, in kernel lookups: one lookup is one sumset pair
-# over the candidate parts, counted before any is formed; forming and
-# ranking one takes 2-10 ns in numpy on 2 cores.  A row costs ~2-5 us
-# (probe) to ~25 us (oracle) of Python with its output, and holds 0.4-0.8
-# KB until the scan ends; _ROW_WEIGHT prices it at the oracle's cost, so
-# an unforced scan has at most 5e5 rows.  The walk's < POWERFUL_DENSITY
-# * sqrt(n_hi) visits take 2-4 us of Python and keep ~150 bytes each
-# until the parts exist; _WALK_WEIGHT prices one at 1000 lookups, so n
-# past ~2.1e11 is refused before the walk (n = 1e12 would walk 2.4 s and
-# 351 MB, 1e13 13-28 s and 1.07 GB).  A candidate part is charged on
-# the bound known before any part exists, the sum of the widths of the
-# per-b intervals of a: a dense probe set (every m, gamma = 10) takes
-# ~140 ns and ~25 bytes per unit of it to emit and sort, so _PART_WEIGHT
-# = 40 admits one up to ~2.3e7 units, n near 1.2e7 (3.3 s, 550 MB).  The
-# calibration table is in CHANGES.md.
-SCAN_WORK_LIMIT = 10**9
-_ROW_WEIGHT = 2000
-_WALK_WEIGHT = 1000
-_PART_WEIGHT = 40
-
-# bytes per unit of the parts' width bound, as measured above: a scan
-# whose bound needs more than the physical memory is refused, even forced
-_PART_BYTES = 25
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,42 +157,26 @@ def _pair_count(parts: np.ndarray, n_lo: int, n_hi: int) -> int:
     return int(_pair_ranges(parts, n_lo, n_hi)[1].sum())
 
 
-def _check_work(n_lo: int, n_hi: int, parts: int = 0, pairs: int = 0) -> None:
-    """Raise ValueError when the scan's rows, its walk, ``parts`` candidate parts and ``pairs`` exceed the budget."""
-    walk = math.ceil(POWERFUL_DENSITY * math.sqrt(n_hi))
-    work = _ROW_WEIGHT * (n_hi - n_lo + 1) + _WALK_WEIGHT * walk + _PART_WEIGHT * parts + pairs
-    if work > SCAN_WORK_LIMIT:
-        raise ValueError(
-            f"scan of [{n_lo}, {n_hi}] implies ~{work:.2e} kernel lookups "
-            f"(> {SCAN_WORK_LIMIT:.0e}); rerun with --force to proceed"
-        )
-
-
 def _admit(n_lo: int, n_hi: int, interval_to, force: bool) -> tuple[np.ndarray, np.ndarray]:
     """``kernel_bounded(n_hi - 2, interval_to(n_hi - 2))`` for a scan of [n_lo, n_hi], refused as the module docstring says."""
     if not 4 <= n_lo <= n_hi:
         raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if _CANDIDATE_QUALITY * n_hi >= 2**63:
         raise ValueError(f"scans are exact in int64 up to n = {(2**63 - 1) // _CANDIDATE_QUALITY}, got {n_hi}")
-    if not force:
-        _check_work(n_lo, n_hi)
+    rows, walk = n_hi - n_lo + 1, math.ceil(POWERFUL_DENSITY * math.sqrt(n_hi))
     bound = 0
 
-    def admit(parts: int) -> None:
+    def admit(parts: int, pairs: int = 0) -> None:
         nonlocal bound
         bound = parts
-        if not force:
-            _check_work(n_lo, n_hi, parts)
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if _PART_BYTES * parts > memory:
-            raise ValueError(
-                f"scan of [{n_lo}, {n_hi}] needs ~{_PART_BYTES * parts:.2e} bytes for its parts, "
-                f"more than the {memory:.2e} bytes of physical memory, forced or not"
-            )
+        seconds = ROW_S * rows + WALK_VISIT_S * walk + PART_S * parts + PAIR_S * pairs
+        nbytes = ROW_BYTES * rows + WALK_VISIT_BYTES * walk + PART_BYTES * parts
+        check_budget(f"scan of [{n_lo}, {n_hi}]", seconds, nbytes, force=force)
 
+    admit(0)
     parts, kernels = kernel_bounded(n_hi - 2, interval_to(n_hi - 2), admit)
     if not force:
-        _check_work(n_lo, n_hi, bound, _pair_count(parts, n_lo, n_hi))
+        admit(bound, _pair_count(parts, n_lo, n_hi))
     return parts, kernels
 
 
@@ -389,7 +348,7 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
 
     The oracle can never be worse than the constructive split; any n
     where it is lands in ``violations``.  Unless ``force``, a scan over
-    the work budget is refused before the step that would exceed it.
+    the budget is refused before the step that would exceed it.
     """
     parts, kernels = _admit(n_lo, n_hi, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force)
     tiers, rows = _tiers(parts, kernels), []

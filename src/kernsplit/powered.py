@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
-from .kernel import POWERFUL_DENSITY, factorize, powerful_sum, primes_up_to
+from .kernel import POWERFUL_DENSITY, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
+from .kernel import check_budget, factorize, powerful_sum, primes_up_to
 
 __all__ = [
-    "COUNT_WORK_LIMIT",
     "CountReport",
     "Theta",
     "count_log_weighted",
@@ -315,10 +315,9 @@ def _iroot(n: int, r: int) -> int:
     return a
 
 
-# Budget of one exact count, in visits of the walk over the powerful
-# numbers, at 3-8 us of Python each on 2 cores, squarefree counts
-# included.  There are fewer than POWERFUL_DENSITY * sqrt(x) powerful
-# b <= x (``kernel.POWERFUL_DENSITY``):
+# Seconds of one exact count, priced by ``kernel.check_budget`` at
+# WALK_VISIT_S a visit of the walk over the fewer than POWERFUL_DENSITY *
+# sqrt(x) powerful b <= x:
 # - theta != 1/2 visits each of them: theta = 3/4 at x = 1e11 makes 680k
 #   visits in 1.8 s.
 # - gamma != 0 visits each and tests a = x // b, galloping to the end of
@@ -330,12 +329,10 @@ def _iroot(n: int, r: int) -> int:
 #   walk and count the leaves in bulk: 2.37-2.45 * x**0.42 visits from
 #   x = 1e9 (15k, 0.05 s) to 1e14 (1.8M, 7.4 s).
 # Squarefree counts above the table cap are Moebius sums over the d <=
-# sqrt(y), y <= x // b, at about 4 ns a term; measured, all of them add
-# up to less than sqrt(x) * ln(x) terms (0.62x that at gamma = 3, x =
-# 1e11).  Building the table costs about 115 ns, _TERMS_PER_ENTRY terms,
-# per entry, over at most 2 * _SQUAREFREE_TABLE_LIMIT entries, once per
-# call: the counts of one call share a table.  Terms are charged at
-# _TERMS_PER_VISIT to a visit, a third of the measured ratio.
+# sqrt(y), y <= x // b; measured, all of them add up to less than sqrt(x)
+# * ln(x) terms (0.62x that at gamma = 3, x = 1e11), each priced at
+# SQUAREFREE_TERM_S.  The table is built once per call, the counts of one
+# call sharing it, over at most 2 * _SQUAREFREE_TABLE_LIMIT entries.
 #
 # theta = p/q also compares b**p with y**(q-p) * k(b)**q in Python ints of
 # up to about q * log2(x) bits, and the cost of that grows faster than the
@@ -343,21 +340,19 @@ def _iroot(n: int, r: int) -> int:
 # these ints fit a machine word or two): theta = 199/200, 499/500 and
 # 997/1000, at 5979, 14949 and 29897 bits, add 27, 90 and 249 us, close to
 # 10 us * (bits / 3500)**1.5; theta = 1/1000 adds 168 us.  So a theta visit
-# is charged 1 + (q * log2(x) / _POWER_BITS)**1.5 visits, which refuses
-# theta = 997/1000 at x = 1e12 (~8.7e7 visits, about 15 minutes by the fit)
-# and admits it at 1e10 (~6.7e6 visits, 58 s).
+# is priced as 1 + (q * log2(x) / _POWER_BITS)**1.5 visits, which refuses
+# theta = 997/1000 at x = 1e12 (priced ~522 s; about 15 minutes by the
+# fit) and admits it at 1e10 (priced ~40 s; 58 s measured).
 #
-# The limit admits x up to about 1.1e15 for theta = 1/2 and gamma = 0,
+# The budget admits x up to about 1.1e15 for theta = 1/2 and gamma = 0,
 # 1.8e13 for theta = 3/4 and gamma = 0.5, and 4.8e12 when e**(2*gamma) >= x.
-COUNT_WORK_LIMIT = 10**7
-_TERMS_PER_VISIT = 256
-_TERMS_PER_ENTRY = 32
 _POWER_BITS = 3500
 _HALF_VISITS, _HALF_EXPONENT = 2.5, 0.42
+_TABLE_S = 2 * _SQUAREFREE_TABLE_LIMIT * TABLE_ENTRY_S
 
 
-def _count_work(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float:
-    """Visits of one count up to x, for theta or else gamma, besides the squarefree table."""
+def _count_seconds(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float:
+    """Seconds of one count up to x, for theta or else gamma, besides the squarefree table."""
     if theta is not None and theta.p == theta.q:
         return 0.0  # every m counts: no walk
     root = math.isqrt(x)
@@ -367,14 +362,7 @@ def _count_work(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float
         visits = POWERFUL_DENSITY * (root + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
     else:
         visits = POWERFUL_DENSITY * root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
-    return visits + root * math.log(x) / _TERMS_PER_VISIT
-
-
-def _check_count_work(what: str, work: float) -> None:
-    """Raise ValueError when ``what``, costing ``work`` visits plus one squarefree table, exceeds the budget."""
-    work += 2 * _SQUAREFREE_TABLE_LIMIT * _TERMS_PER_ENTRY / _TERMS_PER_VISIT
-    if work > COUNT_WORK_LIMIT:
-        raise ValueError(f"{what} implies ~{work:.2e} powerful-number visits (> {COUNT_WORK_LIMIT:.0e})")
+    return WALK_VISIT_S * visits + SQUAREFREE_TERM_S * root * math.log(x)
 
 
 def _theta_interval(x: int, theta: Theta) -> Callable[[int, int], tuple[int, int]]:
@@ -542,11 +530,11 @@ def _log_weight(x: int, gamma: float, scale: float = 1.0) -> float:
 def count_members(x: int, theta: Theta) -> CountReport:
     """Count 1 <= m <= x with k(m)**q <= m**p, exactly, over the powerful numbers up to x.
 
-    Raises ValueError when the count's cost exceeds ``COUNT_WORK_LIMIT``.
+    Raises ValueError, before the walk, when the count is over the budget.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    _check_count_work(f"counting up to x={x}", _count_work(x, theta))
+    check_budget(f"counting up to x={x}", _count_seconds(x, theta) + _TABLE_S, 0)
     count = _theta_count(x, theta, _CoprimeSquarefree())
     return CountReport(
         x=x,
@@ -562,12 +550,12 @@ def count_log_weighted(x: int, gamma: float) -> CountReport:
     At gamma = 0 this is exactly the theta = 1/2 count minus the m = 1
     contribution.  Raises ValueError, before the walk, when the
     normalization sqrt(x) * ln(x)**gamma is not a finite non-zero float
-    or the cost exceeds ``COUNT_WORK_LIMIT``.
+    or the count is over the budget.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     scale = _log_weight(x, gamma, math.sqrt(x))
-    _check_count_work(f"counting up to x={x}", _count_work(x, gamma=gamma))
+    check_budget(f"counting up to x={x}", _count_seconds(x, gamma=gamma) + _TABLE_S, 0)
     count = _log_weighted_count(x, gamma, _CoprimeSquarefree())
     return CountReport(x=x, count=count, gamma=gamma, normalized=count / scale)
 
@@ -580,14 +568,14 @@ def log_ratio_table(xs: Sequence[int], gamma: float) -> list[dict]:
     every x over one shared squarefree table; at gamma = 0, N_0(x) is
     S(x) - 1, and one walk gives both.  Raises ValueError, before
     counting, when some ln(x)**gamma is not a finite non-zero float or
-    the counts at every x together exceed the count budget.
+    the counts at every x together are over the budget.
     """
     if not xs or xs[0] < 2 or any(a > b for a, b in zip(xs, xs[1:])):
         raise ValueError(f"expected ascending x values >= 2, got {list(xs)}")
     weights = [_log_weight(x, gamma) for x in xs]
     half = Theta(1, 2)
-    work = sum(_count_work(x, half) + (_count_work(x, gamma=gamma) if gamma else 0) for x in xs)
-    _check_count_work(f"counting {len(xs)} points up to x={xs[-1]}", work)
+    seconds = sum(_count_seconds(x, half) + (_count_seconds(x, gamma=gamma) if gamma else 0) for x in xs)
+    check_budget(f"counting {len(xs)} points up to x={xs[-1]}", seconds + _TABLE_S, 0)
     squarefree = _CoprimeSquarefree()
     rows = []
     for x, w in zip(xs, weights):

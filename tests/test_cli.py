@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+import kernsplit.kernel
+import kernsplit.oracle
+import kernsplit.powered
 from kernsplit.cli import cli
 from kernsplit.decompose import Decomposition, split
+from kernsplit.kernel import SieveLimitError, radical_sieve
 from kernsplit.powered import CountReport, Theta, count_members
 
 runner = CliRunner()
@@ -155,26 +159,27 @@ class TestCount:
         [
             (
                 ["--theta", "3/4", "--limit", "100000000000000"],
-                "counting up to x=100000000000000 implies ~2.36e+07 powerful-number visits (> 1e+07)",
+                "counting up to x=100000000000000 implies ~142 s and ~0 bytes, over the budget of 60 s and 1 GiB",
             ),
             # e**40 > x: every b searches both ends of its interval, two visits each
             (
                 ["--gamma", "20", "--limit", "100000000000000"],
-                "counting up to x=100000000000000 implies ~4.53e+07 powerful-number visits (> 1e+07)",
+                "counting up to x=100000000000000 implies ~272 s and ~0 bytes, over the budget of 60 s and 1 GiB",
             ),
             # theta visits pay for their integer powers of ~40k bits
             (
                 ["--theta", "997/1000", "--limit", "1000000000000"],
-                "counting up to x=1000000000000 implies ~8.69e+07 powerful-number visits (> 1e+07)",
+                "counting up to x=1000000000000 implies ~522 s and ~0 bytes, over the budget of 60 s and 1 GiB",
             ),
             # theta = 1/2 visits only the b that are no leaves of the walk: 1e14 is admitted
             (
                 ["--theta", "1/2", "--limit", "10000000000000000"],
-                "counting up to x=10000000000000000 implies ~2.76e+07 powerful-number visits (> 1e+07)",
+                "counting up to x=10000000000000000 implies ~165 s and ~0 bytes, over the budget of 60 s and 1 GiB",
             ),
         ],
     )
     def test_over_budget_is_an_error(self, args, error):
+        # a count cannot be forced, so its refusal does not name --force
         result = runner.invoke(cli, ["count", *args])
         assert isinstance(result.exception, SystemExit) and result.exit_code == 1
         assert result.output == f"error: {error}\n"
@@ -227,20 +232,20 @@ class TestScan:
         assert result.exit_code != 0
 
     def test_force_guard(self):
-        # a million rows are over the budget: refused before anything is enumerated
+        # two million rows are over the budget's bytes: refused before anything is enumerated
         result = runner.invoke(
-            cli, ["scan", "--from", "4", "--to", "1000000", "--oracle"]
+            cli, ["scan", "--from", "4", "--to", "2000000", "--oracle"]
         )
         assert result.exit_code == 1
         assert "--force" in result.output
 
-    @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "0"]])
+    @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "3"]])
     def test_quadratic_refusal_names_force(self, mode):
-        # the rows alone fit (just under 1e9), with the parts they do not
-        args = ["scan", "--from", "4", "--to", "500000", *mode]
-        result = runner.invoke(cli, args)
+        # the rows and the walk fit, with the parts (G near 6e10) or the pairs (a dense probe set) they do not
+        lo, hi = (60_000_000_000, 60_000_000_100) if mode == ["--oracle"] else (4, 150_000)
+        result = runner.invoke(cli, ["scan", "--from", str(lo), "--to", str(hi), *mode])
         assert result.exit_code == 1
-        assert result.output.startswith("error: scan of [4, 500000] implies ~")
+        assert result.output.startswith(f"error: scan of [{lo}, {hi}] implies ~")
         assert "--force" in result.output
         assert "allow_large" not in result.output
 
@@ -249,10 +254,11 @@ class TestScan:
         [
             (100_000, 100_010, ["--oracle"], True),
             (4, 100_000, ["--gamma", "0"], True),
-            (4, 500_000, ["--oracle"], False),  # on its rows and parts
-            (4, 100_000, ["--gamma", "3"], False),  # on its pairs, a dense set
-            (4, 10**6, ["--gamma", "0"], False),  # on its rows, before any part
+            (4, 2 * 10**6, ["--oracle"], False),  # on its rows' bytes, before the walk
+            (4, 150_000, ["--gamma", "3"], False),  # on its pairs, a dense set
+            (4, 2 * 10**6, ["--gamma", "0"], False),  # on its rows' bytes, before any part
             (900_000_000, 900_000_000, ["--oracle"], True),  # no table: 1.2e6 parts from the powerful numbers
+            (4, 60_000, ["--gamma", "10"], True),  # every pair of a dense set fits the budget
         ],
     )
     def test_library_and_cli_refuse_alike(self, lo, hi, mode, admitted):
@@ -269,31 +275,6 @@ class TestScan:
         assert expected[0] == (0 if admitted else 1)
         result = runner.invoke(cli, ["scan", "--from", str(lo), "--to", str(hi), *mode, "--csv"])
         assert (result.exit_code, None if result.exit_code == 0 else result.output) == expected
-
-    def test_table_refused_before_sieving(self, monkeypatch):
-        def no_parts(*args, **kwargs):
-            raise AssertionError("enumerated the parts of an over-budget scan")
-
-        monkeypatch.setattr("kernsplit.oracle.kernel_bounded", no_parts)
-        result = runner.invoke(cli, ["scan", "--from", "4", "--to", "2000000", "--oracle"])
-        assert result.exit_code == 1
-        assert result.output == (
-            "error: scan of [4, 2000000] implies ~4.00e+09 kernel lookups (> 1e+09); "
-            "rerun with --force to proceed\n"
-        )
-
-    def test_lookups_refused_before_scanning(self, monkeypatch):
-        def no_scan(*args, **kwargs):
-            raise AssertionError("scanned an over-budget range")
-
-        monkeypatch.setattr("kernsplit.oracle.split_parts", no_scan)
-        monkeypatch.setattr("kernsplit.oracle._pairs", no_scan)
-        result = runner.invoke(cli, ["scan", "--from", "100000000", "--to", "100450000", "--oracle"])
-        assert result.exit_code == 1
-        assert result.output == (
-            "error: scan of [100000000, 100450000] implies ~1.15e+09 kernel lookups (> 1e+09); "
-            "rerun with --force to proceed\n"
-        )
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
     @pytest.mark.parametrize("mode", [["--oracle"], ["--gamma", "0"]])
@@ -335,6 +316,59 @@ class TestScan:
             "oracle_m1,oracle_m2,oracle_quality,ok"
         )
         assert len(lines) == 8
+
+
+class TestBudget:
+    """Every refusal over the budget comes from ``kernel.check_budget``, in one form, before any work."""
+
+    @pytest.mark.parametrize(
+        ("case", "what"),
+        [
+            ("scan --from 4 --to 100 --oracle", "scan of [4, 100]"),
+            ("scan --from 4 --to 100 --gamma 0.5", "scan of [4, 100]"),
+            ("count --theta 3/4 --limit 1000", "counting up to x=1000"),
+            ("count --gamma 0.5 --limit 1000", "counting up to x=1000"),
+            ("logratio --limit 1000", "counting 5 points up to x=1000"),
+            ("radical_sieve 1000", "sieving up to x=1000"),
+        ],
+        ids=["scan --oracle", "scan --gamma 0.5", "count --theta 3/4", "count --gamma 0.5", "logratio", "radical_sieve"],
+    )
+    def test_refused_before_any_work(self, monkeypatch, case, what):
+        import numpy as np
+
+        def work(*args, **kwargs):
+            raise AssertionError("worked past the budget")
+
+        helpers = []
+        real = kernsplit.kernel.check_budget
+
+        def through(*args, **kwargs):
+            helpers.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernsplit.kernel, "WORK_LIMIT_S", 0)
+        monkeypatch.setattr(kernsplit.kernel, "MEMORY_LIMIT", 0)
+        for module, name in [
+            (kernsplit.kernel, "powerful_sum"),
+            (kernsplit.powered, "powerful_sum"),
+            (kernsplit.oracle, "kernel_bounded"),
+            (np, "zeros"),  # the sieve's table
+        ]:
+            monkeypatch.setattr(module, name, work)
+        for module in (kernsplit.kernel, kernsplit.oracle, kernsplit.powered):
+            monkeypatch.setattr(module, "check_budget", through)
+        if case.startswith("radical_sieve"):
+            with pytest.raises(SieveLimitError) as info:
+                radical_sieve(1000)
+            output = f"error: {info.value}\n"
+        else:
+            result = runner.invoke(cli, case.split())
+            assert result.exit_code == 1
+            output = result.output
+        hint = "; rerun with --force to proceed" if case.startswith("scan") else ""
+        form = rf"error: {re.escape(what)} implies ~\S+ s and ~\S+ bytes, over the budget of 0 s and 0 GiB{re.escape(hint)}\n"
+        assert re.fullmatch(form, output), output
+        assert helpers == [what]
 
 
 class TestLogRatio:
@@ -575,17 +609,17 @@ GOLDEN = [
         ),
     ),
     (
-        'scan --from 4 --to 1000000 --oracle',
+        'scan --from 4 --to 2000000 --oracle',
         1,
         (
-            'error: scan of [4, 1000000] implies ~2.00e+09 kernel lookups (> 1e+09); rerun with --force to proceed\n'
+            'error: scan of [4, 2000000] implies ~50 s and ~1.7e+09 bytes, over the budget of 60 s and 1 GiB; rerun with --force to proceed\n'
         ),
     ),
     (
-        'scan --from 4 --to 1000000 --gamma 0',
+        'scan --from 4 --to 2000000 --gamma 0',
         1,
         (
-            'error: scan of [4, 1000000] implies ~2.00e+09 kernel lookups (> 1e+09); rerun with --force to proceed\n'
+            'error: scan of [4, 2000000] implies ~50 s and ~1.7e+09 bytes, over the budget of 60 s and 1 GiB; rerun with --force to proceed\n'
         ),
     ),
     (

@@ -6,6 +6,7 @@ implementation.
 """
 
 import math
+import re
 from functools import cache
 
 import numpy as np
@@ -166,24 +167,24 @@ def test_sieve_rejects_bad_limits(monkeypatch):
     with pytest.raises(ValueError):
         radical_sieve(0)
 
-    def refuse(*args):
-        raise AssertionError("sieved past the budget")
+    class Admitted(Exception):
+        pass
 
-    # checked before any prime or segment is sieved, and before the table is
-    # allocated: the default admits an int32 table of 1 GiB, 2**28 entries
+    def admitted(*args):
+        raise Admitted
+
+    # the memory budget admits an int32 table of 1 GiB, 2**28 entries, and no larger one
     with monkeypatch.context() as mp:
-        mp.setattr(kernsplit.kernel, "primes_up_to", refuse)
-        mp.setattr(kernsplit.kernel, "_radical_segment", refuse)
-        for x in (2**28 + 1, 2**30):
-            with pytest.raises(SieveLimitError, match=f"sieve limit {x} exceeds the configured budget {2**28}"):
+        mp.setattr(kernsplit.kernel, "primes_up_to", admitted)
+        with pytest.raises(Admitted):
+            radical_sieve(2**28)
+        for x in (2**28 + 1, 2**30, 2**62):
+            with pytest.raises(SieveLimitError, match=re.escape(f"sieving up to x={x} implies ~0 s and ~")):
                 radical_sieve(x)
-    monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SIEVE_LIMIT", 1000)
+    monkeypatch.setattr(kernsplit.kernel, "MEMORY_LIMIT", 4000)
     radical_sieve(1000)  # the budget is read at call time, and inclusive
-    monkeypatch.setattr(kernsplit.kernel, "primes_up_to", refuse)
-    monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
-    for x in (1001, 2**62):
-        with pytest.raises(SieveLimitError):
-            radical_sieve(x)
+    with pytest.raises(SieveLimitError):
+        radical_sieve(1001)
 
 
 def test_table_bounds_checked():

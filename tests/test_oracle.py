@@ -25,7 +25,6 @@ from dense_reference import log_weighted_mask
 from kernsplit.decompose import split
 from kernsplit.kernel import kernel_bounded, radical, radical_sieve
 from kernsplit.oracle import (
-    SCAN_WORK_LIMIT,
     BestSplit,
     ComparisonReport,
     ComparisonRow,
@@ -143,8 +142,8 @@ def refuse(*args, **kwargs):
 
 
 def refusal(n_lo: int, n_hi: int) -> str:
-    return re.escape(f"scan of [{n_lo}, {n_hi}] implies ~") + r"[0-9.]+e\+[0-9]+" + re.escape(
-        " kernel lookups (> 1e+09); rerun with --force to proceed"
+    return re.escape(f"scan of [{n_lo}, {n_hi}] implies ~") + r"\S+ s and ~\S+ bytes" + re.escape(
+        ", over the budget of 60 s and 1 GiB; rerun with --force to proceed"
     )
 
 
@@ -232,11 +231,12 @@ class TestConstructiveVsOracle:
         assert report.summary_record()["violations"] == 0
 
     def test_range_guard(self, monkeypatch):
-        # over budget on its pairs: refused once the parts are known, before any pair is formed or n split
+        # over budget on the bound of its parts: refused after the walk, before any part exists or n is split
         monkeypatch.setattr(orc, "split_parts", refuse)
         monkeypatch.setattr(orc, "_pairs", refuse)
-        with pytest.raises(ValueError, match=refusal(100000000, 100450000)):
-            constructive_vs_oracle(100_000_000, 100_450_000)
+        monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
+        with pytest.raises(ValueError, match=refusal(60000000000, 60000000100)):
+            constructive_vs_oracle(60_000_000_000, 60_000_000_100)
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
             constructive_vs_oracle(3, 10)
 
@@ -299,8 +299,8 @@ class TestConjectureProbe:
                 assert radical(m) ** 2 <= m * math.log(m) ** (2 * gamma) * (1 + 1e-9)
 
     def test_range_guard(self):
-        with pytest.raises(ValueError, match=refusal(4, 1000000)):
-            conjecture_probe(4, 10**6, 1.0)
+        with pytest.raises(ValueError, match=refusal(4, 2000000)):
+            conjecture_probe(4, 2 * 10**6, 1.0)
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
             conjecture_probe(5, 4, 1.0)
 
@@ -361,6 +361,8 @@ class TestSparseMatchesDense:
         limit = 439_208_192_231_179_800
         assert orc._CANDIDATE_QUALITY * limit < 2**63 <= orc._CANDIDATE_QUALITY * (limit + 1)
         monkeypatch.setattr(orc, "kernel_bounded", refuse)
+        # the walk's ~1.5e9 visits fit only a machine with ~300 GB: let this one have them
+        monkeypatch.setattr(kernsplit.kernel, "os", SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**40}.get))
         runs = (
             lambda n: constructive_vs_oracle(n, n, force=True),
             lambda n: conjecture_probe(n, n, 0.5, force=True),
@@ -518,7 +520,7 @@ def scan_parts(mode) -> np.ndarray:
 
 
 class TestScanWork:
-    """The one cost model: rows, candidate parts and sumset pairs."""
+    """The one price of a scan, in seconds and bytes: rows, the walk, candidate parts and sumset pairs."""
 
     @pytest.mark.parametrize("mode", ["oracle", -5.0, 0.0, 0.5, 10.0])
     @settings(max_examples=25, deadline=None)
@@ -535,25 +537,33 @@ class TestScanWork:
         assert len(formed) == len(set(formed)) == brute
         assert all(m1 <= m2 and lo <= m1 + m2 <= hi for m1, m2 in formed)
 
-    def test_work_adds_table_rows_and_lookups(self):
-        lo, hi, parts = 1000, 3000, 1234
-        walk = math.ceil(kernsplit.kernel.POWERFUL_DENSITY * math.sqrt(hi))  # 121 visits at most
-        slack = SCAN_WORK_LIMIT - orc._ROW_WEIGHT * (hi - lo + 1) - orc._WALK_WEIGHT * walk - orc._PART_WEIGHT * parts
-        orc._check_work(lo, hi, parts, slack)  # the limit itself is admitted
-        with pytest.raises(ValueError, match=refusal(lo, hi)):
-            orc._check_work(lo, hi, parts, slack + 1)
+    def test_work_adds_table_rows_and_lookups(self, monkeypatch):
+        # one price per unit: the rows, the walk, the parts' width bound and the exact pair count
+        lo, hi = 1000, 3000
+        priced = []
+        monkeypatch.setattr(orc, "check_budget", lambda what, seconds, nbytes, force: priced.append((seconds, nbytes)))
+        constructive_vs_oracle(lo, hi)
+        widths = []
+        parts, _ = kernel_bounded(hi - 2, orc._quality_at_most(orc._CANDIDATE_QUALITY), widths.append)
+        rows, walk, pairs = hi - lo + 1, math.ceil(kernsplit.kernel.POWERFUL_DENSITY * math.sqrt(hi)), orc._pair_count(parts, lo, hi)
+        k = kernsplit.kernel
+        expected = [
+            (k.ROW_S * rows + k.WALK_VISIT_S * walk + k.PART_S * p + k.PAIR_S * q, k.ROW_BYTES * rows + k.WALK_VISIT_BYTES * walk + k.PART_BYTES * p)
+            for p, q in [(0, 0), (widths[0], 0), (widths[0], pairs)]
+        ]
+        assert priced == expected
 
     def test_table_and_rows_refused_before_the_sieve(self, monkeypatch):
         # on the rows alone, before the walk over the powerful numbers
         monkeypatch.setattr(kernsplit.kernel, "powerful_sum", refuse)
         with pytest.raises(ValueError, match=refusal(4, 100000000)):
             conjecture_probe(4, 10**8, -5.0)
-        with pytest.raises(ValueError, match=refusal(4, 600000)):
-            constructive_vs_oracle(4, 600_000)
+        with pytest.raises(ValueError, match=refusal(4, 2000000)):
+            constructive_vs_oracle(4, 2_000_000)
 
-    @pytest.mark.parametrize("lo", [10**12, 10**13])
+    @pytest.mark.parametrize("lo", [10**13, 10**14])
     def test_walk_refused_before_it_starts(self, monkeypatch, lo):
-        # the walk over the ~2.2 * sqrt(n) powerful b is priced before any b is visited
+        # the walk over the ~2.2 * sqrt(n) powerful b is priced before any b is visited: past ~6e12 its bytes are over
         monkeypatch.setattr(kernsplit.kernel, "powerful_sum", refuse)
         with pytest.raises(ValueError, match=refusal(lo, lo + 100)):
             constructive_vs_oracle(lo, lo + 100)
@@ -568,13 +578,14 @@ class TestScanWork:
 
     def test_lookups_refused_once_the_parts_are_known(self, monkeypatch):
         monkeypatch.setattr(orc, "_pairs", refuse)
-        with pytest.raises(ValueError, match=refusal(4, 100000)):
-            conjecture_probe(4, 100_000, 3.0)  # ~2.5e9 pairs over a dense set
+        with pytest.raises(ValueError, match=refusal(4, 150000)):
+            conjecture_probe(4, 150_000, 3.0)  # ~5.6e9 pairs over a dense set
         monkeypatch.undo()
         assert conjecture_probe(4, 100_000, 0.0).satisfied == 98020
 
     def test_force_computes_nothing(self, monkeypatch):
-        monkeypatch.setattr(orc, "_check_work", refuse)
+        # forced, a scan is priced in bytes alone: its pairs are never counted
+        monkeypatch.setattr(orc, "_pair_count", refuse)
         assert constructive_vs_oracle(4, 100, force=True).violations == ()
         assert conjecture_probe(4, 100, 0.0, force=True).failing[:3] == (4, 5, 6)
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
@@ -583,27 +594,32 @@ class TestScanWork:
     def test_forced_parts_keep_a_memory_bound(self, monkeypatch):
         widths = []  # the width bound of conjecture_probe(4, 100, 10.0)
         kernel_bounded(98, kernsplit.powered._log_weighted_interval(98, 10.0), widths.append)
-        # gamma = 10 near 1e9: every m >= 3 is a part, a width bound of ~1.94e9 units (~48 GB)
-        monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
+        k = kernsplit.kernel
+        held = k.ROW_BYTES * 97 + k.WALK_VISIT_BYTES * math.ceil(k.POWERFUL_DENSITY * 10) + k.PART_BYTES * widths[0]
+        # gamma = 10 near 1e9: every m >= 3 is a part, a width bound of ~1.94e9 units (~48.6 GB)
+        monkeypatch.setattr(k, "_squarefree_up_to", refuse)
         physical = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)  # 8 GiB
-        monkeypatch.setattr(orc, "os", physical)
-        with pytest.raises(ValueError, match=r"needs ~4\.86e\+10 bytes for its parts, more than the 8\.59e\+09"):
+        monkeypatch.setattr(k, "os", physical)
+        with pytest.raises(ValueError, match=r"~4\.86e\+10 bytes, over the 8 GiB of physical memory, forced or not$"):
             conjecture_probe(10**9, 10**9 + 50, 10.0, force=True)
+        with pytest.raises(ValueError, match="physical memory, forced or not"):
+            best_decomposition(10**17)  # on its walk alone, before any b is visited
         # at the bound the parts are built: the patched squarefree list is reached
-        physical.sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": orc._PART_BYTES * widths[0]}.get
+        physical.sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held}.get
         with pytest.raises(AssertionError, match="ran past the work check"):
             conjecture_probe(4, 100, 10.0, force=True)
-        physical.sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": orc._PART_BYTES * widths[0] - 1}.get
+        physical.sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held - 1}.get
         with pytest.raises(ValueError, match="physical memory, forced or not"):
             conjecture_probe(4, 100, 10.0, force=True)
-        with pytest.raises(ValueError, match="physical memory, forced or not"):
-            conjecture_probe(4, 100, 10.0)  # unforced, under the work budget: the same bound
+        monkeypatch.setattr(k, "MEMORY_LIMIT", held - 1)
+        with pytest.raises(ValueError, match=re.escape("; rerun with --force to proceed")):
+            conjecture_probe(4, 100, 10.0)  # unforced: the same bytes, against the budget
 
     def test_force_runs_over_budget(self, monkeypatch):
-        monkeypatch.setattr(orc, "SCAN_WORK_LIMIT", 10_000)
-        with pytest.raises(ValueError, match=re.escape("(> 1e+04)")):
+        monkeypatch.setattr(kernsplit.kernel, "WORK_LIMIT_S", 0.001)
+        with pytest.raises(ValueError, match=re.escape("over the budget of 0.001 s and 1 GiB")):
             constructive_vs_oracle(4, 100)
-        with pytest.raises(ValueError, match=re.escape("(> 1e+04)")):
+        with pytest.raises(ValueError, match=re.escape("over the budget of 0.001 s and 1 GiB")):
             conjecture_probe(4, 100, 0.0)
         assert len(constructive_vs_oracle(4, 100, force=True).rows) == 97
         assert len(conjecture_probe(4, 100, 0.0, force=True).pairs) == 97

@@ -440,22 +440,22 @@ class TestCountGuards:
             raise AssertionError("powerful_sum called")
 
         monkeypatch.setattr(kernsplit.powered, "powerful_sum", refuse)
-        message = "counting up to x={} implies ~{} powerful-number visits"
+        message = "counting up to x={} implies ~{} s and ~0 bytes, over the budget of 60 s and 1 GiB"
         # theta = 1/2 and gamma = 0 visit only the b that are no leaves of the walk
         for count in (partial(count_members, theta=Theta(1, 2)), partial(count_log_weighted, gamma=0.0)):
-            with pytest.raises(ValueError, match=re.escape(message.format(10**16, "2.76e+07"))):
+            with pytest.raises(ValueError, match=re.escape(message.format(10**16, "165"))):
                 count(10**16)
-        with pytest.raises(ValueError, match=re.escape(message.format(10**14, "2.36e+07"))):
+        with pytest.raises(ValueError, match=re.escape(message.format(10**14, "142"))):
             count_members(10**14, Theta(3, 4))  # theta visits also pay for their integer powers
-        with pytest.raises(ValueError, match=re.escape(message.format(10**14, "2.33e+07"))):
+        with pytest.raises(ValueError, match=re.escape(message.format(10**14, "140"))):
             count_log_weighted(10**14, 0.5)
         # e**40 > x: every b also searches the lower end of its interval, a second visit
-        with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~1.43e+07")):
+        with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~86.1 s")):
             count_log_weighted(10**13, 20.0)
-        with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~1.54e+07")):
-            log_ratio_table([10**13], 20.0)  # ~1.1e6 for theta = 1/2
-        # a table pays for both counts at every x: ~2.33e7 + ~3.16e6 at 1e14
-        table = "counting 2 points up to x=100000000000000 implies ~2.65e+07 powerful-number visits"
+        with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~92.6 s")):
+            log_ratio_table([10**13], 20.0)  # ~6.6 s for theta = 1/2
+        # a table pays for both counts at every x: ~140 s + ~19 s at 1e14
+        table = "counting 2 points up to x=100000000000000 implies ~159 s and ~0 bytes"
         with pytest.raises(ValueError, match=re.escape(table)):
             log_ratio_table([10, 10**14], 1.0)
 
@@ -467,7 +467,7 @@ class TestCountGuards:
             raise Walked
 
         monkeypatch.setattr(kernsplit.powered, "powerful_sum", walk)
-        # 186 points up to 1e13: each count alone fits the budget, all of them ~2e8 visits
+        # 186 points up to 1e13: each count alone fits the budget, all of them ~1.2e3 s
         grid = sorted({max(10, round((10**13) ** (i / 200))) for i in range(1, 201)} | {10**13})
         with pytest.raises(ValueError, match=re.escape(f"counting {len(grid)} points up to x=10000000000000")):
             log_ratio_table(grid, 1.0)
@@ -495,7 +495,7 @@ class TestCountGuards:
         def walk(*args):
             raise Walked
 
-        # ~6.7e6 visits for one walk at 5e14, so two would be over the budget
+        # ~40 s for one walk at 5e14, so two would be over the budget
         monkeypatch.setattr(kernsplit.powered, "powerful_sum", walk)
         with pytest.raises(Walked):
             log_ratio_table([5 * 10**14], 0.0)
