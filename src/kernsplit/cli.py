@@ -23,7 +23,6 @@ the command succeeded and, where verification was requested or implied,
 verification passed.
 """
 
-import csv
 import gc
 import io
 import json
@@ -86,6 +85,8 @@ def _run(as_json: bool, as_csv: bool, command: str, body) -> None:
         envelope = {"command": command, "params": params, "result": result, "elapsed_ms": elapsed_ms}
         _echo_lines([*rows, envelope], json.dumps)
     elif as_csv:
+        import csv
+
         records = rows or human
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -252,7 +253,11 @@ def cmd_logratio(limit: int, gamma: float, points: int, as_json: bool, as_csv: b
 
 
 def main():
-    cli()
+    try:
+        cli()
+    finally:
+        # everything made so far lives until exit: spare the collections at shutdown from traversing it
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -289,9 +289,11 @@ def kernel_bounded(
     list, filtered by gcd(a, k(b)) == 1.  So (1, c*b // k(b)**2) gives
     every m with k(m)**2 <= c*m.  No kernel table is built.  The walk over
     the < POWERFUL_DENSITY * sqrt(top) powerful b (``powerful_sum``) comes
-    first; ``admit(bound)``, when given, is then called with bound = the sum of
-    the interval widths >= len(ms), before the squarefree list or any
-    member exists, so a caller can refuse a set too large by raising.
+    first; ``admit(bound)``, when given, is called with the running sum of
+    the interval widths during the walk, each time that sum has doubled,
+    and then with the whole sum, a bound >= len(ms), before the squarefree
+    list or any member exists.  The sum only grows, so a caller can refuse
+    a set too large by raising as soon as the walk has seen enough of it.
     Raises ValueError past ``BOUNDED_INT64_LIMIT``.
     """
     import numpy as np
@@ -299,16 +301,22 @@ def kernel_bounded(
     if top > BOUNDED_INT64_LIMIT:
         raise ValueError(f"bounded kernels are exact in int64 up to {BOUNDED_INT64_LIMIT}, got {top}")
     walk = []
+    bound, due = 0, 1  # the widths so far (the walk's own sum is unused), and the sum at which admit is next called
 
     def visit(b: int, k: int, _) -> int:
+        nonlocal bound, due
         lo, hi = interval(b, k)
         hi = min(hi, top // b)
         if hi < lo:
             return 0
         walk.append((b, k, lo, hi))
-        return hi - lo + 1
+        bound += hi - lo + 1
+        if bound >= due and admit is not None:
+            admit(bound)
+            due = 2 * bound
+        return 0
 
-    bound = powerful_sum(top, visit)
+    powerful_sum(top, visit)
     if admit is not None:
         admit(bound)
     none = np.zeros(0, dtype=np.int64)

@@ -36,23 +36,29 @@ Both scans take their parts from ``_admit``, priced by
 ``kernel.check_budget`` in seconds and bytes: rows, the walk over the
 powerful numbers, candidate parts and sumset pairs.  Unless ``force``, a
 scan over budget is refused on its rows and walk before any b is
-visited, on the bound of its parts before any part is emitted, and on
-its exact pair count before any pair is formed.  Forced or not, 21*n >=
+visited, on the bound of its parts during the walk, as soon as the part
+of the bound seen so far is over, or else before any part is emitted,
+and on its exact pair count before any pair is formed.  Forced or not, 21*n >=
 2**63 is refused: pair sums stay below 2n, and the int64 tier mask
 k**2 <= c*m, c <= 21, runs on G alone, where k**2 <= 21*m < 21*n.  So
 is a forced scan whose rows, walk and parts need more bytes than the
 physical memory, before the step that would hold them.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .decompose import Decomposition, split_parts
 from .kernel import PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
 from .kernel import check_budget, kernel_bounded, radical
+
+if TYPE_CHECKING:
+    from .decompose import Decomposition
 
 __all__ = [
     "BestSplit",
@@ -350,6 +356,8 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     where it is lands in ``violations``.  Unless ``force``, a scan over
     the budget is refused before the step that would exceed it.
     """
+    from .decompose import split_parts  # only the oracle scan splits: the probe skips the import
+
     parts, kernels = _admit(n_lo, n_hi, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force)
     tiers, rows = _tiers(parts, kernels), []
     for lo, hi in _n_blocks(n_lo, n_hi, _ORACLE_BLOCK):

@@ -305,6 +305,7 @@ class TestScan:
         assert seen == [False] and gc.isenabled()
         assert runner.invoke(cli, ["scan", "--from", "10", "--to", "4"]).exit_code == 1
         assert gc.isenabled()
+        assert gc.get_freeze_count() == 0  # only main freezes, at the end of its process
 
     def test_oracle_csv_header(self):
         result = runner.invoke(

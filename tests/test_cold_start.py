@@ -4,6 +4,7 @@ Every test starts a new Python process, since the test process itself
 has long since imported everything.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -28,12 +29,15 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def fresh(code: str, *args: str) -> str:
-    """stdout of ``python -c code args`` with this checkout's kernsplit first on the path."""
+def python(*args: str) -> subprocess.CompletedProcess:
+    """``python args`` with this checkout's kernsplit first on the path, its output captured through pipes."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def fresh(code: str, *args: str) -> str:
+    """stdout of ``python -c code args``."""
+    proc = python("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -57,7 +61,12 @@ def modules_after(*args: str) -> set[str]:
 def test_command_runs_without_numpy_or_mpmath(args):
     loaded = modules_after(*args)
     assert "kernsplit.cli" in loaded
-    assert not {"numpy", "mpmath"} & loaded
+    assert not {"numpy", "mpmath", "csv"} & loaded
+
+
+def test_only_csv_output_loads_csv():
+    assert "csv" in modules_after("radical", "360", "--csv")
+    assert "csv" not in modules_after("radical", "360", "--json")
 
 
 def test_verify_scan_loads_neither_oracle_nor_powered():
@@ -75,6 +84,7 @@ def test_oracle_scan_loads_no_powered():
 def test_gamma_zero_probe_decides_in_integers():
     loaded = modules_after("scan", "--from", "4", "--to", "20000", "--gamma", "0")
     assert "numpy" in loaded and "mpmath" not in loaded
+    assert "kernsplit.decompose" not in loaded  # the probe splits no n
 
 
 def test_import_loads_no_submodule():
@@ -90,3 +100,37 @@ unresolved = [n for n in kernsplit.__all__ if getattr(kernsplit, n) is None]
 print(len(kernsplit.__all__), missing, unresolved, hasattr(kernsplit, "no_such_name"))
 """
     assert fresh(code).split() == [str(len(kernsplit.__all__)), "[]", "[]", "False"]
+
+
+class TestEntryPoint:
+    """``python -m kernsplit.cli``, the path of the console script: ``main``."""
+
+    def test_json_rows_then_envelope(self):
+        proc = python("-m", "kernsplit.cli", "scan", "--from", "4", "--to", "300", "--oracle", "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        *rows, envelope = map(json.loads, proc.stdout.splitlines())
+        assert [row["n"] for row in rows] == list(range(4, 301)) and all(row["ok"] for row in rows)
+        assert envelope["command"] == "scan" and envelope["result"]["checked"] == 297
+
+    def test_refusal_is_one_error_line(self):
+        proc = python("-m", "kernsplit.cli", "scan", "--from", "4", "--to", "2000000", "--oracle")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: scan of [4, 2000000] implies") and "--force" in line
+
+    def test_usage_error(self):
+        proc = python("-m", "kernsplit.cli", "radical", "360", "--json", "--csv")
+        assert proc.returncode == 2 and "mutually exclusive" in proc.stderr
+
+    def test_main_freezes_what_it_made(self):
+        # main, unlike an in-process ``cli`` call, leaves the collector frozen for the exit
+        code = """
+import gc, sys
+from kernsplit.cli import main
+try:
+    main()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(gc.get_freeze_count())
+"""
+        assert int(fresh(code, "radical", "360").splitlines()[-1]) > 0

@@ -341,7 +341,9 @@ def refuse(*args, **kwargs):
 def test_kernel_bounded_admits_before_emitting(monkeypatch):
     bounds = []
     ms, _ = kernel_bounded(10**5, quality_at_most(21), bounds.append)
-    assert bounds[0] >= len(ms)
+    # during the walk at each doubling of the running sum of widths, then the whole sum
+    assert bounds[-1] >= len(ms) and len(bounds) > 2
+    assert all(2 * a <= b for a, b in zip(bounds, bounds[1:-1])) and bounds[-2] <= bounds[-1]
 
     def stop(bound):
         raise ValueError(f"refused at {bound}")

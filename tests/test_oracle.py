@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import kernsplit.decompose
 import kernsplit.kernel
 import kernsplit.oracle as orc
 import kernsplit.powered
@@ -232,7 +233,7 @@ class TestConstructiveVsOracle:
 
     def test_range_guard(self, monkeypatch):
         # over budget on the bound of its parts: refused after the walk, before any part exists or n is split
-        monkeypatch.setattr(orc, "split_parts", refuse)
+        monkeypatch.setattr(kernsplit.decompose, "split_parts", refuse)
         monkeypatch.setattr(orc, "_pairs", refuse)
         monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
         with pytest.raises(ValueError, match=refusal(60000000000, 60000000100)):
@@ -538,7 +539,7 @@ class TestScanWork:
         assert all(m1 <= m2 and lo <= m1 + m2 <= hi for m1, m2 in formed)
 
     def test_work_adds_table_rows_and_lookups(self, monkeypatch):
-        # one price per unit: the rows, the walk, the parts' width bound and the exact pair count
+        # one price per unit: the rows, the walk, the parts' width bound (as it grows, then whole) and the exact pair count
         lo, hi = 1000, 3000
         priced = []
         monkeypatch.setattr(orc, "check_budget", lambda what, seconds, nbytes, force: priced.append((seconds, nbytes)))
@@ -549,7 +550,7 @@ class TestScanWork:
         k = kernsplit.kernel
         expected = [
             (k.ROW_S * rows + k.WALK_VISIT_S * walk + k.PART_S * p + k.PAIR_S * q, k.ROW_BYTES * rows + k.WALK_VISIT_BYTES * walk + k.PART_BYTES * p)
-            for p, q in [(0, 0), (widths[0], 0), (widths[0], pairs)]
+            for p, q in [(0, 0), *((w, 0) for w in widths), (widths[-1], pairs)]
         ]
         assert priced == expected
 
@@ -595,12 +596,13 @@ class TestScanWork:
         widths = []  # the width bound of conjecture_probe(4, 100, 10.0)
         kernel_bounded(98, kernsplit.powered._log_weighted_interval(98, 10.0), widths.append)
         k = kernsplit.kernel
-        held = k.ROW_BYTES * 97 + k.WALK_VISIT_BYTES * math.ceil(k.POWERFUL_DENSITY * 10) + k.PART_BYTES * widths[0]
-        # gamma = 10 near 1e9: every m >= 3 is a part, a width bound of ~1.94e9 units (~48.6 GB)
+        held = k.ROW_BYTES * 97 + k.WALK_VISIT_BYTES * math.ceil(k.POWERFUL_DENSITY * 10) + k.PART_BYTES * widths[-1]
+        # gamma = 10 near 1e9: every m >= 3 is a part, a width bound of ~1.94e9 units (~48.6 GB), refused
+        # during the walk at the first doubling of its running bound past 8 GiB, ~1e9 units (~2.5e10 bytes)
         monkeypatch.setattr(k, "_squarefree_up_to", refuse)
         physical = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)  # 8 GiB
         monkeypatch.setattr(k, "os", physical)
-        with pytest.raises(ValueError, match=r"~4\.86e\+10 bytes, over the 8 GiB of physical memory, forced or not$"):
+        with pytest.raises(ValueError, match=r"~2\.5e\+10 bytes, over the 8 GiB of physical memory, forced or not$"):
             conjecture_probe(10**9, 10**9 + 50, 10.0, force=True)
         with pytest.raises(ValueError, match="physical memory, forced or not"):
             best_decomposition(10**17)  # on its walk alone, before any b is visited
