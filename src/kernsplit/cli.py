@@ -35,7 +35,6 @@ import click
 # a command loads only what it runs (count, decompose and radical never
 # load numpy).  They are bound as modules and their functions looked up
 # at call time, where patches applied to the modules take effect.
-from .kernel import factorize
 
 
 def _human(v) -> str:
@@ -118,7 +117,9 @@ def cmd_radical(m: int, as_json: bool, as_csv: bool):
     """Print k(M) and the factorization of M."""
 
     def body():
-        fac = factorize(m)
+        from . import kernel
+
+        fac = kernel.factorize(m)
         factor_text = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors) or "1"
         result = {"m": m, "radical": fac.radical(), "factors": [[p, e] for p, e in fac.factors]}
         flat = {"m": m, "radical": fac.radical(), "factorization": factor_text}

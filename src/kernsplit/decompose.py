@@ -44,8 +44,6 @@ from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from operator import sub
 
-from .kernel import radical
-
 __all__ = [
     "KERNEL_BOUND_4TH",
     "CheckResult",
@@ -272,6 +270,8 @@ def verify_exact(d: Decomposition) -> bool:
         return False
     if d.m1 < 2 or d.m2 < 2:
         return False
+    from .kernel import radical  # only n <= 6 and --verify exact factor: the structural scans skip the import
+
     for m in (d.m1, d.m2):
         k = radical(m)
         if k**4 > KERNEL_BOUND_4TH * m * m:

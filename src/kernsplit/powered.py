@@ -10,8 +10,8 @@ content is merely large.
 
 The log-weighted class k(m)**2 <= m * ln(m)**(2*gamma) has one decision
 rule, ``_log_weighted_member``, with a float prefilter: everything
-within a relative 1e-9 of the boundary is re-decided with mpmath at 35
-significant digits, since the right-hand side is not rational.  Results
+within a relative 1e-9 of the boundary is re-decided with ``decimal`` at
+35 significant digits, since the right-hand side is not rational.  Results
 are therefore identical to element-by-element exact evaluation.
 
 The counters sieve nothing.  Every m is uniquely a*b with b powerful, a
@@ -151,10 +151,10 @@ class CountReport:
 
 
 def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
-    from mpmath import mp  # only near-ties need it; keeps it off the import path
+    from decimal import Context, Decimal, localcontext  # only near-ties need it; keeps it off the import path
 
-    with mp.workdps(_TIE_DPS):
-        return mp.mpf(k * k) <= mp.mpf(m) * mp.log(m) ** (2 * gamma)
+    with localcontext(Context(prec=_TIE_DPS)):
+        return k * k <= Decimal(m) * Decimal(m).ln() ** Decimal(2 * gamma)
 
 
 def _log_weighted_member(m: int, k: int, gamma: float) -> bool:

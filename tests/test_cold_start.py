@@ -87,6 +87,21 @@ def test_gamma_zero_probe_decides_in_integers():
     assert "kernsplit.decompose" not in loaded  # the probe splits no n
 
 
+def test_near_tie_is_decided_with_decimal():
+    # m = 12 (k = 6) sits within the near-tie band of this gamma and is re-decided a member
+    loaded = modules_after("count", "--gamma", "0.6034772207069685", "--limit", "100")
+    assert "decimal" in loaded and "mpmath" not in loaded
+
+
+@pytest.mark.parametrize("args", [["scan", "--from", "7", "--to", "1000"], ["decompose", "100", "--verify", "structural"]])
+def test_structural_checks_load_no_kernel(args):
+    assert "kernsplit.kernel" not in modules_after(*args)
+
+
+def test_radical_loads_kernel():
+    assert "kernsplit.kernel" in modules_after("radical", "360")
+
+
 def test_import_loads_no_submodule():
     code = "import sys, kernsplit; print(sorted(m for m in sys.modules if m.startswith('kernsplit.')))"
     assert fresh(code).strip() == "[]"

@@ -9,6 +9,7 @@ table.
 
 import math
 import re
+from decimal import Context, Decimal, localcontext
 from functools import partial
 from itertools import combinations
 
@@ -223,6 +224,45 @@ class TestCountLogWeighted:
             count_log_weighted(100, gamma)
         with pytest.raises(ValueError, match=re.escape(f"gamma={gamma}, x=10") + "$"):
             log_ratio_table([10, 100], gamma)
+
+
+class TestNearTieRecheck:
+    """The exact re-decision of log-weighted near-ties, which the sampled counts rarely reach."""
+
+    @staticmethod
+    def spy_exact(monkeypatch) -> list:
+        """Record (m, k, gamma, answer) for every call to ``_log_weighted_member_exact``."""
+        calls = []
+        exact = kernsplit.powered._log_weighted_member_exact
+
+        def spy(m, k, gamma):
+            answer = exact(m, k, gamma)
+            calls.append((m, k, gamma, answer))
+            return answer
+
+        monkeypatch.setattr(kernsplit.powered, "_log_weighted_member_exact", spy)
+        return calls
+
+    def test_engineered_ties_match_sixty_digits(self, monkeypatch):
+        # gamma puts m on the boundary: ln(m)**(2*gamma) == k**2 / m up to the rounding of gamma
+        calls = self.spy_exact(monkeypatch)
+        ms = [m for m in range(3, 3000) if radical(m) ** 2 != m]
+        for m in ms:
+            k = radical(m)
+            kernsplit.powered._log_weighted_member(m, k, math.log(k * k / m) / (2 * math.log(math.log(m))))
+        assert [c[0] for c in calls] == ms  # every one is a near-tie
+        with localcontext(Context(prec=60)):
+            reference = [k * k <= Decimal(m) * Decimal(m).ln() ** Decimal(2 * gamma) for m, k, gamma, _ in calls]
+        assert [c[3] for c in calls] == reference
+        assert 0 < sum(reference) < len(reference)  # both answers are reached
+
+    @pytest.mark.parametrize("x, gamma", [(100_000, 0.5), (100_000, -0.5), (10_000, 3.0)])
+    def test_rechecking_every_decision_keeps_the_count(self, monkeypatch, x, gamma):
+        expected = count_log_weighted(x, gamma).count
+        calls = self.spy_exact(monkeypatch)
+        monkeypatch.setattr(kernsplit.powered, "_TIE_REL", 1.0)
+        assert count_log_weighted(x, gamma).count == expected
+        assert len(calls) > 200
 
 
 # segment sizes small enough to cut x into many segments
