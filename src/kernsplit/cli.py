@@ -9,13 +9,16 @@ weighted-count ratio table.
 Every command prints through ``_run``, under one output contract:
 
 - ``--json``: one JSON object per line, the rows first, then a single
-  envelope with command, params, result and elapsed_ms;
+  envelope with command, params, result and elapsed_ms, the time of the
+  computation alone;
 - ``--csv``: a header row then the rows, or, for a command without rows,
   its human-mode record (the result; for ``radical`` the flat record
   with a ``factorization`` string in place of the ``factors`` pairs);
 - default: one key=value line per record, the rows then the result.
   The ``scan --gamma`` probe shows only its failing rows before the
   result, and ``logratio`` shows its rows with no result line.
+
+Rows are read once, as they print: a scan builds each row only then.
 
 A ``ValueError`` raised by the library becomes one ``error:`` line on
 stderr and exit status 1.  Otherwise the exit status is 0 exactly when
@@ -28,6 +31,7 @@ import io
 import json
 import sys
 import time
+from itertools import chain, islice
 
 import click
 
@@ -52,47 +56,46 @@ def _human(v) -> str:
 _ECHO_BLOCK = 4096
 
 
-def _echo_lines(records: list, fmt) -> None:
-    """Write ``fmt(rec)`` for each record as one line, ``_ECHO_BLOCK`` lines per write."""
-    for i in range(0, len(records), _ECHO_BLOCK):
-        click.echo("\n".join(map(fmt, records[i : i + _ECHO_BLOCK])))
+def _echo_lines(records, fmt) -> None:
+    """Write ``fmt(rec)`` for each of the iterable records as one line, ``_ECHO_BLOCK`` lines per write."""
+    records = iter(records)
+    while block := list(islice(records, _ECHO_BLOCK)):
+        click.echo("\n".join(map(fmt, block)))
 
 
 def _run(as_json: bool, as_csv: bool, command: str, body) -> None:
     """Run ``body() -> (params, result, rows, human, ok)`` and print it per the module contract.
 
+    ``rows`` and ``human`` are iterables, of which one is read, once;
     ``human`` None means the rows then the result; ``ok`` False exits 1.
     """
     if as_json and as_csv:
         raise click.UsageError("--json and --csv are mutually exclusive")
     t0 = time.perf_counter()
-    # A body builds its records as trees without cycles, freed by reference
-    # counting.  The cyclic collector would traverse them again and again
-    # as they accumulate: a third of a 3e5-row oracle scan.
-    gc.disable()
     try:
         params, result, rows, human, ok = body()
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    finally:
-        gc.enable()
     elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
-    if human is None:
-        human = [*rows, result]
     if as_json:
         envelope = {"command": command, "params": params, "result": result, "elapsed_ms": elapsed_ms}
-        _echo_lines([*rows, envelope], json.dumps)
+        _echo_lines(chain(rows, [envelope]), json.dumps)
     elif as_csv:
         import csv
 
-        records = rows or human
+        records = iter(rows)
+        first = next(records, None)
+        if first is None:  # no rows: the human record
+            records = iter([result] if human is None else human)
+            first = next(records)
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(records[0].keys())
-        writer.writerows(["" if v is None else v for v in rec.values()] for rec in records)
+        writer.writerow(first.keys())
+        writer.writerows(["" if v is None else v for v in rec.values()] for rec in chain([first], records))
         click.echo(buf.getvalue(), nl=False)
     else:
+        human = chain(rows, [result]) if human is None else human
         _echo_lines(human, lambda rec: " ".join(f"{k}={_human(v)}" for k, v in rec.items()))
     if not ok:
         sys.exit(1)
@@ -218,7 +221,7 @@ def cmd_scan(
                 report = orc.conjecture_probe(n_lo, n_hi, gamma, force=force)
         rows, result = report.to_rows(), report.summary_record()
         if mode == "probe":  # failing n are data, not verification failures
-            return params, result, rows, [r for r in rows if not r["ok"]] + [result], True
+            return params, result, rows, chain((r for r in rows if not r["ok"]), [result]), True
         return params, result, rows, None, not report.violations
 
     _run(as_json, as_csv, "scan", body)
@@ -245,7 +248,10 @@ def cmd_logratio(limit: int, gamma: float, points: int, as_json: bool, as_csv: b
             raise click.UsageError("--limit must be at least 10")
         if points < 1:
             raise click.UsageError("--points must be at least 1")
-        xs = sorted({max(10, round(limit ** (i / points))) for i in range(1, points + 1)} | {limit})
+        try:
+            xs = sorted({max(10, round(limit ** (i / points))) for i in range(1, points + 1)} | {limit})
+        except OverflowError:  # far over the budget of the counts
+            raise ValueError(f"--limit {limit} is past the float range of the grid") from None
         rows = pwd.log_ratio_table(xs, gamma)
         result = {"limit": limit, "gamma": gamma, "points": len(rows)}
         return {"limit": limit, "gamma": gamma}, result, rows, rows, True

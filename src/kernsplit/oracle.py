@@ -8,7 +8,9 @@ all m1 + m2 = n with m1, m2 >= 2, ties resolved toward the smallest m1.
 
 Ranking is exact rational comparison throughout; floats only prefilter
 which pairs can possibly attain the minimum, and every surviving
-candidate is re-ranked with ``fractions.Fraction``.
+candidate is re-ranked with ``fractions.Fraction``.  A scan keeps each
+quality as the integer pair (k**2, m) of the worse part, and reports
+columns indexed by n - n_lo, not one object per n.
 
 Neither search walks every m1 <= n/2, and neither builds a kernel
 table.  The split certifies k(m)**4 <= 432 m**2, a quality of at most
@@ -50,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,12 +61,13 @@ from .kernel import PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW
 from .kernel import check_budget, kernel_bounded, radical
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .decompose import Decomposition
 
 __all__ = [
     "BestSplit",
     "ComparisonReport",
-    "ComparisonRow",
     "ProbeReport",
     "best_decomposition",
     "conjecture_probe",
@@ -110,15 +114,22 @@ def part_quality(m: int, k: int) -> Fraction:
     return Fraction(k * k, m)
 
 
-def _worse(m1: int, k1: int, m2: int, k2: int) -> Fraction:
-    """max(part_quality(m1, k1), part_quality(m2, k2)), with one Fraction built."""
+def _worse(m1: int, k1: int, m2: int, k2: int) -> tuple[int, int]:
+    """``(k**2, m)`` of the worse part, max(part_quality(m1, k1), part_quality(m2, k2)); part 1's on ties."""
     q1, q2 = k1 * k1, k2 * k2
-    return Fraction(q1, m1) if q1 * m2 >= q2 * m1 else Fraction(q2, m2)
+    return (q1, m1) if q1 * m2 >= q2 * m1 else (q2, m2)
+
+
+def _text(quality: tuple[int, int]) -> str:
+    """``str(Fraction(q, m))`` of a quality pair (q, m)."""
+    q, m = quality
+    g = math.gcd(q, m)
+    return str(q // g) if m == g else f"{q // g}/{m // g}"
 
 
 def decomposition_quality(d: Decomposition) -> Fraction:
     """Worse part quality of a decomposition, kernels by trial division."""
-    return _worse(d.m1, radical(d.m1), d.m2, radical(d.m2))
+    return Fraction(*_worse(d.m1, radical(d.m1), d.m2, radical(d.m2)))
 
 
 def _quality_at_most(c: int):
@@ -186,13 +197,10 @@ def _admit(n_lo: int, n_hi: int, interval_to, force: bool) -> tuple[np.ndarray, 
     return parts, kernels
 
 
-def _best_pair(m1: list, k1: list, m2: list, k2: list) -> tuple[int, int, Fraction]:
-    """``(m1, m2, quality)`` of the exactly best pair, the first on ties; m1 ascending."""
-    best_q, best_i = None, -1
-    for i, q in enumerate(map(_worse, m1, k1, m2, k2)):
-        if best_q is None or q < best_q:
-            best_q, best_i = q, i
-    return m1[best_i], m2[best_i], best_q
+def _best_pair(m1: list, k1: list, m2: list, k2: list) -> tuple[int, int, int, int]:
+    """``(m1, k1, m2, k2)`` of the exactly best pair, the first on ties; m1 ascending."""
+    i = min(range(len(m1)), key=lambda i: Fraction(*_worse(m1[i], k1[i], m2[i], k2[i])))
+    return m1[i], k1[i], m2[i], k2[i]
 
 
 def _band(qmax: np.ndarray, fmin) -> np.ndarray:
@@ -239,7 +247,7 @@ def _tiers(parts: np.ndarray, kernels: np.ndarray) -> list[tuple]:
 
 
 def _oracle_block(tiers: list[tuple], lo: int, hi: int) -> list[tuple]:
-    """``(m1, m2, quality)`` of the best pair of every n in [lo, hi], a window of at most _PAIR_BLOCK n.
+    """``(m1, k1, m2, k2)`` of the best pair of every n in [lo, hi], a window of at most _PAIR_BLOCK n.
 
     The tiers ascend in quality: those of ``_tiers``, then every m in
     [2, n - 2] (c = n), built here for each n that reaches it.  An n with
@@ -259,7 +267,7 @@ def _oracle_block(tiers: list[tuple], lo: int, hi: int) -> list[tuple]:
             offsets, m1, k1, m2, k2 = _band_pairs(*ranked, w_lo, w_hi)
             for n, s, e in zip(range(w_lo, w_hi + 1), offsets, offsets[1:]):
                 if e - s == 1:  # the common case: one pair in the band
-                    best[n - lo] = m1[s], m2[s], _worse(m1[s], k1[s], m2[s], k2[s])
+                    best[n - lo] = m1[s], k1[s], m2[s], k2[s]
                 elif e > s:
                     best[n - lo] = _best_pair(m1[s:e], k1[s:e], m2[s:e], k2[s:e])
                 else:
@@ -276,61 +284,52 @@ def best_decomposition(n: int) -> BestSplit:
     ``constructive_vs_oracle``.
     """
     tiers = _tiers(*_admit(n, n, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force=True))
-    ((m1, m2, q),) = _oracle_block(tiers, n, n)
-    return BestSplit(n, m1, m2, q)
-
-
-@dataclass(frozen=True, slots=True)
-class ComparisonRow:
-    n: int
-    split_m1: int
-    split_m2: int
-    split_quality: Fraction
-    split_fallback: bool
-    oracle_m1: int
-    oracle_m2: int
-    oracle_quality: Fraction
-
-    @property
-    def ok(self) -> bool:
-        o, s = self.oracle_quality, self.split_quality
-        return o.numerator * s.denominator <= s.numerator * o.denominator  # o <= s, in ints
-
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "split_m1": self.split_m1,
-            "split_m2": self.split_m2,
-            "split_quality": str(self.split_quality),
-            "split_fallback": self.split_fallback,
-            "oracle_m1": self.oracle_m1,
-            "oracle_m2": self.oracle_m2,
-            "oracle_quality": str(self.oracle_quality),
-            "ok": self.ok,
-        }
+    ((m1, k1, m2, k2),) = _oracle_block(tiers, n, n)
+    return BestSplit(n, m1, m2, Fraction(*_worse(m1, k1, m2, k2)))
 
 
 @dataclass(frozen=True, slots=True)
 class ComparisonReport:
-    """Constructive split vs exhaustive optimum over [n_lo, n_hi]."""
+    """Constructive split vs exhaustive optimum over [n_lo, n_hi].
+
+    One column per field, at n - n_lo: each side's m1 (m2 is n - m1) and
+    the quality of its pair as the pair (k**2, m) of its worse part.
+    """
 
     n_lo: int
     n_hi: int
-    rows: tuple[ComparisonRow, ...]
+    split_m1: list[int]
+    split_quality: list[tuple[int, int]]
+    oracle_m1: list[int]
+    oracle_quality: list[tuple[int, int]]
     violations: tuple[int, ...]
     max_split_quality: Fraction
     mean_split_quality: float
     max_oracle_quality: Fraction
     mean_oracle_quality: float
 
-    def to_rows(self) -> list[dict]:
-        return [row.to_record() for row in self.rows]
+    def to_rows(self) -> Iterator[dict]:
+        """One record per n, each built as it is read."""
+        bad = set(self.violations)
+        columns = self.split_m1, self.split_quality, self.oracle_m1, self.oracle_quality
+        for n, sm, sq, om, oq in zip(count(self.n_lo), *columns):
+            yield {
+                "n": n,
+                "split_m1": sm,
+                "split_m2": n - sm,
+                "split_quality": _text(sq),
+                "split_fallback": n <= 6,  # split has no witness below 7
+                "oracle_m1": om,
+                "oracle_m2": n - om,
+                "oracle_quality": _text(oq),
+                "ok": n not in bad,
+            }
 
     def summary_record(self) -> dict:
         return {
             "n_lo": self.n_lo,
             "n_hi": self.n_hi,
-            "checked": len(self.rows),
+            "checked": len(self.split_m1),
             "violations": len(self.violations),
             "max_split_quality": str(self.max_split_quality),
             "mean_split_quality": self.mean_split_quality,
@@ -359,42 +358,39 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     from .decompose import split_parts  # only the oracle scan splits: the probe skips the import
 
     parts, kernels = _admit(n_lo, n_hi, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force)
-    tiers, rows = _tiers(parts, kernels), []
+    tiers, split_m1, split_q, oracle_m1, oracle_q = _tiers(parts, kernels), [], [], [], []
     for lo, hi in _n_blocks(n_lo, n_hi, _ORACLE_BLOCK):
-        best = _oracle_block(tiers, lo, hi)
-        m1s, m2s = split_parts(lo, hi)
-        k1s, k2s = _kernels_of(m1s, parts, kernels), _kernels_of(m2s, parts, kernels)
-        ns = range(lo, hi + 1)
-        fallback = (n <= 6 for n in ns)  # split has no witness below 7
-        rows += map(ComparisonRow, ns, m1s, m2s, map(_worse, m1s, k1s, m2s, k2s), fallback, *zip(*best))
-    return _report(n_lo, n_hi, rows)
+        om1, ok1, om2, ok2 = zip(*_oracle_block(tiers, lo, hi))
+        oracle_m1 += om1
+        oracle_q += map(_worse, om1, ok1, om2, ok2)
+        sm1, sm2 = split_parts(lo, hi)
+        split_m1 += sm1
+        split_q += map(_worse, sm1, _kernels_of(sm1, parts, kernels), sm2, _kernels_of(sm2, parts, kernels))
+    return _report(n_lo, n_hi, split_m1, split_q, oracle_m1, oracle_q)
 
 
-def _report(n_lo: int, n_hi: int, rows: list) -> ComparisonReport:
-    """The report over the rows, with floats deciding every comparison they can.
+def _report(n_lo: int, n_hi: int, split_m1: list, split_q: list, oracle_m1: list, oracle_q: list) -> ComparisonReport:
+    """The report over the columns, with floats deciding every comparison they can.
 
-    float(q) rounds correctly, hence monotonically: float(o) < float(s)
-    implies o < s, and the largest q has the largest float, so only the
-    rows at those floats are compared exactly.  The means add the floats
-    left to right (``np.cumsum``), as a loop over the rows does.
+    q / m on two ints rounds correctly, hence monotonically, so only the
+    qualities at the largest float are compared as Fractions.  The means
+    add the floats left to right (``np.cumsum``), as a loop over n does.
+    Violations, an oracle quality above the split's, are decided in ints.
     """
-    split_f = _floats(row.split_quality for row in rows)
-    oracle_f = _floats(row.oracle_quality for row in rows)
+    split_f, oracle_f = (np.fromiter((q / m for q, m in qs), np.float64, len(qs)) for qs in (split_q, oracle_q))
     return ComparisonReport(
         n_lo=n_lo,
         n_hi=n_hi,
-        rows=tuple(rows),
-        violations=tuple(rows[i].n for i in np.flatnonzero(oracle_f >= split_f) if not rows[i].ok),
-        max_split_quality=max(rows[i].split_quality for i in np.flatnonzero(split_f == split_f.max())),
-        mean_split_quality=float(np.cumsum(split_f)[-1]) / len(rows),
-        max_oracle_quality=max(rows[i].oracle_quality for i in np.flatnonzero(oracle_f == oracle_f.max())),
-        mean_oracle_quality=float(np.cumsum(oracle_f)[-1]) / len(rows),
+        split_m1=split_m1,
+        split_quality=split_q,
+        oracle_m1=oracle_m1,
+        oracle_quality=oracle_q,
+        violations=tuple(n for n, (sq, sm), (oq, om) in zip(count(n_lo), split_q, oracle_q) if oq * sm > sq * om),
+        max_split_quality=max(Fraction(*split_q[i]) for i in np.flatnonzero(split_f == split_f.max())),
+        mean_split_quality=float(np.cumsum(split_f)[-1]) / len(split_f),
+        max_oracle_quality=max(Fraction(*oracle_q[i]) for i in np.flatnonzero(oracle_f == oracle_f.max())),
+        mean_oracle_quality=float(np.cumsum(oracle_f)[-1]) / len(oracle_f),
     )
-
-
-def _floats(qs) -> np.ndarray:
-    """float(q) for each Fraction q, as float64: numerator / denominator, correctly rounded."""
-    return np.fromiter((q.numerator / q.denominator for q in qs), dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,8 +399,9 @@ class ProbeReport:
 
     A part m qualifies when k(m)**2 <= m * ln(m)**(2*gamma); n is
     representable when some m1 + m2 = n (m1 <= m2, both >= 2) has both
-    parts qualifying.  ``pairs`` holds the smallest qualifying m1 per n,
-    or None where none exists; those n are listed in ``failing``.  No
+    parts qualifying.  ``witness`` holds the smallest qualifying m1 at
+    n - n_lo, or None where none exists; those n are listed in
+    ``failing``.  No
     cutoff beyond which everything is representable is asserted, only
     observed.
     """
@@ -412,30 +409,24 @@ class ProbeReport:
     n_lo: int
     n_hi: int
     gamma: float
-    pairs: tuple[tuple[int, int | None], ...]
+    witness: list[int | None]
     failing: tuple[int, ...]
 
     @property
     def satisfied(self) -> int:
-        return len(self.pairs) - len(self.failing)
+        return len(self.witness) - len(self.failing)
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "n": n,
-                "ok": m1 is not None,
-                "m1": m1,
-                "m2": n - m1 if m1 is not None else None,
-            }
-            for n, m1 in self.pairs
-        ]
+    def to_rows(self) -> Iterator[dict]:
+        """One record per n, each built as it is read."""
+        for n, m1 in zip(count(self.n_lo), self.witness):
+            yield {"n": n, "ok": m1 is not None, "m1": m1, "m2": None if m1 is None else n - m1}
 
     def summary_record(self) -> dict:
         return {
             "n_lo": self.n_lo,
             "n_hi": self.n_hi,
             "gamma": self.gamma,
-            "checked": len(self.pairs),
+            "checked": len(self.witness),
             "satisfied": self.satisfied,
             "failing": list(self.failing),
         }
@@ -453,23 +444,20 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
         raise ValueError(f"gamma must be finite, got {gamma}")
     members, _ = _admit(n_lo, n_hi, lambda top: _log_weighted_interval(top, gamma), force)
     none = np.iinfo(np.int64).max
-    first = []
+    witness, failing = [], []
     for lo, hi in _n_blocks(n_lo, n_hi, _PAIR_BLOCK):
-        witness = np.full(hi - lo + 1, none)
+        first = np.full(hi - lo + 1, none)
         for i1, i2 in _pairs(*_pair_ranges(members, lo, hi)):
             g1 = members[i1]
-            np.minimum.at(witness, g1 + members[i2] - lo, g1)
+            np.minimum.at(first, g1 + members[i2] - lo, g1)
             # later pairs have g1 >= the next part, so they only reach n >= twice it
             after = i1[-1] + 1
             reach = 2 * int(members[after]) - lo if after < len(members) else hi - lo + 1
-            if witness[max(reach, 0) :].max(initial=0) < none:
+            if first[max(reach, 0) :].max(initial=0) < none:
                 break
-        first += witness.tolist()
-    pairs = tuple((n, None if m1 == none else m1) for n, m1 in zip(range(n_lo, n_hi + 1), first))
-    return ProbeReport(
-        n_lo=n_lo,
-        n_hi=n_hi,
-        gamma=gamma,
-        pairs=pairs,
-        failing=tuple(n for n, m1 in pairs if m1 is None),
-    )
+        block, missed = first.tolist(), np.flatnonzero(first == none).tolist()
+        for i in missed:
+            block[i] = None
+        witness += block
+        failing += (lo + i for i in missed)
+    return ProbeReport(n_lo=n_lo, n_hi=n_hi, gamma=gamma, witness=witness, failing=tuple(failing))

@@ -352,17 +352,20 @@ _TABLE_S = 2 * _SQUAREFREE_TABLE_LIMIT * TABLE_ENTRY_S
 
 
 def _count_seconds(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float:
-    """Seconds of one count up to x, for theta or else gamma, besides the squarefree table."""
+    """Seconds of one count up to x, for theta or else gamma, besides the squarefree table; inf past the float range."""
     if theta is not None and theta.p == theta.q:
         return 0.0  # every m counts: no walk
     root = math.isqrt(x)
-    if (theta is None and gamma == 0) or theta == Theta(1, 2):
-        visits = _HALF_VISITS * x**_HALF_EXPONENT
-    elif theta is None:
-        visits = POWERFUL_DENSITY * (root + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
-    else:
-        visits = POWERFUL_DENSITY * root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
-    return WALK_VISIT_S * visits + SQUAREFREE_TERM_S * root * math.log(x)
+    try:
+        if (theta is None and gamma == 0) or theta == Theta(1, 2):
+            visits = _HALF_VISITS * x**_HALF_EXPONENT
+        elif theta is None:
+            visits = POWERFUL_DENSITY * (root + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
+        else:
+            visits = POWERFUL_DENSITY * root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
+        return WALK_VISIT_S * visits + SQUAREFREE_TERM_S * root * math.log(x)
+    except OverflowError:  # x or its root is past the float range: over any budget
+        return math.inf
 
 
 def _theta_interval(x: int, theta: Theta) -> Callable[[int, int], tuple[int, int]]:
@@ -536,26 +539,23 @@ def count_members(x: int, theta: Theta) -> CountReport:
         raise ValueError(f"x must be >= 1, got {x}")
     check_budget(f"counting up to x={x}", _count_seconds(x, theta) + _TABLE_S, 0)
     count = _theta_count(x, theta, _CoprimeSquarefree())
-    return CountReport(
-        x=x,
-        count=count,
-        theta=theta,
-        normalized=count / x ** theta.as_float(),
-    )
+    # theta = 1 is admitted at any x, past the float range too: count is x
+    normalized = 1.0 if theta.p == theta.q else count / x ** theta.as_float()
+    return CountReport(x=x, count=count, theta=theta, normalized=normalized)
 
 
 def count_log_weighted(x: int, gamma: float) -> CountReport:
     """Count 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma), over the powerful numbers up to x.
 
     At gamma = 0 this is exactly the theta = 1/2 count minus the m = 1
-    contribution.  Raises ValueError, before the walk, when the
-    normalization sqrt(x) * ln(x)**gamma is not a finite non-zero float
-    or the count is over the budget.
+    contribution.  Raises ValueError, before the walk, when the count is
+    over the budget or else the normalization sqrt(x) * ln(x)**gamma is
+    not a finite non-zero float.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    scale = _log_weight(x, gamma, math.sqrt(x))
     check_budget(f"counting up to x={x}", _count_seconds(x, gamma=gamma) + _TABLE_S, 0)
+    scale = _log_weight(x, gamma, math.sqrt(x))  # sqrt(x) is a float below any x the budget admits
     count = _log_weighted_count(x, gamma, _CoprimeSquarefree())
     return CountReport(x=x, count=count, gamma=gamma, normalized=count / scale)
 

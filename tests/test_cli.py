@@ -185,6 +185,36 @@ class TestCount:
         assert result.output == f"error: {error}\n"
 
 
+class TestLimitPastTheFloatRange:
+    """A --limit of 400 or 800 digits is refused with one error line before any walk, or answered at theta = 1."""
+
+    @pytest.mark.parametrize("limit", [10**400, 10**800], ids=["1e400", "1e800"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--theta", "1/2"],
+            ["count", "--theta", "3/4"],
+            ["count", "--theta", "1/1"],
+            ["count", "--gamma", "0"],
+            ["count", "--gamma", "0.5"],
+            ["count", "--gamma", "-0.5"],
+            ["logratio"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_or_answered(self, monkeypatch, args, limit):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before the price was checked")
+
+        monkeypatch.setattr(kernsplit.powered, "powerful_sum", no_walk)
+        result = runner.invoke(cli, [*args, "--limit", str(limit)])
+        if args[-1] == "1/1":  # every m counts, with no walk
+            assert (result.exit_code, result.output) == (0, f"x={limit} theta=1/1 count={limit} normalized=1\n")
+        else:
+            assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+            assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
 class TestScan:
     def test_verify_mode_clean(self):
         result = runner.invoke(cli, ["scan", "--from", "4", "--to", "1000"])
@@ -288,7 +318,8 @@ class TestScan:
         assert result.exit_code == 1
         assert result.output == f"error: need 4 <= n_lo <= n_hi, got [{lo}, {hi}]\n"
 
-    def test_collector_paused_only_in_the_body(self, monkeypatch):
+    def test_collector_runs_in_the_body(self, monkeypatch):
+        # rows are built as they print, so nothing piles up for the cyclic collector to pause for
         import gc
 
         import kernsplit.decompose
@@ -302,7 +333,7 @@ class TestScan:
 
         monkeypatch.setattr(kernsplit.decompose, "verify_range", recording)
         assert runner.invoke(cli, ["scan", "--from", "4", "--to", "10"]).exit_code == 0
-        assert seen == [False] and gc.isenabled()
+        assert seen == [True] and gc.isenabled()
         assert runner.invoke(cli, ["scan", "--from", "10", "--to", "4"]).exit_code == 1
         assert gc.isenabled()
         assert gc.get_freeze_count() == 0  # only main freezes, at the end of its process

@@ -12,6 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +29,6 @@ from kernsplit.kernel import kernel_bounded, radical, radical_sieve
 from kernsplit.oracle import (
     BestSplit,
     ComparisonReport,
-    ComparisonRow,
     best_decomposition,
     conjecture_probe,
     constructive_vs_oracle,
@@ -71,15 +71,15 @@ def dense_best(n: int, table) -> BestSplit:
     return rank(n, np.arange(2, n // 2 + 1, dtype=np.int64), table)
 
 
-def dense_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[tuple, tuple]:
-    """``(pairs, failing)`` of the probe from the slices good[2 : n/2 + 1] and good[n - m1]."""
+def dense_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[list, tuple]:
+    """``(witness, failing)`` of the probe from the slices good[2 : n/2 + 1] and good[n - m1]."""
     good = log_weighted_mask(n_hi - 2, gamma, table=table)
-    pairs = []
+    witness = []
     for n in range(n_lo, n_hi + 1):
         half = n // 2
         hits = good[2 : half + 1] & good[n - 2 : n - half - 1 : -1]
-        pairs.append((n, 2 + int(hits.argmax()) if hits.any() else None))
-    return tuple(pairs), tuple(n for n, m1 in pairs if m1 is None)
+        witness.append(2 + int(hits.argmax()) if hits.any() else None)
+    return witness, tuple(n for n, m1 in zip(count(n_lo), witness) if m1 is None)
 
 
 def table_parts(table, top: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,40 +97,55 @@ def loop_best(n: int, table, good: np.ndarray, G: np.ndarray) -> BestSplit:
     return rank(n, m1, table) if m1.size else dense_best(n, table)
 
 
+def worse_part(m1: int, m2: int, table) -> tuple[int, int]:
+    """``(k**2, m)`` of the part of larger quality, m1 on ties."""
+    m = m1 if part_quality(m1, table[m1]) >= part_quality(m2, table[m2]) else m2
+    return table[m] ** 2, m
+
+
 def loop_oracle(n_lo: int, n_hi: int, table) -> ComparisonReport:
     """``constructive_vs_oracle`` as the per-n loop over a kernel table, with the G of orc._CANDIDATE_QUALITY."""
     good, G = table_parts(table, n_hi - 2, orc._CANDIDATE_QUALITY)
-    rows = []
+    split_m1, split_q, oracle_m1, oracle_q, violations = [], [], [], [], []
     sum_split = sum_oracle = 0.0
     for n in range(n_lo, n_hi + 1):
         d = split(n)
+        assert d.fallback == (n <= 6)
         sq = max(part_quality(d.m1, table[d.m1]), part_quality(d.m2, table[d.m2]))
         best = loop_best(n, table, good, G)
-        rows.append(ComparisonRow(n, d.m1, d.m2, sq, d.fallback, best.m1, best.m2, best.quality))
+        split_m1.append(d.m1)
+        split_q.append(worse_part(d.m1, d.m2, table))
+        oracle_m1.append(best.m1)
+        oracle_q.append(worse_part(best.m1, best.m2, table))
+        if best.quality > sq:
+            violations.append(n)
         sum_split += float(sq)
         sum_oracle += float(best.quality)
     return ComparisonReport(
         n_lo=n_lo,
         n_hi=n_hi,
-        rows=tuple(rows),
-        violations=tuple(r.n for r in rows if r.oracle_quality > r.split_quality),
-        max_split_quality=max(r.split_quality for r in rows),
-        mean_split_quality=sum_split / len(rows),
-        max_oracle_quality=max(r.oracle_quality for r in rows),
-        mean_oracle_quality=sum_oracle / len(rows),
+        split_m1=split_m1,
+        split_quality=split_q,
+        oracle_m1=oracle_m1,
+        oracle_quality=oracle_q,
+        violations=tuple(violations),
+        max_split_quality=max(Fraction(*q) for q in split_q),
+        mean_split_quality=sum_split / len(split_m1),
+        max_oracle_quality=max(Fraction(*q) for q in oracle_q),
+        mean_oracle_quality=sum_oracle / len(oracle_m1),
     )
 
 
-def loop_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[tuple, tuple]:
-    """``(pairs, failing)`` of the probe as the per-n loop over the qualifying parts m1 <= n/2."""
+def loop_probe(n_lo: int, n_hi: int, gamma: float, table) -> tuple[list, tuple]:
+    """``(witness, failing)`` of the probe as the per-n loop over the qualifying parts m1 <= n/2."""
     good = log_weighted_mask(n_hi - 2, gamma, table=table)
     members = np.flatnonzero(good)
-    pairs = []
+    witness = []
     for n in range(n_lo, n_hi + 1):
         m1 = members[: np.searchsorted(members, n // 2, side="right")]
         hits = good[n - m1]
-        pairs.append((n, int(m1[hits.argmax()]) if hits.any() else None))
-    return tuple(pairs), tuple(n for n, m1 in pairs if m1 is None)
+        witness.append(int(m1[hits.argmax()]) if hits.any() else None)
+    return witness, tuple(n for n, m1 in zip(count(n_lo), witness) if m1 is None)
 
 
 @cache
@@ -204,26 +219,28 @@ class TestQuality:
             assert q == max(part_quality(d.m1, table[d.m1]), part_quality(d.m2, table[d.m2]))
             assert q * q <= 432
 
+    @given(st.integers(1, 10**40), st.integers(1, 10**40))
+    def test_text_is_the_fraction(self, q, m):
+        assert orc._text((q, m)) == str(Fraction(q, m))
+
 
 class TestConstructiveVsOracle:
     def test_single_point_small(self):
         report = constructive_vs_oracle(4, 4)
-        assert report.rows[0].split_quality == Fraction(2)
-        assert report.rows[0].oracle_quality == Fraction(2)
+        assert report.split_quality == report.oracle_quality == [(4, 2)]  # 2 + 2, k(2)**2 / 2
         assert report.violations == ()
 
     def test_single_point_100(self):
         report = constructive_vs_oracle(100, 100)
-        row = report.rows[0]
-        assert row.split_quality == 1
-        assert row.oracle_quality == 1
-        assert row.ok
+        assert Fraction(*report.split_quality[0]) == Fraction(*report.oracle_quality[0]) == 1
+        (row,) = report.to_rows()
+        assert row["ok"] and row["split_quality"] == row["oracle_quality"] == "1"
 
     def test_oracle_never_worse_to_1000(self):
         report = constructive_vs_oracle(4, 1000)
         assert report.violations == ()
-        for row in report.rows:
-            assert row.oracle_quality <= row.split_quality
+        for oracle, split in zip(report.oracle_quality, report.split_quality):
+            assert Fraction(*oracle) <= Fraction(*split)
 
     def test_summary_stats(self):
         report = constructive_vs_oracle(4, 100)
@@ -245,8 +262,10 @@ class TestConstructiveVsOracle:
         # split parts given kernel 1 on purpose look better than many optima: each such n is a violation
         monkeypatch.setattr(orc, "_kernels_of", lambda ms, parts, kernels: [1] * len(ms))
         report = constructive_vs_oracle(4, 300)
-        assert report.violations == tuple(r.n for r in report.rows if r.oracle_quality > r.split_quality)
+        qualities = zip(count(4), report.oracle_quality, report.split_quality)
+        assert report.violations == tuple(n for n, o, s in qualities if Fraction(*o) > Fraction(*s))
         assert 4 in report.violations and len(report.violations) > 100
+        assert [r["n"] for r in report.to_rows() if not r["ok"]] == list(report.violations)
 
 
 class TestConjectureProbe:
@@ -292,12 +311,20 @@ class TestConjectureProbe:
     def test_pairs_are_witnesses(self):
         gamma = 0.5
         report = conjecture_probe(4, 200, gamma)
-        for n, m1 in report.pairs:
+        for n, m1 in zip(count(4), report.witness):
             if m1 is None:
                 continue
             m2 = n - m1
             for m in (m1, m2):
                 assert radical(m) ** 2 <= m * math.log(m) ** (2 * gamma) * (1 + 1e-9)
+
+    def test_failing_is_where_the_oracle_passes_its_first_tier(self):
+        # one set, one rule: gamma = 0 qualifies k(m)**2 <= m, the oracle's first tier, so an n
+        # fails the probe exactly when its optimum is above 1
+        oracle = constructive_vs_oracle(4, 10**5)
+        failing = conjecture_probe(4, 10**5, 0.0).failing
+        assert failing == tuple(n for n, (q, m) in zip(count(4), oracle.oracle_quality) if q > m)
+        assert len(failing) == 1977
 
     def test_range_guard(self):
         with pytest.raises(ValueError, match=refusal(4, 2000000)):
@@ -328,9 +355,9 @@ class TestSparseMatchesDense:
     def test_range_window(self, lo):
         table = table_to(100_000)
         report = constructive_vs_oracle(lo, lo + 100)
-        for row in report.rows:
-            best = dense_best(row.n, table)
-            assert (row.oracle_m1, row.oracle_m2, row.oracle_quality) == (best.m1, best.m2, best.quality)
+        for n, m1, quality in zip(count(lo), report.oracle_m1, report.oracle_quality):
+            best = dense_best(n, table)
+            assert (m1, n - m1, Fraction(*quality)) == (best.m1, best.m2, best.quality)
 
     @pytest.mark.parametrize("cap", [0, 1, 2])
     def test_empty_candidates_fall_back_to_every_pair(self, monkeypatch, cap):
@@ -383,7 +410,7 @@ class TestSparseMatchesDense:
     def test_probe(self, gamma, lo, width):
         hi = lo + width
         report = conjecture_probe(lo, hi, gamma)
-        assert (report.pairs, report.failing) == dense_probe(lo, hi, gamma, table_to(6400))
+        assert (report.witness, report.failing) == dense_probe(lo, hi, gamma, table_to(6400))
 
 
 class TestBlockMatchesLoop:
@@ -430,14 +457,14 @@ class TestBlockMatchesLoop:
     @given(lohi=window(4, 200_000 - 400, 400))
     def test_probe_up_to_2e5(self, gamma, lohi):
         report = conjecture_probe(*lohi, gamma, force=True)
-        assert (report.pairs, report.failing) == loop_probe(*lohi, gamma, table_to(200_000))
+        assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(200_000))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     @settings(max_examples=3, deadline=None)
     @given(lohi=window(998_000, 1_001_500, 500))
     def test_probe_near_1e6(self, gamma, lohi):
         report = conjecture_probe(*lohi, gamma, force=True)
-        assert (report.pairs, report.failing) == loop_probe(*lohi, gamma, table_to(1_002_000))
+        assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(1_002_000))
 
     @pytest.mark.parametrize("gamma", [0.0, 10.0])
     @settings(max_examples=8, deadline=None)
@@ -446,7 +473,7 @@ class TestBlockMatchesLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orc, "_PAIR_BLOCK", cap * 16)
             report = conjecture_probe(*lohi, gamma, force=True)
-        assert (report.pairs, report.failing) == loop_probe(*lohi, gamma, table_to(20_600))
+        assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(20_600))
 
     @settings(max_examples=6, deadline=None)
     @given(window(4, 30_000, 300))
@@ -459,16 +486,13 @@ class TestBlockMatchesLoop:
 
     def test_report_decides_float_ties_exactly(self):
         # (2**60 + 1) / 2**60 and 1 round to the same float
-        above, one = Fraction(2**60 + 1, 2**60), Fraction(1)
-        rows = [
-            ComparisonRow(10, 2, 8, one, False, 2, 8, above),  # a violation only in exact terms
-            ComparisonRow(11, 2, 9, above, False, 2, 9, one),
-            ComparisonRow(12, 2, 10, one, False, 2, 10, one),
-        ]
-        report = orc._report(10, 12, rows)
+        above, one = (2**60 + 1, 2**60), (1, 1)
+        # n = 10 is a violation only in exact terms
+        columns = [2, 2, 2], [one, above, one], [2, 2, 2], [above, one, one]
+        report = orc._report(10, 12, *columns)
         assert report.violations == (10,)
-        assert report.max_split_quality == report.max_oracle_quality == above
-        assert orc._report(10, 12, rows[::-1]).max_split_quality == above
+        assert report.max_split_quality == report.max_oracle_quality == Fraction(*above)
+        assert orc._report(10, 12, *(c[::-1] for c in columns)).max_split_quality == Fraction(*above)
 
     def test_scans_reach_no_sieve(self, monkeypatch):
         monkeypatch.setattr(kernsplit.kernel, "radical_sieve", refuse)
@@ -623,5 +647,5 @@ class TestScanWork:
             constructive_vs_oracle(4, 100)
         with pytest.raises(ValueError, match=re.escape("over the budget of 0.001 s and 1 GiB")):
             conjecture_probe(4, 100, 0.0)
-        assert len(constructive_vs_oracle(4, 100, force=True).rows) == 97
-        assert len(conjecture_probe(4, 100, 0.0, force=True).pairs) == 97
+        assert len(constructive_vs_oracle(4, 100, force=True).split_m1) == 97
+        assert len(conjecture_probe(4, 100, 0.0, force=True).witness) == 97
