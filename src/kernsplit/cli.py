@@ -29,6 +29,7 @@ verification passed.
 import gc
 import io
 import json
+import math
 import sys
 import time
 from itertools import chain, islice
@@ -227,6 +228,25 @@ def cmd_scan(
     _run(as_json, as_csv, "scan", body)
 
 
+def _grid(limit: int, points: int):
+    """Yield the distinct x of ``logratio``'s grid, largest first: limit, then each max(10, round(limit ** (i / points))) below it, 1 <= i <= points.
+
+    The x do not rise as i falls, so a run of i that rounds to one x is
+    skipped: a grid costs one or two evaluations per distinct x, however
+    large ``points`` is.
+    """
+    yield limit
+    last, i = limit, points
+    while i >= 1 and last > 10:
+        x = max(10, round(limit ** (i / points)))
+        if x < last:
+            yield x
+            last = x
+        # every i that rounds below x is at most this bound from the logarithms; if the bound
+        # itself still rounds to x, the next pass steps one below it
+        i = min(i - 1, math.ceil(points * math.log(x - 0.5) / math.log(limit)))
+
+
 @cli.command("logratio")
 @click.option("--limit", "limit", type=int, required=True, help="Largest x in the table.")
 @click.option("--gamma", "gamma", type=float, default=1.0, show_default=True, help="Weight exponent.")
@@ -249,10 +269,10 @@ def cmd_logratio(limit: int, gamma: float, points: int, as_json: bool, as_csv: b
         if points < 1:
             raise click.UsageError("--points must be at least 1")
         try:
-            xs = sorted({max(10, round(limit ** (i / points))) for i in range(1, points + 1)} | {limit})
+            float(limit)
         except OverflowError:  # far over the budget of the counts
             raise ValueError(f"--limit {limit} is past the float range of the grid") from None
-        rows = pwd.log_ratio_table(xs, gamma)
+        rows = pwd.log_ratio_table(_grid(limit, points), gamma)
         result = {"limit": limit, "gamma": gamma, "points": len(rows)}
         return {"limit": limit, "gamma": gamma}, result, rows, rows, True
 

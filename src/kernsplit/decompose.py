@@ -118,20 +118,17 @@ class Decomposition:
 def choose_exponents(n: int) -> tuple[int, int]:
     """The unique (a, b), both >= 1, satisfying the defining inequalities.
 
-    Requires n >= 7; below that no a, b >= 1 work.
+    Each is the least exponent whose upper bound (``_a_bounds``,
+    ``_b_bounds``) reaches n.  Requires n >= 7; below that no a, b >= 1
+    work.
     """
     if n < 7:
         raise ValueError(f"exponent choice needs n >= 7, got {n}")
-    sixteen_n2 = 16 * n * n
-    twentyseven_n2 = 27 * n * n
-    a = 1
-    while 27 * (1 << (4 * a + 4)) < sixteen_n2:
+    a = b = 1
+    while _a_bounds(a)[1] < n:
         a += 1
-    b = 1
-    pow3 = 81  # 3**(4b)
-    while 16 * pow3 * 81 < twentyseven_n2:
+    while _b_bounds(b)[1] < n:
         b += 1
-        pow3 *= 81
     return a, b
 
 

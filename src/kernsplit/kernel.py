@@ -17,7 +17,9 @@ identical to a one-shot sieve regardless of segment size.
 kernels, which is all the class counters need, and ``kernel_bounded``
 builds from the same walk, with their kernels, the sparse sets that the
 oracle and the probe pair up: the m = a*b whose squarefree a lies in an
-interval given per powerful b.
+interval given per powerful b.  ``squarefree_flags`` is the one
+squarefree sieve and ``flat_ranges`` the one expander of per-owner runs
+into bounded blocks, for ``kernel_bounded``, the counters and the scans.
 
 Every walk, count, sieve and scan is priced here in seconds and bytes,
 and ``check_budget`` refuses it, before the work, over the one budget.
@@ -46,11 +48,13 @@ __all__ = [
     "RadicalTable",
     "check_budget",
     "factorize",
+    "flat_ranges",
     "kernel_bounded",
     "powerful_sum",
     "primes_up_to",
     "radical",
     "radical_sieve",
+    "squarefree_flags",
 ]
 
 DEFAULT_FACTOR_LIMIT = 10**12
@@ -71,8 +75,9 @@ POWERFUL_DENSITY = 2.2
 # are refused.
 BOUNDED_INT64_LIMIT = 2**63 - 1
 
-# pairs (b, a) expanded at once by ``kernel_bounded``: its int64
-# temporaries are a few times this many entries, however large one A_b is
+# pairs (b, a) expanded at once by ``kernel_bounded`` (``flat_ranges``):
+# its int64 temporaries are a few times this many entries, however large
+# one A_b is
 _EMIT_BLOCK = 1 << 20
 
 
@@ -146,10 +151,7 @@ class Factorization:
 
     def radical(self) -> int:
         """Product of the distinct primes dividing m; 1 when m = 1."""
-        r = 1
-        for p, _ in self.factors:
-            r *= p
-        return r
+        return math.prod(p for p, _ in self.factors)
 
 
 def factorize(m: int, *, limit: int = DEFAULT_FACTOR_LIMIT) -> Factorization:
@@ -267,15 +269,32 @@ def powerful_sum(
     return visit(1, 1, path) + extend(1, 1, 0)
 
 
-def _squarefree_up_to(y: int) -> np.ndarray:
-    """The squarefree a in [1, y], ascending, as int64."""
+def squarefree_flags(y: int) -> bytearray:
+    """Byte a is 1 exactly when a is squarefree, 0 <= a <= y (0 is not), by a plain byte sieve."""
+    flags = bytearray([1]) * (y + 1)
+    flags[0] = 0
+    for p in primes_up_to(math.isqrt(y)):
+        flags[p * p :: p * p] = bytes(len(range(p * p, y + 1, p * p)))
+    return flags
+
+
+def flat_ranges(start: np.ndarray, count: np.ndarray, block: int):
+    """Yield int64 ``(owner, index)`` arrays: i, start[i] + j for each 0 <= j < count[i], owner-major.
+
+    Each block holds at most ``block`` entries, and may end inside the
+    run of one owner.
+    """
     import numpy as np
 
-    flags = np.ones(y + 1, dtype=bool)
-    flags[0] = False
-    for p in primes_up_to(math.isqrt(y)):
-        flags[p * p :: p * p] = False
-    return np.flatnonzero(flags)
+    ends = np.cumsum(count)
+    shift = start + count - ends  # index less flat position, per owner
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        i, j = np.searchsorted(ends, (lo, hi - 1), side="right")  # the owners of the block's first and last entries
+        runs = np.minimum(ends[i : j + 1], hi) - np.maximum(ends[i : j + 1] - count[i : j + 1], lo)
+        owner = np.repeat(np.arange(i, j + 1), runs)
+        yield owner, np.arange(lo, hi) + shift[owner]
 
 
 def kernel_bounded(
@@ -325,22 +344,15 @@ def kernel_bounded(
     if not walk:
         return none, none
     bs, kbs, a_lo, a_hi = (np.array(col, dtype=np.int64) for col in zip(*walk))
-    squarefree = _squarefree_up_to(int(a_hi.max()))
+    squarefree = np.flatnonzero(np.frombuffer(squarefree_flags(int(a_hi.max())), np.bool_))
     first = np.searchsorted(squarefree, a_lo)  # the squarefree a in [lo, hi], before the coprime filter
     counts = np.searchsorted(squarefree, a_hi, side="right") - first
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-
-    def emit(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        # the members at flat positions [lo, lo + _EMIT_BLOCK); the block's temporaries die on return
-        pos = np.arange(lo, min(lo + _EMIT_BLOCK, total))
-        row = np.searchsorted(ends, pos, side="right")  # the b of each flat position
-        a = squarefree[pos - ends[row] + counts[row] + first[row]]
-        kb = kbs[row]
+    blocks = [(none, none)]  # the intervals may hold no squarefree a
+    for row, at in flat_ranges(first, counts, _EMIT_BLOCK):
+        a, kb = squarefree[at], kbs[row]
         coprime = np.gcd(a, kb) == 1
-        return (a * bs[row])[coprime], (a * kb)[coprime]
-
-    blocks = [emit(lo) for lo in range(0, total, _EMIT_BLOCK)] or [(none, none)]  # the intervals may hold no squarefree a
+        blocks.append(((a * bs[row])[coprime], (a * kb)[coprime]))
+        del row, at, a, kb, coprime  # before the next block is built
     ms, ks = (np.concatenate(col) for col in zip(*blocks))
     del blocks  # before the sort's temporaries
     order = np.argsort(ms)

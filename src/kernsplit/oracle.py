@@ -23,14 +23,14 @@ qualifying parts come from the same walk, each b's interval of a found
 by the log-weighted counter's own search
 (``powered._log_weighted_interval``), so they are exactly the members.
 A window of n is then one sumset: every pair g1 <= g2 of parts with
-g1 + g2 in the window, formed in numpy blocks of at most
-``_PAIR_BLOCK`` pairs.  The oracle keeps, per n, the pairs within the
-float prefilter band of the minimum and re-ranks exactly only the n
-with more than one, over ascending tiers of parts: quality at most 1
-and G, both built once per scan, then every m in [2, n - 2] from the
-same walk, each for the n that the tiers before it missed.  So an n with
-no pair in G (an optimum above 21) has every pair ranked: no answer
-rests on the theorem it checks.
+g1 + g2 in the window, formed by ``kernel.flat_ranges`` in numpy
+blocks of at most ``_PAIR_BLOCK`` pairs.  The oracle keeps, per n, the
+pairs within the float prefilter band of the minimum and re-ranks
+exactly only the n with more than one, over ascending tiers of parts:
+quality at most 1 and G, both built once per scan, then every m in
+[2, n - 2] from the same walk, each for the n that the tiers before it
+missed.  So an n with no pair in G (an optimum above 21) has every pair
+ranked: no answer rests on the theorem it checks.
 The probe records, per n, the first (smallest) part g1 of a qualifying
 pair, and stops once no later pair can reach an n still without one.
 
@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kernel import PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
-from .kernel import check_budget, kernel_bounded, radical
+from .kernel import check_budget, flat_ranges, kernel_bounded, radical
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -145,27 +145,8 @@ def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nd
     return start, np.maximum(end - start, 0)
 
 
-def _pairs(start: np.ndarray, count: np.ndarray):
-    """Yield index arrays ``(i1, i2)`` of the pairs of ``_pair_ranges``, ascending in i1.
-
-    Each block holds at most _PAIR_BLOCK pairs.  A window of n no wider
-    than _PAIR_BLOCK (``_n_blocks``) gives one g1 at most that many
-    pairs, so a block always ends between two runs of g1.
-    """
-    ends = np.cumsum(count)
-    i = 0
-    while i < len(count):
-        base = int(ends[i - 1]) if i else 0
-        j = max(int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")), i + 1)
-        size = int(ends[j - 1]) - base
-        if size:
-            i1 = np.repeat(np.arange(i, j), count[i:j])
-            yield i1, np.arange(size) + (start[i:j] - ends[i:j] + count[i:j] + base)[i1 - i]
-        i = j
-
-
 def _n_blocks(n_lo: int, n_hi: int, width: int):
-    """[lo, hi] blocks of at most width <= _PAIR_BLOCK n covering [n_lo, n_hi]."""
+    """[lo, hi] blocks of at most width n covering [n_lo, n_hi]."""
     return ((lo, min(lo + width - 1, n_hi)) for lo in range(n_lo, n_hi + 1, width))
 
 
@@ -214,16 +195,15 @@ def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: in
     The float minimum of max(q1, q2) per n over the pairs g1 + g2 = n,
     then the pairs within its prefilter band: those of n = lo + i sit at
     [offsets[i], offsets[i + 1]) of the lists, ascending in m1, and none
-    where n has no pair.  qual is the float quality of each part, and
-    [lo, hi] spans at most _PAIR_BLOCK n.
+    where n has no pair.  qual is the float quality of each part.
     """
     start, count = _pair_ranges(parts, lo, hi)
-    chunks = list(_pairs(start, count)) if count.sum() <= _PAIR_BLOCK else None
+    chunks = list(flat_ranges(start, count, _PAIR_BLOCK)) if count.sum() <= _PAIR_BLOCK else None
     fmin = np.full(hi - lo + 1, np.inf)
-    for i1, i2 in chunks or _pairs(start, count):
+    for i1, i2 in chunks or flat_ranges(start, count, _PAIR_BLOCK):
         np.minimum.at(fmin, parts[i1] + parts[i2] - lo, np.maximum(qual[i1], qual[i2]))
     found = [], [], []
-    for i1, i2 in chunks or _pairs(start, count):
+    for i1, i2 in chunks or flat_ranges(start, count, _PAIR_BLOCK):
         at = parts[i1] + parts[i2] - lo
         near = _band(np.maximum(qual[i1], qual[i2]), fmin[at])
         for acc, arr in zip(found, (at, i1, i2)):
@@ -247,7 +227,7 @@ def _tiers(parts: np.ndarray, kernels: np.ndarray) -> list[tuple]:
 
 
 def _oracle_block(tiers: list[tuple], lo: int, hi: int) -> list[tuple]:
-    """``(m1, k1, m2, k2)`` of the best pair of every n in [lo, hi], a window of at most _PAIR_BLOCK n.
+    """``(m1, k1, m2, k2)`` of the best pair of every n in [lo, hi].
 
     The tiers ascend in quality: those of ``_tiers``, then every m in
     [2, n - 2] (c = n), built here for each n that reaches it.  An n with
@@ -447,12 +427,11 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
     witness, failing = [], []
     for lo, hi in _n_blocks(n_lo, n_hi, _PAIR_BLOCK):
         first = np.full(hi - lo + 1, none)
-        for i1, i2 in _pairs(*_pair_ranges(members, lo, hi)):
+        for i1, i2 in flat_ranges(*_pair_ranges(members, lo, hi), _PAIR_BLOCK):
             g1 = members[i1]
             np.minimum.at(first, g1 + members[i2] - lo, g1)
-            # later pairs have g1 >= the next part, so they only reach n >= twice it
-            after = i1[-1] + 1
-            reach = 2 * int(members[after]) - lo if after < len(members) else hi - lo + 1
+            # later pairs have g1 >= the block's last, so they only reach n >= twice it
+            reach = 2 * int(g1[-1]) - lo
             if first[max(reach, 0) :].max(initial=0) < none:
                 break
         block, missed = first.tolist(), np.flatnonzero(first == none).tolist()

@@ -30,13 +30,13 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
 from .kernel import POWERFUL_DENSITY, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
-from .kernel import check_budget, factorize, powerful_sum, primes_up_to
+from .kernel import check_budget, factorize, powerful_sum, primes_up_to, squarefree_flags
 
 __all__ = [
     "CountReport",
@@ -183,9 +183,8 @@ _SMALL_KERNEL = 2 * 3 * 5 * 7 * 11 * 13
 
 
 def _small_counts() -> dict[int, list[int]]:
-    # a < 16 is squarefree when neither 4 nor 9 divides it; each prime p
-    # then splits every row g into g and g * p by Q_{P+p}(y) = Q_P(y) - Q_{P+p}(y // p)
-    rows = {1: list(accumulate(int(a % 4 != 0 and a % 9 != 0) for a in range(_SMALL_Y)))}
+    # each prime p splits every row g into g and g * p by Q_{P+p}(y) = Q_P(y) - Q_{P+p}(y // p)
+    rows = {1: list(accumulate(squarefree_flags(_SMALL_Y - 1)))}
     for p in (2, 3, 5, 7, 11, 13):
         for g, row in list(rows.items()):
             split = [0] * _SMALL_Y
@@ -198,7 +197,7 @@ def _small_counts() -> dict[int, list[int]]:
 _SMALL_COUNTS = _small_counts()
 
 # Squarefree counts up to this are read from a prefix table, larger ones
-# are summed from the Moebius function.  The table is a bytearray sieve
+# are summed from the Moebius function.  The table is ``kernel.squarefree_flags``
 # accumulated into an int32 ``array``: 5 bytes and about 115 ns of pure
 # Python per entry, so its doublings up to the cap cost at most 2 * 2**18
 # entries, 60 ms.  A Moebius sum costs about 15 us of numpy calls, the
@@ -260,15 +259,8 @@ class _CoprimeSquarefree:
 
     def _reach(self, y: int) -> None:
         if y > self._size and self._size < _SQUAREFREE_TABLE_LIMIT:
-            self._grow_table(min(max(y, 2 * self._size), _SQUAREFREE_TABLE_LIMIT))
-
-    def _grow_table(self, size: int) -> None:
-        flags = bytearray([1]) * (size + 1)
-        flags[0] = 0
-        for p in primes_up_to(math.isqrt(size)):
-            flags[p * p :: p * p] = bytes(len(range(p * p, size + 1, p * p)))
-        self._size = size
-        self._table = array("i", accumulate(flags))
+            self._size = min(max(y, 2 * self._size), _SQUAREFREE_TABLE_LIMIT)
+            self._table = array("i", accumulate(squarefree_flags(self._size)))
 
     def _moebius_sum(self, y: int) -> int:
         root = math.isqrt(y)
@@ -560,25 +552,35 @@ def count_log_weighted(x: int, gamma: float) -> CountReport:
     return CountReport(x=x, count=count, gamma=gamma, normalized=count / scale)
 
 
-def log_ratio_table(xs: Sequence[int], gamma: float) -> list[dict]:
-    """Rows of N_gamma(x) / (ln(x)**gamma * S(x)) for the ascending xs.
+def log_ratio_table(xs: Iterable[int], gamma: float) -> list[dict]:
+    """Rows of N_gamma(x) / (ln(x)**gamma * S(x)), ascending in x, for the xs given largest first.
 
     N_gamma(x) is ``count_log_weighted(x, gamma).count`` and S(x) is
     ``count_members(x, Theta(1, 2)).count``, both counted afresh at
     every x over one shared squarefree table; at gamma = 0, N_0(x) is
-    S(x) - 1, and one walk gives both.  Raises ValueError, before
-    counting, when some ln(x)**gamma is not a finite non-zero float or
-    the counts at every x together are over the budget.
+    S(x) - 1, and one walk gives both.  The counts are priced as the xs
+    are read, which stops once that price is over the budget: every price
+    is positive, so a long grid gets the verdict of the whole without
+    being built.  Raises ValueError, before counting, when gamma is not
+    finite, the xs do not descend from >= 2, the counts are over the
+    budget, or some ln(x)**gamma is not a finite non-zero float.
     """
-    if not xs or xs[0] < 2 or any(a > b for a, b in zip(xs, xs[1:])):
-        raise ValueError(f"expected ascending x values >= 2, got {list(xs)}")
-    weights = [_log_weight(x, gamma) for x in xs]
-    half = Theta(1, 2)
-    seconds = sum(_count_seconds(x, half) + (_count_seconds(x, gamma=gamma) if gamma else 0) for x in xs)
-    check_budget(f"counting {len(xs)} points up to x={xs[-1]}", seconds + _TABLE_S, 0)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    half, seconds, read = Theta(1, 2), _TABLE_S, []
+    for x in xs:
+        if x < 2 or read and x > read[-1]:
+            raise ValueError(f"expected descending x values >= 2, got {[*read, x]}")
+        read.append(x)
+        seconds += _count_seconds(x, half) + (_count_seconds(x, gamma=gamma) if gamma else 0)
+        check_budget(f"counting {len(read)} points up to x={read[0]}", seconds, 0)
+    if not read:
+        raise ValueError("expected descending x values >= 2, got []")
+    read.reverse()
+    weights = [_log_weight(x, gamma) for x in read]
     squarefree = _CoprimeSquarefree()
     rows = []
-    for x, w in zip(xs, weights):
+    for x, w in zip(read, weights):
         ns = _theta_count(x, half, squarefree)
         nw = ns - 1 if gamma == 0 else _log_weighted_count(x, gamma, squarefree)
         rows.append({"x": x, "weighted_count": nw, "half_count": ns, "ratio": nw / (w * ns)})

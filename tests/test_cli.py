@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import kernsplit.kernel
 import kernsplit.oracle
 import kernsplit.powered
-from kernsplit.cli import cli
+from kernsplit.cli import _grid, cli
 from kernsplit.decompose import Decomposition, split
 from kernsplit.kernel import SieveLimitError, radical_sieve
 from kernsplit.powered import CountReport, Theta, count_members
@@ -360,7 +361,7 @@ class TestBudget:
             ("scan --from 4 --to 100 --gamma 0.5", "scan of [4, 100]"),
             ("count --theta 3/4 --limit 1000", "counting up to x=1000"),
             ("count --gamma 0.5 --limit 1000", "counting up to x=1000"),
-            ("logratio --limit 1000", "counting 5 points up to x=1000"),
+            ("logratio --limit 1000", "counting 1 points up to x=1000"),  # the largest point alone is over
             ("radical_sieve 1000", "sieving up to x=1000"),
         ],
         ids=["scan --oracle", "scan --gamma 0.5", "count --theta 3/4", "count --gamma 0.5", "logratio", "radical_sieve"],
@@ -416,6 +417,27 @@ class TestLogRatio:
         for row in rows:
             assert set(row) == {"x", "weighted_count", "half_count", "ratio"}
             assert row["ratio"] > 0
+
+    def test_long_grid_refused_on_its_largest_points(self):
+        # 6,084,955 distinct points up to 1e13: the two largest are over the budget, and the rest are never built
+        result = runner.invoke(cli, ["logratio", "--limit", "10000000000000", "--points", "10000000"])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output == (
+            "error: counting 2 points up to x=10000000000000 implies ~101 s and ~0 bytes, over the budget of 60 s and 1 GiB\n"
+        )
+
+    def test_long_grid_gives_the_rows_of_a_short_one(self):
+        # both grids reach every x in [10, 100], and a run of i that rounds to one x is skipped, not walked
+        short, long = (runner.invoke(cli, ["logratio", "--limit", "100", "--points", p, "--csv"]) for p in ("1000", "1000000000"))
+        assert short.exit_code == long.exit_code == 0
+        assert long.output == short.output and short.output.count("\n") == 1 + 91
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=10, max_value=2**53 - 1), st.integers(min_value=1, max_value=3000))
+    def test_grid_is_the_set_of_its_points(self, limit, points):
+        # below 2**53, limit ** 1.0 rounds back to limit
+        want = {max(10, round(limit ** (i / points))) for i in range(1, points + 1)} | {limit}
+        assert list(_grid(limit, points)) == sorted(want, reverse=True)
 
     def test_default_grid_at_1e9_is_admitted(self, monkeypatch):
         # every point is charged, and the five default points up to 1e9 still fit

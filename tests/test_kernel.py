@@ -19,11 +19,13 @@ from kernsplit.kernel import (
     FactorLimitError,
     SieveLimitError,
     factorize,
+    flat_ranges,
     kernel_bounded,
     powerful_sum,
     primes_up_to,
     radical,
     radical_sieve,
+    squarefree_flags,
 )
 
 
@@ -334,6 +336,33 @@ def test_kernel_bounded_emit_blocks_are_invisible(monkeypatch):
             assert np.array_equal(got_ms, ms) and np.array_equal(got_ks, ks)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=40)), max_size=12),
+    st.sampled_from([1, 2, 7, 2**20]),
+    st.integers(min_value=0, max_value=300),
+)
+def test_flat_ranges_expand_every_run(runs, block, long):
+    # zero counts, no runs at all, and a run longer than a block
+    runs = [*runs, (5, long)]
+    start, count = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*runs))
+    blocks = list(flat_ranges(start, count, block))
+    assert all(0 < len(owner) == len(index) <= block for owner, index in blocks)
+    assert all(owner.dtype == index.dtype == np.int64 for owner, index in blocks)
+    owners = np.concatenate([owner for owner, _ in blocks]) if blocks else np.zeros(0, dtype=np.int64)
+    assert all(owners[1:] >= owners[:-1])
+    got = [(int(i), int(j)) for owner, index in blocks for i, j in zip(owner, index)]
+    assert got == [(i, s + j) for i, (s, c) in enumerate(runs) for j in range(c)]
+    assert list(flat_ranges(start[:0], count[:0], block)) == []
+
+
+def test_squarefree_flags_by_definition():
+    # no p**2 divides a, read off its factorization; y at and next to the squares of primes
+    want = bytearray([0]) + bytearray(all(e == 1 for _, e in factorize(a).factors) for a in range(1, 5001))
+    for y in (0, 1, 2, 3, 4, 8, 9, 10, 24, 25, 48, 49, 120, 121, 4899, 4900, 4901, 5000):
+        assert squarefree_flags(y) == want[: y + 1]
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("ran past the check")
 
@@ -348,7 +377,7 @@ def test_kernel_bounded_admits_before_emitting(monkeypatch):
     def stop(bound):
         raise ValueError(f"refused at {bound}")
 
-    monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
+    monkeypatch.setattr(kernsplit.kernel, "squarefree_flags", refuse)
     with pytest.raises(ValueError, match=f"refused at {bounds[0]}"):
         kernel_bounded(10**5, quality_at_most(21), stop)
 

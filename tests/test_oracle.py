@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import kernsplit.decompose
 import kernsplit.kernel
@@ -25,7 +25,7 @@ import kernsplit.oracle as orc
 import kernsplit.powered
 from dense_reference import log_weighted_mask
 from kernsplit.decompose import split
-from kernsplit.kernel import kernel_bounded, radical, radical_sieve
+from kernsplit.kernel import flat_ranges, kernel_bounded, radical, radical_sieve
 from kernsplit.oracle import (
     BestSplit,
     ComparisonReport,
@@ -251,8 +251,8 @@ class TestConstructiveVsOracle:
     def test_range_guard(self, monkeypatch):
         # over budget on the bound of its parts: refused after the walk, before any part exists or n is split
         monkeypatch.setattr(kernsplit.decompose, "split_parts", refuse)
-        monkeypatch.setattr(orc, "_pairs", refuse)
-        monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
+        monkeypatch.setattr(orc, "flat_ranges", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "squarefree_flags", refuse)
         with pytest.raises(ValueError, match=refusal(60000000000, 60000000100)):
             constructive_vs_oracle(60_000_000_000, 60_000_000_100)
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
@@ -469,6 +469,7 @@ class TestBlockMatchesLoop:
     @pytest.mark.parametrize("gamma", [0.0, 10.0])
     @settings(max_examples=8, deadline=None)
     @given(lohi=window(4, 20_000, 600), cap=st.sampled_from([1, 3, 64]))
+    @example(lohi=(4, 3000), cap=1)  # blocks ending inside runs of g1 meet the probe's early exit at its bound
     def test_probe_across_block_edges(self, gamma, lohi, cap):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orc, "_PAIR_BLOCK", cap * 16)
@@ -558,7 +559,7 @@ class TestScanWork:
         brute = sum(1 for n in range(lo, hi + 1) for m1 in members if m1 <= n // 2 and n - m1 in members)
         assert orc._pair_count(parts, lo, hi) == brute
         start, count = orc._pair_ranges(parts, lo, hi)
-        formed = [(int(parts[a]), int(parts[b])) for i1, i2 in orc._pairs(start, count) for a, b in zip(i1, i2)]
+        formed = [(int(parts[a]), int(parts[b])) for i1, i2 in flat_ranges(start, count, 7) for a, b in zip(i1, i2)]
         assert len(formed) == len(set(formed)) == brute
         assert all(m1 <= m2 and lo <= m1 + m2 <= hi for m1, m2 in formed)
 
@@ -597,12 +598,12 @@ class TestScanWork:
 
     def test_parts_refused_before_they_exist(self, monkeypatch):
         # a dense superset (gamma = 10: every m) is refused on the bound of its parts
-        monkeypatch.setattr(kernsplit.kernel, "_squarefree_up_to", refuse)
+        monkeypatch.setattr(kernsplit.kernel, "squarefree_flags", refuse)
         with pytest.raises(ValueError, match=refusal(48000000, 48000000)):
             conjecture_probe(48_000_000, 48_000_000, 10.0)
 
     def test_lookups_refused_once_the_parts_are_known(self, monkeypatch):
-        monkeypatch.setattr(orc, "_pairs", refuse)
+        monkeypatch.setattr(orc, "flat_ranges", refuse)
         with pytest.raises(ValueError, match=refusal(4, 150000)):
             conjecture_probe(4, 150_000, 3.0)  # ~5.6e9 pairs over a dense set
         monkeypatch.undo()
@@ -623,7 +624,7 @@ class TestScanWork:
         held = k.ROW_BYTES * 97 + k.WALK_VISIT_BYTES * math.ceil(k.POWERFUL_DENSITY * 10) + k.PART_BYTES * widths[-1]
         # gamma = 10 near 1e9: every m >= 3 is a part, a width bound of ~1.94e9 units (~48.6 GB), refused
         # during the walk at the first doubling of its running bound past 8 GiB, ~1e9 units (~2.5e10 bytes)
-        monkeypatch.setattr(k, "_squarefree_up_to", refuse)
+        monkeypatch.setattr(k, "squarefree_flags", refuse)
         physical = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)  # 8 GiB
         monkeypatch.setattr(k, "os", physical)
         with pytest.raises(ValueError, match=r"~2\.5e\+10 bytes, over the 8 GiB of physical memory, forced or not$"):

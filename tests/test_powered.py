@@ -223,7 +223,7 @@ class TestCountLogWeighted:
         with pytest.raises(ValueError, match=re.escape(f"gamma={gamma}, x=100")):
             count_log_weighted(100, gamma)
         with pytest.raises(ValueError, match=re.escape(f"gamma={gamma}, x=10") + "$"):
-            log_ratio_table([10, 100], gamma)
+            log_ratio_table([100, 10], gamma)
 
 
 class TestNearTieRecheck:
@@ -306,7 +306,7 @@ class TestStreamingMatchesDense:
     )
     def test_ratio_table_reads_counts_at_every_x(self, grid, gamma):
         xs = sorted(grid)
-        rows = log_ratio_table(xs, gamma)
+        rows = log_ratio_table(xs[::-1], gamma)
         half = Theta(1, 2)
         assert [r["x"] for r in rows] == xs
         for r in rows:
@@ -320,7 +320,7 @@ class TestStreamingMatchesDense:
         for x in xs:
             assert count_members(x, Theta(1, 1)).count == x  # every m is a member
         table = radical_sieve(xs[-1])
-        assert [(r["weighted_count"], r["half_count"]) for r in log_ratio_table(xs, 2.5)] == [
+        assert [(r["weighted_count"], r["half_count"]) for r in log_ratio_table(xs[::-1], 2.5)] == [
             (log_weighted_mask(x, 2.5, table=table).sum(), membership_mask(x, Theta(1, 2), table=table).sum())
             for x in xs
         ]
@@ -334,7 +334,7 @@ class TestStreamingMatchesDense:
         monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", 64)
         assert count_members(1000, Theta(1, 2)).count == len(enumerate_members(1000, Theta(1, 2)))
         assert count_log_weighted(1000, 1.0).count == len(enumerate_log_weighted(1000, 1.0))
-        assert [r["half_count"] for r in log_ratio_table([10, 100], 1.0)] == [4, 17]
+        assert [r["half_count"] for r in log_ratio_table([100, 10], 1.0)] == [4, 17]
 
 
 X_MAX = 300_000
@@ -420,7 +420,7 @@ class TestPowerfulSumMatchesReferences:
         monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
         got = [count_members(x, t).count for t in thetas] + [count_log_weighted(x, g).count for g in gammas]
         assert got == expected
-        rows = log_ratio_table([10, 100, 1000, x], 2.5)
+        rows = log_ratio_table([x, 1000, 100, 10], 2.5)
         assert [(r["weighted_count"], r["half_count"]) for r in rows] == ratios
 
     def test_gamma_zero_identity_at_1e7(self):
@@ -494,10 +494,10 @@ class TestCountGuards:
             count_log_weighted(10**13, 20.0)
         with pytest.raises(ValueError, match=re.escape("x=10000000000000 implies ~92.6 s")):
             log_ratio_table([10**13], 20.0)  # ~6.6 s for theta = 1/2
-        # a table pays for both counts at every x: ~140 s + ~19 s at 1e14
-        table = "counting 2 points up to x=100000000000000 implies ~159 s and ~0 bytes"
+        # a table pays for both counts at every x: ~140 s + ~19 s at 1e14, so its largest x alone is over
+        table = "counting 1 points up to x=100000000000000 implies ~159 s and ~0 bytes"
         with pytest.raises(ValueError, match=re.escape(table)):
-            log_ratio_table([10, 10**14], 1.0)
+            log_ratio_table([10**14, 10], 1.0)
 
     def test_ratio_table_charges_every_point(self, monkeypatch):
         class Walked(Exception):
@@ -507,10 +507,13 @@ class TestCountGuards:
             raise Walked
 
         monkeypatch.setattr(kernsplit.powered, "powerful_sum", walk)
-        # 186 points up to 1e13: each count alone fits the budget, all of them ~1.2e3 s
+        # 186 points up to 1e13: each count alone fits the budget, all of them ~1.2e3 s; priced largest
+        # first, the two largest are over, and the other 184 are never read
         grid = sorted({max(10, round((10**13) ** (i / 200))) for i in range(1, 201)} | {10**13})
-        with pytest.raises(ValueError, match=re.escape(f"counting {len(grid)} points up to x=10000000000000")):
-            log_ratio_table(grid, 1.0)
+        points = iter(grid[::-1])
+        with pytest.raises(ValueError, match=re.escape("counting 2 points up to x=10000000000000 implies ~97.8 s")):
+            log_ratio_table(points, 1.0)
+        assert len(list(points)) == len(grid) - 2 == 184
         for count in (partial(count_log_weighted, gamma=1.0), partial(count_members, theta=Theta(1, 2))):
             with pytest.raises(Walked):
                 count(10**13)
@@ -525,7 +528,7 @@ class TestCountGuards:
             return real(x, *args)
 
         monkeypatch.setattr(kernsplit.powered, "powerful_sum", counting)
-        rows = log_ratio_table([10**6, 10**8], 0.0)
+        rows = log_ratio_table([10**8, 10**6], 0.0)
         assert walks == [10**6, 10**8]
         assert [(r["weighted_count"], r["half_count"]) for r in rows] == [(5780, 5781), (93360, 93361)]
 
@@ -549,7 +552,7 @@ class TestCountGuards:
                 built.append(self)
 
         monkeypatch.setattr(kernsplit.powered, "_CoprimeSquarefree", Counted)
-        rows = log_ratio_table([10, 1000, 10**6], 1.0)
+        rows = log_ratio_table([10**6, 1000, 10], 1.0)
         assert len(built) == 1
         assert [(r["weighted_count"], r["half_count"]) for r in rows] == [
             (count_log_weighted(x, 1.0).count, count_members(x, Theta(1, 2)).count) for x in (10, 1000, 10**6)
