@@ -17,7 +17,8 @@ identical to a one-shot sieve regardless of segment size.
 kernels, which is all the class counters need, and ``kernel_bounded``
 builds from the same walk, with their kernels, the sparse sets that the
 oracle and the probe pair up: the m = a*b whose squarefree a lies in an
-interval given per powerful b.  ``squarefree_flags`` is the one
+interval given per powerful b (``quality_interval`` for the class
+k(m)**2 <= c*m).  ``squarefree_flags`` is the one
 squarefree sieve and ``flat_ranges`` the one expander of per-owner runs
 into bounded blocks, for ``kernel_bounded``, the counters and the scans.
 
@@ -52,6 +53,7 @@ __all__ = [
     "kernel_bounded",
     "powerful_sum",
     "primes_up_to",
+    "quality_interval",
     "radical",
     "radical_sieve",
     "squarefree_flags",
@@ -297,6 +299,11 @@ def flat_ranges(start: np.ndarray, count: np.ndarray, block: int):
         yield owner, np.arange(lo, hi) + shift[owner]
 
 
+def quality_interval(c: int, top: int) -> Callable[[int, int], tuple[int, int]]:
+    """The interval of ``kernel_bounded`` for the class 2 <= m <= top with k(m)**2 <= c*m: with m = a*b, a <= c*b // k(b)**2."""
+    return lambda b, k: (2 if b == 1 else 1, min(top // b, c * b // (k * k)))
+
+
 def kernel_bounded(
     top: int, interval: Callable[[int, int], tuple[int, int]], admit=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -307,8 +314,8 @@ def kernel_bounded(
     ``interval(b, k(b))`` gives the a it admits as [lo, hi], lo >= 1,
     clamped here to hi <= top // b and empty when hi < lo; the members
     are the squarefree a coprime to b in it: a run of one squarefree
-    list, filtered by gcd(a, k(b)) == 1.  So (1, c*b // k(b)**2) gives
-    every m with k(m)**2 <= c*m.  No kernel table is built.  The walk over
+    list, filtered by gcd(a, k(b)) == 1.  So ``quality_interval(c, top)``
+    gives every m with k(m)**2 <= c*m.  No kernel table is built.  The walk over
     the < POWERFUL_DENSITY * sqrt(top) powerful b (``powerful_sum``) comes
     first; ``admit(bound)``, when given, is called with the running sum of
     the interval widths during the walk, each time that sum has doubled,

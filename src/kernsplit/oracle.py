@@ -18,7 +18,8 @@ sqrt(432) < 21, so both parts of an optimal pair lie in the candidate
 set G = {m : k(m)**2 <= 21 m} (1,003 members up to 1e4, 4,355 up to
 1e5, 18,411 up to 1e6).  ``kernel.kernel_bounded`` enumerates it with
 its kernels from the powerful numbers: for each powerful b, the
-squarefree a coprime to b up to 21*b // k(b)**2.  The probe's
+squarefree a coprime to b up to 21*b // k(b)**2
+(``kernel.quality_interval``).  The probe's
 qualifying parts come from the same walk, each b's interval of a found
 by the log-weighted counter's own search
 (``powered._log_weighted_interval``), so they are exactly the members.
@@ -58,7 +59,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kernel import PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
-from .kernel import check_budget, flat_ranges, kernel_bounded, radical
+from .kernel import check_budget, flat_ranges, kernel_bounded, quality_interval, radical
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -130,11 +131,6 @@ def _text(quality: tuple[int, int]) -> str:
 def decomposition_quality(d: Decomposition) -> Fraction:
     """Worse part quality of a decomposition, kernels by trial division."""
     return Fraction(*_worse(d.m1, radical(d.m1), d.m2, radical(d.m2)))
-
-
-def _quality_at_most(c: int):
-    """The interval of ``kernel_bounded`` for the parts m >= 2 with k(m)**2 <= c*m: with m = a*b, a <= c*b // k(b)**2."""
-    return lambda b, k: (2 if b == 1 else 1, c * b // (k * k))
 
 
 def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +239,7 @@ def _oracle_block(tiers: list[tuple], lo: int, hi: int) -> list[tuple]:
         missed = []
         for w_lo, w_hi in todo:
             # the last tier, c = n: every m in [2, n - 2], from the same walk
-            ranked = tier or _tier(*kernel_bounded(w_hi - 2, _quality_at_most(w_hi)))
+            ranked = tier or _tier(*kernel_bounded(w_hi - 2, quality_interval(w_hi, w_hi - 2)))
             offsets, m1, k1, m2, k2 = _band_pairs(*ranked, w_lo, w_hi)
             for n, s, e in zip(range(w_lo, w_hi + 1), offsets, offsets[1:]):
                 if e - s == 1:  # the common case: one pair in the band
@@ -263,7 +259,7 @@ def best_decomposition(n: int) -> BestSplit:
     docstring), or every pair when there is none: the one-n window of
     ``constructive_vs_oracle``.
     """
-    tiers = _tiers(*_admit(n, n, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force=True))
+    tiers = _tiers(*_admit(n, n, lambda top: quality_interval(_CANDIDATE_QUALITY, top), force=True))
     ((m1, k1, m2, k2),) = _oracle_block(tiers, n, n)
     return BestSplit(n, m1, m2, Fraction(*_worse(m1, k1, m2, k2)))
 
@@ -337,7 +333,7 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     """
     from .decompose import split_parts  # only the oracle scan splits: the probe skips the import
 
-    parts, kernels = _admit(n_lo, n_hi, lambda top: _quality_at_most(_CANDIDATE_QUALITY), force)
+    parts, kernels = _admit(n_lo, n_hi, lambda top: quality_interval(_CANDIDATE_QUALITY, top), force)
     tiers, split_m1, split_q, oracle_m1, oracle_q = _tiers(parts, kernels), [], [], [], []
     for lo, hi in _n_blocks(n_lo, n_hi, _ORACLE_BLOCK):
         om1, ok1, om2, ok2 = zip(*_oracle_block(tiers, lo, hi))

@@ -36,7 +36,7 @@ from itertools import accumulate
 from operator import mul
 
 from .kernel import POWERFUL_DENSITY, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
-from .kernel import check_budget, factorize, powerful_sum, primes_up_to, squarefree_flags
+from .kernel import check_budget, factorize, powerful_sum, primes_up_to, quality_interval, squarefree_flags
 
 __all__ = [
     "CountReport",
@@ -425,7 +425,7 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
     minimiser of f, next to t = e**(2*gamma) / b.  lo is 1, and 2 for
     b = 1: m = 1 is excluded.
     - At gamma = 0 the test is k(m)**2 <= m, so R_b = min(x // b,
-      b // k(b)**2), in integers.
+      b // k(b)**2), in integers: ``kernel.quality_interval(1, x)``.
     - When b*lo >= E = ``_monotone_start(x, gamma)``, f only rises and
       the interval is a prefix from lo.
     - Otherwise the a within one of floor(t), clamped to [lo, x // b],
@@ -438,7 +438,7 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
     squarefree a coprime to b in the interval.
     """
     if gamma == 0:
-        return lambda b, k: (2 if b == 1 else 1, min(x // b, b // (k * k)))
+        return quality_interval(1, x)
     start = _monotone_start(x, gamma)
     peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
 

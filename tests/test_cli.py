@@ -4,6 +4,7 @@ import json
 import re
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import kernsplit.kernel
 import kernsplit.oracle
 import kernsplit.powered
-from kernsplit.cli import _grid, cli
+from kernsplit.cli import _ECHO_BLOCK, _grid, cli
 from kernsplit.decompose import Decomposition, split
 from kernsplit.kernel import SieveLimitError, radical_sieve
 from kernsplit.powered import CountReport, Theta, count_members
@@ -504,7 +505,9 @@ class TestLargeGamma:
 # above do not: the probe shows only failing rows in human form,
 # logratio prints no summary line, verify-mode CSV without violations
 # falls back to the summary row, radical's JSON has ``factors`` while its
-# CSV has ``factorization``, and a witnessless CSV row has empty cells.
+# CSV has ``factorization``, a witnessless CSV row has empty cells, and
+# CSV lines end in \r\n.  The help texts pin each command's options in
+# their order.
 GOLDEN = [
     ('radical 360', 0, 'm=360 radical=30 factorization=2^3*3^2*5\n'),
     (
@@ -518,8 +521,8 @@ GOLDEN = [
         'radical 360 --csv',
         0,
         (
-            'm,radical,factorization\n'
-            '360,30,2^3*3^2*5\n'
+            'm,radical,factorization\r\n'
+            '360,30,2^3*3^2*5\r\n'
         ),
     ),
     ('radical 1', 0, 'm=1 radical=1 factorization=1\n'),
@@ -549,8 +552,8 @@ GOLDEN = [
         'decompose 100 --csv',
         0,
         (
-            'n,m1,m2,a,b,U,V,W,w,fallback,verified\n'
-            '100,64,36,3,2,11,12,3,4,False,\n'
+            'n,m1,m2,a,b,U,V,W,w,fallback,verified\r\n'
+            '100,64,36,3,2,11,12,3,4,False,\r\n'
         ),
     ),
     (
@@ -564,8 +567,8 @@ GOLDEN = [
         'decompose 4 --csv',
         0,
         (
-            'n,m1,m2,a,b,U,V,W,w,fallback,verified\n'
-            '4,2,2,,,,,,,True,\n'
+            'n,m1,m2,a,b,U,V,W,w,fallback,verified\r\n'
+            '4,2,2,,,,,,,True,\r\n'
         ),
     ),
     (
@@ -588,8 +591,8 @@ GOLDEN = [
         'count --theta 1/2 --limit 100 --csv',
         0,
         (
-            'x,theta,count,normalized\n'
-            '100,1/2,17,1.7\n'
+            'x,theta,count,normalized\r\n'
+            '100,1/2,17,1.7\r\n'
         ),
     ),
     ('count --gamma 0 --limit 100', 0, 'x=100 gamma=0 count=16 normalized=1.6\n'),
@@ -604,8 +607,8 @@ GOLDEN = [
         'count --gamma 0 --limit 100 --csv',
         0,
         (
-            'x,gamma,count,normalized\n'
-            '100,0.0,16,1.6\n'
+            'x,gamma,count,normalized\r\n'
+            '100,0.0,16,1.6\r\n'
         ),
     ),
     ('count --theta 2 --limit 10', 1, "error: cannot parse theta from '2'\n"),
@@ -621,8 +624,8 @@ GOLDEN = [
         'scan --from 4 --to 1000 --csv',
         0,
         (
-            'n_lo,n_hi,checked,violations\n'
-            '4,1000,997,0\n'
+            'n_lo,n_hi,checked,violations\r\n'
+            '4,1000,997,0\r\n'
         ),
     ),
     ('scan --from 10 --to 4', 1, 'error: need 4 <= n_lo <= n_hi, got [10, 4]\n'),
@@ -654,12 +657,12 @@ GOLDEN = [
         'scan --from 4 --to 8 --oracle --csv',
         0,
         (
-            'n,split_m1,split_m2,split_quality,split_fallback,oracle_m1,oracle_m2,oracle_quality,ok\n'
-            '4,2,2,2,True,2,2,2,True\n'
-            '5,2,3,3,True,2,3,3,True\n'
-            '6,2,4,2,True,2,4,2,True\n'
-            '7,4,3,3,False,3,4,3,True\n'
-            '8,2,6,6,False,4,4,1,True\n'
+            'n,split_m1,split_m2,split_quality,split_fallback,oracle_m1,oracle_m2,oracle_quality,ok\r\n'
+            '4,2,2,2,True,2,2,2,True\r\n'
+            '5,2,3,3,True,2,3,3,True\r\n'
+            '6,2,4,2,True,2,4,2,True\r\n'
+            '7,4,3,3,False,3,4,3,True\r\n'
+            '8,2,6,6,False,4,4,1,True\r\n'
         ),
     ),
     (
@@ -705,14 +708,14 @@ GOLDEN = [
         'scan --from 8 --to 14 --gamma 0 --csv',
         0,
         (
-            'n,ok,m1,m2\n'
-            '8,True,4,4\n'
-            '9,False,,\n'
-            '10,False,,\n'
-            '11,False,,\n'
-            '12,True,4,8\n'
-            '13,True,4,9\n'
-            '14,False,,\n'
+            'n,ok,m1,m2\r\n'
+            '8,True,4,4\r\n'
+            '9,False,,\r\n'
+            '10,False,,\r\n'
+            '11,False,,\r\n'
+            '12,True,4,8\r\n'
+            '13,True,4,9\r\n'
+            '14,False,,\r\n'
         ),
     ),
     (
@@ -736,12 +739,120 @@ GOLDEN = [
         'logratio --limit 100 --points 2 --csv',
         0,
         (
-            'x,weighted_count,half_count,ratio\n'
-            '10,3,4,0.32572086142743883\n'
-            '100,36,17,0.4598412161328549\n'
+            'x,weighted_count,half_count,ratio\r\n'
+            '10,3,4,0.32572086142743883\r\n'
+            '100,36,17,0.4598412161328549\r\n'
         ),
     ),
     ('logratio --limit 100 --gamma nan', 1, 'error: gamma must be finite, got nan\n'),
+    (
+        '--help',
+        0,
+        (
+            'Usage: cli [OPTIONS] COMMAND [ARGS]...\n'
+            '\n'
+            '  Kernel arithmetic and certified two-part decompositions.\n'
+            '\n'
+            'Options:\n'
+            '  --version  Show the version and exit.\n'
+            '  --help     Show this message and exit.\n'
+            '\n'
+            'Commands:\n'
+            '  count      Count members up to --limit for one exponent parameter.\n'
+            '  decompose  Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts.\n'
+            '  logratio   Exploratory table: weighted count over (ln x)**gamma *...\n'
+            '  radical    Print k(M) and the factorization of M.\n'
+            '  scan       Verify split(n) over a range; --oracle and --gamma switch modes.\n'
+        ),
+    ),
+    (
+        'radical --help',
+        0,
+        (
+            'Usage: cli radical [OPTIONS] M\n'
+            '\n'
+            '  Print k(M) and the factorization of M.\n'
+            '\n'
+            'Options:\n'
+            '  --csv   Header row then data rows.\n'
+            '  --json  One JSON object per line.\n'
+            '  --help  Show this message and exit.\n'
+        ),
+    ),
+    (
+        'decompose --help',
+        0,
+        (
+            'Usage: cli decompose [OPTIONS] N\n'
+            '\n'
+            '  Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts.\n'
+            '\n'
+            'Options:\n'
+            '  --verify [structural|exact]  Check the result; structural falls back to exact\n'
+            '                               for n in {4,5,6}.\n'
+            '  --csv                        Header row then data rows.\n'
+            '  --json                       One JSON object per line.\n'
+            '  --help                       Show this message and exit.\n'
+        ),
+    ),
+    (
+        'count --help',
+        0,
+        (
+            'Usage: cli count [OPTIONS]\n'
+            '\n'
+            '  Count members up to --limit for one exponent parameter.\n'
+            '\n'
+            'Options:\n'
+            '  --theta TEXT     Exact exponent as p/q, e.g. 1/2.\n'
+            '  --gamma FLOAT    Log-weight exponent.\n'
+            '  --limit INTEGER  Count members up to this x.  [required]\n'
+            '  --csv            Header row then data rows.\n'
+            '  --json           One JSON object per line.\n'
+            '  --help           Show this message and exit.\n'
+        ),
+    ),
+    (
+        'scan --help',
+        0,
+        (
+            'Usage: cli scan [OPTIONS]\n'
+            '\n'
+            '  Verify split(n) over a range; --oracle and --gamma switch modes.\n'
+            '\n'
+            'Options:\n'
+            '  --from INTEGER  First n, inclusive (>= 4).  [required]\n'
+            '  --to INTEGER    Last n, inclusive.  [required]\n'
+            '  --gamma FLOAT   Probe log-weighted representability instead.\n'
+            '  --oracle        Compare against the exhaustive optimum.\n'
+            '  --force         Run an oracle or probe scan past its budget of 60 s and 1 GiB.\n'
+            '  --csv           Header row then data rows.\n'
+            '  --json          One JSON object per line.\n'
+            '  --help          Show this message and exit.\n'
+        ),
+    ),
+    (
+        'logratio --help',
+        0,
+        (
+            'Usage: cli logratio [OPTIONS]\n'
+            '\n'
+            '  Exploratory table: weighted count over (ln x)**gamma * sqrt-class count.\n'
+            '\n'
+            '  Reports N_gamma(x) / ((ln x)**gamma * S(x)) on a geometric grid, where N_gamma\n'
+            '  counts k(m)**2 <= m ln(m)**(2 gamma) and S counts the theta = 1/2 class.  No\n'
+            '  pass/fail judgment is attached; at feasible x the ratio drifts slowly and is\n'
+            '  not expected to settle.\n'
+            '\n'
+            'Options:\n'
+            '  --limit INTEGER   Largest x in the table.  [required]\n'
+            '  --gamma FLOAT     Weight exponent.  [default: 1.0]\n'
+            '  --points INTEGER  Geometric grid size.  [default: 5]\n'
+            '  --csv             Header row then data rows.\n'
+            '  --json            One JSON object per line.\n'
+            '  --help            Show this message and exit.\n'
+        ),
+    ),
 ]
 
 
@@ -750,6 +861,30 @@ class TestGoldenOutput:
         ("args", "exit_code", "output"), GOLDEN, ids=[g[0] for g in GOLDEN]
     )
     def test_output(self, args, exit_code, output):
-        result = runner.invoke(cli, args.split())
-        masked = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', result.output)
+        result = runner.invoke(cli, args.split(), terminal_width=80)
+        # the bytes as written: result.output turns \r\n into \n (output_bytes is click >= 8.2's
+        # stdout and stderr; before it, stdout_bytes held both)
+        written = getattr(result, "output_bytes", result.stdout_bytes).decode()
+        masked = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', written)
         assert (result.exit_code, masked) == (exit_code, output)
+
+
+class TestEchoBlocks:
+    """Every form is formatted and written ``_ECHO_BLOCK`` records per ``click.echo`` call."""
+
+    @pytest.mark.parametrize("form", [[], ["--json"], ["--csv"]], ids=["human", "json", "csv"])
+    def test_blocks_join_to_the_output(self, monkeypatch, form):
+        args = ["scan", "--from", "4", "--to", str(2 * _ECHO_BLOCK + 100), "--oracle", *form]
+        whole = runner.invoke(cli, args).stdout_bytes
+        writes, echo = [], click.echo
+
+        def recording(text, nl=True, **kw):
+            writes.append(text + "\n" * nl)
+            echo(text, nl=nl, **kw)
+
+        monkeypatch.setattr(click, "echo", recording)
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0 and len(writes) == 3
+        assert all(text.count("\n") <= _ECHO_BLOCK for text in writes)
+        written, whole = (re.sub(rb'"elapsed_ms": [0-9.e+-]+', b"", out) for out in ("".join(writes).encode(), whole))
+        assert written == whole

@@ -133,6 +133,12 @@ class TestEntryPoint:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: scan of [4, 2000000] implies") and "--force" in line
 
+    def test_version_from_the_source_tree(self):
+        # the version is the package's own, not installed metadata, which a source checkout lacks
+        proc = python("-m", "kernsplit.cli", "--version")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.rstrip().endswith(f"version {kernsplit.__version__}")
+
     def test_usage_error(self):
         proc = python("-m", "kernsplit.cli", "radical", "360", "--json", "--csv")
         assert proc.returncode == 2 and "mutually exclusive" in proc.stderr

@@ -25,7 +25,7 @@ import kernsplit.oracle as orc
 import kernsplit.powered
 from dense_reference import log_weighted_mask
 from kernsplit.decompose import split
-from kernsplit.kernel import flat_ranges, kernel_bounded, radical, radical_sieve
+from kernsplit.kernel import flat_ranges, kernel_bounded, quality_interval, radical, radical_sieve
 from kernsplit.oracle import (
     BestSplit,
     ComparisonReport,
@@ -382,7 +382,7 @@ class TestSparseMatchesDense:
 
         monkeypatch.setattr(orc, "kernel_bounded", counting)
         constructive_vs_oracle(4, 300)
-        assert calls == [(298, (1, 21 * 8 // 4), (1, 21))]  # a <= 21*b // k(b)**2
+        assert calls == [(298, (1, 298 // 8), (1, 21))]  # a <= min(top // b, 21*b // k(b)**2)
 
     def test_int64_bound(self, monkeypatch):
         # the largest n with 21 * n < 2**63: G's kernels * kernels <= c * parts, and pair sums below 2n
@@ -570,7 +570,7 @@ class TestScanWork:
         monkeypatch.setattr(orc, "check_budget", lambda what, seconds, nbytes, force: priced.append((seconds, nbytes)))
         constructive_vs_oracle(lo, hi)
         widths = []
-        parts, _ = kernel_bounded(hi - 2, orc._quality_at_most(orc._CANDIDATE_QUALITY), widths.append)
+        parts, _ = kernel_bounded(hi - 2, quality_interval(orc._CANDIDATE_QUALITY, hi - 2), widths.append)
         rows, walk, pairs = hi - lo + 1, math.ceil(kernsplit.kernel.POWERFUL_DENSITY * math.sqrt(hi)), orc._pair_count(parts, lo, hi)
         k = kernsplit.kernel
         expected = [
