@@ -120,11 +120,13 @@ def choose_exponents(n: int) -> tuple[int, int]:
 
     Each is the least exponent whose upper bound (``_a_bounds``,
     ``_b_bounds``) reaches n.  Requires n >= 7; below that no a, b >= 1
-    work.
+    work.  With n >= 2**(bits - 1), both searches start below their
+    answers: 27 * 16**(a - 1) < n**2 and 48 * 81**(b - 1) < n**2 there.
     """
     if n < 7:
         raise ValueError(f"exponent choice needs n >= 7, got {n}")
-    a = b = 1
+    bits = n.bit_length()
+    a, b = max(1, (bits - 3) // 2), max(1, (2 * bits - 8) // 7)
     while _a_bounds(a)[1] < n:
         a += 1
     while _b_bounds(b)[1] < n:

@@ -33,6 +33,7 @@ import os
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, cycle
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -180,24 +181,16 @@ def factorize(m: int, *, limit: int = DEFAULT_FACTOR_LIMIT) -> Factorization:
         )
     factors = []
     rest = m
-    for p in (2, 3):
+    # one loop over 2, 3 and then the 6k +- 1 wheel 5, 7, 11, 13, ...
+    for p in chain((2, 3), accumulate(cycle((2, 4)), initial=5)):
+        if p * p > rest:
+            break
         if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             factors.append((p, e))
-    # remaining candidates have the form 6k +- 1
-    p, step = 5, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            factors.append((p, e))
-        p += step
-        step = 6 - step
     if rest > 1:
         factors.append((rest, 1))
     return Factorization(m, tuple(factors))
@@ -217,7 +210,7 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if flags[i]]
+    return list(compress(range(n + 1), flags))
 
 
 def powerful_sum(

@@ -78,14 +78,11 @@ class Theta:
     def parse(cls, text: str) -> "Theta":
         """Parse 'p/q' (or a bare integer numerator like '1')."""
         parts = text.strip().split("/")
-        try:
-            if len(parts) == 1:
-                return cls(int(parts[0]), 1)
-            if len(parts) == 2:
-                return cls(int(parts[0]), int(parts[1]))
+        try:  # a bare numerator has q = 1; three parts or more fail to unpack
+            p, q = map(int, parts if len(parts) == 2 else parts + ["1"])
         except ValueError as exc:
             raise ValueError(f"cannot parse theta from {text!r}") from exc
-        raise ValueError(f"cannot parse theta from {text!r}")
+        return cls(p, q)  # outside the try: a p/q out of range keeps its own message
 
     def as_float(self) -> float:
         return self.p / self.q
@@ -379,15 +376,6 @@ def _theta_interval(x: int, theta: Theta) -> Callable[[int, int], tuple[int, int
     return interval
 
 
-def _monotone_start(x: int, gamma: float) -> int:
-    """E in [1, x] with E >= e**(2*gamma): past it the log-weighted test is monotone in a."""
-    if gamma <= 0:
-        return 1
-    if 2 * gamma >= math.log(x):
-        return x
-    return min(x, math.floor(math.exp(2 * gamma) * (1 + 1e-9)) + 1)
-
-
 def _prefix_end(member, lo: int, hi: int) -> int:
     """Largest a in [lo, hi] with member(a), or lo - 1 if none; member must hold on a prefix.
 
@@ -426,8 +414,8 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
     b = 1: m = 1 is excluded.
     - At gamma = 0 the test is k(m)**2 <= m, so R_b = min(x // b,
       b // k(b)**2), in integers: ``kernel.quality_interval(1, x)``.
-    - When b*lo >= E = ``_monotone_start(x, gamma)``, f only rises and
-      the interval is a prefix from lo.
+    - When b*lo >= E = min(x, floor(peak * (1 + 1e-9)) + 1), peak =
+      e**min(2*gamma, ln x), f only rises: the interval is a prefix.
     - Otherwise the a within one of floor(t), clamped to [lo, x // b],
       are tested.  If none is a member, the interval is empty; if one
       is, L_b is found below it and R_b above it.
@@ -439,8 +427,8 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
     """
     if gamma == 0:
         return quality_interval(1, x)
-    start = _monotone_start(x, gamma)
     peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
+    start = min(x, math.floor(peak * (1 + 1e-9)) + 1)
 
     def interval(b: int, k: int) -> tuple[int, int]:
         lo, hi = 2 if b == 1 else 1, x // b

@@ -611,7 +611,7 @@ GOLDEN = [
             '100,0.0,16,1.6\r\n'
         ),
     ),
-    ('count --theta 2 --limit 10', 1, "error: cannot parse theta from '2'\n"),
+    ('count --theta 2 --limit 10', 1, "error: theta must be <= 1, got 2/1\n"),
     ('scan --from 4 --to 1000', 0, 'n_lo=4 n_hi=1000 checked=997 violations=0\n'),
     (
         'scan --from 4 --to 1000 --json',

@@ -6,6 +6,7 @@ first-principles integer arithmetic in the tests themselves.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,23 @@ class TestChooseExponents:
             a_hits, b_hits = brute_force_exponents(n)
             assert len(a_hits) == 1 and len(b_hits) == 1, n
             assert choose_exponents(n) == (a_hits[0], b_hits[0])
+
+    def test_matches_plain_loops_at_block_edges(self):
+        # the searches start at bit-length lower bounds; counted up from 1 they give the same (a, b)
+        def plain_exponents(n: int) -> tuple[int, int]:
+            a = b = 1
+            while 27 * 2 ** (4 * a + 4) < 16 * n * n:
+                a += 1
+            while 16 * 3 ** (4 * b + 4) < 27 * n * n:
+                b += 1
+            return a, b
+
+        # every edge of an exponent block up to past 1e60, and every 2**k
+        edges = [math.isqrt(27 << (4 * a)) for a in range(1, 101)]
+        edges += [math.isqrt(16 * 3 ** (4 * b + 1)) for b in range(1, 64)]
+        edges += [2**k for k in range(3, 200)]
+        for n in sorted({n + d for n in edges for d in range(-3, 4)} - set(range(7))):
+            assert choose_exponents(n) == plain_exponents(n), n
 
     def test_rejects_small_n(self):
         for n in (0, 1, 4, 6):

@@ -68,6 +68,42 @@ def test_factorize_reconstructs_and_orders():
         assert primes == sorted(primes)
 
 
+def naive_factors(m: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) of m by trial division by every d >= 2; shares no code with ``factorize``."""
+    factors, d = [], 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10**7))
+def test_factorize_matches_naive_trial_division(m):
+    assert factorize(m).factors == naive_factors(m)
+
+
+# primes near 1e6, so the wheel runs to its end
+PRIMES_NEAR_1E6 = (999961, 999979, 999983, 1000003)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [999999999989, 999983**2, 2**39, 3**25, 6**15, 7**14, 997**4]
+    + [p * q for p in PRIMES_NEAR_1E6 for q in PRIMES_NEAR_1E6 if p * q <= 10**12]
+    + [6 * p for p in PRIMES_NEAR_1E6],
+)
+def test_factorize_large_inputs_match_naive(m):
+    assert factorize(m).factors == naive_factors(m)
+
+
 def test_factorize_rejects_zero_and_negative():
     with pytest.raises(ValueError):
         factorize(0)

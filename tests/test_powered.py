@@ -81,6 +81,25 @@ class TestTheta:
         with pytest.raises(ValueError):
             Theta.parse("1/2/3")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2", "theta must be <= 1, got 2/1"),
+            ("3/2", "theta must be <= 1, got 3/2"),
+            ("0/1", "theta must be positive, got 0/1"),
+            ("1/0", "theta must be positive, got 1/0"),
+            ("abc", "cannot parse theta from 'abc'"),
+            ("1/2/3", "cannot parse theta from '1/2/3'"),
+            ("0.5", "cannot parse theta from '0.5'"),
+            ("", "cannot parse theta from ''"),
+        ],
+    )
+    def test_parse_keeps_range_errors(self, text, message):
+        # only the integer conversion reads as a parse error; Theta's own checks keep their messages
+        with pytest.raises(ValueError) as info:
+            Theta.parse(text)
+        assert str(info.value) == message
+
     def test_str_round_trip(self):
         assert str(Theta(1, 3)) == "1/3"
         assert Theta.parse(str(Theta(2, 3))) == Theta(2, 3)
@@ -370,9 +389,10 @@ def count_x(draw, lo: int = 1) -> int:
 def gamma_and_x(draw) -> tuple[float, int]:
     """gamma and x >= 2, with x often at or next to e**(2*gamma) or a powerful number."""
     gamma = draw(GAMMAS)
-    start = kernsplit.powered._monotone_start(X_MAX, gamma)
-    peak = math.floor(math.exp(min(2 * gamma, math.log(X_MAX))))
-    x = draw(st.one_of(count_x(lo=2), st.integers(start - 1, start + 2), st.integers(peak - 1, peak + 1)))
+    peak = math.exp(min(2 * gamma, math.log(X_MAX)))
+    start = min(X_MAX, math.floor(peak * (1 + 1e-9)) + 1)  # from b*lo = start on, each interval is a prefix
+    near = math.floor(peak)
+    x = draw(st.one_of(count_x(lo=2), st.integers(start - 1, start + 2), st.integers(near - 1, near + 1)))
     return gamma, min(max(x, 2), X_MAX)
 
 
@@ -440,6 +460,38 @@ class TestPowerfulSumMatchesReferences:
     def test_large_gamma_prefix_is_the_whole_count(self):
         # e**500 > x: every m lies below e**(2*gamma), where the test falls in a for each b
         assert count_log_weighted(200_000, 250.0).count == dense_log_weighted(200_000, 250.0)
+
+
+@st.composite
+def gamma_near_x(draw) -> tuple[float, int]:
+    """x <= 3000 and a gamma that is negative, +-1e-12, near ln(x)/2 or past it."""
+    x = draw(st.integers(2, 3000))
+    half_log = math.log(x) / 2
+    gamma = draw(
+        st.one_of(
+            st.floats(min_value=-8, max_value=0, exclude_max=True),
+            st.sampled_from([1e-12, -1e-12]),
+            st.floats(min_value=half_log - 0.5, max_value=half_log + 0.5),
+            st.floats(min_value=half_log, max_value=half_log + 50),
+        )
+    )
+    return gamma, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma_near_x())
+def test_log_weighted_interval_is_the_scan_of_its_members(gamma_x):
+    # each b's interval holds exactly the a in [lo, x // b] that pass the test, on both sides of e**(2*gamma)
+    gamma, x = gamma_x
+    interval = kernsplit.powered._log_weighted_interval(x, gamma)
+    for b in POWERFUL:
+        if b > x:
+            break
+        k = radical(b)
+        lo = 2 if b == 1 else 1
+        members = [a for a in range(lo, x // b + 1) if kernsplit.powered._log_weighted_member(a * b, a * k, gamma)]
+        first, end = interval(b, k)
+        assert members == list(range(first, end + 1)), (b, gamma, x)
 
 
 WALK_MAX = 1 << 20
