@@ -35,6 +35,7 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 import time
 from itertools import chain, islice
@@ -45,8 +46,9 @@ import click
 from . import __version__
 
 # The library modules are imported inside the commands that use them, so
-# a command loads only what it runs (count, decompose and radical never
-# load numpy).  They are bound as modules and their functions looked up
+# a command loads only what it runs (decompose, radical and a verify scan
+# never load numpy; count and logratio load it only for a squarefree count
+# past 2**18).  They are bound as modules and their functions looked up
 # at call time, where patches applied to the modules take effect.
 
 
@@ -268,6 +270,8 @@ def cmd_logratio(limit: int, gamma: float, points: int):
 
 
 def main():
+    # no command calls BLAS: spare numpy's import its idle OpenBLAS workers, unless the user chose a count
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         cli()
     finally:

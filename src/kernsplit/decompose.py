@@ -90,8 +90,8 @@ class Decomposition:
     """A two-part decomposition n = m1 + m2.
 
     ``witness`` is None for the hard-coded small cases (n in {4, 5, 6})
-    and for ad-hoc records built by hand; ``split`` always attaches a
-    witness for n >= 7.
+    and for decompositions built by hand; ``split`` always attaches a
+    witness for n >= 7.  The record's ``fallback`` is ``witness is None``.
     """
 
     n: int
@@ -99,20 +99,9 @@ class Decomposition:
     m2: int
     witness: SplitWitness | None = None
 
-    @property
-    def fallback(self) -> bool:
-        return self.witness is None
-
     def to_record(self) -> dict:
         wit = asdict(self.witness) if self.witness else dict.fromkeys(_WITNESS_KEYS)
         return {"n": self.n, "m1": self.m1, "m2": self.m2, **wit, "fallback": self.witness is None}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "Decomposition":
-        witness = None
-        if not rec.get("fallback"):
-            witness = SplitWitness(**{k: int(rec[k]) for k in _WITNESS_KEYS})
-        return cls(n=int(rec["n"]), m1=int(rec["m1"]), m2=int(rec["m2"]), witness=witness)
 
 
 def choose_exponents(n: int) -> tuple[int, int]:

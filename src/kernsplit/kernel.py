@@ -374,9 +374,6 @@ class RadicalTable:
         self.limit = limit
         self.values = values
 
-    def __len__(self) -> int:
-        return self.limit
-
     def __getitem__(self, m: int) -> int:
         if not 1 <= m <= self.limit:
             raise IndexError(f"m={m} outside table range [1, {self.limit}]")

@@ -24,8 +24,9 @@ qualifying parts come from the same walk, each b's interval of a found
 by the log-weighted counter's own search
 (``powered._log_weighted_interval``), so they are exactly the members.
 A window of n is then one sumset: every pair g1 <= g2 of parts with
-g1 + g2 in the window, formed by ``kernel.flat_ranges`` in numpy
-blocks of at most ``_PAIR_BLOCK`` pairs.  The oracle keeps, per n, the
+g1 + g2 in the window, formed over the g1 that have one by
+``kernel.flat_ranges`` in numpy blocks of at most ``_PAIR_BLOCK``
+pairs.  The oracle keeps, per n, the
 pairs within the float prefilter band of the minimum and re-ranks
 exactly only the n with more than one, over ascending tiers of parts:
 quality at most 1 and G, both built once per scan, then every m in
@@ -133,12 +134,23 @@ def decomposition_quality(d: Decomposition) -> Fraction:
     return Fraction(*_worse(d.m1, radical(d.m1), d.m2, radical(d.m2)))
 
 
-def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(start, count)`` per part g1 <= hi // 2, the g2 >= g1 with lo <= g1 + g2 <= hi being parts[start : start + count]."""
+def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(index, start, count)`` per part g1 = parts[index] with a pair in [lo, hi]: the g2 >= g1 with lo <= g1 + g2 <= hi are parts[start : start + count], count > 0.
+
+    Only those g1 are kept, so the pairs of a narrow window far from 0
+    are expanded over a few of the parts, not over every part <= hi // 2.
+    """
     g1 = parts[: np.searchsorted(parts, hi // 2, side="right")]
     start = np.searchsorted(parts, np.maximum(g1, lo - g1))
-    end = np.searchsorted(parts, hi - g1, side="right")
-    return start, np.maximum(end - start, 0)
+    count = np.searchsorted(parts, hi - g1, side="right") - start
+    index = np.flatnonzero(count > 0)
+    return index, start[index], count[index]
+
+
+def _pairs(index: np.ndarray, start: np.ndarray, count: np.ndarray):
+    """Yield int64 ``(i1, i2)`` arrays of at most ``_PAIR_BLOCK`` pairs, the parts' indices of the ranges' pairs, i1 ascending."""
+    for owner, i2 in flat_ranges(start, count, _PAIR_BLOCK):
+        yield index[owner], i2
 
 
 def _n_blocks(n_lo: int, n_hi: int, width: int):
@@ -148,7 +160,7 @@ def _n_blocks(n_lo: int, n_hi: int, width: int):
 
 def _pair_count(parts: np.ndarray, n_lo: int, n_hi: int) -> int:
     """Exact number of pairs g1 <= g2 of parts with g1 + g2 in [n_lo, n_hi]."""
-    return int(_pair_ranges(parts, n_lo, n_hi)[1].sum())
+    return int(_pair_ranges(parts, n_lo, n_hi)[2].sum())
 
 
 def _admit(n_lo: int, n_hi: int, interval_to, force: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -193,13 +205,13 @@ def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: in
     [offsets[i], offsets[i + 1]) of the lists, ascending in m1, and none
     where n has no pair.  qual is the float quality of each part.
     """
-    start, count = _pair_ranges(parts, lo, hi)
-    chunks = list(flat_ranges(start, count, _PAIR_BLOCK)) if count.sum() <= _PAIR_BLOCK else None
+    index, start, count = _pair_ranges(parts, lo, hi)
+    chunks = list(_pairs(index, start, count)) if count.sum() <= _PAIR_BLOCK else None
     fmin = np.full(hi - lo + 1, np.inf)
-    for i1, i2 in chunks or flat_ranges(start, count, _PAIR_BLOCK):
+    for i1, i2 in chunks or _pairs(index, start, count):
         np.minimum.at(fmin, parts[i1] + parts[i2] - lo, np.maximum(qual[i1], qual[i2]))
     found = [], [], []
-    for i1, i2 in chunks or flat_ranges(start, count, _PAIR_BLOCK):
+    for i1, i2 in chunks or _pairs(index, start, count):
         at = parts[i1] + parts[i2] - lo
         near = _band(np.maximum(qual[i1], qual[i2]), fmin[at])
         for acc, arr in zip(found, (at, i1, i2)):
@@ -423,7 +435,7 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
     witness, failing = [], []
     for lo, hi in _n_blocks(n_lo, n_hi, _PAIR_BLOCK):
         first = np.full(hi - lo + 1, none)
-        for i1, i2 in flat_ranges(*_pair_ranges(members, lo, hi), _PAIR_BLOCK):
+        for i1, i2 in _pairs(*_pair_ranges(members, lo, hi)):
             g1 = members[i1]
             np.minimum.at(first, g1 + members[i2] - lo, g1)
             # later pairs have g1 >= the block's last, so they only reach n >= twice it

@@ -46,7 +46,6 @@ __all__ = [
     "is_member",
     "log_ratio_table",
     "multiplicity_index",
-    "subset_check_powers",
 ]
 
 # relative near-tie band for the log-weighted comparison; anything this
@@ -83,9 +82,6 @@ class Theta:
         except ValueError as exc:
             raise ValueError(f"cannot parse theta from {text!r}") from exc
         return cls(p, q)  # outside the try: a p/q out of range keeps its own message
-
-    def as_float(self) -> float:
-        return self.p / self.q
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -133,18 +129,6 @@ class CountReport:
         rec["count"] = self.count
         rec["normalized"] = self.normalized
         return rec
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "CountReport":
-        theta = Theta.parse(rec["theta"]) if rec.get("theta") is not None else None
-        gamma = float(rec["gamma"]) if rec.get("gamma") is not None else None
-        return cls(
-            x=int(rec["x"]),
-            count=int(rec["count"]),
-            theta=theta,
-            gamma=gamma,
-            normalized=float(rec.get("normalized", float("nan"))),
-        )
 
 
 def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
@@ -520,7 +504,7 @@ def count_members(x: int, theta: Theta) -> CountReport:
     check_budget(f"counting up to x={x}", _count_seconds(x, theta) + _TABLE_S, 0)
     count = _theta_count(x, theta, _CoprimeSquarefree())
     # theta = 1 is admitted at any x, past the float range too: count is x
-    normalized = 1.0 if theta.p == theta.q else count / x ** theta.as_float()
+    normalized = 1.0 if theta.p == theta.q else count / x ** (theta.p / theta.q)
     return CountReport(x=x, count=count, theta=theta, normalized=normalized)
 
 
@@ -574,13 +558,3 @@ def log_ratio_table(xs: Iterable[int], gamma: float) -> list[dict]:
         rows.append({"x": x, "weighted_count": nw, "half_count": ns, "ratio": nw / (w * ns)})
     return rows
 
-
-def subset_check_powers(max_base: int, exponent: int) -> bool:
-    """Check that m**l is (1/l)-powered for every 1 <= m <= max_base.
-
-    True by construction (k(m**l) = k(m) <= m), so any False signals a
-    membership bug; the test goes through the full factorization path
-    on purpose.
-    """
-    theta = Theta(1, exponent)
-    return all(is_member(m**exponent, theta) for m in range(1, max_base + 1))

@@ -8,6 +8,8 @@ float test in the same operation order, with the library's exact
 recheck (read from ``kernsplit.powered`` at call time) near ties, and
 the integer test k*k <= m at gamma = 0.  The theta rule is a float
 prefilter in log space with an exact integer recheck near the boundary.
+``subset_check_powers`` checks the scalar ``is_member`` on every l-th
+power up to a bound instead.
 """
 
 from functools import partial
@@ -16,7 +18,7 @@ import numpy as np
 
 import kernsplit.powered
 from kernsplit.kernel import RadicalTable, radical_sieve
-from kernsplit.powered import Theta
+from kernsplit.powered import Theta, is_member
 
 # absolute slack (in log space) below which the theta prefilter defers to
 # exact evaluation; ~1e6 times wider than float64 error at these scales
@@ -90,3 +92,14 @@ def log_weighted_mask(x: int, gamma: float, *, table: RadicalTable | None = None
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     return decide_table(x, table, partial(log_weighted_members, gamma))
+
+
+def subset_check_powers(max_base: int, exponent: int) -> bool:
+    """Check that m**l is (1/l)-powered for every 1 <= m <= max_base.
+
+    True by construction (k(m**l) = k(m) <= m), so any False signals a
+    membership bug; the check goes through the full factorization path
+    on purpose.
+    """
+    theta = Theta(1, exponent)
+    return all(is_member(m**exponent, theta) for m in range(1, max_base + 1))

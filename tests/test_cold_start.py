@@ -4,6 +4,7 @@ Every test starts a new Python process, since the test process itself
 has long since imported everything.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -29,15 +30,16 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
-    """``python args`` with this checkout's kernsplit first on the path, its output captured through pipes."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+def python(*args: str, environ: dict | None = None) -> subprocess.CompletedProcess:
+    """``python args`` in ``environ`` (default this process's) with this checkout's kernsplit first on the path, its output captured through pipes."""
+    environ = os.environ if environ is None else environ
+    env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
-def fresh(code: str, *args: str) -> str:
+def fresh(code: str, *args: str, environ: dict | None = None) -> str:
     """stdout of ``python -c code args``."""
-    proc = python("-c", code, *args)
+    proc = python("-c", code, *args, environ=environ)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -107,14 +109,14 @@ def test_import_loads_no_submodule():
     assert fresh(code).strip() == "[]"
 
 
-def test_public_names_resolve():
-    code = """
-import kernsplit
-missing = [n for n in kernsplit.__all__ if n not in dir(kernsplit)]
-unresolved = [n for n in kernsplit.__all__ if getattr(kernsplit, n) is None]
-print(len(kernsplit.__all__), missing, unresolved, hasattr(kernsplit, "no_such_name"))
-"""
-    assert fresh(code).split() == [str(len(kernsplit.__all__)), "[]", "[]", "False"]
+def test_module_names_resolve():
+    # each public name is listed by one module's __all__ and resolves from that module, which defines it; the package root lists none
+    modules = [importlib.import_module(f"kernsplit.{name}") for name in ("kernel", "powered", "decompose", "oracle")]
+    public = [(module, name) for module in modules for name in module.__all__]
+    assert len({name for _, name in public}) == len(public)
+    home = {name: getattr(getattr(module, name), "__module__", module.__name__) for module, name in public}
+    assert [name for module, name in public if home[name] != module.__name__] == []
+    assert not hasattr(kernsplit, "__all__")
 
 
 class TestEntryPoint:
@@ -155,3 +157,22 @@ except SystemExit as exc:
 print(gc.get_freeze_count())
 """
         assert int(fresh(code, "radical", "360").splitlines()[-1]) > 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_main_starts_no_blas_worker(self):
+        # no command calls BLAS, so main keeps numpy's OpenBLAS to the main thread, unless the user set a count
+        code = """
+import os, sys
+from kernsplit.cli import main
+try:
+    main()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+        args = "scan", "--from", "4", "--to", "10", "--oracle"
+        unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        assert fresh(code, *args, environ=unset).splitlines()[-1] == "1 1"
+        preset = fresh(code, *args, environ=unset | {"OPENBLAS_NUM_THREADS": "2"})
+        assert preset.splitlines()[-1].split()[1] == "2"

@@ -120,7 +120,7 @@ class TestSplit:
     def test_small_n_fallback(self):
         for n in (4, 5, 6):
             d = split(n)
-            assert d.fallback
+            assert d.witness is None
             assert (d.m1, d.m2) == (2, n - 2)
         assert split(5).m2 == 3
 
@@ -134,7 +134,7 @@ class TestSplit:
             d = split(n)
             assert d.m1 + d.m2 == n
             assert d.m1 >= 2 and d.m2 >= 2
-            if d.fallback:
+            if d.witness is None:
                 assert verify_exact(d)
             else:
                 assert verify_structural(d).ok
@@ -418,19 +418,12 @@ class TestBlockPath:
 
 
 class TestRecords:
+    """A record holds every field of its decomposition, the witness's as None when there is none."""
+
     def test_witnessed_round_trip(self):
-        d = split(100)
-        rec = d.to_record()
-        assert rec["fallback"] is False
-        assert Decomposition.from_record(rec) == d
+        rec = split(100).to_record()
+        assert rec == {"n": 100, "m1": 64, "m2": 36, "a": 3, "b": 2, "U": 11, "V": 12, "W": 3, "w": 4, "fallback": False}
 
     def test_fallback_round_trip(self):
-        d = split(5)
-        rec = d.to_record()
-        assert rec["fallback"] is True
-        assert rec["a"] is None
-        assert Decomposition.from_record(rec) == d
-
-    def test_extra_keys_ignored(self):
-        rec = split(100).to_record() | {"verified": True}
-        assert Decomposition.from_record(rec) == split(100)
+        rec = split(5).to_record()
+        assert rec == {"n": 5, "m1": 2, "m2": 3, **dict.fromkeys("abUVWw"), "fallback": True}

@@ -170,7 +170,7 @@ def test_sieve_small_table():
 def test_sieve_single_entry():
     table = radical_sieve(1)
     assert table[1] == 1
-    assert len(table) == 1
+    assert table.limit == 1
 
 
 def test_sieve_spot_value():

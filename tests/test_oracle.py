@@ -110,7 +110,7 @@ def loop_oracle(n_lo: int, n_hi: int, table) -> ComparisonReport:
     sum_split = sum_oracle = 0.0
     for n in range(n_lo, n_hi + 1):
         d = split(n)
-        assert d.fallback == (n <= 6)
+        assert (d.witness is None) == (n <= 6)
         sq = max(part_quality(d.m1, table[d.m1]), part_quality(d.m2, table[d.m2]))
         best = loop_best(n, table, good, G)
         split_m1.append(d.m1)
@@ -558,10 +558,26 @@ class TestScanWork:
         members = set(parts.tolist())
         brute = sum(1 for n in range(lo, hi + 1) for m1 in members if m1 <= n // 2 and n - m1 in members)
         assert orc._pair_count(parts, lo, hi) == brute
-        start, count = orc._pair_ranges(parts, lo, hi)
-        formed = [(int(parts[a]), int(parts[b])) for i1, i2 in flat_ranges(start, count, 7) for a, b in zip(i1, i2)]
+        index, start, count = orc._pair_ranges(parts, lo, hi)
+        formed = [(int(parts[index[a]]), int(parts[b])) for own, i2 in flat_ranges(start, count, 7) for a, b in zip(own, i2)]
         assert len(formed) == len(set(formed)) == brute
         assert all(m1 <= m2 and lo <= m1 + m2 <= hi for m1, m2 in formed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.integers(min_value=2, max_value=10**4), unique=True, max_size=80).map(sorted),
+        lo=st.integers(min_value=0, max_value=2 * 10**4 + 10),
+        width=st.one_of(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=2 * 10**4)),
+    )
+    def test_pair_ranges_keep_only_the_g1_that_reach(self, parts, lo, width):
+        # narrow windows leave most g1 without a pair: those are dropped, and the rest expand to every pair
+        hi = lo + width
+        parts = np.array(parts, dtype=np.int64)
+        index, start, count = orc._pair_ranges(parts, lo, hi)
+        assert (count > 0).all() and (np.diff(index) > 0).all()
+        formed = [(int(parts[i]), int(parts[s + j])) for i, s, c in zip(index, start, count) for j in range(c)]
+        brute = {(g1, g2) for g1 in parts.tolist() for g2 in parts.tolist() if g1 <= g2 and lo <= g1 + g2 <= hi}
+        assert len(formed) == len(set(formed)) and set(formed) == brute
 
     def test_work_adds_table_rows_and_lookups(self, monkeypatch):
         # one price per unit: the rows, the walk, the parts' width bound (as it grows, then whole) and the exact pair count
