@@ -7,8 +7,8 @@ representability probe), plus ``logratio`` for the exploratory
 weighted-count ratio table.
 
 Every command returns its records, ``(params, result, rows, human,
-ok)``, and ``_emits`` gives it ``--json``/``--csv`` and prints them
-through ``_run``, under one output contract:
+ok)``, and ``_emits`` gives it ``--json``/``--csv``, times it and prints
+them under one output contract:
 
 - ``--json``: one JSON object per line, the rows first, then a single
   envelope with command, params, result and elapsed_ms, the time of the
@@ -77,51 +77,45 @@ def _echo_lines(records, line) -> None:
         click.echo(text, nl=False)
 
 
-def _run(as_json: bool, as_csv: bool, body) -> None:
-    """Run ``body() -> (params, result, rows, human, ok)`` and print it per the module contract.
+def _emits(fn):
+    """Give the command ``fn() -> (params, result, rows, human, ok)`` the ``--json``/``--csv`` options, and time, run and print it per the module contract.
 
     ``rows`` and ``human`` are iterables, of which one is read, once;
     ``human`` None means the rows then the result; ``ok`` False exits 1.
     """
-    if as_json and as_csv:
-        raise click.UsageError("--json and --csv are mutually exclusive")
-    t0 = time.perf_counter()
-    try:
-        params, result, rows, human, ok = body()
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
-    if as_json:
-        command = click.get_current_context().command.name
-        envelope = {"command": command, "params": params, "result": result, "elapsed_ms": elapsed_ms}
-        _echo_lines(chain(rows, [envelope]), lambda rec: json.dumps(rec) + "\n")
-    elif as_csv:
-        import csv
-
-        records = iter(rows)
-        first = next(records, None)
-        if first is None:  # no rows: the human record
-            records = iter([result] if human is None else human)
-            first = next(records)
-        # writerow returns what its file's write returns: with write=str, the formatted line and its \r\n
-        line = csv.writer(SimpleNamespace(write=str)).writerow
-        _echo_lines(chain([first.keys()], (rec.values() for rec in chain([first], records))), line)
-    else:
-        human = chain(rows, [result]) if human is None else human
-        _echo_lines(human, lambda rec: " ".join(f"{k}={_human(v)}" for k, v in rec.items()) + "\n")
-    if not ok:
-        sys.exit(1)
-
-
-def _emits(fn):
-    """Give the command ``fn() -> (params, result, rows, human, ok)`` the ``--json``/``--csv`` options, and print what it returns through ``_run``."""
 
     @click.option("--csv", "as_csv", is_flag=True, help="Header row then data rows.")
     @click.option("--json", "as_json", is_flag=True, help="One JSON object per line.")
     @functools.wraps(fn)
-    def command(as_json: bool, as_csv: bool, **params):
-        _run(as_json, as_csv, functools.partial(fn, **params))
+    def command(as_json: bool, as_csv: bool, **kwargs):
+        if as_json and as_csv:
+            raise click.UsageError("--json and --csv are mutually exclusive")
+        t0 = time.perf_counter()
+        try:
+            params, result, rows, human, ok = fn(**kwargs)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
+        if as_json:
+            envelope = {"command": click.get_current_context().command.name, "params": params, "result": result, "elapsed_ms": elapsed_ms}
+            _echo_lines(chain(rows, [envelope]), lambda rec: json.dumps(rec) + "\n")
+        elif as_csv:
+            import csv
+
+            records = iter(rows)
+            first = next(records, None)
+            if first is None:  # no rows: the human record
+                records = iter([result] if human is None else human)
+                first = next(records)
+            # writerow returns what its file's write returns: with write=str, the formatted line and its \r\n
+            line = csv.writer(SimpleNamespace(write=str)).writerow
+            _echo_lines(chain([first.keys()], (rec.values() for rec in chain([first], records))), line)
+        else:
+            human = chain(rows, [result]) if human is None else human
+            _echo_lines(human, lambda rec: " ".join(f"{k}={_human(v)}" for k, v in rec.items()) + "\n")
+        if not ok:
+            sys.exit(1)
 
     return command
 
@@ -260,10 +254,6 @@ def cmd_logratio(limit: int, gamma: float, points: int):
         raise click.UsageError("--limit must be at least 10")
     if points < 1:
         raise click.UsageError("--points must be at least 1")
-    try:
-        float(limit)
-    except OverflowError:  # far over the budget of the counts
-        raise ValueError(f"--limit {limit} is past the float range of the grid") from None
     rows = pwd.log_ratio_table(_grid(limit, points), gamma)
     result = {"limit": limit, "gamma": gamma, "points": len(rows)}
     return {"limit": limit, "gamma": gamma}, result, rows, rows, True

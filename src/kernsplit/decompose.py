@@ -40,6 +40,7 @@ scalar reference.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from operator import sub
@@ -276,8 +277,8 @@ class RangeScanReport:
     checked: int
     violations: tuple[tuple[int, str], ...]
 
-    def to_rows(self) -> list[dict]:
-        return [{"n": n, "reason": reason} for n, reason in self.violations]
+    def to_rows(self) -> Iterator[dict]:
+        return ({"n": n, "reason": reason} for n, reason in self.violations)
 
     def summary_record(self) -> dict:
         return {

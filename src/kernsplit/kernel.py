@@ -37,11 +37,13 @@ from itertools import accumulate, chain, compress, cycle
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
+    "BLOCK",
     "DEFAULT_FACTOR_LIMIT",
-    "DEFAULT_SEGMENT_SIZE",
     "MEMORY_LIMIT",
     "WORK_LIMIT_S",
     "FactorLimitError",
@@ -62,10 +64,13 @@ __all__ = [
 
 DEFAULT_FACTOR_LIMIT = 10**12
 
-# Entries sieved per segment.  A segment's working set, two int arrays
-# of this length, is the memory ``radical_sieve`` needs besides the
-# table and the primes up to sqrt(x).
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# Entries per numpy block: the m sieved per segment of ``radical_sieve``,
+# the pairs (b, a) expanded at once by ``kernel_bounded`` and the sumset
+# pairs formed at once by the oracle and the probe.  A block's int64 and
+# float64 temporaries are a few times this many entries, however large
+# the table, one A_b or the sumset is.  ``kernel_bounded`` and
+# ``radical_sieve`` read it at call time; the oracle imports it.
+BLOCK = 1 << 20
 
 # There are zeta(3/2)/zeta(3) * sqrt(x) + zeta(2/3)/zeta(2) * x**(1/3) +
 # o(x**(1/6)) powerful b <= x (Bateman-Grosswald 1958), and the second
@@ -77,11 +82,6 @@ POWERFUL_DENSITY = 2.2
 # a <= top // b, so both stay exact for every top up to this; larger tops
 # are refused.
 BOUNDED_INT64_LIMIT = 2**63 - 1
-
-# pairs (b, a) expanded at once by ``kernel_bounded`` (``flat_ranges``):
-# its int64 temporaries are a few times this many entries, however large
-# one A_b is
-_EMIT_BLOCK = 1 << 20
 
 
 class FactorLimitError(ValueError):
@@ -292,8 +292,13 @@ def flat_ranges(start: np.ndarray, count: np.ndarray, block: int):
         yield owner, np.arange(lo, hi) + shift[owner]
 
 
-def quality_interval(c: int, top: int) -> Callable[[int, int], tuple[int, int]]:
-    """The interval of ``kernel_bounded`` for the class 2 <= m <= top with k(m)**2 <= c*m: with m = a*b, a <= c*b // k(b)**2."""
+def _blocks(first: int, last: int, width: int):
+    """[lo, hi] blocks of at most width integers covering [first, last], ascending."""
+    return ((lo, min(lo + width - 1, last)) for lo in range(first, last + 1, width))
+
+
+def quality_interval(c: int | Fraction, top: int) -> Callable[[int, int], tuple[int, int]]:
+    """The interval of ``kernel_bounded`` for the class 2 <= m <= top with k(m)**2 <= c*m: with m = a*b, a <= c*b // k(b)**2, exact for an int or a ``Fraction`` c."""
     return lambda b, k: (2 if b == 1 else 1, min(top // b, c * b // (k * k)))
 
 
@@ -348,7 +353,7 @@ def kernel_bounded(
     first = np.searchsorted(squarefree, a_lo)  # the squarefree a in [lo, hi], before the coprime filter
     counts = np.searchsorted(squarefree, a_hi, side="right") - first
     blocks = [(none, none)]  # the intervals may hold no squarefree a
-    for row, at in flat_ranges(first, counts, _EMIT_BLOCK):
+    for row, at in flat_ranges(first, counts, BLOCK):
         a, kb = squarefree[at], kbs[row]
         coprime = np.gcd(a, kb) == 1
         blocks.append(((a * bs[row])[coprime], (a * kb)[coprime]))
@@ -406,21 +411,21 @@ def _radical_segment(lo: int, hi: int, primes: list[int], dtype) -> np.ndarray:
 
 
 def radical_sieve(x: int) -> RadicalTable:
-    """Build the kernel table for [1, x], one segment of ``DEFAULT_SEGMENT_SIZE`` entries at a time.
+    """Build the kernel table for [1, x], one segment of ``BLOCK`` entries at a time.
 
     The table holds x + 1 entries of the narrowest signed integer type
-    that fits x.  The segment size is read at call time; a table over the
-    memory budget raises SieveLimitError before anything is allocated.
+    that fits x; besides it and the primes up to sqrt(x), the sieve holds
+    one segment's two int arrays.  ``BLOCK`` is read at call time; a table
+    over the memory budget raises SieveLimitError before any allocation.
     """
     import numpy as np
 
     if x < 1:
         raise ValueError(f"sieve limit must be >= 1, got {x}")
     check_budget(f"sieving up to x={x}", 0, SIEVE_ENTRY_BYTES * x, error=SieveLimitError)
-    seg, dtype = DEFAULT_SEGMENT_SIZE, np.int32 if x <= np.iinfo(np.int32).max else np.int64
+    dtype = np.int32 if x <= np.iinfo(np.int32).max else np.int64
     small_primes = primes_up_to(math.isqrt(x))
     values = np.zeros(x + 1, dtype=dtype)
-    for lo in range(1, x + 1, seg):
-        hi = min(lo + seg - 1, x)
+    for lo, hi in _blocks(1, x, BLOCK):
         values[lo : hi + 1] = _radical_segment(lo, hi, small_primes, dtype)
     return RadicalTable(x, values)

@@ -25,7 +25,7 @@ by the log-weighted counter's own search
 (``powered._log_weighted_interval``), so they are exactly the members.
 A window of n is then one sumset: every pair g1 <= g2 of parts with
 g1 + g2 in the window, formed over the g1 that have one by
-``kernel.flat_ranges`` in numpy blocks of at most ``_PAIR_BLOCK``
+``kernel.flat_ranges`` in numpy blocks of at most ``kernel.BLOCK``
 pairs.  The oracle keeps, per n, the
 pairs within the float prefilter band of the minimum and re-ranks
 exactly only the n with more than one, over ascending tiers of parts:
@@ -59,8 +59,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernel import PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
-from .kernel import check_budget, flat_ranges, kernel_bounded, quality_interval, radical
+from .kernel import BLOCK, PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
+from .kernel import _blocks, check_budget, flat_ranges, kernel_bounded, quality_interval, radical
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -91,10 +91,6 @@ _CANDIDATE_QUALITY = 21
 # [4, 1e6] all but 3,447 n have a pair of quality at most 1, from 1/3 of
 # G's parts and 1/10 of its pairs
 _FIRST_TIER_QUALITY = 1
-
-# pairs formed at once: their int64 and float64 temporaries are a few
-# times this many entries
-_PAIR_BLOCK = 1 << 20
 
 # n per block of an oracle window: the block's Python lists are dropped
 # before the next is built, so 4096 keeps them to ~1 MB next to the rows
@@ -148,14 +144,9 @@ def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nd
 
 
 def _pairs(index: np.ndarray, start: np.ndarray, count: np.ndarray):
-    """Yield int64 ``(i1, i2)`` arrays of at most ``_PAIR_BLOCK`` pairs, the parts' indices of the ranges' pairs, i1 ascending."""
-    for owner, i2 in flat_ranges(start, count, _PAIR_BLOCK):
+    """Yield int64 ``(i1, i2)`` arrays of at most ``BLOCK`` pairs, the parts' indices of the ranges' pairs, i1 ascending."""
+    for owner, i2 in flat_ranges(start, count, BLOCK):
         yield index[owner], i2
-
-
-def _n_blocks(n_lo: int, n_hi: int, width: int):
-    """[lo, hi] blocks of at most width n covering [n_lo, n_hi]."""
-    return ((lo, min(lo + width - 1, n_hi)) for lo in range(n_lo, n_hi + 1, width))
 
 
 def _pair_count(parts: np.ndarray, n_lo: int, n_hi: int) -> int:
@@ -206,7 +197,7 @@ def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: in
     where n has no pair.  qual is the float quality of each part.
     """
     index, start, count = _pair_ranges(parts, lo, hi)
-    chunks = list(_pairs(index, start, count)) if count.sum() <= _PAIR_BLOCK else None
+    chunks = list(_pairs(index, start, count)) if count.sum() <= BLOCK else None
     fmin = np.full(hi - lo + 1, np.inf)
     for i1, i2 in chunks or _pairs(index, start, count):
         np.minimum.at(fmin, parts[i1] + parts[i2] - lo, np.maximum(qual[i1], qual[i2]))
@@ -347,7 +338,7 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
 
     parts, kernels = _admit(n_lo, n_hi, lambda top: quality_interval(_CANDIDATE_QUALITY, top), force)
     tiers, split_m1, split_q, oracle_m1, oracle_q = _tiers(parts, kernels), [], [], [], []
-    for lo, hi in _n_blocks(n_lo, n_hi, _ORACLE_BLOCK):
+    for lo, hi in _blocks(n_lo, n_hi, _ORACLE_BLOCK):
         om1, ok1, om2, ok2 = zip(*_oracle_block(tiers, lo, hi))
         oracle_m1 += om1
         oracle_q += map(_worse, om1, ok1, om2, ok2)
@@ -433,7 +424,7 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
     members, _ = _admit(n_lo, n_hi, lambda top: _log_weighted_interval(top, gamma), force)
     none = np.iinfo(np.int64).max
     witness, failing = [], []
-    for lo, hi in _n_blocks(n_lo, n_hi, _PAIR_BLOCK):
+    for lo, hi in _blocks(n_lo, n_hi, BLOCK):
         first = np.full(hi - lo + 1, none)
         for i1, i2 in _pairs(*_pair_ranges(members, lo, hi)):
             g1 = members[i1]

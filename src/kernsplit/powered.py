@@ -36,7 +36,7 @@ from itertools import accumulate
 from operator import mul
 
 from .kernel import POWERFUL_DENSITY, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
-from .kernel import check_budget, factorize, powerful_sum, primes_up_to, quality_interval, squarefree_flags
+from .kernel import check_budget, powerful_sum, primes_up_to, quality_interval, radical, squarefree_flags
 
 __all__ = [
     "CountReport",
@@ -89,7 +89,7 @@ class Theta:
 
 def is_member(m: int, theta: Theta) -> bool:
     """Exact membership test k(m)**q <= m**p (equality counts)."""
-    k = factorize(m).radical()
+    k = radical(m)
     return k**theta.q <= m**theta.p
 
 
@@ -100,7 +100,7 @@ def multiplicity_index(m: int) -> float:
     """
     if m < 2:
         raise ValueError(f"multiplicity index is undefined for m={m}")
-    k = factorize(m).radical()
+    k = radical(m)
     return math.log(m) / math.log(k)
 
 

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import kernsplit.decompose
 import kernsplit.kernel
 import kernsplit.oracle
 import kernsplit.powered
@@ -187,7 +188,7 @@ class TestCount:
 
 
 class TestLimitPastTheFloatRange:
-    """A --limit of 400 or 800 digits is refused with one error line before any walk, or answered at theta = 1."""
+    """A --limit of 400 or 800 digits is refused by the one budget with one error line before any walk, or answered at theta = 1."""
 
     @pytest.mark.parametrize("limit", [10**400, 10**800], ids=["1e400", "1e800"])
     @pytest.mark.parametrize(
@@ -214,6 +215,7 @@ class TestLimitPastTheFloatRange:
         else:
             assert isinstance(result.exception, SystemExit) and result.exit_code == 1
             assert result.output.startswith("error: ") and result.output.count("\n") == 1
+            assert result.output.endswith(", over the budget of 60 s and 1 GiB\n")
 
 
 class TestScan:
@@ -231,6 +233,21 @@ class TestScan:
         result = runner.invoke(cli, ["scan", "--from", str(lo), "--to", str(hi)])
         assert result.exit_code == 0
         assert result.output == f"n_lo={lo} n_hi={hi} checked={hi - lo + 1} violations=0\n"
+
+    @pytest.mark.parametrize("form", [[], ["--json"], ["--csv"]], ids=["human", "json", "csv"])
+    def test_verify_mode_prints_its_violations(self, monkeypatch, form):
+        # a tighter kernel bound fails some n: each is a row, read once as it prints, and the scan exits 1
+        monkeypatch.setattr(kernsplit.decompose, "KERNEL_BOUND_4TH", 100)
+        want = kernsplit.decompose.verify_range(15, 20).violations
+        result = runner.invoke(cli, ["scan", "--from", "15", "--to", "20", *form])
+        assert result.exit_code == 1 and len(want) == 5
+        lines = result.output.splitlines()
+        if form == ["--json"]:
+            assert [(r["n"], r["reason"]) for r in map(json.loads, lines[:-1])] == list(want)
+        elif form == ["--csv"]:
+            assert lines == ["n,reason", *(f"{n},{reason}" for n, reason in want)]
+        else:
+            assert lines[:-1] == [f"n={n} reason={reason}" for n, reason in want]
 
     def test_bad_range(self):
         result = runner.invoke(cli, ["scan", "--from", "10", "--to", "4"])

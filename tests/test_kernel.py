@@ -195,7 +195,7 @@ def test_sieve_segmentation_is_invisible(monkeypatch):
     monkeypatch.setattr(kernsplit.kernel, "_radical_segment", counted)
     for seg in (1, 7, 997, 4096):
         segments.clear()
-        monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", seg)
+        monkeypatch.setattr(kernsplit.kernel, "BLOCK", seg)
         assert np.array_equal(base.values, radical_sieve(10_000).values)
         assert len(segments) == -(-10_000 // seg)  # read at call time
         assert max(hi - lo + 1 for lo, hi in segments) == min(seg, 10_000)
@@ -366,7 +366,7 @@ def test_kernel_bounded_any_interval(top, lo, width, grow):
 def test_kernel_bounded_emit_blocks_are_invisible(monkeypatch):
     expected = [kernel_bounded(5000, quality_at_most(c)) for c in (21, 5000)]
     for block in (1, 7, 4096):
-        monkeypatch.setattr(kernsplit.kernel, "_EMIT_BLOCK", block)
+        monkeypatch.setattr(kernsplit.kernel, "BLOCK", block)
         for (ms, ks), c in zip(expected, (21, 5000)):
             got_ms, got_ks = kernel_bounded(5000, quality_at_most(c))
             assert np.array_equal(got_ms, ms) and np.array_equal(got_ks, ks)

@@ -431,7 +431,7 @@ class TestBlockMatchesLoop:
     def test_oracle_across_block_edges(self, lohi, cap):
         # pair blocks of a few pairs and oracle blocks of a few n: many edges inside one window
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orc, "_PAIR_BLOCK", cap * 16)
+            mp.setattr(orc, "BLOCK", cap * 16)
             mp.setattr(orc, "_ORACLE_BLOCK", cap * 16)
             got = constructive_vs_oracle(*lohi, force=True)
         assert got == loop_oracle(*lohi, table_to(20_600))
@@ -472,7 +472,7 @@ class TestBlockMatchesLoop:
     @example(lohi=(4, 3000), cap=1)  # blocks ending inside runs of g1 meet the probe's early exit at its bound
     def test_probe_across_block_edges(self, gamma, lohi, cap):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orc, "_PAIR_BLOCK", cap * 16)
+            mp.setattr(orc, "BLOCK", cap * 16)
             report = conjecture_probe(*lohi, gamma, force=True)
         assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(20_600))
 
@@ -555,13 +555,17 @@ class TestScanWork:
         # one lookup per pair: a part m1 <= n // 2 whose n - m1 is a part too
         hi = min(lo + width, SCAN_TOP + 2)
         parts = scan_parts(mode)
-        members = set(parts.tolist())
-        brute = sum(1 for n in range(lo, hi + 1) for m1 in members if m1 <= n // 2 and n - m1 in members)
+        member = np.zeros(hi + 1, dtype=bool)
+        member[parts[parts <= hi]] = True
+        brute = sum(int(member[n - parts[: np.searchsorted(parts, n // 2, side="right")]].sum()) for n in range(lo, hi + 1))
         assert orc._pair_count(parts, lo, hi) == brute
         index, start, count = orc._pair_ranges(parts, lo, hi)
-        formed = [(int(parts[index[a]]), int(parts[b])) for own, i2 in flat_ranges(start, count, 7) for a, b in zip(own, i2)]
-        assert len(formed) == len(set(formed)) == brute
-        assert all(m1 <= m2 and lo <= m1 + m2 <= hi for m1, m2 in formed)
+        none = np.zeros(0, dtype=np.int64)
+        owner, i2 = map(np.concatenate, zip(*flat_ranges(start, count, 7), (none, none)))
+        m1, m2 = parts[index[owner]], parts[i2]
+        key = np.sort(m1 * (hi + 1) + m2)  # one integer per pair: m2 <= hi
+        assert len(key) == brute and (np.diff(key) > 0).all()
+        assert (m1 <= m2).all() and (lo <= m1 + m2).all() and (m1 + m2 <= hi).all()
 
     @settings(max_examples=300, deadline=None)
     @given(

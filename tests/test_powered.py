@@ -311,7 +311,7 @@ class TestStreamingMatchesDense:
         x, seg = xs
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dense_reference, "SEGMENT", dense_seg)
-            mp.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", seg)
+            mp.setattr(kernsplit.kernel, "BLOCK", seg)
             members = dense_members(x, theta)
             weighted = dense_log_weighted(x, gamma)
             assert count_members(x, theta).count == members
@@ -333,7 +333,7 @@ class TestStreamingMatchesDense:
 
     def test_reads_off_counts_at_segment_edges(self, monkeypatch):
         monkeypatch.setattr(dense_reference, "SEGMENT", 64)
-        monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", 64)
+        monkeypatch.setattr(kernsplit.kernel, "BLOCK", 64)
         xs = [2, 63, 64, 65, 128, 129, 130]
         for x in xs:
             assert count_members(x, Theta(1, 1)).count == x  # every m is a member
@@ -349,7 +349,7 @@ class TestStreamingMatchesDense:
 
         monkeypatch.setattr(kernsplit.kernel, "radical_sieve", refuse)
         monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
-        monkeypatch.setattr(kernsplit.kernel, "DEFAULT_SEGMENT_SIZE", 64)
+        monkeypatch.setattr(kernsplit.kernel, "BLOCK", 64)
         assert count_members(1000, Theta(1, 2)).count == len(enumerate_members(1000, Theta(1, 2)))
         assert count_log_weighted(1000, 1.0).count == len(enumerate_log_weighted(1000, 1.0))
         assert [r["half_count"] for r in log_ratio_table([100, 10], 1.0)] == [4, 17]
