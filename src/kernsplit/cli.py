@@ -1,18 +1,15 @@
-"""Command-line surface.
+"""Command-line surface: ``radical`` (factor one value), ``decompose``
+(constructive split, optionally verified), ``count`` (class counters),
+``scan`` (range verification, oracle comparison, or representability
+probe) and ``logratio`` (the exploratory weighted-count ratio table).
 
-Four commands cover the library: ``radical`` (factor one value),
-``decompose`` (constructive split, optionally verified), ``count``
-(class counters), ``scan`` (range verification, oracle comparison, or
-representability probe), plus ``logratio`` for the exploratory
-weighted-count ratio table.
-
-Every command returns its records, ``(params, result, rows, human,
-ok)``, and ``_emits`` gives it ``--json``/``--csv``, times it and prints
-them under one output contract:
+One argparse parser, built from ``COMMANDS``, gives every command
+``--json``/``--csv``.  ``_main`` times a command's computation alone,
+after its library modules are imported, and prints the records it
+returns, ``(params, result, rows, human, ok)``, under one contract:
 
 - ``--json``: one JSON object per line, the rows first, then a single
-  envelope with command, params, result and elapsed_ms, the time of the
-  computation alone;
+  envelope with command, params, result and elapsed_ms;
 - ``--csv``: a header row then the rows, or, for a command without rows,
   its human-mode record (the result; for ``radical`` the flat record
   with a ``factorization`` string in place of the ``factors`` pairs);
@@ -26,22 +23,23 @@ write each, and CSV lines end in CR LF (``\\r\\n``), as the ``csv``
 module writes them.
 
 A ``ValueError`` raised by the library becomes one ``error:`` line on
-stderr and exit status 1.  Otherwise the exit status is 0 exactly when
-the command succeeded and, where verification was requested or implied,
-verification passed.
+stderr and exit status 1, a usage error exits 2, and output cut short
+by a closed pipe exits 1 with nothing on stderr.  Otherwise the exit
+status is 0 exactly when the command succeeded and, where verification
+was requested or implied, verification passed.
 """
 
-import functools
+import argparse
 import gc
 import json
 import math
 import os
+import re
 import sys
 import time
+from functools import partial
 from itertools import chain, islice
 from types import SimpleNamespace
-
-import click
 
 from . import __version__
 
@@ -62,8 +60,8 @@ def _human(v) -> str:
     return str(v)
 
 
-# records formatted and written per click.echo call; one call per record
-# costs about as much as formatting it
+# records formatted and written per write; one write per record costs
+# about as much as formatting it
 _ECHO_BLOCK = 4096
 
 
@@ -74,146 +72,110 @@ def _echo_lines(records, line) -> None:
     """
     records = iter(records)
     while text := "".join(map(line, islice(records, _ECHO_BLOCK))):
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-def _emits(fn):
-    """Give the command ``fn() -> (params, result, rows, human, ok)`` the ``--json``/``--csv`` options, and time, run and print it per the module contract.
+def _emit(command: str, params: dict, result: dict, rows, human, elapsed_ms: float, as_json: bool, as_csv: bool) -> None:
+    """Print a command's records per the module contract; one of the iterables ``rows`` and ``human`` is read, once, and ``human`` None means the rows then the result."""
+    if as_json:
+        envelope = {"command": command, "params": params, "result": result, "elapsed_ms": elapsed_ms}
+        _echo_lines(chain(rows, [envelope]), lambda rec: json.dumps(rec) + "\n")
+    elif as_csv:
+        import csv
 
-    ``rows`` and ``human`` are iterables, of which one is read, once;
-    ``human`` None means the rows then the result; ``ok`` False exits 1.
-    """
-
-    @click.option("--csv", "as_csv", is_flag=True, help="Header row then data rows.")
-    @click.option("--json", "as_json", is_flag=True, help="One JSON object per line.")
-    @functools.wraps(fn)
-    def command(as_json: bool, as_csv: bool, **kwargs):
-        if as_json and as_csv:
-            raise click.UsageError("--json and --csv are mutually exclusive")
-        t0 = time.perf_counter()
-        try:
-            params, result, rows, human, ok = fn(**kwargs)
-        except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
-        if as_json:
-            envelope = {"command": click.get_current_context().command.name, "params": params, "result": result, "elapsed_ms": elapsed_ms}
-            _echo_lines(chain(rows, [envelope]), lambda rec: json.dumps(rec) + "\n")
-        elif as_csv:
-            import csv
-
-            records = iter(rows)
-            first = next(records, None)
-            if first is None:  # no rows: the human record
-                records = iter([result] if human is None else human)
-                first = next(records)
-            # writerow returns what its file's write returns: with write=str, the formatted line and its \r\n
-            line = csv.writer(SimpleNamespace(write=str)).writerow
-            _echo_lines(chain([first.keys()], (rec.values() for rec in chain([first], records))), line)
-        else:
-            human = chain(rows, [result]) if human is None else human
-            _echo_lines(human, lambda rec: " ".join(f"{k}={_human(v)}" for k, v in rec.items()) + "\n")
-        if not ok:
-            sys.exit(1)
-
-    return command
+        records = iter(rows)
+        first = next(records, None)
+        if first is None:  # no rows: the human record
+            records = iter([result] if human is None else human)
+            first = next(records)
+        # writerow returns what its file's write returns: with write=str, the formatted line and its \r\n
+        line = csv.writer(SimpleNamespace(write=str)).writerow
+        _echo_lines(chain([first.keys()], (rec.values() for rec in chain([first], records))), line)
+    else:
+        human = chain(rows, [result]) if human is None else human
+        _echo_lines(human, lambda rec: " ".join(f"{k}={_human(v)}" for k, v in rec.items()) + "\n")
 
 
-@click.group()
-@click.version_option(version=__version__)
-def cli():
-    """Kernel arithmetic and certified two-part decompositions."""
+# Each command loads its library modules and checks its options, then
+# returns its computation, ``run() -> (params, result, rows, human, ok)``,
+# which the clock of ``elapsed_ms`` times alone.  ``ok`` False exits 1.
 
 
-@cli.command("radical")
-@click.argument("m", type=int)
-@_emits
 def cmd_radical(m: int):
     """Print k(M) and the factorization of M."""
     from . import kernel
 
-    fac = kernel.factorize(m)
-    factor_text = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors) or "1"
-    result = {"m": m, "radical": fac.radical(), "factors": [[p, e] for p, e in fac.factors]}
-    flat = {"m": m, "radical": fac.radical(), "factorization": factor_text}
-    return {"m": m}, result, [], [flat], True
+    def run():
+        fac = kernel.factorize(m)
+        factor_text = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors) or "1"
+        result = {"m": m, "radical": fac.radical(), "factors": [[p, e] for p, e in fac.factors]}
+        flat = {"m": m, "radical": fac.radical(), "factorization": factor_text}
+        return {"m": m}, result, [], [flat], True
+
+    return run
 
 
-@cli.command("decompose")
-@click.argument("n", type=int)
-@click.option(
-    "--verify",
-    "verify_mode",
-    type=click.Choice(["structural", "exact"]),
-    default=None,
-    help="Check the result; structural falls back to exact for n in {4,5,6}.",
-)
-@_emits
 def cmd_decompose(n: int, verify_mode: str | None):
     """Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts."""
     from . import decompose as dec
 
-    d = dec.split(n)
-    verified: bool | None = None
-    if verify_mode == "structural" and d.witness is not None:
-        verified = bool(dec.verify_structural(d))
-    elif verify_mode is not None:
-        verified = dec.verify_exact(d)
-    result = d.to_record() | {"verified": verified}
-    return {"n": n, "verify": verify_mode}, result, [], None, verify_mode is None or verified
+    def run():
+        d = dec.split(n)
+        verified: bool | None = None
+        if verify_mode == "structural" and d.witness is not None:
+            verified = bool(dec.verify_structural(d))
+        elif verify_mode is not None:
+            verified = dec.verify_exact(d)
+        result = d.to_record() | {"verified": verified}
+        return {"n": n, "verify": verify_mode}, result, [], None, verify_mode is None or verified
+
+    return run
 
 
-@cli.command("count")
-@click.option("--theta", "theta_text", default=None, help="Exact exponent as p/q, e.g. 1/2.")
-@click.option("--gamma", "gamma", type=float, default=None, help="Log-weight exponent.")
-@click.option("--limit", "limit", type=int, required=True, help="Count members up to this x.")
-@_emits
 def cmd_count(theta_text: str | None, gamma: float | None, limit: int):
     """Count members up to --limit for one exponent parameter."""
+    if (theta_text is None) == (gamma is None):
+        raise argparse.ArgumentError(None, "exactly one of --theta / --gamma is required")
     from . import powered as pwd
 
-    if (theta_text is None) == (gamma is None):
-        raise click.UsageError("exactly one of --theta / --gamma is required")
-    if theta_text is not None:
-        theta = pwd.Theta.parse(theta_text)
-        report = pwd.count_members(limit, theta)
-        params = {"theta": str(theta), "limit": limit}
-    else:
-        report = pwd.count_log_weighted(limit, gamma)
-        params = {"gamma": gamma, "limit": limit}
-    return params, report.to_record(), [], None, True
+    def run():
+        if theta_text is not None:
+            theta = pwd.Theta.parse(theta_text)
+            report = pwd.count_members(limit, theta)
+            params = {"theta": str(theta), "limit": limit}
+        else:
+            report = pwd.count_log_weighted(limit, gamma)
+            params = {"gamma": gamma, "limit": limit}
+        return params, report.to_record(), [], None, True
+
+    return run
 
 
-@cli.command("scan")
-@click.option("--from", "n_lo", type=int, required=True, help="First n, inclusive (>= 4).")
-@click.option("--to", "n_hi", type=int, required=True, help="Last n, inclusive.")
-@click.option("--gamma", "gamma", type=float, default=None, help="Probe log-weighted representability instead.")
-@click.option("--oracle", "use_oracle", is_flag=True, help="Compare against the exhaustive optimum.")
-@click.option("--force", "force", is_flag=True, help="Run an oracle or probe scan past its budget of 60 s and 1 GiB.")
-@_emits
 def cmd_scan(n_lo: int, n_hi: int, gamma: float | None, use_oracle: bool, force: bool):
     """Verify split(n) over a range; --oracle and --gamma switch modes."""
     if use_oracle and gamma is not None:
-        raise click.UsageError("--oracle and --gamma are mutually exclusive")
+        raise argparse.ArgumentError(None, "--oracle and --gamma are mutually exclusive")
     mode = "oracle" if use_oracle else "probe" if gamma is not None else "verify"
-    params = {"from": n_lo, "to": n_hi, "mode": mode}
     if mode == "verify":
         from . import decompose as dec
-
-        report = dec.verify_range(n_lo, n_hi)
     else:
         from . import oracle as orc
 
-        if mode == "oracle":
+    def run():
+        params = {"from": n_lo, "to": n_hi, "mode": mode}
+        if mode == "verify":
+            report = dec.verify_range(n_lo, n_hi)
+        elif mode == "oracle":
             report = orc.constructive_vs_oracle(n_lo, n_hi, force=force)
         else:
             params["gamma"] = gamma
             report = orc.conjecture_probe(n_lo, n_hi, gamma, force=force)
-    rows, result = report.to_rows(), report.summary_record()
-    if mode == "probe":  # failing n are data, not verification failures
-        return params, result, rows, chain((r for r in rows if not r["ok"]), [result]), True
-    return params, result, rows, None, not report.violations
+        rows, result = report.to_rows(), report.summary_record()
+        if mode == "probe":  # failing n are data, not verification failures
+            return params, result, rows, chain((r for r in rows if not r["ok"]), [result]), True
+        return params, result, rows, None, not report.violations
+
+    return run
 
 
 def _grid(limit: int, points: int):
@@ -235,11 +197,6 @@ def _grid(limit: int, points: int):
         i = min(i - 1, math.ceil(points * math.log(x - 0.5) / math.log(limit)))
 
 
-@cli.command("logratio")
-@click.option("--limit", "limit", type=int, required=True, help="Largest x in the table.")
-@click.option("--gamma", "gamma", type=float, default=1.0, show_default=True, help="Weight exponent.")
-@click.option("--points", "points", type=int, default=5, show_default=True, help="Geometric grid size.")
-@_emits
 def cmd_logratio(limit: int, gamma: float, points: int):
     """Exploratory table: weighted count over (ln x)**gamma * sqrt-class count.
 
@@ -248,22 +205,105 @@ def cmd_logratio(limit: int, gamma: float, points: int):
     theta = 1/2 class.  No pass/fail judgment is attached; at feasible x
     the ratio drifts slowly and is not expected to settle.
     """
+    if limit < 10:
+        raise argparse.ArgumentError(None, "--limit must be at least 10")
+    if points < 1:
+        raise argparse.ArgumentError(None, "--points must be at least 1")
     from . import powered as pwd
 
-    if limit < 10:
-        raise click.UsageError("--limit must be at least 10")
-    if points < 1:
-        raise click.UsageError("--points must be at least 1")
-    rows = pwd.log_ratio_table(_grid(limit, points), gamma)
-    result = {"limit": limit, "gamma": gamma, "points": len(rows)}
-    return {"limit": limit, "gamma": gamma}, result, rows, rows, True
+    def run():
+        rows = pwd.log_ratio_table(_grid(limit, points), gamma)
+        result = {"limit": limit, "gamma": gamma, "points": len(rows)}
+        return {"limit": limit, "gamma": gamma}, result, rows, rows, True
+
+    return run
+
+
+_INT = {"type": int, "metavar": "INTEGER"}
+_FLOAT = {"type": float, "metavar": "FLOAT"}
+
+# name: (command, its arguments as (name, add_argument keywords)); every
+# command also takes the output forms and --help
+COMMANDS = {
+    "radical": (cmd_radical, [("m", {"type": int, "metavar": "M"})]),
+    "decompose": (cmd_decompose, [
+        ("n", {"type": int, "metavar": "N"}),
+        ("--verify", {"dest": "verify_mode", "choices": ["structural", "exact"], "help": "Check the result; structural falls back to exact for n in {4,5,6}."}),
+    ]),
+    "count": (cmd_count, [
+        ("--theta", {"dest": "theta_text", "metavar": "TEXT", "help": "Exact exponent as p/q, e.g. 1/2."}),
+        ("--gamma", {**_FLOAT, "help": "Log-weight exponent."}),
+        ("--limit", {**_INT, "required": True, "help": "Count members up to this x."}),
+    ]),
+    "scan": (cmd_scan, [
+        ("--from", {**_INT, "dest": "n_lo", "required": True, "help": "First n, inclusive (>= 4)."}),
+        ("--to", {**_INT, "dest": "n_hi", "required": True, "help": "Last n, inclusive."}),
+        ("--gamma", {**_FLOAT, "help": "Probe log-weighted representability instead."}),
+        ("--oracle", {"dest": "use_oracle", "action": "store_true", "help": "Compare against the exhaustive optimum."}),
+        ("--force", {"action": "store_true", "help": "Run an oracle or probe scan past its budget of 60 s and 1 GiB."}),
+    ]),
+    "logratio": (cmd_logratio, [
+        ("--limit", {**_INT, "required": True, "help": "Largest x in the table."}),
+        ("--gamma", {**_FLOAT, "default": 1.0, "help": "Weight exponent. [default: %(default)s]"}),
+        ("--points", {**_INT, "default": 5, "help": "Geometric grid size. [default: %(default)s]"}),
+    ]),
+}
+_COMMON = [
+    ("--csv", {"dest": "as_csv", "action": "store_true", "help": "Header row then data rows."}),
+    ("--json", {"dest": "as_json", "action": "store_true", "help": "One JSON object per line."}),
+    ("--help", {"action": "help", "help": "Show this message and exit."}),
+]
+
+
+def _main(args=None, prog_name: str | None = None):
+    """Parse ``args`` (default ``sys.argv[1:]``), run the command and print it; end in ``SystemExit`` with its status, per the module contract."""
+    # a fixed width: help wraps alike on every terminal, and argparse does not import shutil to ask
+    form = {"formatter_class": partial(argparse.RawDescriptionHelpFormatter, width=80), "allow_abbrev": False, "add_help": False}
+    parser = argparse.ArgumentParser(prog_name, description="Kernel arithmetic and certified two-part decompositions.", **form)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}", help="Show the version and exit.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="Commands", dest="command", required=True, metavar="COMMAND")
+    for name, (fn, arguments) in COMMANDS.items():
+        doc = "\n".join(map(str.strip, (fn.__doc__ or "").splitlines()))
+        sub = commands.add_parser(name, help=doc.partition("\n")[0], description=doc, **form)
+        # an option's value may be any float: argparse would read -1e308, -inf or -nan as an option string
+        sub._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+        for option, spec in arguments + _COMMON:
+            sub.add_argument(option, **spec)
+    opts = vars(parser.parse_args(args))
+    name, as_json, as_csv = opts.pop("command"), opts.pop("as_json"), opts.pop("as_csv")
+    try:
+        if as_json and as_csv:
+            raise argparse.ArgumentError(None, "--json and --csv are mutually exclusive")
+        run = COMMANDS[name][0](**opts)
+        t0 = time.perf_counter()
+        params, result, rows, human, ok = run()
+        elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
+    except argparse.ArgumentError as exc:
+        commands.choices[name].error(str(exc))
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        sys.exit(1)
+    try:
+        _emit(name, params, result, rows, human, elapsed_ms, as_json, as_csv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: exit 1 quietly, with stdout on devnull so that the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0 if ok else 1)
+
+
+# the in-process entry, with click's calling convention, which click.testing.CliRunner
+# uses: cli.main(args, prog_name=cli.name) ends in SystemExit with the command's status
+cli = SimpleNamespace(name="kernsplit", main=_main)
 
 
 def main():
     # no command calls BLAS: spare numpy's import its idle OpenBLAS workers, unless the user chose a count
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        cli()
+        cli.main(prog_name=cli.name)
     finally:
         # everything made so far lives until exit: spare the collections at shutdown from traversing it
         gc.freeze()

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from operator import sub
+from typing import NamedTuple
 
 __all__ = [
     "KERNEL_BOUND_4TH",
@@ -64,8 +64,7 @@ __all__ = [
 KERNEL_BOUND_4TH = 432
 
 
-@dataclass(frozen=True, slots=True)
-class SplitWitness:
+class SplitWitness(NamedTuple):
     """Intermediate values certifying one constructive decomposition.
 
     a, b   exponents of 2 and 3 chosen from n (both >= 1)
@@ -83,11 +82,7 @@ class SplitWitness:
     w: int
 
 
-_WITNESS_KEYS = tuple(f.name for f in fields(SplitWitness))
-
-
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A two-part decomposition n = m1 + m2.
 
     ``witness`` is None for the hard-coded small cases (n in {4, 5, 6})
@@ -101,7 +96,7 @@ class Decomposition:
     witness: SplitWitness | None = None
 
     def to_record(self) -> dict:
-        wit = asdict(self.witness) if self.witness else dict.fromkeys(_WITNESS_KEYS)
+        wit = self.witness._asdict() if self.witness else dict.fromkeys(SplitWitness._fields)
         return {"n": self.n, "m1": self.m1, "m2": self.m2, **wit, "fallback": self.witness is None}
 
 
@@ -175,8 +170,7 @@ def split_parts(n_lo: int, n_hi: int) -> tuple[list[int], list[int]]:
     return m1s, m2s
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Boolean verification outcome plus the first failed condition."""
 
     ok: bool
@@ -205,14 +199,7 @@ def verify_structural(d: Decomposition) -> CheckResult:
     if d.witness is None:
         raise ValueError("structural verification requires a witness")
     n, m1, m2 = d.n, d.m1, d.m2
-    a, b, U, V, W, w = (
-        d.witness.a,
-        d.witness.b,
-        d.witness.U,
-        d.witness.V,
-        d.witness.W,
-        d.witness.w,
-    )
+    a, b, U, V, W, w = d.witness
     sixteen_n2 = 16 * n * n
     twentyseven_n2 = 27 * n * n
     pa = 1 << a
@@ -268,8 +255,7 @@ def verify_exact(d: Decomposition) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class RangeScanReport:
+class RangeScanReport(NamedTuple):
     """Outcome of verifying split(n) over a contiguous range."""
 
     n_lo: int
@@ -281,12 +267,7 @@ class RangeScanReport:
         return ({"n": n, "reason": reason} for n, reason in self.violations)
 
     def summary_record(self) -> dict:
-        return {
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "checked": self.checked,
-            "violations": len(self.violations),
-        }
+        return self._asdict() | {"violations": len(self.violations)}
 
 
 def _a_bounds(a: int) -> tuple[int, int]:

@@ -32,9 +32,8 @@ import math
 import os
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, cycle
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -145,8 +144,7 @@ def check_budget(what: str, seconds: float, nbytes: float, *, force: bool | None
         raise error(f"{what} implies ~{seconds:.3g} s and ~{nbytes:.3g} bytes, over {budget}{hint}")
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Factorization of m into (prime, exponent) pairs, primes ascending."""
 
     m: int
@@ -176,9 +174,7 @@ def factorize(m: int, *, limit: int = DEFAULT_FACTOR_LIMIT) -> Factorization:
     if m < 1:
         raise ValueError(f"cannot factor {m}: expected an integer >= 1")
     if m > limit:
-        raise FactorLimitError(
-            f"{m} is too large to factor by trial division (limit {limit})"
-        )
+        raise FactorLimitError(f"{m} is too large to factor by trial division (limit {limit})")
     factors = []
     rest = m
     # one loop over 2, 3 and then the 6k +- 1 wheel 5, 7, 11, 13, ...

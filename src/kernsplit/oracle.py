@@ -52,10 +52,9 @@ physical memory, before the step that would hold them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -97,8 +96,7 @@ _FIRST_TIER_QUALITY = 1
 _ORACLE_BLOCK = 1 << 12
 
 
-@dataclass(frozen=True, slots=True)
-class BestSplit:
+class BestSplit(NamedTuple):
     """Minimizer of the pairwise quality for one n, with 2 <= m1 <= m2."""
 
     n: int
@@ -267,8 +265,7 @@ def best_decomposition(n: int) -> BestSplit:
     return BestSplit(n, m1, m2, Fraction(*_worse(m1, k1, m2, k2)))
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Constructive split vs exhaustive optimum over [n_lo, n_hi].
 
     One column per field, at n - n_lo: each side's m1 (m2 is n - m1) and
@@ -372,8 +369,7 @@ def _report(n_lo: int, n_hi: int, split_m1: list, split_q: list, oracle_m1: list
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Which n in [n_lo, n_hi] split into two log-weighted members.
 
     A part m qualifies when k(m)**2 <= m * ln(m)**(2*gamma); n is

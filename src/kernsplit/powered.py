@@ -31,9 +31,9 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .kernel import POWERFUL_DENSITY, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
 from .kernel import check_budget, powerful_sum, primes_up_to, quality_interval, radical, squarefree_flags
@@ -54,24 +54,21 @@ _TIE_REL = 1e-9
 _TIE_DPS = 35
 
 
-@dataclass(frozen=True, slots=True)
-class Theta:
+class Theta(NamedTuple("_ThetaFields", [("p", int), ("q", int)])):
     """Exact rational exponent p/q with 0 < p/q <= 1, kept in lowest terms."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+    # on a subclass of the fields: typing.NamedTuple does not let its class body define __new__
+    def __new__(cls, p: int, q: int) -> Theta:
+        if not (isinstance(p, int) and isinstance(q, int)):
             raise TypeError("theta components must be integers")
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"theta must be positive, got {self.p}/{self.q}")
-        if self.p > self.q:
-            raise ValueError(f"theta must be <= 1, got {self.p}/{self.q}")
-        g = math.gcd(self.p, self.q)
-        if g > 1:
-            object.__setattr__(self, "p", self.p // g)
-            object.__setattr__(self, "q", self.q // g)
+        if p < 1 or q < 1:
+            raise ValueError(f"theta must be positive, got {p}/{q}")
+        if p > q:
+            raise ValueError(f"theta must be <= 1, got {p}/{q}")
+        g = math.gcd(p, q)
+        return super().__new__(cls, p // g, q // g)
 
     @classmethod
     def parse(cls, text: str) -> "Theta":
@@ -104,8 +101,7 @@ def multiplicity_index(m: int) -> float:
     return math.log(m) / math.log(k)
 
 
-@dataclass(frozen=True, slots=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Count of members up to x, with the defining parameter.
 
     Exactly one of ``theta`` / ``gamma`` is set.  ``normalized`` is
@@ -118,7 +114,17 @@ class CountReport:
     count: int
     theta: Theta | None = None
     gamma: float | None = None
-    normalized: float = field(default=float("nan"), compare=False)
+    normalized: float = float("nan")
+
+    # equality and hash leave out ``normalized``, the last field
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CountReport) and self[:-1] == other[:-1]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     def to_record(self) -> dict:
         rec: dict = {"x": self.x}

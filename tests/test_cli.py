@@ -1,10 +1,11 @@
 """Command-line interface tests via click's test runner."""
 
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
 
-import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -470,7 +471,8 @@ class TestLogRatio:
 
 
 class TestNonFiniteGamma:
-    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    # -inf and -nan are values, not option strings
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "-nan"])
     @pytest.mark.parametrize(
         "args",
         [
@@ -522,8 +524,9 @@ class TestLargeGamma:
 # logratio prints no summary line, verify-mode CSV without violations
 # falls back to the summary row, radical's JSON has ``factors`` while its
 # CSV has ``factorization``, a witnessless CSV row has empty cells, and
-# CSV lines end in \r\n.  The help texts pin each command's options in
-# their order.
+# CSV lines end in \r\n.  A usage error prints the usage and one error
+# line and exits 2.  The help texts pin each command's options in their
+# order.
 GOLDEN = [
     ('radical 360', 0, 'm=360 radical=30 factorization=2^3*3^2*5\n'),
     (
@@ -762,34 +765,111 @@ GOLDEN = [
     ),
     ('logratio --limit 100 --gamma nan', 1, 'error: gamma must be finite, got nan\n'),
     (
+        'radical 360 --json --csv',
+        2,
+        (
+            'usage: kernsplit radical [--csv] [--json] [--help] M\n'
+            'kernsplit radical: error: --json and --csv are mutually exclusive\n'
+        ),
+    ),
+    (
+        'count --limit 10',
+        2,
+        (
+            'usage: kernsplit count [--theta TEXT] [--gamma FLOAT] --limit INTEGER [--csv]\n'
+            '                       [--json] [--help]\n'
+            'kernsplit count: error: exactly one of --theta / --gamma is required\n'
+        ),
+    ),
+    (
+        'scan --from 4 --to 50 --gamma 0 --oracle',
+        2,
+        (
+            'usage: kernsplit scan --from INTEGER --to INTEGER [--gamma FLOAT] [--oracle]\n'
+            '                      [--force] [--csv] [--json] [--help]\n'
+            'kernsplit scan: error: --oracle and --gamma are mutually exclusive\n'
+        ),
+    ),
+    (
+        'logratio --limit 5',
+        2,
+        (
+            'usage: kernsplit logratio --limit INTEGER [--gamma FLOAT] [--points INTEGER]\n'
+            '                          [--csv] [--json] [--help]\n'
+            'kernsplit logratio: error: --limit must be at least 10\n'
+        ),
+    ),
+    (
+        'logratio --limit 100 --points 0',
+        2,
+        (
+            'usage: kernsplit logratio --limit INTEGER [--gamma FLOAT] [--points INTEGER]\n'
+            '                          [--csv] [--json] [--help]\n'
+            'kernsplit logratio: error: --points must be at least 1\n'
+        ),
+    ),
+    (
+        'count --theta 1/2 --limit abc',
+        2,
+        (
+            'usage: kernsplit count [--theta TEXT] [--gamma FLOAT] --limit INTEGER [--csv]\n'
+            '                       [--json] [--help]\n'
+            "kernsplit count: error: argument --limit: invalid int value: 'abc'\n"
+        ),
+    ),
+    (
+        'count --theta 1/2 --lim 100',
+        2,
+        (
+            'usage: kernsplit count [--theta TEXT] [--gamma FLOAT] --limit INTEGER [--csv]\n'
+            '                       [--json] [--help]\n'
+            'kernsplit count: error: the following arguments are required: --limit\n'
+        ),
+    ),
+    (
+        '',
+        2,
+        (
+            'usage: kernsplit [--version] [--help] COMMAND ...\n'
+            'kernsplit: error: the following arguments are required: COMMAND\n'
+        ),
+    ),
+    (
         '--help',
         0,
         (
-            'Usage: cli [OPTIONS] COMMAND [ARGS]...\n'
+            'usage: kernsplit [--version] [--help] COMMAND ...\n'
             '\n'
-            '  Kernel arithmetic and certified two-part decompositions.\n'
+            'Kernel arithmetic and certified two-part decompositions.\n'
             '\n'
-            'Options:\n'
+            'options:\n'
             '  --version  Show the version and exit.\n'
             '  --help     Show this message and exit.\n'
             '\n'
             'Commands:\n'
-            '  count      Count members up to --limit for one exponent parameter.\n'
-            '  decompose  Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts.\n'
-            '  logratio   Exploratory table: weighted count over (ln x)**gamma *...\n'
-            '  radical    Print k(M) and the factorization of M.\n'
-            '  scan       Verify split(n) over a range; --oracle and --gamma switch modes.\n'
+            '  COMMAND\n'
+            '    radical  Print k(M) and the factorization of M.\n'
+            '    decompose\n'
+            '             Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts.\n'
+            '    count    Count members up to --limit for one exponent parameter.\n'
+            '    scan     Verify split(n) over a range; --oracle and --gamma switch modes.\n'
+            '    logratio\n'
+            '             Exploratory table: weighted count over (ln x)**gamma * sqrt-class\n'
+            '             count.\n'
         ),
     ),
     (
         'radical --help',
         0,
         (
-            'Usage: cli radical [OPTIONS] M\n'
+            'usage: kernsplit radical [--csv] [--json] [--help] M\n'
             '\n'
-            '  Print k(M) and the factorization of M.\n'
+            'Print k(M) and the factorization of M.\n'
             '\n'
-            'Options:\n'
+            'positional arguments:\n'
+            '  M\n'
+            '\n'
+            'options:\n'
             '  --csv   Header row then data rows.\n'
             '  --json  One JSON object per line.\n'
             '  --help  Show this message and exit.\n'
@@ -799,30 +879,37 @@ GOLDEN = [
         'decompose --help',
         0,
         (
-            'Usage: cli decompose [OPTIONS] N\n'
+            'usage: kernsplit decompose [--verify {structural,exact}] [--csv] [--json]\n'
+            '                           [--help]\n'
+            '                           N\n'
             '\n'
-            '  Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts.\n'
+            'Split N into m1 + m2 with k(m)**4 <= 432 m**2 for both parts.\n'
             '\n'
-            'Options:\n'
-            '  --verify [structural|exact]  Check the result; structural falls back to exact\n'
-            '                               for n in {4,5,6}.\n'
-            '  --csv                        Header row then data rows.\n'
-            '  --json                       One JSON object per line.\n'
-            '  --help                       Show this message and exit.\n'
+            'positional arguments:\n'
+            '  N\n'
+            '\n'
+            'options:\n'
+            '  --verify {structural,exact}\n'
+            '                        Check the result; structural falls back to exact for n\n'
+            '                        in {4,5,6}.\n'
+            '  --csv                 Header row then data rows.\n'
+            '  --json                One JSON object per line.\n'
+            '  --help                Show this message and exit.\n'
         ),
     ),
     (
         'count --help',
         0,
         (
-            'Usage: cli count [OPTIONS]\n'
+            'usage: kernsplit count [--theta TEXT] [--gamma FLOAT] --limit INTEGER [--csv]\n'
+            '                       [--json] [--help]\n'
             '\n'
-            '  Count members up to --limit for one exponent parameter.\n'
+            'Count members up to --limit for one exponent parameter.\n'
             '\n'
-            'Options:\n'
+            'options:\n'
             '  --theta TEXT     Exact exponent as p/q, e.g. 1/2.\n'
             '  --gamma FLOAT    Log-weight exponent.\n'
-            '  --limit INTEGER  Count members up to this x.  [required]\n'
+            '  --limit INTEGER  Count members up to this x.\n'
             '  --csv            Header row then data rows.\n'
             '  --json           One JSON object per line.\n'
             '  --help           Show this message and exit.\n'
@@ -832,13 +919,14 @@ GOLDEN = [
         'scan --help',
         0,
         (
-            'Usage: cli scan [OPTIONS]\n'
+            'usage: kernsplit scan --from INTEGER --to INTEGER [--gamma FLOAT] [--oracle]\n'
+            '                      [--force] [--csv] [--json] [--help]\n'
             '\n'
-            '  Verify split(n) over a range; --oracle and --gamma switch modes.\n'
+            'Verify split(n) over a range; --oracle and --gamma switch modes.\n'
             '\n'
-            'Options:\n'
-            '  --from INTEGER  First n, inclusive (>= 4).  [required]\n'
-            '  --to INTEGER    Last n, inclusive.  [required]\n'
+            'options:\n'
+            '  --from INTEGER  First n, inclusive (>= 4).\n'
+            '  --to INTEGER    Last n, inclusive.\n'
             '  --gamma FLOAT   Probe log-weighted representability instead.\n'
             '  --oracle        Compare against the exhaustive optimum.\n'
             '  --force         Run an oracle or probe scan past its budget of 60 s and 1 GiB.\n'
@@ -851,19 +939,20 @@ GOLDEN = [
         'logratio --help',
         0,
         (
-            'Usage: cli logratio [OPTIONS]\n'
+            'usage: kernsplit logratio --limit INTEGER [--gamma FLOAT] [--points INTEGER]\n'
+            '                          [--csv] [--json] [--help]\n'
             '\n'
-            '  Exploratory table: weighted count over (ln x)**gamma * sqrt-class count.\n'
+            'Exploratory table: weighted count over (ln x)**gamma * sqrt-class count.\n'
             '\n'
-            '  Reports N_gamma(x) / ((ln x)**gamma * S(x)) on a geometric grid, where N_gamma\n'
-            '  counts k(m)**2 <= m ln(m)**(2 gamma) and S counts the theta = 1/2 class.  No\n'
-            '  pass/fail judgment is attached; at feasible x the ratio drifts slowly and is\n'
-            '  not expected to settle.\n'
+            'Reports N_gamma(x) / ((ln x)**gamma * S(x)) on a geometric grid,\n'
+            'where N_gamma counts k(m)**2 <= m ln(m)**(2 gamma) and S counts the\n'
+            'theta = 1/2 class.  No pass/fail judgment is attached; at feasible x\n'
+            'the ratio drifts slowly and is not expected to settle.\n'
             '\n'
-            'Options:\n'
-            '  --limit INTEGER   Largest x in the table.  [required]\n'
-            '  --gamma FLOAT     Weight exponent.  [default: 1.0]\n'
-            '  --points INTEGER  Geometric grid size.  [default: 5]\n'
+            'options:\n'
+            '  --limit INTEGER   Largest x in the table.\n'
+            '  --gamma FLOAT     Weight exponent. [default: 1.0]\n'
+            '  --points INTEGER  Geometric grid size. [default: 5]\n'
             '  --csv             Header row then data rows.\n'
             '  --json            One JSON object per line.\n'
             '  --help            Show this message and exit.\n'
@@ -877,7 +966,7 @@ class TestGoldenOutput:
         ("args", "exit_code", "output"), GOLDEN, ids=[g[0] for g in GOLDEN]
     )
     def test_output(self, args, exit_code, output):
-        result = runner.invoke(cli, args.split(), terminal_width=80)
+        result = runner.invoke(cli, args.split())
         # the bytes as written: result.output turns \r\n into \n (output_bytes is click >= 8.2's
         # stdout and stderr; before it, stdout_bytes held both)
         written = getattr(result, "output_bytes", result.stdout_bytes).decode()
@@ -886,21 +975,22 @@ class TestGoldenOutput:
 
 
 class TestEchoBlocks:
-    """Every form is formatted and written ``_ECHO_BLOCK`` records per ``click.echo`` call."""
+    """Every form is formatted and written ``_ECHO_BLOCK`` records per ``sys.stdout.write`` call."""
 
     @pytest.mark.parametrize("form", [[], ["--json"], ["--csv"]], ids=["human", "json", "csv"])
-    def test_blocks_join_to_the_output(self, monkeypatch, form):
+    def test_blocks_join_to_the_output(self, form):
         args = ["scan", "--from", "4", "--to", str(2 * _ECHO_BLOCK + 100), "--oracle", *form]
         whole = runner.invoke(cli, args).stdout_bytes
-        writes, echo = [], click.echo
+        writes = []
 
-        def recording(text, nl=True, **kw):
-            writes.append(text + "\n" * nl)
-            echo(text, nl=nl, **kw)
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
 
-        monkeypatch.setattr(click, "echo", recording)
-        result = runner.invoke(cli, args)
-        assert result.exit_code == 0 and len(writes) == 3
+        with contextlib.redirect_stdout(Recording()), pytest.raises(SystemExit) as exit:
+            cli.main(args, prog_name=cli.name)
+        assert exit.value.code == 0 and len(writes) == 3
         assert all(text.count("\n") <= _ECHO_BLOCK for text in writes)
         written, whole = (re.sub(rb'"elapsed_ms": [0-9.e+-]+', b"", out) for out in ("".join(writes).encode(), whole))
         assert written == whole

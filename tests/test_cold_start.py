@@ -30,11 +30,15 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def python(*args: str, environ: dict | None = None) -> subprocess.CompletedProcess:
-    """``python args`` in ``environ`` (default this process's) with this checkout's kernsplit first on the path, its output captured through pipes."""
+def child_env(environ: dict | None = None) -> dict:
+    """``environ`` (default this process's) with this checkout's kernsplit first on the path."""
     environ = os.environ if environ is None else environ
-    env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")])))
+
+
+def python(*args: str, environ: dict | None = None) -> subprocess.CompletedProcess:
+    """``python args`` in ``child_env(environ)``, its output captured through pipes."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env(environ), timeout=120)
 
 
 def fresh(code: str, *args: str, environ: dict | None = None) -> str:
@@ -61,9 +65,32 @@ def modules_after(*args: str) -> set[str]:
     ],
 )
 def test_command_runs_without_numpy_or_mpmath(args):
+    # argparse parses and NamedTuples hold the records: neither click nor dataclasses, nor the inspect both import
     loaded = modules_after(*args)
     assert "kernsplit.cli" in loaded
-    assert not {"numpy", "mpmath", "csv"} & loaded
+    assert not {"numpy", "mpmath", "csv", "click", "dataclasses", "inspect"} & loaded
+
+
+def test_clock_starts_after_the_modules_load():
+    # elapsed_ms times the computation alone: an oracle scan's first clock reading comes after its imports
+    code = """
+import sys, time
+from kernsplit.cli import cli
+readings, clock = [], time.perf_counter
+
+def recording():
+    readings.append({"kernsplit.oracle", "numpy"} <= sys.modules.keys())
+    return clock()
+
+time.perf_counter = recording
+try:
+    cli.main(sys.argv[1:], prog_name="kernsplit")
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(readings[0])
+"""
+    assert fresh(code, "scan", "--from", "4", "--to", "10", "--oracle", "--json").splitlines()[-1] == "True"
 
 
 def test_only_csv_output_loads_csv():
@@ -140,6 +167,16 @@ class TestEntryPoint:
         proc = python("-m", "kernsplit.cli", "--version")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.rstrip().endswith(f"version {kernsplit.__version__}")
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader leaves after the first line, as `| head -1` does: exit 1, and no traceback on stderr
+        args = "scan", "--from", "4", "--to", "100000", "--gamma", "0", "--json"
+        child = subprocess.Popen([sys.executable, "-m", "kernsplit.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert child.stdout.readline().startswith(b'{"n": 4,')
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=120), stderr) == (1, b"")
 
     def test_usage_error(self):
         proc = python("-m", "kernsplit.cli", "radical", "360", "--json", "--csv")

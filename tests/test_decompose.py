@@ -5,7 +5,6 @@ all candidate exponents, and the witness relations are replayed against
 first-principles integer arithmetic in the tests themselves.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -173,13 +172,13 @@ class TestVerifyStructural:
             verify_structural(split(5))
 
     def _tampered(self, d, **changes):
-        wit = dataclasses.replace(d.witness, **changes)
-        return dataclasses.replace(d, witness=wit)
+        return d._replace(witness=d.witness._replace(**changes))
 
     def test_tampered_w_breaks_linear_identity(self):
         d = split(100)
         res = verify_structural(self._tampered(d, w=d.witness.w + 1))
         assert not res.ok
+        assert not res  # falsy, for callers that filter with `not verify_structural(d)`
         assert res.reason == "linear_identity"
 
     def test_reason_codes(self):
@@ -190,11 +189,11 @@ class TestVerifyStructural:
         assert verify_structural(self._tampered(d, V=d.witness.V + 8)).reason == "remainder"
         assert verify_structural(self._tampered(d, W=d.witness.W + 1)).reason == "linear_identity"
         assert (
-            verify_structural(dataclasses.replace(d, m1=d.m1 + 1)).reason
+            verify_structural(d._replace(m1=d.m1 + 1)).reason
             == "part1_value"
         )
         assert (
-            verify_structural(dataclasses.replace(d, m2=d.m2 + 9)).reason
+            verify_structural(d._replace(m2=d.m2 + 9)).reason
             == "part2_value"
         )
 
@@ -202,12 +201,7 @@ class TestVerifyStructural:
         d = split(100)
         wit = d.witness
         # keep the linear identity intact while pushing w past 2**a
-        bad = dataclasses.replace(
-            d,
-            witness=dataclasses.replace(
-                wit, w=wit.w + (1 << wit.a), W=wit.W + 3**wit.b
-            ),
-        )
+        bad = d._replace(witness=wit._replace(w=wit.w + (1 << wit.a), W=wit.W + 3**wit.b))
         res = verify_structural(bad)
         assert not res.ok
         assert res.reason == "w_range"
@@ -412,7 +406,7 @@ class TestBlockPath:
 
     def test_disagreement_with_split_is_an_error(self, monkeypatch):
         # the scalar split is re-run at both ends of every block
-        monkeypatch.setattr(decompose, "split", lambda n: dataclasses.replace(d := split(n), m2=d.m2 + (n > 6)))
+        monkeypatch.setattr(decompose, "split", lambda n: (d := split(n))._replace(m2=d.m2 + (n > 6)))
         with pytest.raises(RuntimeError, match="verify_structural"):
             verify_range(4, 100)
 

@@ -70,6 +70,8 @@ class TestTheta:
             Theta(3, 2)  # above 1
         with pytest.raises(ValueError):
             Theta(-1, 2)
+        with pytest.raises(TypeError, match="theta components must be integers"):
+            Theta(1.0, 2)
 
     def test_parse(self):
         assert Theta.parse("1/2") == Theta(1, 2)
@@ -753,6 +755,7 @@ class TestCountReport:
         a = CountReport(x=100, count=17, theta=Theta(1, 2), normalized=1.7)
         b = CountReport(x=100, count=17, theta=Theta(1, 2), normalized=99.0)
         assert a == b
+        assert not a != b and hash(a) == hash(b)
 
     def test_record_round_trip(self):
         # the record holds every field of the report, its one parameter included
