@@ -195,6 +195,11 @@ def verify_structural(d: Decomposition) -> CheckResult:
     a_range, b_range, quotient, remainder, remainder_range, w_range,
     linear_identity, part1_value, part2_value, part_sum, part2_range,
     part1_min, part2_kernel_bound, part1_kernel_bound.
+
+    remainder_range, part_sum, part2_range and part1_min follow from the
+    checks before them, so no witness fails them first: V = n mod pa + pa,
+    m1 + m2 = pa*U + V, (pa*pb)**4 < n**4 with w <= pa, and m1 = n - pb*w
+    is a positive multiple of pa.
     """
     if d.witness is None:
         raise ValueError("structural verification requires a witness")
@@ -307,18 +312,18 @@ def _block_violations(lo: int, hi: int, a: int, b: int) -> list[tuple[int, str]]
     n's split depends on n mod pa alone through w, the one value in
     [1, pa] with n = pb*w (mod pa).  Quotient through part sum are then
     identities of the construction, given pb * inv = 1 (mod pa).  The
-    range conditions are intervals in n.  For each w, with K the kernel
-    bound and D = isqrt(K * 4**a // 16), the last three are
+    range conditions are intervals in n.  Past part2_range, n > pa*pb >=
+    pb*w and n = pb*w (mod pa), so n >= pa + pb*w: part1_min holds.  For
+    each w, with K the kernel bound and D = isqrt(K * 4**a // 16), the
+    last two are
 
-        part1_min            n >= pa + pb*w
         part2_kernel_bound   81 * w**2 <= K * 9**b
         part1_kernel_bound   n <= pb*w + pa*D
 
     where the kernel bounds (3w)**4 <= K * m2**2 and (2(U - W))**4 <=
-    K * m1**2 are divided by w**2 and (U - W)**2, both >= 1 once
-    part1_min holds.  Only the w that can fail within [lo, hi] are
-    visited, and their failing n are listed by stepping through the
-    class.
+    K * m1**2 are divided by w**2 and (U - W)**2, both >= 1 as part1_min
+    holds.  Only the w that can fail within [lo, hi] are visited, and
+    their failing n are listed by stepping through the class.
     """
     pa, pb = 1 << a, 3**b
     inv = pow(pb, -1, pa)
@@ -338,21 +343,18 @@ def _block_violations(lo: int, hi: int, a: int, b: int) -> list[tuple[int, str]]
     K = KERNEL_BOUND_4TH
     D = math.isqrt(K * 4**a // 16)
     w_fit = math.isqrt(K * 9**b // 81)  # part2_kernel_bound holds up to here
-    # part1_kernel_bound can fail only up to w_low; part1_min and
-    # part2_kernel_bound only from w_high on
+    # part1_kernel_bound can fail only up to w_low, part2_kernel_bound only from w_high on
     w_low = min(pa, -((pa * D - g_hi) // pb) - 1)
-    w_high = max(w_low + 1, min((g_lo - pa) // pb + 1, w_fit + 1), 1)
+    w_high = max(w_low, w_fit) + 1
     ws = chain(range(1, w_low + 1), range(w_high, pa + 1))
     if g_hi - g_lo + 1 < max(w_low, 0) + max(pa + 1 - w_high, 0):  # fewer n than classes: take the classes met
         ws = [w for n in range(g_lo, g_hi + 1) if not w_low < (w := n * inv % pa or pa) < w_high]
     for w in ws:
         first = g_lo + (pb * w - g_lo) % pa
-        part1_min = pa + pb * w  # a member of the class, as pb*w + pa*D is
-        out += [(n, "part1_min") for n in range(first, min(part1_min, g_hi + 1), pa)]
         if w > w_fit:
-            out += [(n, "part2_kernel_bound") for n in range(max(first, part1_min), g_hi + 1, pa)]
+            out += [(n, "part2_kernel_bound") for n in range(first, g_hi + 1, pa)]
         else:
-            over = pb * w + pa * D + pa
+            over = pb * w + pa * D + pa  # a member of the class
             out += [(n, "part1_kernel_bound") for n in range(max(first, over), g_hi + 1, pa)]
     out.sort()
     return out

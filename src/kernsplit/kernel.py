@@ -4,7 +4,7 @@ The kernel of a natural number m, written k(m), is the product of the
 distinct primes dividing m, i.e. the largest squarefree divisor of m.
 By convention k(1) = 1.
 
-Single values are factored by trial division with a hard size bound so
+Single values are factored by trial division up to ``FACTOR_LIMIT``, so
 that oversized inputs fail loudly instead of stalling.  A kernel table
 over [1, x] comes from ``radical_sieve``, a segmented multiplicative
 sieve: each prime p <= sqrt(x) contributes one factor p to the kernel of
@@ -24,6 +24,8 @@ into bounded blocks, for ``kernel_bounded``, the counters and the scans.
 
 Every walk, count, sieve and scan is priced here in seconds and bytes,
 and ``check_budget`` refuses it, before the work, over the one budget.
+Every refusal, of an oversized factorization or of work over the
+budget, is a plain ValueError, which the CLI prints as one line.
 """
 
 from __future__ import annotations
@@ -42,11 +44,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BLOCK",
-    "DEFAULT_FACTOR_LIMIT",
+    "FACTOR_LIMIT",
     "MEMORY_LIMIT",
     "WORK_LIMIT_S",
-    "FactorLimitError",
-    "SieveLimitError",
     "Factorization",
     "RadicalTable",
     "check_budget",
@@ -61,7 +61,8 @@ __all__ = [
     "squarefree_flags",
 ]
 
-DEFAULT_FACTOR_LIMIT = 10**12
+# the largest m that ``factorize`` accepts: trial division up to 1e6
+FACTOR_LIMIT = 10**12
 
 # Entries per numpy block: the m sieved per segment of ``radical_sieve``,
 # the pairs (b, a) expanded at once by ``kernel_bounded`` and the sumset
@@ -81,14 +82,6 @@ POWERFUL_DENSITY = 2.2
 # a <= top // b, so both stay exact for every top up to this; larger tops
 # are refused.
 BOUNDED_INT64_LIMIT = 2**63 - 1
-
-
-class FactorLimitError(ValueError):
-    """Input exceeds the configured trial-division bound."""
-
-
-class SieveLimitError(ValueError):
-    """Requested table exceeds the memory budget."""
 
 
 # The one budget of every command that walks, counts, sieves or scans,
@@ -126,8 +119,8 @@ TABLE_ENTRY_S = WALK_VISIT_S / 8
 SIEVE_ENTRY_BYTES = 4
 
 
-def check_budget(what: str, seconds: float, nbytes: float, *, force: bool | None = None, error: type = ValueError):
-    """Raise ``error`` when ``what``, priced at ``seconds`` and ``nbytes``, is over the budget, read at call time.
+def check_budget(what: str, seconds: float, nbytes: float, *, force: bool | None = None):
+    """Raise ValueError when ``what``, priced at ``seconds`` and ``nbytes``, is over the budget, read at call time.
 
     ``force`` is None for work that cannot be forced, False for a scan,
     whose message then names --force, and True for a forced scan, refused
@@ -141,7 +134,7 @@ def check_budget(what: str, seconds: float, nbytes: float, *, force: bool | None
         budget = f"the budget of {WORK_LIMIT_S:g} s and {MEMORY_LIMIT / 2**30:g} GiB"
     if over:
         hint = "; rerun with --force to proceed" if force is False else ""
-        raise error(f"{what} implies ~{seconds:.3g} s and ~{nbytes:.3g} bytes, over {budget}{hint}")
+        raise ValueError(f"{what} implies ~{seconds:.3g} s and ~{nbytes:.3g} bytes, over {budget}{hint}")
 
 
 class Factorization(NamedTuple):
@@ -155,26 +148,15 @@ class Factorization(NamedTuple):
         return math.prod(p for p, _ in self.factors)
 
 
-def factorize(m: int, *, limit: int = DEFAULT_FACTOR_LIMIT) -> Factorization:
-    """Factor m by trial division.
+def factorize(m: int) -> Factorization:
+    """Factor 1 <= m <= FACTOR_LIMIT by trial division into ordered (prime, exponent) pairs, none for m = 1.
 
-    Parameters
-    ----------
-    m : int
-        Value to factor, 1 <= m <= limit.
-    limit : int
-        Largest input accepted (default 10**12); anything bigger raises
-        FactorLimitError rather than spinning in the trial loop.
-
-    Returns
-    -------
-    Factorization
-        Ordered (prime, exponent) pairs; empty for m = 1.
+    A larger m raises ValueError rather than spinning in the trial loop.
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}: expected an integer >= 1")
-    if m > limit:
-        raise FactorLimitError(f"{m} is too large to factor by trial division (limit {limit})")
+    if m > FACTOR_LIMIT:
+        raise ValueError(f"{m} is too large to factor by trial division (limit {FACTOR_LIMIT})")
     factors = []
     rest = m
     # one loop over 2, 3 and then the 6k +- 1 wheel 5, 7, 11, 13, ...
@@ -192,9 +174,9 @@ def factorize(m: int, *, limit: int = DEFAULT_FACTOR_LIMIT) -> Factorization:
     return Factorization(m, tuple(factors))
 
 
-def radical(m: int, *, limit: int = DEFAULT_FACTOR_LIMIT) -> int:
+def radical(m: int) -> int:
     """Kernel k(m): the product of the distinct primes dividing m."""
-    return factorize(m, limit=limit).radical()
+    return factorize(m).radical()
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -412,13 +394,13 @@ def radical_sieve(x: int) -> RadicalTable:
     The table holds x + 1 entries of the narrowest signed integer type
     that fits x; besides it and the primes up to sqrt(x), the sieve holds
     one segment's two int arrays.  ``BLOCK`` is read at call time; a table
-    over the memory budget raises SieveLimitError before any allocation.
+    over the memory budget raises ValueError before any allocation.
     """
     import numpy as np
 
     if x < 1:
         raise ValueError(f"sieve limit must be >= 1, got {x}")
-    check_budget(f"sieving up to x={x}", 0, SIEVE_ENTRY_BYTES * x, error=SieveLimitError)
+    check_budget(f"sieving up to x={x}", 0, SIEVE_ENTRY_BYTES * x)
     dtype = np.int32 if x <= np.iinfo(np.int32).max else np.int64
     small_primes = primes_up_to(math.isqrt(x))
     values = np.zeros(x + 1, dtype=dtype)

@@ -10,7 +10,9 @@ Ranking is exact rational comparison throughout; floats only prefilter
 which pairs can possibly attain the minimum, and every surviving
 candidate is re-ranked with ``fractions.Fraction``.  A scan keeps each
 quality as the integer pair (k**2, m) of the worse part, and reports
-columns indexed by n - n_lo, not one object per n.
+columns indexed by n - n_lo, not one object per n.  The two scans,
+``constructive_vs_oracle`` and ``conjecture_probe``, are the whole
+surface: the best pair of a single n is the one-n window of the first.
 
 Neither search walks every m1 <= n/2, and neither builds a kernel
 table.  The split certifies k(m)**4 <= 432 m**2, a quality of at most
@@ -64,17 +66,11 @@ from .kernel import _blocks, check_budget, flat_ranges, kernel_bounded, quality_
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
-    from .decompose import Decomposition
-
 __all__ = [
-    "BestSplit",
     "ComparisonReport",
     "ProbeReport",
-    "best_decomposition",
     "conjecture_probe",
     "constructive_vs_oracle",
-    "decomposition_quality",
-    "part_quality",
 ]
 
 # relative slack for the float prefilter; anything this close to the
@@ -96,22 +92,8 @@ _FIRST_TIER_QUALITY = 1
 _ORACLE_BLOCK = 1 << 12
 
 
-class BestSplit(NamedTuple):
-    """Minimizer of the pairwise quality for one n, with 2 <= m1 <= m2."""
-
-    n: int
-    m1: int
-    m2: int
-    quality: Fraction
-
-
-def part_quality(m: int, k: int) -> Fraction:
-    """Exact quality k**2 / m of a single part."""
-    return Fraction(k * k, m)
-
-
 def _worse(m1: int, k1: int, m2: int, k2: int) -> tuple[int, int]:
-    """``(k**2, m)`` of the worse part, max(part_quality(m1, k1), part_quality(m2, k2)); part 1's on ties."""
+    """``(k**2, m)`` of the worse part, the larger of k1**2 / m1 and k2**2 / m2; part 1's on ties."""
     q1, q2 = k1 * k1, k2 * k2
     return (q1, m1) if q1 * m2 >= q2 * m1 else (q2, m2)
 
@@ -121,11 +103,6 @@ def _text(quality: tuple[int, int]) -> str:
     q, m = quality
     g = math.gcd(q, m)
     return str(q // g) if m == g else f"{q // g}/{m // g}"
-
-
-def decomposition_quality(d: Decomposition) -> Fraction:
-    """Worse part quality of a decomposition, kernels by trial division."""
-    return Fraction(*_worse(d.m1, radical(d.m1), d.m2, radical(d.m2)))
 
 
 def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,18 +228,6 @@ def _oracle_block(tiers: list[tuple], lo: int, hi: int) -> list[tuple]:
                     missed.append((n, n))
         todo = missed
     return best
-
-
-def best_decomposition(n: int) -> BestSplit:
-    """Exhaustive minimum of max(quality(m1), quality(m2)) over m1 + m2 = n.
-
-    Ranks the pairs with both parts in the candidate set (module
-    docstring), or every pair when there is none: the one-n window of
-    ``constructive_vs_oracle``.
-    """
-    tiers = _tiers(*_admit(n, n, lambda top: quality_interval(_CANDIDATE_QUALITY, top), force=True))
-    ((m1, k1, m2, k2),) = _oracle_block(tiers, n, n)
-    return BestSplit(n, m1, m2, Fraction(*_worse(m1, k1, m2, k2)))
 
 
 class ComparisonReport(NamedTuple):

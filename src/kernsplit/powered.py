@@ -105,9 +105,9 @@ class CountReport(NamedTuple):
     """Count of members up to x, with the defining parameter.
 
     Exactly one of ``theta`` / ``gamma`` is set.  ``normalized`` is
-    informational only (count / x**theta for rational exponents,
-    count / (sqrt(x) * ln(x)**gamma) for the log-weighted counter) and
-    is excluded from equality comparisons.
+    informational only: count / x**theta for rational exponents,
+    count / (sqrt(x) * ln(x)**gamma) for the log-weighted counter, a
+    function of the other fields.
     """
 
     x: int
@@ -115,16 +115,6 @@ class CountReport(NamedTuple):
     theta: Theta | None = None
     gamma: float | None = None
     normalized: float = float("nan")
-
-    # equality and hash leave out ``normalized``, the last field
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CountReport) and self[:-1] == other[:-1]
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
 
     def to_record(self) -> dict:
         rec: dict = {"x": self.x}

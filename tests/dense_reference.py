@@ -9,15 +9,22 @@ recheck (read from ``kernsplit.powered`` at call time) near ties, and
 the integer test k*k <= m at gamma = 0.  The theta rule is a float
 prefilter in log space with an exact integer recheck near the boundary.
 ``subset_check_powers`` checks the scalar ``is_member`` on every l-th
-power up to a bound instead.
+power up to a bound instead.  ``best_decomposition`` reads the oracle's
+best pair of one n off the one-n window of ``constructive_vs_oracle``,
+and ``part_quality`` and ``decomposition_quality`` give the exact
+qualities the oracle tests rank by.
 """
 
+from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 import kernsplit.powered
-from kernsplit.kernel import RadicalTable, radical_sieve
+from kernsplit.decompose import Decomposition
+from kernsplit.kernel import RadicalTable, radical, radical_sieve
+from kernsplit.oracle import constructive_vs_oracle
 from kernsplit.powered import Theta, is_member
 
 # absolute slack (in log space) below which the theta prefilter defers to
@@ -103,3 +110,29 @@ def subset_check_powers(max_base: int, exponent: int) -> bool:
     """
     theta = Theta(1, exponent)
     return all(is_member(m**exponent, theta) for m in range(1, max_base + 1))
+
+
+class BestSplit(NamedTuple):
+    """Minimizer of the pairwise quality for one n, with 2 <= m1 <= m2."""
+
+    n: int
+    m1: int
+    m2: int
+    quality: Fraction
+
+
+def part_quality(m: int, k: int) -> Fraction:
+    """Exact quality k**2 / m of a single part."""
+    return Fraction(k * k, m)
+
+
+def decomposition_quality(d: Decomposition) -> Fraction:
+    """Worse part quality of a decomposition, kernels by trial division."""
+    return max(part_quality(d.m1, radical(d.m1)), part_quality(d.m2, radical(d.m2)))
+
+
+def best_decomposition(n: int) -> BestSplit:
+    """Exhaustive minimum of max(quality(m1), quality(m2)) over m1 + m2 = n: the forced one-n oracle scan."""
+    report = constructive_vs_oracle(n, n, force=True)
+    (m1,), (quality,) = report.oracle_m1, report.oracle_quality
+    return BestSplit(n, m1, n - m1, Fraction(*quality))

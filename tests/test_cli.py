@@ -16,7 +16,7 @@ import kernsplit.oracle
 import kernsplit.powered
 from kernsplit.cli import _ECHO_BLOCK, _grid, cli
 from kernsplit.decompose import split
-from kernsplit.kernel import SieveLimitError, radical_sieve
+from kernsplit.kernel import radical_sieve
 from kernsplit.powered import Theta, count_members
 
 runner = CliRunner()
@@ -409,7 +409,7 @@ class TestBudget:
         for module in (kernsplit.kernel, kernsplit.oracle, kernsplit.powered):
             monkeypatch.setattr(module, "check_budget", through)
         if case.startswith("radical_sieve"):
-            with pytest.raises(SieveLimitError) as info:
+            with pytest.raises(ValueError) as info:
                 radical_sieve(1000)
             output = f"error: {info.value}\n"
         else:

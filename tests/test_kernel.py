@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import kernsplit.kernel
 from kernsplit.kernel import (
+    FACTOR_LIMIT,
     POWERFUL_DENSITY,
-    FactorLimitError,
-    SieveLimitError,
     factorize,
     flat_ranges,
     kernel_bounded,
@@ -111,13 +110,12 @@ def test_factorize_rejects_zero_and_negative():
         factorize(-6)
 
 
-def test_factorize_size_bound_is_distinct_error():
-    with pytest.raises(FactorLimitError):
-        factorize(10**12 + 1)
-    with pytest.raises(FactorLimitError):
-        factorize(10**6, limit=10**5)
-    # FactorLimitError is still a ValueError for blanket handlers
-    assert issubclass(FactorLimitError, ValueError)
+def test_factorize_refuses_past_the_size_bound():
+    assert factorize(FACTOR_LIMIT).radical() == 10
+    message = "1000000000001 is too large to factor by trial division (limit 1000000000000)"
+    for oversized in (factorize, radical):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            oversized(10**12 + 1)
 
 
 def test_radical_examples():
@@ -217,11 +215,11 @@ def test_sieve_rejects_bad_limits(monkeypatch):
         with pytest.raises(Admitted):
             radical_sieve(2**28)
         for x in (2**28 + 1, 2**30, 2**62):
-            with pytest.raises(SieveLimitError, match=re.escape(f"sieving up to x={x} implies ~0 s and ~")):
+            with pytest.raises(ValueError, match=re.escape(f"sieving up to x={x} implies ~0 s and ~")):
                 radical_sieve(x)
     monkeypatch.setattr(kernsplit.kernel, "MEMORY_LIMIT", 4000)
     radical_sieve(1000)  # the budget is read at call time, and inclusive
-    with pytest.raises(SieveLimitError):
+    with pytest.raises(ValueError, match="sieving up to x=1001"):
         radical_sieve(1001)
 
 

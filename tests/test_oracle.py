@@ -23,18 +23,10 @@ import kernsplit.decompose
 import kernsplit.kernel
 import kernsplit.oracle as orc
 import kernsplit.powered
-from dense_reference import log_weighted_mask
+from dense_reference import BestSplit, best_decomposition, decomposition_quality, log_weighted_mask, part_quality
 from kernsplit.decompose import split
 from kernsplit.kernel import flat_ranges, kernel_bounded, quality_interval, radical, radical_sieve
-from kernsplit.oracle import (
-    BestSplit,
-    ComparisonReport,
-    best_decomposition,
-    conjecture_probe,
-    constructive_vs_oracle,
-    decomposition_quality,
-    part_quality,
-)
+from kernsplit.oracle import ComparisonReport, conjecture_probe, constructive_vs_oracle
 from kernsplit.powered import count_log_weighted
 
 

@@ -245,6 +245,12 @@ class TestCountLogWeighted:
         with pytest.raises(ValueError, match=re.escape(f"gamma={gamma}, x=10") + "$"):
             log_ratio_table([100, 10], gamma)
 
+    @pytest.mark.parametrize("xs", [[10, 100], [1], [], [100, 10, 1]])
+    def test_ratio_table_refuses_a_grid_not_descending_from_two(self, xs):
+        # the message lists the xs read up to and including the first bad one
+        with pytest.raises(ValueError, match=re.escape(f"expected descending x values >= 2, got {xs}") + "$"):
+            log_ratio_table(iter(xs), 0.5)
+
 
 class TestNearTieRecheck:
     """The exact re-decision of log-weighted near-ties, which the sampled counts rarely reach."""
@@ -751,11 +757,14 @@ class TestSubsetCheckPowers:
 
 
 class TestCountReport:
-    def test_normalized_excluded_from_equality(self):
-        a = CountReport(x=100, count=17, theta=Theta(1, 2), normalized=1.7)
-        b = CountReport(x=100, count=17, theta=Theta(1, 2), normalized=99.0)
-        assert a == b
-        assert not a != b and hash(a) == hash(b)
+    def test_normalized_follows_from_the_fields(self):
+        # normalized is count / x**theta, or count / (sqrt(x) * ln(x)**gamma): equal counts give equal reports
+        a = count_members(100, Theta(1, 2))
+        assert a == CountReport(x=100, count=17, theta=Theta(1, 2), normalized=1.7)
+        assert a == count_members(100, Theta(1, 2)) and hash(a) == hash(count_members(100, Theta(1, 2)))
+        g = count_log_weighted(100, 2.5)
+        assert g.normalized == g.count / (10 * math.log(100) ** 2.5)
+        assert g == count_log_weighted(100, 2.5) and hash(g) == hash(count_log_weighted(100, 2.5))
 
     def test_record_round_trip(self):
         # the record holds every field of the report, its one parameter included
