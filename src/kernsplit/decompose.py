@@ -30,11 +30,11 @@ and the pair (2, n - 2) is used instead.
 
 ``verify_range`` decides the same checks for a whole run of n sharing
 (a, b) at once.  There w depends on n mod 2**a alone, n = 3**b * w
-(mod 2**a), so every condition is an identity of the construction or an
-interval in n for each w, and only the few w that can fail are visited,
-in Python integers.  ``split_parts`` gives the parts of a whole range
-from the same per-block w.  ``split`` and ``verify_structural`` stay the
-scalar reference.
+(mod 2**a), so every condition but the two kernel bounds holds across
+the block, those are intervals in n for each w, and only the few w that
+can fail are visited, in Python integers.  ``split_parts`` gives the
+parts of a whole range from the same per-block w.  ``split`` and
+``verify_structural`` stay the scalar reference.
 """
 
 from __future__ import annotations
@@ -305,17 +305,20 @@ def _exponent_blocks(n_lo: int, n_hi: int):
 
 
 def _block_violations(lo: int, hi: int, a: int, b: int) -> list[tuple[int, str]]:
-    """(n, reason) for each n in [lo, hi] whose split with exponents (a, b) fails, sorted by n.
+    """(n, reason) for each n in [lo, hi] whose split fails, sorted by n.
 
-    Requires a, b >= 1.  The reason is that of the first condition of
-    ``verify_structural`` the split fails.  With pa = 2**a and pb = 3**b,
-    n's split depends on n mod pa alone through w, the one value in
-    [1, pa] with n = pb*w (mod pa).  Quotient through part sum are then
-    identities of the construction, given pb * inv = 1 (mod pa).  The
-    range conditions are intervals in n.  Past part2_range, n > pa*pb >=
-    pb*w and n = pb*w (mod pa), so n >= pa + pb*w: part1_min holds.  For
-    each w, with K the kernel bound and D = isqrt(K * 4**a // 16), the
-    last two are
+    Requires a block of ``_exponent_blocks``: (a, b) are the exponents of
+    every n in [lo, hi].  The reason is that of the first condition of
+    ``verify_structural`` the split fails, and only the two kernel bounds
+    can fail.  With pa = 2**a and pb = 3**b, n's split depends on n mod pa
+    alone through w, the one value in [1, pa] with n = pb*w (mod pa).
+    a_range and b_range hold as the block lies inside both exponent
+    intervals.  Quotient through part sum are identities of the
+    construction, as pb * inv = 1 (mod pa).  The two exponent ranges
+    multiply to (pa*pb)**4 < n**4, so pb <= pb*w <= pa*pb < n: part2_range
+    holds.  Then n >= pa + pb*w as n = pb*w (mod pa): part1_min holds.
+    For each w, with K the kernel bound and D = isqrt(K * 4**a // 16),
+    the last two are
 
         part2_kernel_bound   81 * w**2 <= K * 9**b
         part1_kernel_bound   n <= pb*w + pa*D
@@ -327,35 +330,23 @@ def _block_violations(lo: int, hi: int, a: int, b: int) -> list[tuple[int, str]]
     """
     pa, pb = 1 << a, 3**b
     inv = pow(pb, -1, pa)
-    (a_lo, a_hi), (b_lo, b_hi) = _a_bounds(a), _b_bounds(b)
-    out = []
-    g_lo, g_hi = lo, hi
-    for reason, ok_lo, ok_hi in (
-        ("a_range", a_lo + 1, a_hi),
-        ("b_range", b_lo + 1, b_hi),
-        ("linear_identity", lo if pb * inv % pa == 1 else hi + 1, hi),
-        ("part2_range", pa * pb + 1, hi),
-    ):
-        cut_lo = min(max(g_lo, ok_lo), g_hi + 1)
-        cut_hi = max(min(g_hi, ok_hi), cut_lo - 1)
-        out += [(n, reason) for n in chain(range(g_lo, cut_lo), range(cut_hi + 1, g_hi + 1))]
-        g_lo, g_hi = cut_lo, cut_hi
     K = KERNEL_BOUND_4TH
     D = math.isqrt(K * 4**a // 16)
     w_fit = math.isqrt(K * 9**b // 81)  # part2_kernel_bound holds up to here
     # part1_kernel_bound can fail only up to w_low, part2_kernel_bound only from w_high on
-    w_low = min(pa, -((pa * D - g_hi) // pb) - 1)
+    w_low = min(pa, -((pa * D - hi) // pb) - 1)
     w_high = max(w_low, w_fit) + 1
     ws = chain(range(1, w_low + 1), range(w_high, pa + 1))
-    if g_hi - g_lo + 1 < max(w_low, 0) + max(pa + 1 - w_high, 0):  # fewer n than classes: take the classes met
-        ws = [w for n in range(g_lo, g_hi + 1) if not w_low < (w := n * inv % pa or pa) < w_high]
+    if hi - lo + 1 < max(w_low, 0) + max(pa + 1 - w_high, 0):  # fewer n than classes: take the classes met
+        ws = [w for n in range(lo, hi + 1) if not w_low < (w := n * inv % pa or pa) < w_high]
+    out = []
     for w in ws:
-        first = g_lo + (pb * w - g_lo) % pa
+        first = lo + (pb * w - lo) % pa
         if w > w_fit:
-            out += [(n, "part2_kernel_bound") for n in range(first, g_hi + 1, pa)]
+            out += [(n, "part2_kernel_bound") for n in range(first, hi + 1, pa)]
         else:
             over = pb * w + pa * D + pa  # a member of the class
-            out += [(n, "part1_kernel_bound") for n in range(max(first, over), g_hi + 1, pa)]
+            out += [(n, "part1_kernel_bound") for n in range(max(first, over), hi + 1, pa)]
     out.sort()
     return out
 

@@ -255,50 +255,36 @@ def scalar_violations(n_lo, n_hi):
     return out
 
 
-def split_with(n, a, b):
-    """split(n) with the exponents (a, b) in place of choose_exponents(n)."""
-    pa = 1 << a
-    U = n // pa - 1
-    V = n - pa * U
-    W, w = solve_diophantine(V, a, b)
-    return Decomposition(n, pa * (U - W), 3**b * w, SplitWitness(a, b, U, V, W, w))
-
-
-def structural_violations(lo, hi, a, b):
-    """The per-n reference for _block_violations(lo, hi, a, b)."""
-    out = []
-    for n in range(lo, hi + 1):
-        res = verify_structural(split_with(n, a, b))
-        if not res.ok:
-            out.append((n, res.reason))
-    return out
-
-
-# the upper end of every exponent block up to 2**62
-BLOCK_EDGES = [hi for _, hi, _, _ in _exponent_blocks(7, 2**62)]
+# the upper end of every exponent block up to 1e40
+BLOCK_EDGES = [hi for _, hi, _, _ in _exponent_blocks(7, 10**40)]
 
 # the kernel bound tightened step by step, so that there are failures to compare
 BOUNDS = (432, 400, 300, 100, 20)
 
-# window starts: anywhere below 1e15, next to a block edge, or next to 2**58,
-# where 32 * n stops fitting in int64
+# window starts: anywhere below 1e15, next to a block edge, next to 2**58,
+# where 32 * n stops fitting in int64, or anywhere in [1e30, 1e40]
 starts = st.one_of(
     st.integers(min_value=4, max_value=10**15),
     st.builds(lambda e, d: max(4, e + d), st.sampled_from(BLOCK_EDGES), st.integers(-300, 300)),
     st.integers(min_value=2**58 - 300, max_value=2**58 + 300),
+    st.integers(min_value=10**30, max_value=10**40),
 )
 
 
 class TestExponentBlocks:
     def test_blocks_agree_with_choose_exponents_at_both_ends(self):
+        # what the class path takes for granted in a block: both exponent
+        # ranges hold at both ends, and pa * pb < n for every n in it
         prev_hi = 6
-        for lo, hi, a, b in _exponent_blocks(7, 2**62):
+        for lo, hi, a, b in _exponent_blocks(7, 10**40):
             assert lo == prev_hi + 1
             assert choose_exponents(lo) == (a, b) == choose_exponents(hi)
-            if hi < 2**62:
+            assert brute_force_exponents(lo) == brute_force_exponents(hi) == ([a], [b])
+            if hi < 10**40:
                 assert choose_exponents(hi + 1) != (a, b)
+            assert (1 << a) * 3**b < lo
             prev_hi = hi
-        assert prev_hi == 2**62
+        assert prev_hi == 10**40
 
     @given(st.integers(min_value=7, max_value=10**15), st.integers(min_value=0, max_value=10**6))
     def test_windows_tile(self, lo, length):
@@ -369,40 +355,18 @@ class TestBlockPath:
         assert report.checked == hi - lo + 1 and report.violations == ()
         assert scalar_violations(lo, lo + 50) == scalar_violations(hi - 50, hi) == []
 
-    @given(
-        starts,
-        st.integers(min_value=0, max_value=300),
-        st.sampled_from(["a", "b"]),
-        st.sampled_from([-1, 1]),
-        st.sampled_from(BOUNDS),
-    )
-    def test_tampered_exponent_reason_matches_scalar(self, lo, length, field, delta, bound):
-        lo = max(lo, 7)
-        a, b = choose_exponents(lo)
-        a, b = (a + delta, b) if field == "a" else (a, b + delta)
-        if min(a, b) < 1:
-            return
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decompose, "KERNEL_BOUND_4TH", bound)
-            got = _block_violations(lo, lo + length, a, b)
-            assert got == structural_violations(lo, lo + length, a, b)
-
     def test_every_reachable_reason_shows_up(self, monkeypatch):
-        # a wrong exponent fails its range, a tighter bound a kernel bound;
-        # the other ten conditions hold for every n once both exponents fit
+        # in a block the exponents fit every n, so a tighter bound fails a
+        # kernel bound and the other twelve conditions hold
         reached = set()
         for bound in BOUNDS:
             monkeypatch.setattr(decompose, "KERNEL_BOUND_4TH", bound)
             for edge in BLOCK_EDGES[:12]:
-                lo, hi = max(7, edge - 40), edge + 40
-                a, b = choose_exponents(lo)
-                for exps in ((a, b), (a + 1, b), (a, b + 1), (a - 1, b), (a, b - 1)):
-                    if min(exps) < 1:
-                        continue
-                    got = _block_violations(lo, hi, *exps)
-                    assert got == structural_violations(lo, hi, *exps)
+                for lo, hi, a, b in _exponent_blocks(max(7, edge - 40), edge + 40):
+                    got = _block_violations(lo, hi, a, b)
+                    assert got == scalar_violations(lo, hi)
                     reached |= {reason for _, reason in got}
-        assert reached == {"a_range", "b_range", "part2_kernel_bound", "part1_kernel_bound"}
+        assert reached == {"part2_kernel_bound", "part1_kernel_bound"}
 
     def test_disagreement_with_split_is_an_error(self, monkeypatch):
         # the scalar split is re-run at both ends of every block
