@@ -16,9 +16,9 @@ identical to a one-shot sieve regardless of segment size.
 ``powerful_sum`` walks the powerful numbers up to x with their
 kernels, which is all the class counters need, and ``kernel_bounded``
 builds from the same walk, with their kernels, the sparse sets that the
-oracle and the probe pair up: the m = a*b whose squarefree a lies in an
-interval given per powerful b (``quality_interval`` for the class
-k(m)**2 <= c*m).  ``squarefree_flags`` is the one
+oracle and the probe pair up: the m = a*b whose squarefree a lies in the
+interval that a class of m, one ``KernelClass``, gives each powerful b
+(``quality(c)`` for k(m)**2 <= c*m).  ``squarefree_flags`` is the one
 squarefree sieve and ``flat_ranges`` the one expander of per-owner runs
 into bounded blocks, for ``kernel_bounded``, the counters and the scans.
 
@@ -48,6 +48,7 @@ __all__ = [
     "MEMORY_LIMIT",
     "WORK_LIMIT_S",
     "Factorization",
+    "KernelClass",
     "RadicalTable",
     "check_budget",
     "factorize",
@@ -55,7 +56,7 @@ __all__ = [
     "kernel_bounded",
     "powerful_sum",
     "primes_up_to",
-    "quality_interval",
+    "quality",
     "radical",
     "radical_sieve",
     "squarefree_flags",
@@ -108,6 +109,9 @@ BOUNDED_INT64_LIMIT = 2**63 - 1
 #   keeps the verdict it had when counts were priced in visits.
 # - An entry of ``radical_sieve``'s int32 table: 4 bytes, so x = 2**28 is
 #   the largest table admitted.
+# - A count that adds its leaves in bulk visits only the b that are no
+#   leaves of the walk: 2.37-2.45 * x**0.42 visits from x = 1e9 (15k,
+#   0.05 s) to 1e14 (1.8M, 7.4 s) at theta = 1/2 and gamma = 0.
 WORK_LIMIT_S = 60.0
 MEMORY_LIMIT = 1 << 30
 WALK_VISIT_S, WALK_VISIT_BYTES = 6e-6, 200
@@ -117,6 +121,7 @@ PAIR_S = 10e-9
 SQUAREFREE_TERM_S = WALK_VISIT_S / 256
 TABLE_ENTRY_S = WALK_VISIT_S / 8
 SIEVE_ENTRY_BYTES = 4
+BULK_VISITS, BULK_EXPONENT = 2.5, 0.42
 
 
 def check_budget(what: str, seconds: float, nbytes: float, *, force: bool | None = None):
@@ -275,9 +280,29 @@ def _blocks(first: int, last: int, width: int):
     return ((lo, min(lo + width - 1, last)) for lo in range(first, last + 1, width))
 
 
-def quality_interval(c: int | Fraction, top: int) -> Callable[[int, int], tuple[int, int]]:
-    """The interval of ``kernel_bounded`` for the class 2 <= m <= top with k(m)**2 <= c*m: with m = a*b, a <= c*b // k(b)**2, exact for an int or a ``Fraction`` c."""
-    return lambda b, k: (2 if b == 1 else 1, min(top // b, c * b // (k * k)))
+class KernelClass(NamedTuple):
+    """A class of m given by a bound on k(m): ``interval(top)(b, k(b))`` is the [lo, hi] of the a with a*b <= top a member.
+
+    ``member(m, k(m))`` is the exact test; with ``bulk`` a count adds in bulk the leaves b*p**2 of its walk, whose
+    interval is b's capped at x // (b*p**2); ``visits(x)`` prices a count up to x, 0 with no walk; ``params`` name it.
+    """
+
+    interval: Callable[[int], Callable[[int, int], tuple[int, int]]]
+    member: Callable[[int, int], bool]
+    bulk: bool
+    visits: Callable[[int], float]
+    params: dict
+
+
+def quality(c: int | Fraction) -> KernelClass:
+    """The class of 2 <= m with k(m)**2 <= c*m, exact for an int or a ``Fraction`` c: with m = a*b, a <= c*b // k(b)**2.
+
+    For an int c, ``member`` also decides int64 arrays while c*m fits.
+    """
+    return KernelClass(
+        lambda top: lambda b, k: (2 if b == 1 else 1, min(top // b, c * b // (k * k))),
+        lambda m, k: (m > 1) & (k * k <= c * m), True, lambda x: BULK_VISITS * x**BULK_EXPONENT, {},
+    )
 
 
 def kernel_bounded(
@@ -290,7 +315,7 @@ def kernel_bounded(
     ``interval(b, k(b))`` gives the a it admits as [lo, hi], lo >= 1,
     clamped here to hi <= top // b and empty when hi < lo; the members
     are the squarefree a coprime to b in it: a run of one squarefree
-    list, filtered by gcd(a, k(b)) == 1.  So ``quality_interval(c, top)``
+    list, filtered by gcd(a, k(b)) == 1.  So ``quality(c).interval(top)``
     gives every m with k(m)**2 <= c*m.  No kernel table is built.  The walk over
     the < POWERFUL_DENSITY * sqrt(top) powerful b (``powerful_sum``) comes
     first; ``admit(bound)``, when given, is called with the running sum of

@@ -14,29 +14,28 @@ columns indexed by n - n_lo, not one object per n.  The two scans,
 ``constructive_vs_oracle`` and ``conjecture_probe``, are the whole
 surface: the best pair of a single n is the one-n window of the first.
 
-Neither search walks every m1 <= n/2, and neither builds a kernel
-table.  The split certifies k(m)**4 <= 432 m**2, a quality of at most
+Neither search walks every m1 <= n/2, and neither builds a kernel table.
+The split certifies k(m)**4 <= 432 m**2, a quality of at most
 sqrt(432) < 21, so both parts of an optimal pair lie in the candidate
-set G = {m : k(m)**2 <= 21 m} (1,003 members up to 1e4, 4,355 up to
-1e5, 18,411 up to 1e6).  ``kernel.kernel_bounded`` enumerates it with
-its kernels from the powerful numbers: for each powerful b, the
-squarefree a coprime to b up to 21*b // k(b)**2
-(``kernel.quality_interval``).  The probe's
-qualifying parts come from the same walk, each b's interval of a found
-by the log-weighted counter's own search
-(``powered._log_weighted_interval``), so they are exactly the members.
+set G = {m : k(m)**2 <= 21 m}, the class ``kernel.quality(21)`` (1,003
+members up to 1e4, 4,355 up to 1e5, 18,411 up to 1e6).  Each scan hands
+its class of parts to ``_admit``, and ``kernel.kernel_bounded``
+enumerates it with its kernels from the powerful numbers: for each
+powerful b, the squarefree a coprime to b in the class's interval.  The
+probe's parts are the log-weighted counter's own class
+(``powered._log_weighted_class``), so they are exactly the members.
 A window of n is then one sumset: every pair g1 <= g2 of parts with
 g1 + g2 in the window, formed over the g1 that have one by
 ``kernel.flat_ranges`` in numpy blocks of at most ``kernel.BLOCK``
-pairs.  The oracle keeps, per n, the
-pairs within the float prefilter band of the minimum and re-ranks
-exactly only the n with more than one, over ascending tiers of parts:
-quality at most 1 and G, both built once per scan, then every m in
-[2, n - 2] from the same walk, each for the n that the tiers before it
-missed.  So an n with no pair in G (an optimum above 21) has every pair
-ranked: no answer rests on the theorem it checks.
-The probe records, per n, the first (smallest) part g1 of a qualifying
-pair, and stops once no later pair can reach an n still without one.
+pairs.  The oracle keeps, per n, the pairs within the float prefilter
+band of the minimum and re-ranks exactly only the n with more than one,
+over ascending tiers of parts: quality at most 1 (``quality(1)``'s test
+on G) and G, both built once per scan, then every m in [2, n - 2]
+(``quality(n)``) from the same walk, each for the n that the tiers
+before it missed.  So an n with no pair in G (an optimum above 21) has
+every pair ranked: no answer rests on the theorem it checks.  The probe
+records, per n, the first (smallest) part g1 of a qualifying pair, and
+stops once no later pair can reach an n still without one.
 
 Both scans take their parts from ``_admit``, priced by
 ``kernel.check_budget`` in seconds and bytes: rows, the walk over the
@@ -45,7 +44,7 @@ scan over budget is refused on its rows and walk before any b is
 visited, on the bound of its parts during the walk, as soon as the part
 of the bound seen so far is over, or else before any part is emitted,
 and on its exact pair count before any pair is formed.  Forced or not, 21*n >=
-2**63 is refused: pair sums stay below 2n, and the int64 tier mask
+2**63 is refused: pair sums stay below 2n, and the int64 tier test
 k**2 <= c*m, c <= 21, runs on G alone, where k**2 <= 21*m < 21*n.  So
 is a forced scan whose rows, walk and parts need more bytes than the
 physical memory, before the step that would hold them.
@@ -61,7 +60,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .kernel import BLOCK, PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
-from .kernel import _blocks, check_budget, flat_ranges, kernel_bounded, quality_interval, radical
+from .kernel import KernelClass, _blocks, check_budget, flat_ranges, kernel_bounded, quality, radical
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -129,8 +128,8 @@ def _pair_count(parts: np.ndarray, n_lo: int, n_hi: int) -> int:
     return int(_pair_ranges(parts, n_lo, n_hi)[2].sum())
 
 
-def _admit(n_lo: int, n_hi: int, interval_to, force: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel_bounded(n_hi - 2, interval_to(n_hi - 2))`` for a scan of [n_lo, n_hi], refused as the module docstring says."""
+def _admit(n_lo: int, n_hi: int, members: KernelClass, force: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel_bounded`` of the members up to n_hi - 2 for a scan of [n_lo, n_hi], refused as the module docstring says."""
     if not 4 <= n_lo <= n_hi:
         raise ValueError(f"need 4 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if _CANDIDATE_QUALITY * n_hi >= 2**63:
@@ -146,7 +145,7 @@ def _admit(n_lo: int, n_hi: int, interval_to, force: bool) -> tuple[np.ndarray, 
         check_budget(f"scan of [{n_lo}, {n_hi}]", seconds, nbytes, force=force)
 
     admit(0)
-    parts, kernels = kernel_bounded(n_hi - 2, interval_to(n_hi - 2), admit)
+    parts, kernels = kernel_bounded(n_hi - 2, members.interval(n_hi - 2), admit)
     if not force:
         admit(bound, _pair_count(parts, n_lo, n_hi))
     return parts, kernels
@@ -196,7 +195,7 @@ def _tier(parts: np.ndarray, kernels: np.ndarray) -> tuple:
 
 def _tiers(parts: np.ndarray, kernels: np.ndarray) -> list[tuple]:
     """The tiers over G, built once per scan: its parts of quality at most _FIRST_TIER_QUALITY, then G."""
-    keep = kernels * kernels <= _FIRST_TIER_QUALITY * parts
+    keep = quality(_FIRST_TIER_QUALITY).member(parts, kernels)
     return [_tier(parts[keep], kernels[keep]), _tier(parts, kernels)]
 
 
@@ -217,7 +216,7 @@ def _oracle_block(tiers: list[tuple], lo: int, hi: int) -> list[tuple]:
         missed = []
         for w_lo, w_hi in todo:
             # the last tier, c = n: every m in [2, n - 2], from the same walk
-            ranked = tier or _tier(*kernel_bounded(w_hi - 2, quality_interval(w_hi, w_hi - 2)))
+            ranked = tier or _tier(*kernel_bounded(w_hi - 2, quality(w_hi).interval(w_hi - 2)))
             offsets, m1, k1, m2, k2 = _band_pairs(*ranked, w_lo, w_hi)
             for n, s, e in zip(range(w_lo, w_hi + 1), offsets, offsets[1:]):
                 if e - s == 1:  # the common case: one pair in the band
@@ -298,7 +297,7 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     """
     from .decompose import split_parts  # only the oracle scan splits: the probe skips the import
 
-    parts, kernels = _admit(n_lo, n_hi, lambda top: quality_interval(_CANDIDATE_QUALITY, top), force)
+    parts, kernels = _admit(n_lo, n_hi, quality(_CANDIDATE_QUALITY), force)
     tiers, split_m1, split_q, oracle_m1, oracle_q = _tiers(parts, kernels), [], [], [], []
     for lo, hi in _blocks(n_lo, n_hi, _ORACLE_BLOCK):
         om1, ok1, om2, ok2 = zip(*_oracle_block(tiers, lo, hi))
@@ -378,11 +377,11 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
     gamma must be finite; that is checked before anything is priced or
     enumerated.
     """
-    from .powered import _log_weighted_interval  # only the probe decides the class: the oracle scan skips the import
+    from .powered import _log_weighted_class  # only the probe decides the class: the oracle scan skips the import
 
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    members, _ = _admit(n_lo, n_hi, lambda top: _log_weighted_interval(top, gamma), force)
+    members, _ = _admit(n_lo, n_hi, _log_weighted_class(gamma), force)
     none = np.iinfo(np.int64).max
     witness, failing = [], []
     for lo, hi in _blocks(n_lo, n_hi, BLOCK):

@@ -15,14 +15,15 @@ within a relative 1e-9 of the boundary is re-decided with ``decimal`` at
 are therefore identical to element-by-element exact evaluation.
 
 The counters sieve nothing.  Every m is uniquely a*b with b powerful, a
-squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so each class is a
-rule giving each of the ~2.17 * sqrt(x) powerful b <= x an interval of
-a: up to an exact integer root for theta (``_theta_interval``), and for
-gamma the interval [L_b, R_b] that ``_log_weighted_interval`` finds
-around e**(2*gamma) / b with the rule itself (at gamma = 0 the integer
-bound b // k(b)**2).  ``_interval_count`` adds the squarefree a coprime
-to b in each: exact integer sums, so the counts equal the rule's over
-every m.  The probe in ``oracle`` takes its parts from the same intervals.
+squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so each class is
+a ``kernel.KernelClass`` giving each of the ~2.17 * sqrt(x) powerful
+b <= x an interval of a: up to an exact integer root for theta
+(``_theta_class``), and for gamma the [L_b, R_b] that
+``_log_weighted_class`` finds around e**(2*gamma) / b with the test
+itself (``kernel.quality(1)`` at gamma = 0).  ``_interval_count`` adds
+the squarefree a coprime to b in each: exact integer sums, so the counts
+equal the rule's over every m.  The probe in ``oracle`` takes its parts
+from the same class.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from operator import mul
 from typing import NamedTuple
 
 from .kernel import POWERFUL_DENSITY, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
-from .kernel import check_budget, powerful_sum, primes_up_to, quality_interval, radical, squarefree_flags
+from .kernel import KernelClass, check_budget, powerful_sum, primes_up_to, quality, radical, squarefree_flags
 
 __all__ = [
     "CountReport",
     "Theta",
     "count_log_weighted",
     "count_members",
-    "is_member",
     "log_ratio_table",
     "multiplicity_index",
 ]
@@ -84,12 +84,6 @@ class Theta(NamedTuple("_ThetaFields", [("p", int), ("q", int)])):
         return f"{self.p}/{self.q}"
 
 
-def is_member(m: int, theta: Theta) -> bool:
-    """Exact membership test k(m)**q <= m**p (equality counts)."""
-    k = radical(m)
-    return k**theta.q <= m**theta.p
-
-
 def multiplicity_index(m: int) -> float:
     """ln(m) / ln(k(m)); 1.0 exactly on squarefree m, >= l on l-th powers.
 
@@ -117,14 +111,8 @@ class CountReport(NamedTuple):
     normalized: float = float("nan")
 
     def to_record(self) -> dict:
-        rec: dict = {"x": self.x}
-        if self.theta is not None:
-            rec["theta"] = str(self.theta)
-        if self.gamma is not None:
-            rec["gamma"] = self.gamma
-        rec["count"] = self.count
-        rec["normalized"] = self.normalized
-        return rec
+        param = {"theta": str(self.theta)} if self.theta is not None else {"gamma": self.gamma}
+        return {"x": self.x, **param, "count": self.count, "normalized": self.normalized}
 
 
 def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
@@ -285,18 +273,17 @@ def _iroot(n: int, r: int) -> int:
 
 
 # Seconds of one exact count, priced by ``kernel.check_budget`` at
-# WALK_VISIT_S a visit of the walk over the fewer than POWERFUL_DENSITY *
-# sqrt(x) powerful b <= x:
-# - theta != 1/2 visits each of them: theta = 3/4 at x = 1e11 makes 680k
-#   visits in 1.8 s.
-# - gamma != 0 visits each and tests a = x // b, galloping to the end of
-#   its interval of a only when that fails: gamma = 0.5 takes 2.4-2.8 s
-#   at 1e11.  Each of the < POWERFUL_DENSITY * e**gamma powerful b below
-#   e**(2*gamma) also searches the lower end, a second visit: gamma = 20,
-#   where every b <= x does, takes 4.6-6.0 s at 1e11.
-# - theta = 1/2 and gamma = 0 visit only the b that are no leaves of the
-#   walk and count the leaves in bulk: 2.37-2.45 * x**0.42 visits from
-#   x = 1e9 (15k, 0.05 s) to 1e14 (1.8M, 7.4 s).
+# WALK_VISIT_S a visit (``KernelClass.visits``) of the walk over the fewer
+# than POWERFUL_DENSITY * sqrt(x) powerful b <= x:
+# - a theta class visits each of them, but at theta = 1/2 it adds its
+#   leaves in bulk (priced in ``kernel``): theta = 3/4 at x = 1e11 makes
+#   680k visits in 1.8 s.
+# - a log-weighted class, gamma != 0, visits each and tests a = x // b,
+#   galloping to the end of its interval of a only when that fails: gamma
+#   = 0.5 takes 2.4-2.8 s at 1e11.  Each of the < POWERFUL_DENSITY *
+#   e**gamma powerful b below e**(2*gamma) also searches the lower end, a
+#   second visit: gamma = 20, where every b <= x does, takes 4.6-6.0 s at
+#   1e11.  gamma = 0 is the class ``kernel.quality(1)``, in bulk.
 # Squarefree counts above the table cap are Moebius sums over the d <=
 # sqrt(y), y <= x // b; measured, all of them add up to less than sqrt(x)
 # * ln(x) terms (0.62x that at gamma = 3, x = 1e11), each priced at
@@ -316,44 +303,42 @@ def _iroot(n: int, r: int) -> int:
 # The budget admits x up to about 1.1e15 for theta = 1/2 and gamma = 0,
 # 1.8e13 for theta = 3/4 and gamma = 0.5, and 4.8e12 when e**(2*gamma) >= x.
 _POWER_BITS = 3500
-_HALF_VISITS, _HALF_EXPONENT = 2.5, 0.42
 _TABLE_S = 2 * _SQUAREFREE_TABLE_LIMIT * TABLE_ENTRY_S
 
 
-def _count_seconds(x: int, theta: Theta | None = None, gamma: float = 0.0) -> float:
-    """Seconds of one count up to x, for theta or else gamma, besides the squarefree table; inf past the float range."""
-    if theta is not None and theta.p == theta.q:
-        return 0.0  # every m counts: no walk
-    root = math.isqrt(x)
+def _count_seconds(x: int, members: KernelClass) -> float:
+    """Seconds of one count of the members up to x, besides the squarefree table; 0 with no walk, inf past the float range."""
     try:
-        if (theta is None and gamma == 0) or theta == Theta(1, 2):
-            visits = _HALF_VISITS * x**_HALF_EXPONENT
-        elif theta is None:
-            visits = POWERFUL_DENSITY * (root + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
-        else:
-            visits = POWERFUL_DENSITY * root * (1 + (theta.q * math.log2(x) / _POWER_BITS) ** 1.5)
-        return WALK_VISIT_S * visits + SQUAREFREE_TERM_S * root * math.log(x)
+        visits = members.visits(x)
+        return WALK_VISIT_S * visits + SQUAREFREE_TERM_S * math.isqrt(x) * math.log(x) if visits else 0.0
     except OverflowError:  # x or its root is past the float range: over any budget
         return math.inf
 
 
-def _theta_interval(x: int, theta: Theta) -> Callable[[int, int], tuple[int, int]]:
-    """``interval(b, k(b)) -> (1, A_b)``: for a powerful b <= x, the a <= x // b whose a*b, with kernel a*k(b), passes.
+def _theta_class(theta: Theta) -> KernelClass:
+    """The class of 1 <= m with k(m)**q <= m**p, theta = p/q: every m at theta = 1, with no walk to count them.
 
-    The class is 1 <= m <= x with k(m)**q <= m**p, theta = p/q < 1.  With
-    m = a*b as in the module docstring, the test is a**(q-p) * k(b)**q <=
-    b**p, so A_b is iroot(b**p // k(b)**q, q - p) capped at x // b; b = a
-    = 1 gives m = 1.  Integers throughout: no float decides a count.
+    With m = a*b as in the module docstring, the test is a**(q-p) * k(b)**q
+    <= b**p, so the interval of b up to x is [1, A_b], A_b = iroot(b**p //
+    k(b)**q, q - p) capped at x // b; b = a = 1 gives m = 1.  Integers
+    throughout: no float decides a count.  theta = 1/2 is
+    ``kernel.quality(1)`` with m = 1, and adds its leaves in bulk.
     """
     p, q, r = theta.p, theta.q, theta.q - theta.p
 
-    def interval(b: int, k: int) -> tuple[int, int]:
-        y = x // b
-        if y**r * k**q > b**p:
-            y = _iroot(b**p // k**q, r)
-        return 1, y
+    def interval(x: int) -> Callable[[int, int], tuple[int, int]]:
+        def within(b: int, k: int) -> tuple[int, int]:
+            y = x // b
+            return 1, (y if y**r * k**q <= b**p else _iroot(b**p // k**q, r))
 
-    return interval
+        return within
+
+    def visits(x: int) -> float:
+        if r == p:
+            return quality(1).visits(x)
+        return POWERFUL_DENSITY * math.isqrt(x) * (1 + (q * math.log2(x) / _POWER_BITS) ** 1.5) if r else 0
+
+    return KernelClass(interval, lambda m, k: k**q <= m**p, r == p, visits, {"theta": theta})
 
 
 def _prefix_end(member, lo: int, hi: int) -> int:
@@ -377,23 +362,22 @@ def _prefix_end(member, lo: int, hi: int) -> int:
     return good
 
 
-def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[int, int]]:
-    """``interval(b, k(b)) -> (L_b, R_b)``: for a powerful b <= x, the a <= x // b whose a*b, with kernel a*k(b), passes.
+def _log_weighted_class(gamma: float) -> KernelClass:
+    """The class of 2 <= m with k(m)**2 <= m * ln(m)**(2*gamma), decided by ``_log_weighted_member``.
 
-    The class is 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma).  With
-    m = a*b as in ``_theta_interval`` (k(m) = a*k(b)), the test for fixed b
-    is f(a) <= 0 with f(a) = ln(a*k(b)**2 / (b*ln(a*b)**(2*gamma))) and
+    With m = a*b as in ``_theta_class`` (k(m) = a*k(b)), the test for
+    fixed b is f(a) <= 0 with f(a) = ln(a*k(b)**2 / (b*ln(a*b)**(2*gamma))) and
 
         f'(a) = 1/a - 2*gamma / (a*ln(a*b)) = (ln(a*b) - 2*gamma) / (a*ln(a*b)),
 
     so f falls while a*b < e**(2*gamma) and rises after: it rises for
-    every a*b > 1 when gamma <= 0.  The members with a given b are
-    therefore one interval [L_b, R_b] of the a in [lo, x // b], empty
+    every a*b > 1 when gamma <= 0.  The members with a given b up to x
+    are therefore one interval [L_b, R_b] of the a in [lo, x // b], empty
     when R_b < L_b, and when it is not empty it holds the integer
     minimiser of f, next to t = e**(2*gamma) / b.  lo is 1, and 2 for
     b = 1: m = 1 is excluded.
-    - At gamma = 0 the test is k(m)**2 <= m, so R_b = min(x // b,
-      b // k(b)**2), in integers: ``kernel.quality_interval(1, x)``.
+    - At gamma = 0 the test is k(m)**2 <= m: the class is
+      ``kernel.quality(1)``, in integers, and adds its leaves in bulk.
     - When b*lo >= E = min(x, floor(peak * (1 + 1e-9)) + 1), peak =
       e**min(2*gamma, ln x), f only rises: the interval is a prefix.
     - Otherwise the a within one of floor(t), clamped to [lo, x // b],
@@ -406,44 +390,51 @@ def _log_weighted_interval(x: int, gamma: float) -> Callable[[int, int], tuple[i
     squarefree a coprime to b in the interval.
     """
     if gamma == 0:
-        return quality_interval(1, x)
-    peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
-    start = min(x, math.floor(peak * (1 + 1e-9)) + 1)
+        return quality(1)._replace(params={"gamma": gamma})
 
-    def interval(b: int, k: int) -> tuple[int, int]:
-        lo, hi = 2 if b == 1 else 1, x // b
+    def interval(x: int) -> Callable[[int, int], tuple[int, int]]:
+        peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
+        start = min(x, math.floor(peak * (1 + 1e-9)) + 1)
 
-        def member(a: int) -> bool:
-            return _log_weighted_member(a * b, a * k, gamma)
+        def within(b: int, k: int) -> tuple[int, int]:
+            lo, hi = 2 if b == 1 else 1, x // b
 
-        first = lo
-        if b * lo < start:
-            t = int(peak / b)  # the a within one of t, clamped to [lo, hi]
-            near = range(min(max(t - 1, lo), hi), max(min(t + 1, hi), lo) + 1)
-            found = next((a for a in near if member(a)), 0)
-            if not found:
-                return lo, lo - 1
-            first = _prefix_end(lambda a: not member(a), lo, found - 1) + 1
-            lo = found + 1  # R_b >= found: search above it
-        if lo > hi or member(hi):
-            return first, hi
-        return first, _prefix_end(member, lo, hi - 1)
+            def member(a: int) -> bool:
+                return _log_weighted_member(a * b, a * k, gamma)
 
-    return interval
+            first = lo
+            if b * lo < start:
+                t = int(peak / b)  # the a within one of t, clamped to [lo, hi]
+                near = range(min(max(t - 1, lo), hi), max(min(t + 1, hi), lo) + 1)
+                found = next((a for a in near if member(a)), 0)
+                if not found:
+                    return lo, lo - 1
+                first = _prefix_end(lambda a: not member(a), lo, found - 1) + 1
+                lo = found + 1  # R_b >= found: search above it
+            if lo > hi or member(hi):
+                return first, hi
+            return first, _prefix_end(member, lo, hi - 1)
+
+        return within
+
+    def visits(x: int) -> float:
+        return POWERFUL_DENSITY * (math.isqrt(x) + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
+
+    return KernelClass(interval, lambda m, k: m > 1 and _log_weighted_member(m, k, gamma), False, visits, {"gamma": gamma})
 
 
-def _interval_count(x: int, interval, squarefree: _CoprimeSquarefree, bulk_leaves: bool) -> int:
-    """Exact count of the m = a*b <= x with a in ``interval(b, k(b))``, over the powerful b <= x.
+def _interval_count(x: int, members: KernelClass, squarefree: _CoprimeSquarefree) -> int:
+    """Exact count of the members m = a*b <= x, with a in ``members.interval(x)(b, k(b))``, over the powerful b <= x.
 
     Each b adds the squarefree a coprime to b in its interval [first,
-    end], end <= x // b.  With ``bulk_leaves`` (theta = 1/2, gamma = 0),
-    a leaf child b * p**2 of the walk (p**3 > x // b) starts at a = 1 and
-    ends where b does unless its cap x // (b * p**2) < p is lower, so p
-    drops out of its count: summed over those p, it is the number of p
-    with x // (b * p**2) >= v for each squarefree v <= end coprime to b,
-    one bisection per v, in place of a visit per p.
+    end], end <= x // b.  With ``members.bulk``, a leaf child b * p**2 of
+    the walk (p**3 > x // b) starts at a = 1 and ends where b does unless
+    its cap x // (b * p**2) < p is lower, so p drops out of its count:
+    summed over those p, it is the number of p with x // (b * p**2) >= v
+    for each squarefree v <= end coprime to b, one bisection per v, in
+    place of a visit per p.
     """
-    count = squarefree.count
+    count, interval = squarefree.count, members.interval(x)
 
     def visit(b: int, k: int, primes: Sequence[int]) -> int:
         first, end = interval(b, k)
@@ -460,19 +451,7 @@ def _interval_count(x: int, interval, squarefree: _CoprimeSquarefree, bulk_leave
             before = upto
         return total
 
-    return powerful_sum(x, visit, leaves if bulk_leaves else None)
-
-
-def _theta_count(x: int, theta: Theta, squarefree: _CoprimeSquarefree) -> int:
-    """Exact count of 1 <= m <= x with k(m)**q <= m**p: every m at theta = 1, else over ``_theta_interval``."""
-    if theta.p == theta.q:
-        return x  # k(m) <= m unconditionally
-    return _interval_count(x, _theta_interval(x, theta), squarefree, 2 * theta.p == theta.q)
-
-
-def _log_weighted_count(x: int, gamma: float, squarefree: _CoprimeSquarefree) -> int:
-    """Exact count of 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma), over ``_log_weighted_interval``."""
-    return _interval_count(x, _log_weighted_interval(x, gamma), squarefree, gamma == 0)
+    return powerful_sum(x, visit, leaves if members.bulk else None)
 
 
 def _log_weight(x: int, gamma: float, scale: float = 1.0) -> float:
@@ -497,11 +476,12 @@ def count_members(x: int, theta: Theta) -> CountReport:
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    check_budget(f"counting up to x={x}", _count_seconds(x, theta) + _TABLE_S, 0)
-    count = _theta_count(x, theta, _CoprimeSquarefree())
-    # theta = 1 is admitted at any x, past the float range too: count is x
+    members = _theta_class(theta)
+    check_budget(f"counting up to x={x}", _count_seconds(x, members) + _TABLE_S, 0)
+    # theta = 1: k(m) <= m for every m, admitted at any x, past the float range too
+    count = x if theta.p == theta.q else _interval_count(x, members, _CoprimeSquarefree())
     normalized = 1.0 if theta.p == theta.q else count / x ** (theta.p / theta.q)
-    return CountReport(x=x, count=count, theta=theta, normalized=normalized)
+    return CountReport(x=x, count=count, normalized=normalized, **members.params)
 
 
 def count_log_weighted(x: int, gamma: float) -> CountReport:
@@ -514,10 +494,11 @@ def count_log_weighted(x: int, gamma: float) -> CountReport:
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    check_budget(f"counting up to x={x}", _count_seconds(x, gamma=gamma) + _TABLE_S, 0)
+    members = _log_weighted_class(gamma)
+    check_budget(f"counting up to x={x}", _count_seconds(x, members) + _TABLE_S, 0)
     scale = _log_weight(x, gamma, math.sqrt(x))  # sqrt(x) is a float below any x the budget admits
-    count = _log_weighted_count(x, gamma, _CoprimeSquarefree())
-    return CountReport(x=x, count=count, gamma=gamma, normalized=count / scale)
+    count = _interval_count(x, members, _CoprimeSquarefree())
+    return CountReport(x=x, count=count, normalized=count / scale, **members.params)
 
 
 def log_ratio_table(xs: Iterable[int], gamma: float) -> list[dict]:
@@ -535,12 +516,12 @@ def log_ratio_table(xs: Iterable[int], gamma: float) -> list[dict]:
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    half, seconds, read = Theta(1, 2), _TABLE_S, []
+    half, weighted, seconds, read = _theta_class(Theta(1, 2)), _log_weighted_class(gamma), _TABLE_S, []
     for x in xs:
         if x < 2 or read and x > read[-1]:
             raise ValueError(f"expected descending x values >= 2, got {[*read, x]}")
         read.append(x)
-        seconds += _count_seconds(x, half) + (_count_seconds(x, gamma=gamma) if gamma else 0)
+        seconds += _count_seconds(x, half) + (_count_seconds(x, weighted) if gamma else 0)
         check_budget(f"counting {len(read)} points up to x={read[0]}", seconds, 0)
     if not read:
         raise ValueError("expected descending x values >= 2, got []")
@@ -549,8 +530,7 @@ def log_ratio_table(xs: Iterable[int], gamma: float) -> list[dict]:
     squarefree = _CoprimeSquarefree()
     rows = []
     for x, w in zip(read, weights):
-        ns = _theta_count(x, half, squarefree)
-        nw = ns - 1 if gamma == 0 else _log_weighted_count(x, gamma, squarefree)
+        ns = _interval_count(x, half, squarefree)
+        nw = ns - 1 if gamma == 0 else _interval_count(x, weighted, squarefree)
         rows.append({"x": x, "weighted_count": nw, "half_count": ns, "ratio": nw / (w * ns)})
     return rows
-

@@ -8,8 +8,8 @@ float test in the same operation order, with the library's exact
 recheck (read from ``kernsplit.powered`` at call time) near ties, and
 the integer test k*k <= m at gamma = 0.  The theta rule is a float
 prefilter in log space with an exact integer recheck near the boundary.
-``subset_check_powers`` checks the scalar ``is_member`` on every l-th
-power up to a bound instead.  ``best_decomposition`` reads the oracle's
+``subset_check_powers`` decides k(m)**q <= m**p itself, by trial
+division, on every l-th power up to a bound instead.  ``best_decomposition`` reads the oracle's
 best pair of one n off the one-n window of ``constructive_vs_oracle``,
 and ``part_quality`` and ``decomposition_quality`` give the exact
 qualities the oracle tests rank by.
@@ -25,7 +25,7 @@ import kernsplit.powered
 from kernsplit.decompose import Decomposition
 from kernsplit.kernel import RadicalTable, radical, radical_sieve
 from kernsplit.oracle import constructive_vs_oracle
-from kernsplit.powered import Theta, is_member
+from kernsplit.powered import Theta
 
 # absolute slack (in log space) below which the theta prefilter defers to
 # exact evaluation; ~1e6 times wider than float64 error at these scales
@@ -109,7 +109,7 @@ def subset_check_powers(max_base: int, exponent: int) -> bool:
     on purpose.
     """
     theta = Theta(1, exponent)
-    return all(is_member(m**exponent, theta) for m in range(1, max_base + 1))
+    return all(radical(m**exponent) ** theta.q <= (m**exponent) ** theta.p for m in range(1, max_base + 1))
 
 
 class BestSplit(NamedTuple):

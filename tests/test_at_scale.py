@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from kernsplit.kernel import _radical_segment, kernel_bounded, primes_up_to, quality_interval
-from kernsplit.powered import Theta, _log_weighted_interval, _log_weighted_member, count_log_weighted, count_members
+from kernsplit.kernel import _radical_segment, kernel_bounded, primes_up_to, quality
+from kernsplit.powered import Theta, _log_weighted_class, _log_weighted_member, count_log_weighted, count_members
 
 WIDTH = 10**4
 
@@ -66,9 +66,9 @@ def test_parts_are_the_sieved_class(c, lohi, gamma):
     lo, hi = lohi
     ks = sieved(lo, hi)
     if c == "gamma":
-        interval, want = _log_weighted_interval(hi, gamma), [_log_weighted_member(m, k, gamma) for m, k in zip(range(lo, hi + 1), ks)]
+        interval, want = _log_weighted_class(gamma).interval(hi), [_log_weighted_member(m, k, gamma) for m, k in zip(range(lo, hi + 1), ks)]
     else:
-        interval, want = quality_interval(c, hi), [k * k <= c * m for m, k in zip(range(lo, hi + 1), ks)]
+        interval, want = quality(c).interval(hi), [k * k <= c * m for m, k in zip(range(lo, hi + 1), ks)]
     ms, kernels = kernel_bounded(hi, clamped(interval, lo, hi))
     members = np.flatnonzero(want)
     assert len(members) and ms.tolist() == (lo + members).tolist()

@@ -25,7 +25,7 @@ import kernsplit.oracle as orc
 import kernsplit.powered
 from dense_reference import BestSplit, best_decomposition, decomposition_quality, log_weighted_mask, part_quality
 from kernsplit.decompose import split
-from kernsplit.kernel import flat_ranges, kernel_bounded, quality_interval, radical, radical_sieve
+from kernsplit.kernel import flat_ranges, kernel_bounded, quality, radical, radical_sieve
 from kernsplit.oracle import ComparisonReport, conjecture_probe, constructive_vs_oracle
 from kernsplit.powered import count_log_weighted
 
@@ -517,8 +517,9 @@ class TestProbeParts:
             ),
             label="gamma",
         )
-        members, _ = kernel_bounded(x, kernsplit.powered._log_weighted_interval(x, gamma))
-        counted = kernsplit.powered._log_weighted_count(x, gamma, kernsplit.powered._CoprimeSquarefree())
+        qualifying = kernsplit.powered._log_weighted_class(gamma)
+        members, _ = kernel_bounded(x, qualifying.interval(x))
+        counted = kernsplit.powered._interval_count(x, qualifying, kernsplit.powered._CoprimeSquarefree())
         assert len(members) == counted
         if abs(gamma) < 1e308:  # the public counter refuses ln(x)**gamma = inf or 0
             assert count_log_weighted(x, gamma).count == counted
@@ -582,7 +583,7 @@ class TestScanWork:
         monkeypatch.setattr(orc, "check_budget", lambda what, seconds, nbytes, force: priced.append((seconds, nbytes)))
         constructive_vs_oracle(lo, hi)
         widths = []
-        parts, _ = kernel_bounded(hi - 2, quality_interval(orc._CANDIDATE_QUALITY, hi - 2), widths.append)
+        parts, _ = kernel_bounded(hi - 2, quality(orc._CANDIDATE_QUALITY).interval(hi - 2), widths.append)
         rows, walk, pairs = hi - lo + 1, math.ceil(kernsplit.kernel.POWERFUL_DENSITY * math.sqrt(hi)), orc._pair_count(parts, lo, hi)
         k = kernsplit.kernel
         expected = [
@@ -631,7 +632,7 @@ class TestScanWork:
 
     def test_forced_parts_keep_a_memory_bound(self, monkeypatch):
         widths = []  # the width bound of conjecture_probe(4, 100, 10.0)
-        kernel_bounded(98, kernsplit.powered._log_weighted_interval(98, 10.0), widths.append)
+        kernel_bounded(98, kernsplit.powered._log_weighted_class(10.0).interval(98), widths.append)
         k = kernsplit.kernel
         held = k.ROW_BYTES * 97 + k.WALK_VISIT_BYTES * math.ceil(k.POWERFUL_DENSITY * 10) + k.PART_BYTES * widths[-1]
         # gamma = 10 near 1e9: every m >= 3 is a part, a width bound of ~1.94e9 units (~48.6 GB), refused

@@ -10,6 +10,7 @@ table.
 import math
 import re
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
@@ -22,16 +23,22 @@ import walk_reference
 import kernsplit.kernel
 import kernsplit.powered
 from dense_reference import log_weighted_mask, membership_mask, subset_check_powers
-from kernsplit.kernel import radical, radical_sieve
+from kernsplit.kernel import quality, radical, radical_sieve
 from kernsplit.powered import (
     CountReport,
     Theta,
+    _log_weighted_class,
+    _theta_class,
     count_log_weighted,
     count_members,
-    is_member,
     log_ratio_table,
     multiplicity_index,
 )
+
+
+def theta_member(m: int, theta: Theta) -> bool:
+    """The theta class's exact decision of m, with k(m) by trial division."""
+    return _theta_class(theta).member(m, radical(m))
 
 
 def enumerate_members(x: int, theta: Theta) -> list[int]:
@@ -108,13 +115,13 @@ class TestTheta:
 
 class TestMembership:
     def test_examples(self):
-        assert is_member(1, Theta(1, 2))
-        assert is_member(8, Theta(1, 3))  # boundary: 2**3 == 8 counts
-        assert not is_member(12, Theta(1, 2))  # 6**2 = 36 > 12
+        assert theta_member(1, Theta(1, 2))
+        assert theta_member(8, Theta(1, 3))  # boundary: 2**3 == 8 counts
+        assert not theta_member(12, Theta(1, 2))  # 6**2 = 36 > 12
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            is_member(0, Theta(1, 2))
+            theta_member(0, Theta(1, 2))
 
     @pytest.mark.parametrize("theta", [Theta(1, 2), Theta(1, 3), Theta(2, 3)])
     def test_mask_agrees_with_exact_evaluation(self, theta):
@@ -461,7 +468,7 @@ class TestPowerfulSumMatchesReferences:
     @pytest.mark.parametrize("gamma", [1e308, -1e308])
     def test_overflowed_gamma_walks(self, gamma):
         # 2*gamma overflows, so ln(m)**(2*gamma) is 0 or inf; the probe walks these gammas
-        walked = kernsplit.powered._log_weighted_count(3398, gamma, kernsplit.powered._CoprimeSquarefree())
+        walked = kernsplit.powered._interval_count(3398, _log_weighted_class(gamma), kernsplit.powered._CoprimeSquarefree())
         assert walked == dense_log_weighted(3398, gamma) == (3396 if gamma > 0 else 1)
 
     def test_large_gamma_prefix_is_the_whole_count(self):
@@ -485,20 +492,35 @@ def gamma_near_x(draw) -> tuple[float, int]:
     return gamma, x
 
 
+@st.composite
+def class_and_x(draw):
+    """``(kind, class, x)``: quality c in {1, 21, 1/16} or theta = p/q, q <= 12, with x <= 1e5, or gamma_near_x's gamma and x."""
+    kind = draw(st.sampled_from(["quality", "theta", "gamma"]))
+    if kind == "gamma":
+        gamma, x = draw(gamma_near_x())
+        return kind, _log_weighted_class(gamma), x
+    if kind == "quality":
+        members = quality(draw(st.sampled_from([1, 21, Fraction(1, 16)])))
+    else:
+        members = _theta_class(draw(st.integers(1, 12).flatmap(lambda q: st.builds(Theta, st.integers(1, q), st.just(q)))))
+    return kind, members, draw(st.one_of(st.integers(1, 3000), st.integers(1, 10**5)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(gamma_near_x())
-def test_log_weighted_interval_is_the_scan_of_its_members(gamma_x):
-    # each b's interval holds exactly the a in [lo, x // b] that pass the test, on both sides of e**(2*gamma)
-    gamma, x = gamma_x
-    interval = kernsplit.powered._log_weighted_interval(x, gamma)
+@given(class_and_x())
+def test_class_interval_is_the_scan_of_its_members(kind_class_x):
+    # each b's interval holds exactly the a in [1, x // b] whose a*b passes the class's own test, with kernel a*k(b):
+    # on both sides of e**(2*gamma) for gamma, and m = 1 (a = b = 1) only in a theta class
+    kind, members, x = kind_class_x
+    assert members.member(1, 1) == (kind == "theta")
+    interval = members.interval(x)
     for b in POWERFUL:
         if b > x:
             break
         k = radical(b)
-        lo = 2 if b == 1 else 1
-        members = [a for a in range(lo, x // b + 1) if kernsplit.powered._log_weighted_member(a * b, a * k, gamma)]
+        scanned = [a for a in range(1, x // b + 1) if members.member(a * b, a * k)]
         first, end = interval(b, k)
-        assert members == list(range(first, end + 1)), (b, gamma, x)
+        assert scanned == list(range(first, end + 1)), (kind, members.params, b, x)
 
 
 WALK_MAX = 1 << 20
@@ -638,6 +660,36 @@ class TestCountGuards:
         monkeypatch.setattr(kernsplit.powered, "powerful_sum", walk)
         with pytest.raises(Walked if admitted else ValueError):
             count_members(x, theta)
+
+    @pytest.mark.parametrize(
+        ("count", "prices"),
+        [
+            (partial(count_members, theta=Theta(1, 2)), [0.10574279210558925, 2.2923193516193523, 55.527653222588214, math.inf]),
+            (partial(count_members, theta=Theta(3, 4)), [0.43540558735066925, 13.975958910854704, 448.69198668301954, 5.948902321074068e195]),
+            (partial(count_members, theta=Theta(997, 1000)), [10.853791060092625, 521.2226148009611, 22866.038442280966, 9.767915346444088e198]),
+            (partial(count_members, theta=Theta(1, 1)), [0.0, 0.0, 0.0, 0.0]),
+            (partial(count_log_weighted, gamma=0.0), [0.10574279210558925, 2.2923193516193523, 55.527653222588214, math.inf]),
+            (partial(count_log_weighted, gamma=0.5), [0.4327910173152089, 13.84762382052535, 443.01938346117583, 3.478673524681917e195]),
+            (partial(count_log_weighted, gamma=20.0), [0.8501899053366616, 27.04760205740457, 860.4400128402809, 3.478673524681917e195]),
+        ],
+        ids=["theta=1/2", "theta=3/4", "theta=997/1000", "theta=1", "gamma=0", "gamma=0.5", "gamma=20"],
+    )
+    def test_count_prices(self, monkeypatch, count, prices):
+        # the seconds of each count besides its squarefree table, at x = 1e9, 1e12, 1e15 and 1e400: inf where the bulk
+        # visits x**0.42 overflow a float, and 0 at theta = 1, which counts every m without a walk
+        class Priced(Exception):
+            pass
+
+        def price(what, seconds, nbytes):
+            raise Priced(seconds)
+
+        monkeypatch.setattr(kernsplit.powered, "check_budget", price)
+        got = []
+        for x in (10**9, 10**12, 10**15, 10**400):
+            with pytest.raises(Priced) as info:
+                count(x)
+            got.append(info.value.args[0] - kernsplit.powered._TABLE_S)
+        assert got == pytest.approx(prices, rel=1e-12)
 
     def test_past_the_sieve_budget(self, monkeypatch):
         # past the sieve budget of 2**30 entries: nothing is sieved

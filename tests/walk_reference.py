@@ -5,8 +5,9 @@ primes, one tuple per b, and ``theta_count`` / ``log_weighted_count``
 visit each b and add the squarefree count of its interval of a, with the
 recursion of ``coprime_squarefree`` over a plain prefix table.  They
 share with the library only ``primes_up_to`` and the class rules
-themselves (the theta and log-weighted intervals of each b), not the
-walk, the small-count table, the bulk leaves or the squarefree counts.
+themselves, each b's interval of a from the ``interval`` of the theta
+and log-weighted class values, not the walk, the small-count table, the
+bulk leaves or the squarefree counts.
 """
 
 import math
@@ -14,7 +15,7 @@ from array import array
 from itertools import accumulate
 
 from kernsplit.kernel import primes_up_to
-from kernsplit.powered import Theta, _log_weighted_interval, _theta_interval
+from kernsplit.powered import Theta, _log_weighted_class, _theta_class
 
 
 def powerful_numbers(x: int):
@@ -73,9 +74,9 @@ def interval_count(x: int, interval) -> int:
 
 def theta_count(x: int, theta: Theta) -> int:
     """1 <= m <= x with k(m)**q <= m**p: each powerful b adds the a <= min(x // b, its root bound)."""
-    return x if theta.p == theta.q else interval_count(x, _theta_interval(x, theta))
+    return x if theta.p == theta.q else interval_count(x, _theta_class(theta).interval(x))
 
 
 def log_weighted_count(x: int, gamma: float) -> int:
     """2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma): each powerful b adds its interval [L_b, R_b] of a."""
-    return interval_count(x, _log_weighted_interval(x, gamma))
+    return interval_count(x, _log_weighted_class(gamma).interval(x))
