@@ -182,11 +182,15 @@ def _grid(limit: int, points: int):
     """Yield the distinct x of ``logratio``'s grid, largest first: limit, then each max(10, round(limit ** (i / points))) below it, 1 <= i <= points.
 
     The x do not rise as i falls, so a run of i that rounds to one x is
-    skipped: a grid costs one or two evaluations per distinct x, however
-    large ``points`` is.
+    skipped: a grid costs one or two evaluations per distinct x.  From
+    2 * limit * ln(limit) points on, every integer in [10, limit] is a
+    point, so ``points`` is cut to 2 * limit * limit.bit_length(): the
+    grid stays the same, and the float bound on i neither overflows nor
+    loses the precision to skip a run.
     """
     yield limit
-    last, i = limit, points
+    last = limit
+    i = points = min(points, 2 * limit * limit.bit_length())
     while i >= 1 and last > 10:
         x = max(10, round(limit ** (i / points)))
         if x < last:

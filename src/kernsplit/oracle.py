@@ -379,8 +379,6 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
     """
     from .powered import _log_weighted_class  # only the probe decides the class: the oracle scan skips the import
 
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
     members, _ = _admit(n_lo, n_hi, _log_weighted_class(gamma), force)
     none = np.iinfo(np.int64).max
     witness, failing = [], []

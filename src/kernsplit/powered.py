@@ -37,7 +37,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .kernel import POWERFUL_DENSITY, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
-from .kernel import KernelClass, check_budget, powerful_sum, primes_up_to, quality, radical, squarefree_flags
+from .kernel import KernelClass, check_budget, powerful_sum, primes_up_to, quality, squarefree_flags
 
 __all__ = [
     "CountReport",
@@ -45,7 +45,6 @@ __all__ = [
     "count_log_weighted",
     "count_members",
     "log_ratio_table",
-    "multiplicity_index",
 ]
 
 # relative near-tie band for the log-weighted comparison; anything this
@@ -82,17 +81,6 @@ class Theta(NamedTuple("_ThetaFields", [("p", int), ("q", int)])):
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
-
-
-def multiplicity_index(m: int) -> float:
-    """ln(m) / ln(k(m)); 1.0 exactly on squarefree m, >= l on l-th powers.
-
-    Undefined for m in {0, 1} (k(1) = 1 has ln 0).
-    """
-    if m < 2:
-        raise ValueError(f"multiplicity index is undefined for m={m}")
-    k = radical(m)
-    return math.log(m) / math.log(k)
 
 
 class CountReport(NamedTuple):
@@ -388,7 +376,11 @@ def _log_weighted_class(gamma: float) -> KernelClass:
     when that a passes, and otherwise both ends are galloped to from
     below (``_prefix_end``).  The members m = a*b are then the
     squarefree a coprime to b in the interval.
+
+    A non-finite gamma raises ValueError here, before any price or walk.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma == 0:
         return quality(1)._replace(params={"gamma": gamma})
 
@@ -455,9 +447,7 @@ def _interval_count(x: int, members: KernelClass, squarefree: _CoprimeSquarefree
 
 
 def _log_weight(x: int, gamma: float, scale: float = 1.0) -> float:
-    """scale * ln(x)**gamma, refused unless gamma and the result are finite and non-zero."""
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
+    """scale * ln(x)**gamma, refused unless it is finite and non-zero."""
     try:
         weight = scale * math.log(x) ** gamma
     except OverflowError:
@@ -488,9 +478,9 @@ def count_log_weighted(x: int, gamma: float) -> CountReport:
     """Count 2 <= m <= x with k(m)**2 <= m * ln(m)**(2*gamma), over the powerful numbers up to x.
 
     At gamma = 0 this is exactly the theta = 1/2 count minus the m = 1
-    contribution.  Raises ValueError, before the walk, when the count is
-    over the budget or else the normalization sqrt(x) * ln(x)**gamma is
-    not a finite non-zero float.
+    contribution.  Raises ValueError, before the walk, when gamma is not
+    finite, the count is over the budget, or else the normalization
+    sqrt(x) * ln(x)**gamma is not a finite non-zero float.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -514,8 +504,6 @@ def log_ratio_table(xs: Iterable[int], gamma: float) -> list[dict]:
     finite, the xs do not descend from >= 2, the counts are over the
     budget, or some ln(x)**gamma is not a finite non-zero float.
     """
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
     half, weighted, seconds, read = _theta_class(Theta(1, 2)), _log_weighted_class(gamma), _TABLE_S, []
     for x in xs:
         if x < 2 or read and x > read[-1]:

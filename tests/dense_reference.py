@@ -9,12 +9,15 @@ recheck (read from ``kernsplit.powered`` at call time) near ties, and
 the integer test k*k <= m at gamma = 0.  The theta rule is a float
 prefilter in log space with an exact integer recheck near the boundary.
 ``subset_check_powers`` decides k(m)**q <= m**p itself, by trial
-division, on every l-th power up to a bound instead.  ``best_decomposition`` reads the oracle's
-best pair of one n off the one-n window of ``constructive_vs_oracle``,
-and ``part_quality`` and ``decomposition_quality`` give the exact
-qualities the oracle tests rank by.
+division, on every l-th power up to a bound instead, and
+``multiplicity_index`` is the paper's i(m) = ln m / ln k(m).
+``best_decomposition`` reads the oracle's best pair of one n off the
+one-n window of ``constructive_vs_oracle``, and ``part_quality`` and
+``decomposition_quality`` give the exact qualities the oracle tests
+rank by.
 """
 
+import math
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -110,6 +113,16 @@ def subset_check_powers(max_base: int, exponent: int) -> bool:
     """
     theta = Theta(1, exponent)
     return all(radical(m**exponent) ** theta.q <= (m**exponent) ** theta.p for m in range(1, max_base + 1))
+
+
+def multiplicity_index(m: int) -> float:
+    """ln(m) / ln(k(m)); 1.0 exactly on squarefree m, >= l on l-th powers.
+
+    Undefined for m in {0, 1} (k(1) = 1 has ln 0).
+    """
+    if m < 2:
+        raise ValueError(f"multiplicity index is undefined for m={m}")
+    return math.log(m) / math.log(radical(m))
 
 
 class BestSplit(NamedTuple):

@@ -450,6 +450,10 @@ class TestLogRatio:
         assert short.exit_code == long.exit_code == 0
         assert long.output == short.output and short.output.count("\n") == 1 + 91
 
+    def test_grid_past_every_integer_is_cut(self):
+        # 1000 points already reach every x in [10, 100]: 10**400 give the same grid, with no float overflow
+        assert list(_grid(100, 10**400)) == list(_grid(100, 1000)) == list(range(100, 9, -1))
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=10, max_value=2**53 - 1), st.integers(min_value=1, max_value=3000))
     def test_grid_is_the_set_of_its_points(self, limit, points):
@@ -471,6 +475,21 @@ class TestLogRatio:
 
 
 class TestNonFiniteGamma:
+    """A non-finite gamma is refused by its class, with one error line and before any walk, however large the limit."""
+
+    @pytest.fixture(autouse=True)
+    def no_walk(self, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("walked before gamma was checked")
+
+        monkeypatch.setattr(kernsplit.powered, "powerful_sum", walk)
+        monkeypatch.setattr(kernsplit.kernel, "powerful_sum", walk)
+
+    def refused(self, args, gamma):
+        result = runner.invoke(cli, [*args, "--gamma", gamma])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert re.fullmatch(r"error: gamma must be finite, got (nan|-?inf)\n", result.output)
+
     # -inf and -nan are values, not option strings
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "-nan"])
     @pytest.mark.parametrize(
@@ -482,9 +501,14 @@ class TestNonFiniteGamma:
         ],
     )
     def test_error_exit(self, args, gamma):
-        result = runner.invoke(cli, [*args, "--gamma", gamma])
-        assert result.exit_code == 1
-        assert "error: gamma must be finite" in result.output
+        self.refused(args, gamma)
+
+    # past the float range a count's price is nan or inf: gamma must be refused before it is priced
+    @pytest.mark.parametrize("limit", [10**400, 10**800], ids=["1e400", "1e800"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "-nan"])
+    @pytest.mark.parametrize("args", [["count", "--limit"], ["scan", "--from", "4", "--to"], ["logratio", "--limit"]], ids=" ".join)
+    def test_error_exit_past_the_float_range(self, args, gamma, limit):
+        self.refused([*args, str(limit)], gamma)
 
 
 class TestLargeGamma:

@@ -22,7 +22,7 @@ import dense_reference
 import walk_reference
 import kernsplit.kernel
 import kernsplit.powered
-from dense_reference import log_weighted_mask, membership_mask, subset_check_powers
+from dense_reference import log_weighted_mask, membership_mask, multiplicity_index, subset_check_powers
 from kernsplit.kernel import quality, radical, radical_sieve
 from kernsplit.powered import (
     CountReport,
@@ -32,7 +32,6 @@ from kernsplit.powered import (
     count_log_weighted,
     count_members,
     log_ratio_table,
-    multiplicity_index,
 )
 
 
