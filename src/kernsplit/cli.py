@@ -140,13 +140,11 @@ def cmd_count(theta_text: str | None, gamma: float | None, limit: int):
 
     def run():
         if theta_text is not None:
-            theta = pwd.Theta.parse(theta_text)
-            report = pwd.count_members(limit, theta)
-            params = {"theta": str(theta), "limit": limit}
+            report = pwd.count_members(limit, pwd.Theta.parse(theta_text))
         else:
             report = pwd.count_log_weighted(limit, gamma)
-            params = {"gamma": gamma, "limit": limit}
-        return params, report.to_record(), [], None, True
+        name, value = report.param
+        return {name: value, "limit": limit}, report.to_record(), [], None, True
 
     return run
 
@@ -168,8 +166,8 @@ def cmd_scan(n_lo: int, n_hi: int, gamma: float | None, use_oracle: bool, force:
         elif mode == "oracle":
             report = orc.constructive_vs_oracle(n_lo, n_hi, force=force)
         else:
-            params["gamma"] = gamma
             report = orc.conjecture_probe(n_lo, n_hi, gamma, force=force)
+            params.update([report.param])
         rows, result = report.to_rows(), report.summary_record()
         if mode == "probe":  # failing n are data, not verification failures
             return params, result, rows, chain((r for r in rows if not r["ok"]), [result]), True

@@ -129,13 +129,14 @@ def check_budget(what: str, seconds: float, nbytes: float, *, force: bool | None
 
     ``force`` is None for work that cannot be forced, False for a scan,
     whose message then names --force, and True for a forced scan, refused
-    only when ``nbytes`` exceed the physical memory.
+    only when ``nbytes`` exceed the physical memory.  A NaN that it compares is refused.
     """
+    # written as not (<=): a NaN compares False with every limit, so > would admit it as free
     if force:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        over, budget = nbytes > memory, f"the {memory / 2**30:.3g} GiB of physical memory, forced or not"
+        over, budget = not nbytes <= memory, f"the {memory / 2**30:.3g} GiB of physical memory, forced or not"
     else:
-        over = seconds > WORK_LIMIT_S or nbytes > MEMORY_LIMIT
+        over = not (seconds <= WORK_LIMIT_S and nbytes <= MEMORY_LIMIT)
         budget = f"the budget of {WORK_LIMIT_S:g} s and {MEMORY_LIMIT / 2**30:g} GiB"
     if over:
         hint = "; rerun with --force to proceed" if force is False else ""
@@ -284,14 +285,15 @@ class KernelClass(NamedTuple):
     """A class of m given by a bound on k(m): ``interval(top)(b, k(b))`` is the [lo, hi] of the a with a*b <= top a member.
 
     ``member(m, k(m))`` is the exact test; with ``bulk`` a count adds in bulk the leaves b*p**2 of its walk, whose
-    interval is b's capped at x // (b*p**2); ``visits(x)`` prices a count up to x, 0 with no walk; ``params`` name it.
+    interval is b's capped at x // (b*p**2); ``visits(x)`` prices a count up to x, 0 with no walk; ``param`` is the
+    ``(name, value)`` that its count and probe reports print.
     """
 
     interval: Callable[[int], Callable[[int, int], tuple[int, int]]]
     member: Callable[[int, int], bool]
     bulk: bool
     visits: Callable[[int], float]
-    params: dict
+    param: tuple[str, object]
 
 
 def quality(c: int | Fraction) -> KernelClass:
@@ -301,7 +303,7 @@ def quality(c: int | Fraction) -> KernelClass:
     """
     return KernelClass(
         lambda top: lambda b, k: (2 if b == 1 else 1, min(top // b, c * b // (k * k))),
-        lambda m, k: (m > 1) & (k * k <= c * m), True, lambda x: BULK_VISITS * x**BULK_EXPONENT, {},
+        lambda m, k: (m > 1) & (k * k <= c * m), True, lambda x: BULK_VISITS * x**BULK_EXPONENT, ("quality", c),
     )
 
 

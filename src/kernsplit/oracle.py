@@ -336,18 +336,17 @@ def _report(n_lo: int, n_hi: int, split_m1: list, split_q: list, oracle_m1: list
 class ProbeReport(NamedTuple):
     """Which n in [n_lo, n_hi] split into two log-weighted members.
 
-    A part m qualifies when k(m)**2 <= m * ln(m)**(2*gamma); n is
-    representable when some m1 + m2 = n (m1 <= m2, both >= 2) has both
-    parts qualifying.  ``witness`` holds the smallest qualifying m1 at
-    n - n_lo, or None where none exists; those n are listed in
-    ``failing``.  No
-    cutoff beyond which everything is representable is asserted, only
-    observed.
+    A part m qualifies when k(m)**2 <= m * ln(m)**(2*gamma), the class
+    whose ``(name, value)`` is ``param``; n is representable when some
+    m1 + m2 = n (m1 <= m2, both >= 2) has both parts qualifying.
+    ``witness`` holds the smallest qualifying m1 at n - n_lo, or None
+    where none exists; those n are listed in ``failing``.  No cutoff
+    beyond which everything is representable is asserted, only observed.
     """
 
     n_lo: int
     n_hi: int
-    gamma: float
+    param: tuple[str, object]
     witness: list[int | None]
     failing: tuple[int, ...]
 
@@ -361,10 +360,11 @@ class ProbeReport(NamedTuple):
             yield {"n": n, "ok": m1 is not None, "m1": m1, "m2": None if m1 is None else n - m1}
 
     def summary_record(self) -> dict:
+        name, value = self.param
         return {
             "n_lo": self.n_lo,
             "n_hi": self.n_hi,
-            "gamma": self.gamma,
+            name: value,
             "checked": len(self.witness),
             "satisfied": self.satisfied,
             "failing": list(self.failing),
@@ -379,7 +379,8 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
     """
     from .powered import _log_weighted_class  # only the probe decides the class: the oracle scan skips the import
 
-    members, _ = _admit(n_lo, n_hi, _log_weighted_class(gamma), force)
+    weighted = _log_weighted_class(gamma)
+    members, _ = _admit(n_lo, n_hi, weighted, force)
     none = np.iinfo(np.int64).max
     witness, failing = [], []
     for lo, hi in _blocks(n_lo, n_hi, BLOCK):
@@ -396,4 +397,4 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
             block[i] = None
         witness += block
         failing += (lo + i for i in missed)
-    return ProbeReport(n_lo=n_lo, n_hi=n_hi, gamma=gamma, witness=witness, failing=tuple(failing))
+    return ProbeReport(n_lo, n_hi, weighted.param, witness, tuple(failing))

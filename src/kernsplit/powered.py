@@ -84,23 +84,21 @@ class Theta(NamedTuple("_ThetaFields", [("p", int), ("q", int)])):
 
 
 class CountReport(NamedTuple):
-    """Count of members up to x, with the defining parameter.
+    """Count of members up to x, with ``param``, the ``(name, value)`` of the class counted.
 
-    Exactly one of ``theta`` / ``gamma`` is set.  ``normalized`` is
-    informational only: count / x**theta for rational exponents,
-    count / (sqrt(x) * ln(x)**gamma) for the log-weighted counter, a
-    function of the other fields.
+    ``normalized`` is informational only: count / x**theta for rational
+    exponents, count / (sqrt(x) * ln(x)**gamma) for the log-weighted
+    counter, a function of the other fields.
     """
 
     x: int
     count: int
-    theta: Theta | None = None
-    gamma: float | None = None
-    normalized: float = float("nan")
+    param: tuple[str, object]
+    normalized: float
 
     def to_record(self) -> dict:
-        param = {"theta": str(self.theta)} if self.theta is not None else {"gamma": self.gamma}
-        return {"x": self.x, **param, "count": self.count, "normalized": self.normalized}
+        name, value = self.param
+        return {"x": self.x, name: value, "count": self.count, "normalized": self.normalized}
 
 
 def _log_weighted_member_exact(m: int, k: int, gamma: float) -> bool:
@@ -326,7 +324,7 @@ def _theta_class(theta: Theta) -> KernelClass:
             return quality(1).visits(x)
         return POWERFUL_DENSITY * math.isqrt(x) * (1 + (q * math.log2(x) / _POWER_BITS) ** 1.5) if r else 0
 
-    return KernelClass(interval, lambda m, k: k**q <= m**p, r == p, visits, {"theta": theta})
+    return KernelClass(interval, lambda m, k: k**q <= m**p, r == p, visits, ("theta", str(theta)))
 
 
 def _prefix_end(member, lo: int, hi: int) -> int:
@@ -382,7 +380,7 @@ def _log_weighted_class(gamma: float) -> KernelClass:
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma == 0:
-        return quality(1)._replace(params={"gamma": gamma})
+        return quality(1)._replace(param=("gamma", gamma))
 
     def interval(x: int) -> Callable[[int, int], tuple[int, int]]:
         peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
@@ -412,7 +410,7 @@ def _log_weighted_class(gamma: float) -> KernelClass:
     def visits(x: int) -> float:
         return POWERFUL_DENSITY * (math.isqrt(x) + math.exp(min(gamma, math.log(x) / 2)))  # sqrt(x) + sqrt(e**(2*gamma)), capped at x
 
-    return KernelClass(interval, lambda m, k: m > 1 and _log_weighted_member(m, k, gamma), False, visits, {"gamma": gamma})
+    return KernelClass(interval, lambda m, k: m > 1 and _log_weighted_member(m, k, gamma), False, visits, ("gamma", gamma))
 
 
 def _interval_count(x: int, members: KernelClass, squarefree: _CoprimeSquarefree) -> int:
@@ -471,7 +469,7 @@ def count_members(x: int, theta: Theta) -> CountReport:
     # theta = 1: k(m) <= m for every m, admitted at any x, past the float range too
     count = x if theta.p == theta.q else _interval_count(x, members, _CoprimeSquarefree())
     normalized = 1.0 if theta.p == theta.q else count / x ** (theta.p / theta.q)
-    return CountReport(x=x, count=count, normalized=normalized, **members.params)
+    return CountReport(x, count, members.param, normalized)
 
 
 def count_log_weighted(x: int, gamma: float) -> CountReport:
@@ -488,7 +486,7 @@ def count_log_weighted(x: int, gamma: float) -> CountReport:
     check_budget(f"counting up to x={x}", _count_seconds(x, members) + _TABLE_S, 0)
     scale = _log_weight(x, gamma, math.sqrt(x))  # sqrt(x) is a float below any x the budget admits
     count = _interval_count(x, members, _CoprimeSquarefree())
-    return CountReport(x=x, count=count, normalized=count / scale, **members.params)
+    return CountReport(x, count, members.param, count / scale)
 
 
 def log_ratio_table(xs: Iterable[int], gamma: float) -> list[dict]:

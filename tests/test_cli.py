@@ -638,6 +638,15 @@ GOLDEN = [
             '100,1/2,17,1.7\r\n'
         ),
     ),
+    # a theta not in lowest terms prints as its class names it, in params and result alike
+    ('count --theta 2/4 --limit 100', 0, 'x=100 theta=1/2 count=17 normalized=1.7\n'),
+    (
+        'count --theta 2/4 --limit 100 --json',
+        0,
+        (
+            '{"command": "count", "params": {"theta": "1/2", "limit": 100}, "result": {"x": 100, "theta": "1/2", "count": 17, "normalized": 1.7}, "elapsed_ms": 0}\n'
+        ),
+    ),
     ('count --gamma 0 --limit 100', 0, 'x=100 gamma=0 count=16 normalized=1.6\n'),
     (
         'count --gamma 0 --limit 100 --json',
@@ -759,6 +768,32 @@ GOLDEN = [
             '12,True,4,8\r\n'
             '13,True,4,9\r\n'
             '14,False,,\r\n'
+        ),
+    ),
+    # a signed zero gamma keeps its sign in params and result alike
+    (
+        'scan --from 8 --to 14 --gamma -0.0',
+        0,
+        (
+            'n=9 ok=false m1=- m2=-\n'
+            'n=10 ok=false m1=- m2=-\n'
+            'n=11 ok=false m1=- m2=-\n'
+            'n=14 ok=false m1=- m2=-\n'
+            'n_lo=8 n_hi=14 gamma=-0 checked=7 satisfied=3 failing=[9, 10, 11, 14]\n'
+        ),
+    ),
+    (
+        'scan --from 8 --to 14 --gamma -0.0 --json',
+        0,
+        (
+            '{"n": 8, "ok": true, "m1": 4, "m2": 4}\n'
+            '{"n": 9, "ok": false, "m1": null, "m2": null}\n'
+            '{"n": 10, "ok": false, "m1": null, "m2": null}\n'
+            '{"n": 11, "ok": false, "m1": null, "m2": null}\n'
+            '{"n": 12, "ok": true, "m1": 4, "m2": 8}\n'
+            '{"n": 13, "ok": true, "m1": 4, "m2": 9}\n'
+            '{"n": 14, "ok": false, "m1": null, "m2": null}\n'
+            '{"command": "scan", "params": {"from": 8, "to": 14, "mode": "probe", "gamma": -0.0}, "result": {"n_lo": 8, "n_hi": 14, "gamma": -0.0, "checked": 7, "satisfied": 3, "failing": [9, 10, 11, 14]}, "elapsed_ms": 0}\n'
         ),
     ),
     (

@@ -17,6 +17,7 @@ import kernsplit.kernel
 from kernsplit.kernel import (
     FACTOR_LIMIT,
     POWERFUL_DENSITY,
+    check_budget,
     factorize,
     flat_ranges,
     kernel_bounded,
@@ -221,6 +222,17 @@ def test_sieve_rejects_bad_limits(monkeypatch):
     radical_sieve(1000)  # the budget is read at call time, and inclusive
     with pytest.raises(ValueError, match="sieving up to x=1001"):
         radical_sieve(1001)
+
+
+@pytest.mark.parametrize(
+    ("seconds", "nbytes", "force"),
+    [(math.nan, 0, None), (0, math.nan, None), (0, math.nan, True)],
+    ids=["nan-seconds", "nan-bytes", "nan-bytes-forced"],
+)
+def test_budget_refuses_a_nan_price(seconds, nbytes, force):
+    # a NaN compares False with every limit: a price that is not a number is refused, not admitted as free
+    with pytest.raises(ValueError, match="~nan"):
+        check_budget("w", seconds, nbytes, force=force)
 
 
 def test_table_bounds_checked():

@@ -33,6 +33,7 @@ from kernsplit.powered import (
     count_members,
     log_ratio_table,
 )
+from kernsplit.oracle import conjecture_probe
 
 
 def theta_member(m: int, theta: Theta) -> bool:
@@ -519,7 +520,7 @@ def test_class_interval_is_the_scan_of_its_members(kind_class_x):
         k = radical(b)
         scanned = [a for a in range(1, x // b + 1) if members.member(a * b, a * k)]
         first, end = interval(b, k)
-        assert scanned == list(range(first, end + 1)), (kind, members.params, b, x)
+        assert scanned == list(range(first, end + 1)), (kind, members.param, b, x)
 
 
 WALK_MAX = 1 << 20
@@ -811,7 +812,7 @@ class TestCountReport:
     def test_normalized_follows_from_the_fields(self):
         # normalized is count / x**theta, or count / (sqrt(x) * ln(x)**gamma): equal counts give equal reports
         a = count_members(100, Theta(1, 2))
-        assert a == CountReport(x=100, count=17, theta=Theta(1, 2), normalized=1.7)
+        assert a == CountReport(x=100, count=17, param=("theta", "1/2"), normalized=1.7)
         assert a == count_members(100, Theta(1, 2)) and hash(a) == hash(count_members(100, Theta(1, 2)))
         g = count_log_weighted(100, 2.5)
         assert g.normalized == g.count / (10 * math.log(100) ** 2.5)
@@ -823,3 +824,20 @@ class TestCountReport:
         assert a.to_record() == {"x": 100, "theta": "1/2", "count": 17, "normalized": a.normalized}
         g = count_log_weighted(100, 2.5)
         assert g.to_record() == {"x": 100, "gamma": 2.5, "count": g.count, "normalized": g.normalized}
+
+    @pytest.mark.parametrize(
+        ("run", "param", "keys"),
+        [
+            (partial(count_members, 100, Theta(2, 4)), ("theta", "1/2"), ["x", "theta", "count", "normalized"]),
+            (partial(count_log_weighted, 100, -0.0), ("gamma", -0.0), ["x", "gamma", "count", "normalized"]),
+            (partial(conjecture_probe, 8, 14, 0.5), ("gamma", 0.5), ["n_lo", "n_hi", "gamma", "checked", "satisfied", "failing"]),
+        ],
+        ids=["count-theta=2/4", "count-gamma=-0.0", "probe-gamma=0.5"],
+    )
+    def test_reports_print_the_class_param(self, run, param, keys):
+        # a report's param is its class's (name, value), as built: theta in lowest terms as text, the sign of a
+        # zero gamma kept (repr tells -0.0 from 0.0), and its record prints that pair in the parameter's place
+        report = run()
+        record = report.to_record() if isinstance(report, CountReport) else report.summary_record()
+        assert repr(report.param) == repr(param)
+        assert list(record) == keys and repr(record[param[0]]) == repr(param[1])
