@@ -17,20 +17,24 @@ returns, ``(params, result, rows, human, ok)``, under one contract:
   The ``scan --gamma`` probe shows only its failing rows before the
   result, and ``logratio`` shows its rows with no result line.
 
-Rows are read once, as they print: a scan builds each row only then.
-Every form is formatted and written in blocks of 4096 records, one
-write each, and CSV lines end in CR LF (``\\r\\n``), as the ``csv``
-module writes them.
+Rows come as a table of columns, ``(key, kind, column)`` per key, with
+no record per row: a form's line for a row is one ``%`` template over
+the columns, each column's values first converted to the text of its
+kind in that form (``_CONVERTERS``).  A scan's columns are
+read once, as they print.  The result, and the JSON envelope, is one
+record, printed by ``_human``, ``json.dumps`` or ``csv.writer``.
+Every form is written in blocks of 4096 records, one write each, and
+CSV lines end in CR LF (``\\r\\n``), as the ``csv`` module writes them.
 
 A ``ValueError`` raised by the library becomes one ``error:`` line on
 stderr and exit status 1, a usage error exits 2, and output cut short
 by a closed pipe exits 1 with nothing on stderr.  Otherwise the exit
 status is 0 exactly when the command succeeded and, where verification
-was requested or implied, verification passed.
+was requested or implied, verification passed.  ``main``, the process
+entry, ends the process with that status once its output is flushed.
 """
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -38,7 +42,8 @@ import re
 import sys
 import time
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat, tee
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
@@ -60,40 +65,85 @@ def _human(v) -> str:
     return str(v)
 
 
-# records formatted and written per write; one write per record costs
+def _none_as(text: str):
+    """The converter that puts ``text`` for each None of a column and leaves every other value to the template."""
+    return lambda column: map({None: text}.get, *tee(column))
+
+
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields: quoted, its quotes doubled, when it holds a comma, quote or line break."""
+    return text if _CSV_SPECIAL.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+_BOOL_WORDS = partial(map, ("false", "true").__getitem__)
+
+# per form, the converter of a row column of each kind, mapped over the column before the
+# template's ``%s`` formats each value (None: the column as it is).  A kind's text is what
+# _human, json.dumps and csv.writer give its values: csv writes True/False, and None as an
+# empty field.  Floats are finite, and a str column is text such as a quality or a reason.
+_CONVERTERS = {
+    "human": {int: None, bool: _BOOL_WORDS, int | None: _none_as("-"), float: lambda column: map(format, column, repeat(".6g")), str: None},
+    "json": {int: None, bool: _BOOL_WORDS, int | None: _none_as("null"), float: None, str: partial(map, encode_basestring_ascii)},
+    "csv": {int: None, bool: None, int | None: _none_as(""), float: None, str: partial(map, _csv_field)},
+}
+
+
+def _lines(table, form: str):
+    """The lines of a table's rows in ``form``, lazily: one ``%``-template over its columns, ``(key, kind, column)`` per key."""
+    keys = [key for key, _, _ in table]
+    if form == "human":
+        template = " ".join(f"{key}=%s" for key in keys) + "\n"
+    elif form == "json":
+        template = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in keys) + "}\n"
+    else:
+        template = ",".join(["%s"] * len(keys)) + "\r\n"
+    converters = _CONVERTERS[form]
+    columns = (column if converters[kind] is None else converters[kind](column) for _, kind, column in table)
+    return map(template.__mod__, zip(*columns))
+
+
+# lines formatted and written per write; one write per line costs
 # about as much as formatting it
 _ECHO_BLOCK = 4096
 
 
-def _echo_lines(records, line) -> None:
-    """Write ``line(rec)``, a line with its end, for each of the iterable records, ``_ECHO_BLOCK`` records per write.
-
-    Each record is formatted as it is read, so a block holds its lines, not its records.
-    """
-    records = iter(records)
-    while text := "".join(map(line, islice(records, _ECHO_BLOCK))):
+def _echo_lines(lines) -> None:
+    """Write the iterable's lines, each with its end, ``_ECHO_BLOCK`` per write; a line is formatted as it is read."""
+    lines = iter(lines)
+    while text := "".join(islice(lines, _ECHO_BLOCK)):
         sys.stdout.write(text)
 
 
 def _emit(command: str, params: dict, result: dict, rows, human, elapsed_ms: float, as_json: bool, as_csv: bool) -> None:
-    """Print a command's records per the module contract; one of the iterables ``rows`` and ``human`` is read, once, and ``human`` None means the rows then the result."""
+    """Print a command's records per the module contract.
+
+    ``rows`` is the command's table (``()`` for none), and ``human`` None
+    means the human form is the rows then the result; otherwise it is
+    ``(table, record)``, the record None for none.  Of the two tables,
+    only the one printed is read, once.
+    """
     if as_json:
         envelope = {"command": command, "params": params, "result": result, "elapsed_ms": elapsed_ms}
-        _echo_lines(chain(rows, [envelope]), lambda rec: json.dumps(rec) + "\n")
+        _echo_lines(chain(_lines(rows, "json"), [json.dumps(envelope) + "\n"]))
     elif as_csv:
         import csv
 
-        records = iter(rows)
-        first = next(records, None)
-        if first is None:  # no rows: the human record
-            records = iter([result] if human is None else human)
-            first = next(records)
         # writerow returns what its file's write returns: with write=str, the formatted line and its \r\n
         line = csv.writer(SimpleNamespace(write=str)).writerow
-        _echo_lines(chain([first.keys()], (rec.values() for rec in chain([first], records))), line)
+        lines = _lines(rows, "csv")
+        first = next(lines, None)
+        if first is None:  # no rows: the human record
+            record = result if human is None else human[1]
+            _echo_lines([line(record.keys()), line(record.values())])
+        else:
+            _echo_lines(chain([line(key for key, _, _ in rows), first], lines))
     else:
-        human = chain(rows, [result]) if human is None else human
-        _echo_lines(human, lambda rec: " ".join(f"{k}={_human(v)}" for k, v in rec.items()) + "\n")
+        table, record = (rows, result) if human is None else human
+        tail = [] if record is None else [" ".join(f"{k}={_human(v)}" for k, v in record.items()) + "\n"]
+        _echo_lines(chain(_lines(table, "human"), tail))
 
 
 # Each command loads its library modules and checks its options, then
@@ -110,7 +160,7 @@ def cmd_radical(m: int):
         factor_text = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors) or "1"
         result = {"m": m, "radical": fac.radical(), "factors": [[p, e] for p, e in fac.factors]}
         flat = {"m": m, "radical": fac.radical(), "factorization": factor_text}
-        return {"m": m}, result, [], [flat], True
+        return {"m": m}, result, (), ((), flat), True
 
     return run
 
@@ -127,7 +177,7 @@ def cmd_decompose(n: int, verify_mode: str | None):
         elif verify_mode is not None:
             verified = dec.verify_exact(d)
         result = d.to_record() | {"verified": verified}
-        return {"n": n, "verify": verify_mode}, result, [], None, verify_mode is None or verified
+        return {"n": n, "verify": verify_mode}, result, (), None, verify_mode is None or verified
 
     return run
 
@@ -144,7 +194,7 @@ def cmd_count(theta_text: str | None, gamma: float | None, limit: int):
         else:
             report = pwd.count_log_weighted(limit, gamma)
         name, value = report.param
-        return {name: value, "limit": limit}, report.to_record(), [], None, True
+        return {name: value, "limit": limit}, report.to_record(), (), None, True
 
     return run
 
@@ -168,9 +218,9 @@ def cmd_scan(n_lo: int, n_hi: int, gamma: float | None, use_oracle: bool, force:
         else:
             report = orc.conjecture_probe(n_lo, n_hi, gamma, force=force)
             params.update([report.param])
-        rows, result = report.to_rows(), report.summary_record()
+        rows, result = report.columns(), report.summary_record()
         if mode == "probe":  # failing n are data, not verification failures
-            return params, result, rows, chain((r for r in rows if not r["ok"]), [result]), True
+            return params, result, rows, (report.failing_columns(), result), True
         return params, result, rows, None, not report.violations
 
     return run
@@ -216,7 +266,9 @@ def cmd_logratio(limit: int, gamma: float, points: int):
     def run():
         rows = pwd.log_ratio_table(_grid(limit, points), gamma)
         result = {"limit": limit, "gamma": gamma, "points": len(rows)}
-        return {"limit": limit, "gamma": gamma}, result, rows, rows, True
+        kinds = {"x": int, "weighted_count": int, "half_count": int, "ratio": float}
+        table = tuple((key, kind, [row[key] for row in rows]) for key, kind in kinds.items())
+        return {"limit": limit, "gamma": gamma}, result, table, (table, None), True
 
     return run
 
@@ -306,9 +358,17 @@ def main():
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         cli.main(prog_name=cli.name)
-    finally:
-        # everything made so far lives until exit: spare the collections at shutdown from traversing it
-        gc.freeze()
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        # with its output flushed, the process ends at once: the interpreter's teardown would only
+        # free what the process made.  A flush that raises leaves the exit to the interpreter.
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            raise exc from None
+        os._exit(exc.code or 0)
 
 
 if __name__ == "__main__":

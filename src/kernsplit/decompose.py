@@ -40,7 +40,6 @@ parts of a whole range from the same per-block w.  ``split`` and
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from itertools import chain
 from operator import sub
 from typing import NamedTuple
@@ -268,8 +267,9 @@ class RangeScanReport(NamedTuple):
     checked: int
     violations: tuple[tuple[int, str], ...]
 
-    def to_rows(self) -> Iterator[dict]:
-        return ({"n": n, "reason": reason} for n, reason in self.violations)
+    def columns(self) -> tuple:
+        """The rows, one per violation, as ``(key, kind, column)`` per key."""
+        return ("n", int, [n for n, _ in self.violations]), ("reason", str, [reason for _, reason in self.violations])
 
     def summary_record(self) -> dict:
         return self._asdict() | {"violations": len(self.violations)}

@@ -53,8 +53,8 @@ physical memory, before the step that would hold them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
+from operator import is_not, le, not_, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -63,7 +63,7 @@ from .kernel import BLOCK, PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYT
 from .kernel import KernelClass, _blocks, check_budget, flat_ranges, kernel_bounded, quality, radical
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from fractions import Fraction
 
 __all__ = [
     "ComparisonReport",
@@ -102,6 +102,18 @@ def _text(quality: tuple[int, int]) -> str:
     q, m = quality
     g = math.gcd(q, m)
     return str(q // g) if m == g else f"{q // g}/{m // g}"
+
+
+class _Texts(dict):
+    """``_text`` of each quality looked up in it, each computed the first time it is met.
+
+    A scan's qualities repeat: over [4, 1e6] its columns hold 4,201 and
+    6,501 distinct pairs, the worse parts of the splits and optima.
+    """
+
+    def __missing__(self, quality: tuple[int, int]) -> str:
+        self[quality] = text = _text(quality)
+        return text
 
 
 def _pair_ranges(parts: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,6 +165,8 @@ def _admit(n_lo: int, n_hi: int, members: KernelClass, force: bool) -> tuple[np.
 
 def _best_pair(m1: list, k1: list, m2: list, k2: list) -> tuple[int, int, int, int]:
     """``(m1, k1, m2, k2)`` of the exactly best pair, the first on ties; m1 ascending."""
+    from fractions import Fraction  # only the oracle ranks exactly: the probe skips the import
+
     i = min(range(len(m1)), key=lambda i: Fraction(*_worse(m1[i], k1[i], m2[i], k2[i])))
     return m1[i], k1[i], m2[i], k2[i]
 
@@ -248,22 +262,20 @@ class ComparisonReport(NamedTuple):
     max_oracle_quality: Fraction
     mean_oracle_quality: float
 
-    def to_rows(self) -> Iterator[dict]:
-        """One record per n, each built as it is read."""
-        bad = set(self.violations)
-        columns = self.split_m1, self.split_quality, self.oracle_m1, self.oracle_quality
-        for n, sm, sq, om, oq in zip(count(self.n_lo), *columns):
-            yield {
-                "n": n,
-                "split_m1": sm,
-                "split_m2": n - sm,
-                "split_quality": _text(sq),
-                "split_fallback": n <= 6,  # split has no witness below 7
-                "oracle_m1": om,
-                "oracle_m2": n - om,
-                "oracle_quality": _text(oq),
-                "ok": n not in bad,
-            }
+    def columns(self) -> tuple:
+        """The rows, one per n, as ``(key, kind, column)`` per key; each column is read once, as it prints."""
+        ns, bad, texts = range(self.n_lo, self.n_hi + 1), set(self.violations), _Texts()
+        return (
+            ("n", int, ns),
+            ("split_m1", int, self.split_m1),
+            ("split_m2", int, map(sub, ns, self.split_m1)),
+            ("split_quality", str, map(texts.__getitem__, self.split_quality)),
+            ("split_fallback", bool, map(le, ns, repeat(6))),  # split has no witness below 7
+            ("oracle_m1", int, self.oracle_m1),
+            ("oracle_m2", int, map(sub, ns, self.oracle_m1)),
+            ("oracle_quality", str, map(texts.__getitem__, self.oracle_quality)),
+            ("ok", bool, map(not_, map(bad.__contains__, ns))),
+        )
 
     def summary_record(self) -> dict:
         return {
@@ -317,6 +329,8 @@ def _report(n_lo: int, n_hi: int, split_m1: list, split_q: list, oracle_m1: list
     add the floats left to right (``np.cumsum``), as a loop over n does.
     Violations, an oracle quality above the split's, are decided in ints.
     """
+    from fractions import Fraction
+
     split_f, oracle_f = (np.fromiter((q / m for q, m in qs), np.float64, len(qs)) for qs in (split_q, oracle_q))
     return ComparisonReport(
         n_lo=n_lo,
@@ -354,10 +368,13 @@ class ProbeReport(NamedTuple):
     def satisfied(self) -> int:
         return len(self.witness) - len(self.failing)
 
-    def to_rows(self) -> Iterator[dict]:
-        """One record per n, each built as it is read."""
-        for n, m1 in zip(count(self.n_lo), self.witness):
-            yield {"n": n, "ok": m1 is not None, "m1": m1, "m2": None if m1 is None else n - m1}
+    def columns(self) -> tuple:
+        """The rows, one per n, as ``(key, kind, column)`` per key; each column is read once, as it prints."""
+        return _probe_columns(range(self.n_lo, self.n_hi + 1), self.witness)
+
+    def failing_columns(self) -> tuple:
+        """The rows of the failing n alone, as ``columns`` gives them."""
+        return _probe_columns(self.failing, [None] * len(self.failing))
 
     def summary_record(self) -> dict:
         name, value = self.param
@@ -369,6 +386,16 @@ class ProbeReport(NamedTuple):
             "satisfied": self.satisfied,
             "failing": list(self.failing),
         }
+
+
+def _probe_columns(ns, witness: list) -> tuple:
+    """The probe's table over ns, with the smallest qualifying m1 of each n in witness (None for none)."""
+    return (
+        ("n", int, ns),
+        ("ok", bool, map(is_not, witness, repeat(None))),
+        ("m1", int | None, witness),
+        ("m2", int | None, (None if m1 is None else n - m1 for n, m1 in zip(ns, witness))),
+    )
 
 
 def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False) -> ProbeReport:

@@ -1,22 +1,30 @@
 """Command-line interface tests via click's test runner."""
 
 import contextlib
+import csv
 import io
 import json
+import os
 import re
+import sys
 from fractions import Fraction
+from itertools import count
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import kernsplit.cli
 import kernsplit.decompose
 import kernsplit.kernel
 import kernsplit.oracle
 import kernsplit.powered
-from kernsplit.cli import _ECHO_BLOCK, _grid, cli
-from kernsplit.decompose import split
+from kernsplit.cli import _ECHO_BLOCK, _grid, _human, cli
+from kernsplit.decompose import RangeScanReport, split
 from kernsplit.kernel import radical_sieve
+from kernsplit.oracle import ComparisonReport, ProbeReport
 from kernsplit.powered import Theta, count_members
 
 runner = CliRunner()
@@ -355,7 +363,7 @@ class TestScan:
         assert seen == [True] and gc.isenabled()
         assert runner.invoke(cli, ["scan", "--from", "10", "--to", "4"]).exit_code == 1
         assert gc.isenabled()
-        assert gc.get_freeze_count() == 0  # only main freezes, at the end of its process
+        assert gc.get_freeze_count() == 0
 
     def test_oracle_csv_header(self):
         result = runner.invoke(
@@ -717,6 +725,43 @@ GOLDEN = [
             '8,2,6,6,False,4,4,1,True\r\n'
         ),
     ),
+    # n = 24's optimum 8 + 16 has quality 1/2: a quality that prints as a fraction
+    (
+        'scan --from 20 --to 24 --oracle',
+        0,
+        (
+            'n=20 split_m1=14 split_m2=6 split_quality=14 split_fallback=false oracle_m1=4 oracle_m2=16 oracle_quality=1 ok=true\n'
+            'n=21 split_m1=12 split_m2=9 split_quality=3 split_fallback=false oracle_m1=3 oracle_m2=18 oracle_quality=3 ok=true\n'
+            'n=22 split_m1=16 split_m2=6 split_quality=6 split_fallback=false oracle_m1=4 oracle_m2=18 oracle_quality=2 ok=true\n'
+            'n=23 split_m1=20 split_m2=3 split_quality=5 split_fallback=false oracle_m1=3 oracle_m2=20 oracle_quality=5 ok=true\n'
+            'n=24 split_m1=12 split_m2=12 split_quality=3 split_fallback=false oracle_m1=8 oracle_m2=16 oracle_quality=1/2 ok=true\n'
+            'n_lo=20 n_hi=24 checked=5 violations=0 max_split_quality=14 mean_split_quality=6.2 max_oracle_quality=5 mean_oracle_quality=2.3\n'
+        ),
+    ),
+    (
+        'scan --from 20 --to 24 --oracle --json',
+        0,
+        (
+            '{"n": 20, "split_m1": 14, "split_m2": 6, "split_quality": "14", "split_fallback": false, "oracle_m1": 4, "oracle_m2": 16, "oracle_quality": "1", "ok": true}\n'
+            '{"n": 21, "split_m1": 12, "split_m2": 9, "split_quality": "3", "split_fallback": false, "oracle_m1": 3, "oracle_m2": 18, "oracle_quality": "3", "ok": true}\n'
+            '{"n": 22, "split_m1": 16, "split_m2": 6, "split_quality": "6", "split_fallback": false, "oracle_m1": 4, "oracle_m2": 18, "oracle_quality": "2", "ok": true}\n'
+            '{"n": 23, "split_m1": 20, "split_m2": 3, "split_quality": "5", "split_fallback": false, "oracle_m1": 3, "oracle_m2": 20, "oracle_quality": "5", "ok": true}\n'
+            '{"n": 24, "split_m1": 12, "split_m2": 12, "split_quality": "3", "split_fallback": false, "oracle_m1": 8, "oracle_m2": 16, "oracle_quality": "1/2", "ok": true}\n'
+            '{"command": "scan", "params": {"from": 20, "to": 24, "mode": "oracle"}, "result": {"n_lo": 20, "n_hi": 24, "checked": 5, "violations": 0, "max_split_quality": "14", "mean_split_quality": 6.2, "max_oracle_quality": "5", "mean_oracle_quality": 2.3}, "elapsed_ms": 0}\n'
+        ),
+    ),
+    (
+        'scan --from 20 --to 24 --oracle --csv',
+        0,
+        (
+            'n,split_m1,split_m2,split_quality,split_fallback,oracle_m1,oracle_m2,oracle_quality,ok\r\n'
+            '20,14,6,14,False,4,16,1,True\r\n'
+            '21,12,9,3,False,3,18,3,True\r\n'
+            '22,16,6,6,False,4,18,2,True\r\n'
+            '23,20,3,5,False,3,20,5,True\r\n'
+            '24,12,12,3,False,8,16,1/2,True\r\n'
+        ),
+    ),
     (
         'scan --from 4 --to 2000000 --oracle',
         1,
@@ -1033,12 +1078,20 @@ class TestGoldenOutput:
         assert (result.exit_code, masked) == (exit_code, output)
 
 
+# scans of three blocks: the rows then the result: 2 * _ECHO_BLOCK + 98 records
+ORACLE_BLOCKS = ["scan", "--from", "4", "--to", str(2 * _ECHO_BLOCK + 100), "--oracle"]
+PROBE_BLOCKS = ["scan", "--from", "4", "--to", str(2 * _ECHO_BLOCK + 100), "--gamma", "0"]
+
+
 class TestEchoBlocks:
     """Every form is formatted and written ``_ECHO_BLOCK`` records per ``sys.stdout.write`` call."""
 
-    @pytest.mark.parametrize("form", [[], ["--json"], ["--csv"]], ids=["human", "json", "csv"])
-    def test_blocks_join_to_the_output(self, form):
-        args = ["scan", "--from", "4", "--to", str(2 * _ECHO_BLOCK + 100), "--oracle", *form]
+    @pytest.mark.parametrize(
+        "args",
+        [ORACLE_BLOCKS, [*ORACLE_BLOCKS, "--json"], [*ORACLE_BLOCKS, "--csv"], [*PROBE_BLOCKS, "--json"]],
+        ids=["human", "json", "csv", "probe json"],
+    )
+    def test_blocks_join_to_the_output(self, args):
         whole = runner.invoke(cli, args).stdout_bytes
         writes = []
 
@@ -1053,3 +1106,141 @@ class TestEchoBlocks:
         assert all(text.count("\n") <= _ECHO_BLOCK for text in writes)
         written, whole = (re.sub(rb'"elapsed_ms": [0-9.e+-]+', b"", out) for out in ("".join(writes).encode(), whole))
         assert written == whole
+
+
+# The dict path the templates replaced, kept as their reference: a dict per row, with the quality
+# as str(Fraction), printed by json.dumps, k=v with _human, or csv.writer over its keys and values.
+def reference_rows(report) -> list[dict]:
+    if isinstance(report, ComparisonReport):
+        bad = set(report.violations)
+        columns = report.split_m1, report.split_quality, report.oracle_m1, report.oracle_quality
+        return [
+            {
+                "n": n,
+                "split_m1": sm,
+                "split_m2": n - sm,
+                "split_quality": str(Fraction(*sq)),
+                "split_fallback": n <= 6,
+                "oracle_m1": om,
+                "oracle_m2": n - om,
+                "oracle_quality": str(Fraction(*oq)),
+                "ok": n not in bad,
+            }
+            for n, sm, sq, om, oq in zip(count(report.n_lo), *columns)
+        ]
+    if isinstance(report, ProbeReport):
+        return [{"n": n, "ok": m1 is not None, "m1": m1, "m2": None if m1 is None else n - m1} for n, m1 in zip(count(report.n_lo), report.witness)]
+    return [{"n": n, "reason": reason} for n, reason in report.violations]
+
+
+def reference_output(form: str, envelope: dict, rows: list[dict], human: list[dict]) -> str:
+    """What the dict path prints in ``form``: ``human`` is the records of the human form, its last the CSV record of no rows."""
+    if form == "--json":
+        return "".join(json.dumps(record) + "\n" for record in [*rows, envelope])
+    if form == "--csv":
+        line = csv.writer(SimpleNamespace(write=str)).writerow
+        records = rows or human[-1:]
+        return "".join(map(line, [records[0].keys(), *(record.values() for record in records)]))
+    return "".join(" ".join(f"{k}={_human(v)}" for k, v in record.items()) + "\n" for record in human)
+
+
+def assert_forms_match(args: list[str], envelope: dict, rows: list[dict], human: list[dict]) -> None:
+    for form in ("", "--json", "--csv"):
+        result = runner.invoke(cli, [*args, form] if form else args)
+        written = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', getattr(result, "output_bytes", result.stdout_bytes).decode())
+        assert written == reference_output(form, envelope, rows, human), form
+
+
+def scan_envelope(params: dict, result: dict) -> dict:
+    return {"command": "scan", "params": params, "result": result, "elapsed_ms": 0}
+
+
+# windows that start at n <= 6, where the split falls back, or anywhere below the bound
+def windows(top: int, width: int):
+    return st.tuples(st.one_of(st.integers(4, 6), st.integers(4, top)), st.integers(0, width)).map(lambda w: (w[0], min(w[0] + w[1], top)))
+
+
+class TestTemplatesMatchTheDictPath:
+    """Each form's bytes, from the templates over a report's columns, equal the dict reference's."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(windows(3000, 300))
+    @example((4, 30))
+    def test_oracle(self, window):
+        lo, hi = window
+        report = kernsplit.oracle.constructive_vs_oracle(lo, hi)
+        rows, result = reference_rows(report), report.summary_record()
+        envelope = scan_envelope({"from": lo, "to": hi, "mode": "oracle"}, result)
+        assert_forms_match(["scan", "--from", str(lo), "--to", str(hi), "--oracle"], envelope, rows, [*rows, result])
+
+    @settings(max_examples=30, deadline=None)
+    @given(windows(19_999, 1000), st.sampled_from([-0.5, 0.0, 0.5, 10.0]))
+    @example((4, 60), 0.0)
+    @example((4, 20), 10.0)
+    def test_probe(self, window, gamma):
+        lo, hi = window
+        report = kernsplit.oracle.conjecture_probe(lo, hi, gamma)
+        rows, result = reference_rows(report), report.summary_record()
+        envelope = scan_envelope({"from": lo, "to": hi, "mode": "probe", "gamma": gamma}, result)
+        failing = [row for row in rows if not row["ok"]]
+        assert_forms_match(["scan", "--from", str(lo), "--to", str(hi), "--gamma", str(gamma)], envelope, rows, [*failing, result])
+
+    @settings(max_examples=30, deadline=None)
+    @given(windows(10**6, 10**5), st.lists(st.text(st.characters(blacklist_categories=["Cs"]))))
+    @example((15, 20), ["part1_kernel_bound", "part2_kernel_bound"])
+    @example((4, 10), ['a "quoted", two-line\nreason', "", "é"])
+    def test_verify(self, window, reasons):
+        # any text as reasons: the rows' str column is quoted and escaped as json.dumps and csv.writer do
+        lo, hi = window
+        report = RangeScanReport(lo, hi, hi - lo + 1, tuple(zip(range(lo, hi + 1), reasons)))
+        rows, result = reference_rows(report), report.summary_record()
+        envelope = scan_envelope({"from": lo, "to": hi, "mode": "verify"}, result)
+        with mock.patch.object(kernsplit.decompose, "verify_range", lambda lo, hi: report):
+            assert_forms_match(["scan", "--from", str(lo), "--to", str(hi)], envelope, rows, [*rows, result])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(10, 10**5), st.integers(1, 8), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5]))
+    @example(100, 2, 1.0)
+    def test_logratio(self, limit, points, gamma):
+        rows = kernsplit.powered.log_ratio_table(_grid(limit, points), gamma)
+        params = {"limit": limit, "gamma": gamma}
+        envelope = {"command": "logratio", "params": params, "result": {**params, "points": len(rows)}, "elapsed_ms": 0}
+        args = ["logratio", "--limit", str(limit), "--points", str(points), "--gamma", str(gamma)]
+        assert_forms_match(args, envelope, rows, rows)
+
+
+class TestMain:
+    """``main``, the process entry, ends the process itself only after an int status and a clean flush."""
+
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        statuses = []
+
+        def recording(status):
+            statuses.append(status)
+            raise KeyboardInterrupt  # stands in for the end of the process
+
+        monkeypatch.setattr(os, "_exit", recording)
+        return statuses
+
+    @pytest.mark.parametrize("code", [0, 1, 2, None, True])
+    def test_int_status_ends_the_process(self, monkeypatch, exits, code):
+        monkeypatch.setattr(kernsplit.cli.cli, "main", mock.Mock(side_effect=SystemExit(code)))
+        with pytest.raises(KeyboardInterrupt):
+            kernsplit.cli.main()
+        assert exits == [code or 0]
+
+    @pytest.mark.parametrize("raised", [SystemExit("message"), RuntimeError("uncaught")], ids=["text status", "exception"])
+    def test_other_exits_take_the_usual_path(self, monkeypatch, exits, raised):
+        monkeypatch.setattr(kernsplit.cli.cli, "main", mock.Mock(side_effect=raised))
+        with pytest.raises(type(raised)) as caught:
+            kernsplit.cli.main()
+        assert caught.value is raised and exits == []
+
+    def test_failed_flush_takes_the_usual_path(self, monkeypatch, exits):
+        monkeypatch.setattr(kernsplit.cli.cli, "main", mock.Mock(side_effect=SystemExit(0)))
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(flush=mock.Mock(side_effect=BrokenPipeError)))
+        with pytest.raises(SystemExit) as caught:
+            kernsplit.cli.main()
+        assert caught.value.code == 0 and exits == []

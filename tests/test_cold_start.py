@@ -7,6 +7,7 @@ has long since imported everything.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,7 +114,7 @@ def test_oracle_scan_loads_no_powered():
 def test_gamma_zero_probe_decides_in_integers():
     loaded = modules_after("scan", "--from", "4", "--to", "20000", "--gamma", "0")
     assert "numpy" in loaded and "mpmath" not in loaded
-    assert "kernsplit.decompose" not in loaded  # the probe splits no n
+    assert not {"kernsplit.decompose", "fractions"} & loaded  # the probe splits no n and ranks no pair exactly
 
 
 def test_near_tie_is_decided_with_decimal():
@@ -182,31 +183,49 @@ class TestEntryPoint:
         proc = python("-m", "kernsplit.cli", "radical", "360", "--json", "--csv")
         assert proc.returncode == 2 and "mutually exclusive" in proc.stderr
 
-    def test_main_freezes_what_it_made(self):
-        # main, unlike an in-process ``cli`` call, leaves the collector frozen for the exit
+    @pytest.mark.parametrize(
+        ("args", "status"),
+        [
+            (["scan", "--from", "4", "--to", "100000", "--gamma", "0", "--json"], 0),
+            (["scan", "--from", "4", "--to", "3000", "--oracle", "--csv"], 0),
+            (["radical", "0"], 1),
+            (["radical", "360", "--json", "--csv"], 2),
+        ],
+        ids=["probe json", "oracle csv", "error", "usage"],
+    )
+    def test_main_exits_once_its_output_is_flushed(self, args, status):
+        # main ends the process itself, after the flush: output in full, the command's status, and no atexit
+        # handler, which the interpreter's own exit would run
         code = """
-import gc, sys
+import atexit, sys
 from kernsplit.cli import main
-try:
-    main()
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-print(gc.get_freeze_count())
+atexit.register(print, "atexit ran", file=sys.stderr)
+main()
 """
-        assert int(fresh(code, "radical", "360").splitlines()[-1]) > 0
+        # the in-process entry, whose SystemExit the interpreter's exit handles
+        usual = "import sys; from kernsplit.cli import cli; cli.main(sys.argv[1:], prog_name='kernsplit')"
+        proc, ref = python("-c", code, *args), python("-c", usual, *args)
+        assert proc.returncode == ref.returncode == status
+        assert "atexit ran" not in proc.stderr and proc.stderr == ref.stderr
+        masked = [re.sub(r'"elapsed_ms": [0-9.e+-]+', "", p.stdout) for p in (proc, ref)]
+        assert masked[0] == masked[1]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
     def test_main_starts_no_blas_worker(self):
-        # no command calls BLAS, so main keeps numpy's OpenBLAS to the main thread, unless the user set a count
+        # no command calls BLAS, so main keeps numpy's OpenBLAS to the main thread, unless the user set a count;
+        # the threads are counted as main ends the process
         code = """
 import os, sys
 from kernsplit.cli import main
-try:
-    main()
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-assert "numpy" in sys.modules
-print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+exit = os._exit
+
+def counting(status):
+    assert status == 0 and "numpy" in sys.modules, status
+    print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"), flush=True)
+    exit(status)
+
+os._exit = counting
+main()
 """
         args = "scan", "--from", "4", "--to", "10", "--oracle"
         unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

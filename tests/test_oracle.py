@@ -30,6 +30,12 @@ from kernsplit.oracle import ComparisonReport, conjecture_probe, constructive_vs
 from kernsplit.powered import count_log_weighted
 
 
+def rows(table) -> list[dict]:
+    """A report's table, ``(key, kind, column)`` per key, as one dict per row."""
+    keys = [key for key, _, _ in table]
+    return [dict(zip(keys, values)) for values in zip(*(column for _, _, column in table))]
+
+
 def brute_best(n: int) -> tuple[int, int, Fraction]:
     best = None
     for m1 in range(2, n // 2 + 1):
@@ -225,7 +231,7 @@ class TestConstructiveVsOracle:
     def test_single_point_100(self):
         report = constructive_vs_oracle(100, 100)
         assert Fraction(*report.split_quality[0]) == Fraction(*report.oracle_quality[0]) == 1
-        (row,) = report.to_rows()
+        (row,) = rows(report.columns())
         assert row["ok"] and row["split_quality"] == row["oracle_quality"] == "1"
 
     def test_oracle_never_worse_to_1000(self):
@@ -257,7 +263,7 @@ class TestConstructiveVsOracle:
         qualities = zip(count(4), report.oracle_quality, report.split_quality)
         assert report.violations == tuple(n for n, o, s in qualities if Fraction(*o) > Fraction(*s))
         assert 4 in report.violations and len(report.violations) > 100
-        assert [r["n"] for r in report.to_rows() if not r["ok"]] == list(report.violations)
+        assert [r["n"] for r in rows(report.columns()) if not r["ok"]] == list(report.violations)
 
 
 class TestConjectureProbe:
