@@ -21,10 +21,12 @@ Rows come as a table of columns, ``(key, kind, column)`` per key, with
 no record per row: a form's line for a row is one ``%`` template over
 the columns, each column's values first converted to the text of its
 kind in that form (``_CONVERTERS``).  A scan's columns are
-read once, as they print.  The result, and the JSON envelope, is one
-record, printed by ``_human``, ``json.dumps`` or ``csv.writer``.
-Every form is written in blocks of 4096 records, one write each, and
-CSV lines end in CR LF (``\\r\\n``), as the ``csv`` module writes them.
+read once, as they print.  The result record prints the same way in
+human and CSV form, as a table of one row whose kinds are its values'
+types, and a CSV header is a row of its keys as text; only the JSON
+envelope, which nests, is printed by ``json.dumps``.  Every form is
+written in blocks of 4096 records, one write each, and CSV lines end
+in CR LF (``\\r\\n``), as the ``csv`` module writes them.
 
 A ``ValueError`` raised by the library becomes one ``error:`` line on
 stderr and exit status 1, a usage error exits 2, and output cut short
@@ -55,16 +57,6 @@ from . import __version__
 # at call time, where patches applied to the modules take effect.
 
 
-def _human(v) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".6g")
-    return str(v)
-
-
 def _none_as(text: str):
     """The converter that puts ``text`` for each None of a column and leaves every other value to the template."""
     return lambda column: map({None: text}.get, *tee(column))
@@ -80,10 +72,11 @@ def _csv_field(text: str) -> str:
 
 _BOOL_WORDS = partial(map, ("false", "true").__getitem__)
 
-# per form, the converter of a row column of each kind, mapped over the column before the
+# per form, the converter of a column of each kind, mapped over the column before the
 # template's ``%s`` formats each value (None: the column as it is).  A kind's text is what
-# _human, json.dumps and csv.writer give its values: csv writes True/False, and None as an
-# empty field.  Floats are finite, and a str column is text such as a quality or a reason.
+# json.dumps and csv.writer give its values, and in human form true/false, - for None and
+# floats to 6 significant digits: csv writes True/False, and None as an empty field.  Row
+# floats are finite, and a str column is text such as a quality, a reason or a key.
 _CONVERTERS = {
     "human": {int: None, bool: _BOOL_WORDS, int | None: _none_as("-"), float: lambda column: map(format, column, repeat(".6g")), str: None},
     "json": {int: None, bool: _BOOL_WORDS, int | None: _none_as("null"), float: None, str: partial(map, encode_basestring_ascii)},
@@ -103,6 +96,15 @@ def _lines(table, form: str):
     converters = _CONVERTERS[form]
     columns = (column if converters[kind] is None else converters[kind](column) for _, kind, column in table)
     return map(template.__mod__, zip(*columns))
+
+
+def _record(record: dict) -> tuple:
+    """A record as a table of one row: each value's kind is its type, None's ``int | None``, and a value of any other type is its ``str``."""
+    kinds = _CONVERTERS["human"]
+    return tuple(
+        (key, int | None, [value]) if value is None else (key, type(value), [value]) if type(value) in kinds else (key, str, [str(value)])
+        for key, value in record.items()
+    )
 
 
 # lines formatted and written per write; one write per line costs
@@ -129,20 +131,17 @@ def _emit(command: str, params: dict, result: dict, rows, human, elapsed_ms: flo
         envelope = {"command": command, "params": params, "result": result, "elapsed_ms": elapsed_ms}
         _echo_lines(chain(_lines(rows, "json"), [json.dumps(envelope) + "\n"]))
     elif as_csv:
-        import csv
-
-        # writerow returns what its file's write returns: with write=str, the formatted line and its \r\n
-        line = csv.writer(SimpleNamespace(write=str)).writerow
         lines = _lines(rows, "csv")
         first = next(lines, None)
         if first is None:  # no rows: the human record
-            record = result if human is None else human[1]
-            _echo_lines([line(record.keys()), line(record.values())])
+            rows = _record(result if human is None else human[1])
+            lines = _lines(rows, "csv")
         else:
-            _echo_lines(chain([line(key for key, _, _ in rows), first], lines))
+            lines = chain([first], lines)
+        _echo_lines(chain(_lines([(key, str, [key]) for key, _, _ in rows], "csv"), lines))
     else:
         table, record = (rows, result) if human is None else human
-        tail = [] if record is None else [" ".join(f"{k}={_human(v)}" for k, v in record.items()) + "\n"]
+        tail = () if record is None else _lines(_record(record), "human")
         _echo_lines(chain(_lines(table, "human"), tail))
 
 
@@ -208,6 +207,8 @@ def cmd_scan(n_lo: int, n_hi: int, gamma: float | None, use_oracle: bool, force:
         from . import decompose as dec
     else:
         from . import oracle as orc
+    if mode == "probe":
+        from . import powered as pwd
 
     def run():
         params = {"from": n_lo, "to": n_hi, "mode": mode}
@@ -216,7 +217,7 @@ def cmd_scan(n_lo: int, n_hi: int, gamma: float | None, use_oracle: bool, force:
         elif mode == "oracle":
             report = orc.constructive_vs_oracle(n_lo, n_hi, force=force)
         else:
-            report = orc.conjecture_probe(n_lo, n_hi, gamma, force=force)
+            report = orc.conjecture_probe(n_lo, n_hi, pwd._log_weighted_class(gamma), force=force)
             params.update([report.param])
         rows, result = report.columns(), report.summary_record()
         if mode == "probe":  # failing n are data, not verification failures

@@ -195,10 +195,12 @@ def verify_structural(d: Decomposition) -> CheckResult:
     linear_identity, part1_value, part2_value, part_sum, part2_range,
     part1_min, part2_kernel_bound, part1_kernel_bound.
 
-    remainder_range, part_sum, part2_range and part1_min follow from the
-    checks before them, so no witness fails them first: V = n mod pa + pa,
-    m1 + m2 = pa*U + V, (pa*pb)**4 < n**4 with w <= pa, and m1 = n - pb*w
-    is a positive multiple of pa.
+    remainder_range, part_sum and part1_min follow from the checks before
+    them, so no witness fails them first: V = n mod pa + pa, m1 + m2 =
+    pa*U + V, and once part2_range holds, m1 = n - pb*w is a positive
+    multiple of pa.  part2_range fails first only when n < 0: a_range and
+    b_range read n**2 alone, and give (pa*pb)**4 < n**4, so with w <= pa,
+    pb <= m2 <= pa*pb < |n|.
     """
     if d.witness is None:
         raise ValueError("structural verification requires a witness")

@@ -22,8 +22,9 @@ members up to 1e4, 4,355 up to 1e5, 18,411 up to 1e6).  Each scan hands
 its class of parts to ``_admit``, and ``kernel.kernel_bounded``
 enumerates it with its kernels from the powerful numbers: for each
 powerful b, the squarefree a coprime to b in the class's interval.  The
-probe's parts are the log-weighted counter's own class
-(``powered._log_weighted_class``), so they are exactly the members.
+probe's parts are the class it is handed, so they are exactly its
+members: ``scan --gamma`` hands it the log-weighted counter's own class
+(``powered._log_weighted_class``).
 A window of n is then one sumset: every pair g1 <= g2 of parts with
 g1 + g2 in the window, formed over the g1 that have one by
 ``kernel.flat_ranges`` in numpy blocks of at most ``kernel.BLOCK``
@@ -97,22 +98,17 @@ def _worse(m1: int, k1: int, m2: int, k2: int) -> tuple[int, int]:
     return (q1, m1) if q1 * m2 >= q2 * m1 else (q2, m2)
 
 
-def _text(quality: tuple[int, int]) -> str:
-    """``str(Fraction(q, m))`` of a quality pair (q, m)."""
-    q, m = quality
-    g = math.gcd(q, m)
-    return str(q // g) if m == g else f"{q // g}/{m // g}"
-
-
 class _Texts(dict):
-    """``_text`` of each quality looked up in it, each computed the first time it is met.
+    """The text of each quality (q, m) looked up in it, ``str(Fraction(q, m))``, computed the first time it is met.
 
     A scan's qualities repeat: over [4, 1e6] its columns hold 4,201 and
     6,501 distinct pairs, the worse parts of the splits and optima.
     """
 
     def __missing__(self, quality: tuple[int, int]) -> str:
-        self[quality] = text = _text(quality)
+        from fractions import Fraction  # only the oracle prints qualities: the probe skips the import
+
+        self[quality] = text = str(Fraction(*quality))
         return text
 
 
@@ -348,11 +344,11 @@ def _report(n_lo: int, n_hi: int, split_m1: list, split_q: list, oracle_m1: list
 
 
 class ProbeReport(NamedTuple):
-    """Which n in [n_lo, n_hi] split into two log-weighted members.
+    """Which n in [n_lo, n_hi] split into two members of a class.
 
-    A part m qualifies when k(m)**2 <= m * ln(m)**(2*gamma), the class
-    whose ``(name, value)`` is ``param``; n is representable when some
-    m1 + m2 = n (m1 <= m2, both >= 2) has both parts qualifying.
+    A part qualifies when it is a member of the class the probe was
+    handed, whose ``(name, value)`` is ``param``; n is representable when
+    some m1 + m2 = n, m1 <= m2, has both parts qualifying.
     ``witness`` holds the smallest qualifying m1 at n - n_lo, or None
     where none exists; those n are listed in ``failing``.  No cutoff
     beyond which everything is representable is asserted, only observed.
@@ -398,23 +394,16 @@ def _probe_columns(ns, witness: list) -> tuple:
     )
 
 
-def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False) -> ProbeReport:
-    """Scan [n_lo, n_hi] for two-part log-weighted representations; refused over budget unless force.
-
-    gamma must be finite; that is checked before anything is priced or
-    enumerated.
-    """
-    from .powered import _log_weighted_class  # only the probe decides the class: the oracle scan skips the import
-
-    weighted = _log_weighted_class(gamma)
-    members, _ = _admit(n_lo, n_hi, weighted, force)
+def conjecture_probe(n_lo: int, n_hi: int, members: KernelClass, *, force: bool = False) -> ProbeReport:
+    """Scan [n_lo, n_hi] for two-part representations by the members of a class; refused over budget unless force."""
+    parts, _ = _admit(n_lo, n_hi, members, force)
     none = np.iinfo(np.int64).max
     witness, failing = [], []
     for lo, hi in _blocks(n_lo, n_hi, BLOCK):
         first = np.full(hi - lo + 1, none)
-        for i1, i2 in _pairs(*_pair_ranges(members, lo, hi)):
-            g1 = members[i1]
-            np.minimum.at(first, g1 + members[i2] - lo, g1)
+        for i1, i2 in _pairs(*_pair_ranges(parts, lo, hi)):
+            g1 = parts[i1]
+            np.minimum.at(first, g1 + parts[i2] - lo, g1)
             # later pairs have g1 >= the block's last, so they only reach n >= twice it
             reach = 2 * int(g1[-1]) - lo
             if first[max(reach, 0) :].max(initial=0) < none:
@@ -424,4 +413,4 @@ def conjecture_probe(n_lo: int, n_hi: int, gamma: float, *, force: bool = False)
             block[i] = None
         witness += block
         failing += (lo + i for i in missed)
-    return ProbeReport(n_lo, n_hi, weighted.param, witness, tuple(failing))
+    return ProbeReport(n_lo, n_hi, members.param, witness, tuple(failing))

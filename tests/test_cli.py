@@ -14,14 +14,14 @@ from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import kernsplit.cli
 import kernsplit.decompose
 import kernsplit.kernel
 import kernsplit.oracle
 import kernsplit.powered
-from kernsplit.cli import _ECHO_BLOCK, _grid, _human, cli
+from kernsplit.cli import _ECHO_BLOCK, _emit, _grid, cli
 from kernsplit.decompose import RangeScanReport, split
 from kernsplit.kernel import radical_sieve
 from kernsplit.oracle import ComparisonReport, ProbeReport
@@ -325,7 +325,7 @@ class TestScan:
             if mode[0] == "--oracle":
                 orc.constructive_vs_oracle(lo, hi)
             else:
-                orc.conjecture_probe(lo, hi, float(mode[1]))
+                orc.conjecture_probe(lo, hi, kernsplit.powered._log_weighted_class(float(mode[1])))
             expected = (0, None)
         except ValueError as exc:
             expected = (1, f"error: {exc}\n")
@@ -517,6 +517,16 @@ class TestNonFiniteGamma:
     @pytest.mark.parametrize("args", [["count", "--limit"], ["scan", "--from", "4", "--to"], ["logratio", "--limit"]], ids=" ".join)
     def test_error_exit_past_the_float_range(self, args, gamma, limit):
         self.refused([*args, str(limit)], gamma)
+
+    def test_probe_refused_before_it_is_priced(self, monkeypatch):
+        # the CLI builds the probe's class, which refuses gamma before the scan prices or enumerates anything
+        def scan(*args, **kwargs):
+            raise AssertionError("priced before gamma was checked")
+
+        monkeypatch.setattr(kernsplit.oracle, "_admit", scan)
+        monkeypatch.setattr(kernsplit.oracle, "kernel_bounded", scan)
+        for gamma in ("nan", "inf", "-inf"):
+            self.refused(["scan", "--from", "40000000", "--to", "40000000"], gamma)
 
 
 class TestLargeGamma:
@@ -1108,8 +1118,18 @@ class TestEchoBlocks:
         assert written == whole
 
 
-# The dict path the templates replaced, kept as their reference: a dict per row, with the quality
+# The dict path the templates replaced, kept as their reference: a dict per record, with the quality
 # as str(Fraction), printed by json.dumps, k=v with _human, or csv.writer over its keys and values.
+def _human(v) -> str:
+    if v is None:
+        return "-"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".6g")
+    return str(v)
+
+
 def reference_rows(report) -> list[dict]:
     if isinstance(report, ComparisonReport):
         bad = set(report.violations)
@@ -1179,7 +1199,7 @@ class TestTemplatesMatchTheDictPath:
     @example((4, 20), 10.0)
     def test_probe(self, window, gamma):
         lo, hi = window
-        report = kernsplit.oracle.conjecture_probe(lo, hi, gamma)
+        report = kernsplit.oracle.conjecture_probe(lo, hi, kernsplit.powered._log_weighted_class(gamma))
         rows, result = reference_rows(report), report.summary_record()
         envelope = scan_envelope({"from": lo, "to": hi, "mode": "probe", "gamma": gamma}, result)
         failing = [row for row in rows if not row["ok"]]
@@ -1207,6 +1227,44 @@ class TestTemplatesMatchTheDictPath:
         envelope = {"command": "logratio", "params": params, "result": {**params, "points": len(rows)}, "elapsed_ms": 0}
         args = ["logratio", "--limit", str(limit), "--points", str(points), "--gamma", str(gamma)]
         assert_forms_match(args, envelope, rows, rows)
+
+
+def emitted(record: dict, as_csv: bool) -> str:
+    """What ``_emit`` prints of a command with no rows whose result is ``record``, in human or CSV form."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit("command", {}, record, (), None, 0.0, False, as_csv)
+    return out.getvalue()
+
+
+# the values a result record holds, text that csv quotes, and values of other types, which print as their str
+csv_special = st.text(st.sampled_from(',"\r\n a'))
+record_values = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+    st.text(st.characters(blacklist_categories=["Cs"])),
+    csv_special,
+    st.lists(st.one_of(st.integers(), csv_special), max_size=3),
+    st.fractions(),
+)
+records = st.dictionaries(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True), record_values, min_size=1, max_size=8)
+
+
+class TestRecordsMatchTheReference:
+    """A result record, a table of one row in the rows' converters, prints as k=v with _human and as csv.writer writes it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(records)
+    @example({"n_lo": 4, "gamma": -0.0, "ok": True, "m1": None, "failing": [4, 5], "why": 'a "b",\r\nc', "q": Fraction(1, 2)})
+    @example({"verified": None, "fallback": False, "normalized": 1.7, "failing": []})
+    def test_record(self, record):
+        # csv quotes a record's only field when it is empty, to tell it from a blank line; no command prints one field
+        assume(len(record) > 1 or list(record.values()) not in ([None], [""]))
+        assert emitted(record, False) == " ".join(f"{k}={_human(v)}" for k, v in record.items()) + "\n"
+        line = csv.writer(SimpleNamespace(write=str)).writerow
+        assert emitted(record, True) == line(record.keys()) + line(record.values())
 
 
 class TestMain:

@@ -94,9 +94,10 @@ print(readings[0])
     assert fresh(code, "scan", "--from", "4", "--to", "10", "--oracle", "--json").splitlines()[-1] == "True"
 
 
-def test_only_csv_output_loads_csv():
-    assert "csv" in modules_after("radical", "360", "--csv")
-    assert "csv" not in modules_after("radical", "360", "--json")
+def test_no_output_form_loads_csv():
+    # the result record prints through the rows' converters in every form: csv.writer is not needed
+    for form in ([], ["--json"], ["--csv"]):
+        assert "csv" not in modules_after("radical", "360", *form), form
 
 
 def test_verify_scan_loads_neither_oracle_nor_powered():
@@ -109,6 +110,12 @@ def test_oracle_scan_loads_no_powered():
     loaded = modules_after("scan", "--from", "4", "--to", "1000", "--oracle")
     assert "kernsplit.oracle" in loaded
     assert "kernsplit.powered" not in loaded
+
+
+def test_probe_loads_only_the_class_it_is_handed():
+    # the CLI builds the probe's class; the library scans any class without loading powered
+    code = "import sys; from kernsplit import kernel, oracle; oracle.conjecture_probe(4, 2000, kernel.quality(1)); print('kernsplit.powered' in sys.modules)"
+    assert fresh(code).strip() == "False"
 
 
 def test_gamma_zero_probe_decides_in_integers():

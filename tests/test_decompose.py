@@ -206,6 +206,13 @@ class TestVerifyStructural:
         assert not res.ok
         assert res.reason == "w_range"
 
+    def test_negative_n_fails_part2_range_first(self):
+        # a_range and b_range read n**2 alone, so a witness of n = -100 (100's a, b and w, and its own
+        # U, V, W) passes every check before part2_range, which alone asks pa * pb < n
+        d = Decomposition(-100, -136, 36, SplitWitness(3, 2, -14, 12, 3, 4))
+        assert verify_structural(d) == (False, "part2_range")
+        assert verify_structural(split(100)).ok and split(100).witness[:2] == d.witness[:2]
+
 
 class TestVerifyExact:
     def test_construction_verifies(self):

@@ -27,7 +27,7 @@ from dense_reference import BestSplit, best_decomposition, decomposition_quality
 from kernsplit.decompose import split
 from kernsplit.kernel import flat_ranges, kernel_bounded, quality, radical, radical_sieve
 from kernsplit.oracle import ComparisonReport, conjecture_probe, constructive_vs_oracle
-from kernsplit.powered import count_log_weighted
+from kernsplit.powered import _log_weighted_class, count_log_weighted
 
 
 def rows(table) -> list[dict]:
@@ -217,10 +217,6 @@ class TestQuality:
             assert q == max(part_quality(d.m1, table[d.m1]), part_quality(d.m2, table[d.m2]))
             assert q * q <= 432
 
-    @given(st.integers(1, 10**40), st.integers(1, 10**40))
-    def test_text_is_the_fraction(self, q, m):
-        assert orc._text((q, m)) == str(Fraction(q, m))
-
 
 class TestConstructiveVsOracle:
     def test_single_point_small(self):
@@ -268,7 +264,7 @@ class TestConstructiveVsOracle:
 
 class TestConjectureProbe:
     def test_gamma_zero_at_four(self):
-        report = conjecture_probe(4, 4, 0.0)
+        report = conjecture_probe(4, 4, _log_weighted_class(0.0))
         # (2, 2) is the only pair and k(2)**2 = 4 > 2 * (ln 2)**0
         assert report.failing == (4,)
         assert report.satisfied == 0
@@ -276,17 +272,9 @@ class TestConjectureProbe:
     def test_gamma_ten_small_n(self):
         # m = 2 never qualifies ((ln 2)**20 < 1), so 4 = 2+2 and 5 = 2+3
         # stay unrepresentable even at large gamma
-        report = conjecture_probe(4, 100, 10.0)
+        report = conjecture_probe(4, 100, _log_weighted_class(10.0))
         assert report.failing == (4, 5)
         assert report.satisfied == 95
-
-    def test_rejects_non_finite_gamma(self, monkeypatch):
-        # before anything is priced or enumerated
-        monkeypatch.setattr(orc, "kernel_bounded", refuse)
-        monkeypatch.setattr(orc, "_admit", refuse)
-        for gamma in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma}"):
-                conjecture_probe(40_000_000, 40_000_000, gamma)
 
     def test_gamma_zero_range_against_brute_force(self):
         good = {
@@ -297,7 +285,7 @@ class TestConjectureProbe:
             for n in range(4, 101)
             if not any(m in good and (n - m) in good for m in range(2, n // 2 + 1))
         )
-        report = conjecture_probe(4, 100, 0.0)
+        report = conjecture_probe(4, 100, _log_weighted_class(0.0))
         assert report.failing == expected
         # frozen snapshot of the same list
         assert report.failing == (
@@ -308,7 +296,7 @@ class TestConjectureProbe:
 
     def test_pairs_are_witnesses(self):
         gamma = 0.5
-        report = conjecture_probe(4, 200, gamma)
+        report = conjecture_probe(4, 200, _log_weighted_class(gamma))
         for n, m1 in zip(count(4), report.witness):
             if m1 is None:
                 continue
@@ -320,15 +308,26 @@ class TestConjectureProbe:
         # one set, one rule: gamma = 0 qualifies k(m)**2 <= m, the oracle's first tier, so an n
         # fails the probe exactly when its optimum is above 1
         oracle = constructive_vs_oracle(4, 10**5)
-        failing = conjecture_probe(4, 10**5, 0.0).failing
+        failing = conjecture_probe(4, 10**5, _log_weighted_class(0.0)).failing
         assert failing == tuple(n for n, (q, m) in zip(count(4), oracle.oracle_quality) if q > m)
         assert len(failing) == 1977
 
+    @settings(max_examples=10, deadline=None)
+    @given(window(4, 20_000 - 600, 600))
+    @example((4, 100))
+    def test_scans_the_class_it_is_handed(self, lohi):
+        # quality(1) is the gamma = 0 class from its own constructor: the same parts give the same
+        # witnesses and failing n, and the report names the class it was handed
+        report = conjecture_probe(*lohi, quality(1))
+        weighted = conjecture_probe(*lohi, _log_weighted_class(0.0))
+        assert (report.witness, report.failing) == (weighted.witness, weighted.failing)
+        assert report.param == ("quality", 1) and weighted.param == ("gamma", 0.0)
+
     def test_range_guard(self):
         with pytest.raises(ValueError, match=refusal(4, 2000000)):
-            conjecture_probe(4, 2 * 10**6, 1.0)
+            conjecture_probe(4, 2 * 10**6, _log_weighted_class(1.0))
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
-            conjecture_probe(5, 4, 1.0)
+            conjecture_probe(5, 4, _log_weighted_class(1.0))
 
 
 class TestSparseMatchesDense:
@@ -391,7 +390,7 @@ class TestSparseMatchesDense:
         monkeypatch.setattr(kernsplit.kernel, "os", SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**40}.get))
         runs = (
             lambda n: constructive_vs_oracle(n, n, force=True),
-            lambda n: conjecture_probe(n, n, 0.5, force=True),
+            lambda n: conjecture_probe(n, n, _log_weighted_class(0.5), force=True),
             best_decomposition,
         )
         for run in runs:
@@ -407,7 +406,7 @@ class TestSparseMatchesDense:
     @given(lo=st.integers(min_value=4, max_value=6000), width=st.integers(min_value=0, max_value=400))
     def test_probe(self, gamma, lo, width):
         hi = lo + width
-        report = conjecture_probe(lo, hi, gamma)
+        report = conjecture_probe(lo, hi, _log_weighted_class(gamma))
         assert (report.witness, report.failing) == dense_probe(lo, hi, gamma, table_to(6400))
 
 
@@ -454,14 +453,14 @@ class TestBlockMatchesLoop:
     @settings(max_examples=8, deadline=None)
     @given(lohi=window(4, 200_000 - 400, 400))
     def test_probe_up_to_2e5(self, gamma, lohi):
-        report = conjecture_probe(*lohi, gamma, force=True)
+        report = conjecture_probe(*lohi, _log_weighted_class(gamma), force=True)
         assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(200_000))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     @settings(max_examples=3, deadline=None)
     @given(lohi=window(998_000, 1_001_500, 500))
     def test_probe_near_1e6(self, gamma, lohi):
-        report = conjecture_probe(*lohi, gamma, force=True)
+        report = conjecture_probe(*lohi, _log_weighted_class(gamma), force=True)
         assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(1_002_000))
 
     @pytest.mark.parametrize("gamma", [0.0, 10.0])
@@ -471,7 +470,7 @@ class TestBlockMatchesLoop:
     def test_probe_across_block_edges(self, gamma, lohi, cap):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orc, "BLOCK", cap * 16)
-            report = conjecture_probe(*lohi, gamma, force=True)
+            report = conjecture_probe(*lohi, _log_weighted_class(gamma), force=True)
         assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(20_600))
 
     @settings(max_examples=6, deadline=None)
@@ -498,7 +497,7 @@ class TestBlockMatchesLoop:
         monkeypatch.setattr(kernsplit.kernel, "_radical_segment", refuse)
         assert constructive_vs_oracle(4, 3000).violations == ()
         for gamma in (-5.0, 0.0, 0.5, 10.0):
-            conjecture_probe(4, 3000, gamma)
+            conjecture_probe(4, 3000, _log_weighted_class(gamma))
         # nor does the all-pairs fallback, which every n takes when G is empty
         monkeypatch.setattr(orc, "_CANDIDATE_QUALITY", 0)
         assert constructive_vs_oracle(4, 300).violations == ()
@@ -523,7 +522,7 @@ class TestProbeParts:
             ),
             label="gamma",
         )
-        qualifying = kernsplit.powered._log_weighted_class(gamma)
+        qualifying = _log_weighted_class(gamma)
         members, _ = kernel_bounded(x, qualifying.interval(x))
         counted = kernsplit.powered._interval_count(x, qualifying, kernsplit.powered._CoprimeSquarefree())
         assert len(members) == counted
@@ -602,7 +601,7 @@ class TestScanWork:
         # on the rows alone, before the walk over the powerful numbers
         monkeypatch.setattr(kernsplit.kernel, "powerful_sum", refuse)
         with pytest.raises(ValueError, match=refusal(4, 100000000)):
-            conjecture_probe(4, 10**8, -5.0)
+            conjecture_probe(4, 10**8, _log_weighted_class(-5.0))
         with pytest.raises(ValueError, match=refusal(4, 2000000)):
             constructive_vs_oracle(4, 2_000_000)
 
@@ -613,32 +612,32 @@ class TestScanWork:
         with pytest.raises(ValueError, match=refusal(lo, lo + 100)):
             constructive_vs_oracle(lo, lo + 100)
         with pytest.raises(ValueError, match=refusal(lo, lo + 100)):
-            conjecture_probe(lo, lo + 100, 0.5)
+            conjecture_probe(lo, lo + 100, _log_weighted_class(0.5))
 
     def test_parts_refused_before_they_exist(self, monkeypatch):
         # a dense superset (gamma = 10: every m) is refused on the bound of its parts
         monkeypatch.setattr(kernsplit.kernel, "squarefree_flags", refuse)
         with pytest.raises(ValueError, match=refusal(48000000, 48000000)):
-            conjecture_probe(48_000_000, 48_000_000, 10.0)
+            conjecture_probe(48_000_000, 48_000_000, _log_weighted_class(10.0))
 
     def test_lookups_refused_once_the_parts_are_known(self, monkeypatch):
         monkeypatch.setattr(orc, "flat_ranges", refuse)
         with pytest.raises(ValueError, match=refusal(4, 150000)):
-            conjecture_probe(4, 150_000, 3.0)  # ~5.6e9 pairs over a dense set
+            conjecture_probe(4, 150_000, _log_weighted_class(3.0))  # ~5.6e9 pairs over a dense set
         monkeypatch.undo()
-        assert conjecture_probe(4, 100_000, 0.0).satisfied == 98020
+        assert conjecture_probe(4, 100_000, _log_weighted_class(0.0)).satisfied == 98020
 
     def test_force_computes_nothing(self, monkeypatch):
         # forced, a scan is priced in bytes alone: its pairs are never counted
         monkeypatch.setattr(orc, "_pair_count", refuse)
         assert constructive_vs_oracle(4, 100, force=True).violations == ()
-        assert conjecture_probe(4, 100, 0.0, force=True).failing[:3] == (4, 5, 6)
+        assert conjecture_probe(4, 100, _log_weighted_class(0.0), force=True).failing[:3] == (4, 5, 6)
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
             constructive_vs_oracle(10, 4, force=True)  # a malformed range is refused all the same
 
     def test_forced_parts_keep_a_memory_bound(self, monkeypatch):
-        widths = []  # the width bound of conjecture_probe(4, 100, 10.0)
-        kernel_bounded(98, kernsplit.powered._log_weighted_class(10.0).interval(98), widths.append)
+        widths = []  # the width bound of conjecture_probe(4, 100, _log_weighted_class(10.0))
+        kernel_bounded(98, _log_weighted_class(10.0).interval(98), widths.append)
         k = kernsplit.kernel
         held = k.ROW_BYTES * 97 + k.WALK_VISIT_BYTES * math.ceil(k.POWERFUL_DENSITY * 10) + k.PART_BYTES * widths[-1]
         # gamma = 10 near 1e9: every m >= 3 is a part, a width bound of ~1.94e9 units (~48.6 GB), refused
@@ -647,25 +646,25 @@ class TestScanWork:
         physical = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)  # 8 GiB
         monkeypatch.setattr(k, "os", physical)
         with pytest.raises(ValueError, match=r"~2\.5e\+10 bytes, over the 8 GiB of physical memory, forced or not$"):
-            conjecture_probe(10**9, 10**9 + 50, 10.0, force=True)
+            conjecture_probe(10**9, 10**9 + 50, _log_weighted_class(10.0), force=True)
         with pytest.raises(ValueError, match="physical memory, forced or not"):
             best_decomposition(10**17)  # on its walk alone, before any b is visited
         # at the bound the parts are built: the patched squarefree list is reached
         physical.sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held}.get
         with pytest.raises(AssertionError, match="ran past the work check"):
-            conjecture_probe(4, 100, 10.0, force=True)
+            conjecture_probe(4, 100, _log_weighted_class(10.0), force=True)
         physical.sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held - 1}.get
         with pytest.raises(ValueError, match="physical memory, forced or not"):
-            conjecture_probe(4, 100, 10.0, force=True)
+            conjecture_probe(4, 100, _log_weighted_class(10.0), force=True)
         monkeypatch.setattr(k, "MEMORY_LIMIT", held - 1)
         with pytest.raises(ValueError, match=re.escape("; rerun with --force to proceed")):
-            conjecture_probe(4, 100, 10.0)  # unforced: the same bytes, against the budget
+            conjecture_probe(4, 100, _log_weighted_class(10.0))  # unforced: the same bytes, against the budget
 
     def test_force_runs_over_budget(self, monkeypatch):
         monkeypatch.setattr(kernsplit.kernel, "WORK_LIMIT_S", 0.001)
         with pytest.raises(ValueError, match=re.escape("over the budget of 0.001 s and 1 GiB")):
             constructive_vs_oracle(4, 100)
         with pytest.raises(ValueError, match=re.escape("over the budget of 0.001 s and 1 GiB")):
-            conjecture_probe(4, 100, 0.0)
+            conjecture_probe(4, 100, _log_weighted_class(0.0))
         assert len(constructive_vs_oracle(4, 100, force=True).split_m1) == 97
-        assert len(conjecture_probe(4, 100, 0.0, force=True).witness) == 97
+        assert len(conjecture_probe(4, 100, _log_weighted_class(0.0), force=True).witness) == 97

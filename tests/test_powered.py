@@ -830,7 +830,7 @@ class TestCountReport:
         [
             (partial(count_members, 100, Theta(2, 4)), ("theta", "1/2"), ["x", "theta", "count", "normalized"]),
             (partial(count_log_weighted, 100, -0.0), ("gamma", -0.0), ["x", "gamma", "count", "normalized"]),
-            (partial(conjecture_probe, 8, 14, 0.5), ("gamma", 0.5), ["n_lo", "n_hi", "gamma", "checked", "satisfied", "failing"]),
+            (partial(conjecture_probe, 8, 14, _log_weighted_class(0.5)), ("gamma", 0.5), ["n_lo", "n_hi", "gamma", "checked", "satisfied", "failing"]),
         ],
         ids=["count-theta=2/4", "count-gamma=-0.0", "probe-gamma=0.5"],
     )
