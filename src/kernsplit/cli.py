@@ -95,7 +95,9 @@ def _lines(table, form: str):
         template = ",".join(["%s"] * len(keys)) + "\r\n"
     converters = _CONVERTERS[form]
     columns = (column if converters[kind] is None else converters[kind](column) for _, kind, column in table)
-    return map(template.__mod__, zip(*columns))
+    lines = map(template.__mod__, zip(*columns))
+    # as csv.writer does, a lone empty field is quoted, to tell it from a blank line
+    return map({"\r\n": '""\r\n'}.get, *tee(lines)) if form == "csv" and len(keys) == 1 else lines
 
 
 def _record(record: dict) -> tuple:

@@ -1,67 +1,63 @@
 """Exhaustive decomposition search and representability probes.
 
-The quality of a part m is the exact rational k(m)**2 / m: at most 1
-exactly when k(m) <= sqrt(m), and the squared ratio of kernel to square
-root in general.  A pair is ranked by its worse (larger) part, so the
-best decomposition of n minimizes max(quality(m1), quality(m2)) over
-all m1 + m2 = n with m1, m2 >= 2, ties resolved toward the smallest m1.
-
-Ranking is exact rational comparison throughout; floats only prefilter
-which pairs can possibly attain the minimum, and every surviving
-candidate is re-ranked with ``fractions.Fraction``.  A scan keeps each
-quality as the integer pair (k**2, m) of the worse part, and reports
-columns indexed by n - n_lo, not one object per n.  The two scans,
-``constructive_vs_oracle`` and ``conjecture_probe``, are the whole
-surface: the best pair of a single n is the one-n window of the first.
+The quality of a part m is the exact rational k(m)**2 / m, at most 1
+exactly when k(m) <= sqrt(m).  A pair is ranked by its worse (larger)
+part, so the best decomposition of n minimizes max(quality(m1),
+quality(m2)) over all m1 + m2 = n with m1, m2 >= 2, ties resolved toward
+the smallest m1.  Floats only prefilter which pairs can attain the
+minimum, and every surviving candidate is re-ranked with
+``fractions.Fraction``.  The two scans, ``constructive_vs_oracle`` and
+``conjecture_probe``, are the whole surface, and report columns indexed
+by n - n_lo: the oracle's are int64, each side's m1 and the integer pair
+(k**2, m) of its worse part.
 
 Neither search walks every m1 <= n/2, and neither builds a kernel table.
 The split certifies k(m)**4 <= 432 m**2, a quality of at most
-sqrt(432) < 21, so both parts of an optimal pair lie in the candidate
-set G = {m : k(m)**2 <= 21 m}, the class ``kernel.quality(21)`` (1,003
-members up to 1e4, 4,355 up to 1e5, 18,411 up to 1e6).  Each scan hands
-its class of parts to ``_admit``, and ``kernel.kernel_bounded``
-enumerates it with its kernels from the powerful numbers: for each
-powerful b, the squarefree a coprime to b in the class's interval.  The
-probe's parts are the class it is handed, so they are exactly its
-members: ``scan --gamma`` hands it the log-weighted counter's own class
-(``powered._log_weighted_class``).
-A window of n is then one sumset: every pair g1 <= g2 of parts with
-g1 + g2 in the window, formed over the g1 that have one by
-``kernel.flat_ranges`` in numpy blocks of at most ``kernel.BLOCK``
-pairs.  The oracle keeps, per n, the pairs within the float prefilter
-band of the minimum and re-ranks exactly only the n with more than one,
-over ascending tiers of parts: quality at most 1 (``quality(1)``'s test
-on G) and G, both built once per scan, then every m in [2, n - 2]
-(``quality(n)``) from the same walk, each for the n that the tiers
-before it missed.  So an n with no pair in G (an optimum above 21) has
-every pair ranked: no answer rests on the theorem it checks.  The probe
-records, per n, the first (smallest) part g1 of a qualifying pair, and
-stops once no later pair can reach an n still without one.
+sqrt(432) < 21, so both parts of an optimal pair, and the split's own,
+lie in G = {m : k(m)**2 <= 21 m} (18,411 members up to 1e6): the
+split's kernels are one ``searchsorted`` on G, and a part missing from
+it raises.  ``kernel.kernel_bounded`` enumerates each scan's parts with
+their kernels from the powerful numbers; the probe's are exactly the
+members of the class it is handed.
 
-Both scans take their parts from ``_admit``, priced by
-``kernel.check_budget`` in seconds and bytes: rows, the walk over the
-powerful numbers, candidate parts and sumset pairs.  Unless ``force``, a
-scan over budget is refused on its rows and walk before any b is
-visited, on the bound of its parts during the walk, as soon as the part
-of the bound seen so far is over, or else before any part is emitted,
-and on its exact pair count before any pair is formed.  Forced or not, 21*n >=
-2**63 is refused: pair sums stay below 2n, and the int64 tier test
-k**2 <= c*m, c <= 21, runs on G alone, where k**2 <= 21*m < 21*n.  So
-is a forced scan whose rows, walk and parts need more bytes than the
-physical memory, before the step that would hold them.
+Both scans walk n in blocks of ``kernel.BLOCK``, each one sumset: every
+pair g1 <= g2 of parts with g1 + g2 in the block, formed over the g1
+that have one by ``kernel.flat_ranges`` in blocks of at most
+``kernel.BLOCK`` pairs.  The oracle keeps, per n, the pairs within the
+prefilter band of the float minimum, and ranks exactly only the n with
+several, over ascending tiers of parts: quality at most 1 and G, both
+built once per scan, then every m in [2, n - 2] (``quality(n)``), each
+for the n that the tiers before it missed.  So an n with no pair in G
+has every pair ranked: no answer rests on the theorem it checks.  The
+worse part of a pair is picked by its parts' floats where they are
+further apart than the band, and in Python ints within it.  The probe
+records, per n, the smallest part g1 of a qualifying pair, and stops
+once no later pair can reach an n still without one.
+
+Both scans are priced by ``kernel.check_budget`` in seconds and bytes:
+rows, the walk over the powerful numbers, candidate parts and sumset
+pairs.  Unless ``force``, a scan over budget is refused on its rows and
+walk before any b is visited, on the bound of its parts during the walk
+as soon as the bound seen so far is over, or else before any part is
+emitted, and on its exact pair count before any pair is formed.  Forced
+or not, 21*n >= 2**63 is refused: pair sums stay below 2n, and the int64
+tier test k**2 <= c*m, c <= 21, runs on G alone, where k**2 <= 21*m <
+21*n, as does every k**2 a report keeps.  So is a forced scan whose
+rows, walk and parts need more bytes than the physical memory, before
+the step that would hold them.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count, repeat
-from operator import is_not, le, not_, sub
+from itertools import repeat
+from operator import is_not, le, not_, sub, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .kernel import BLOCK, PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
-from .kernel import KernelClass, _blocks, check_budget, flat_ranges, kernel_bounded, quality, radical
+from .kernel import KernelClass, _blocks, check_budget, flat_ranges, kernel_bounded, quality
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -87,22 +83,11 @@ _CANDIDATE_QUALITY = 21
 # G's parts and 1/10 of its pairs
 _FIRST_TIER_QUALITY = 1
 
-# n per block of an oracle window: the block's Python lists are dropped
-# before the next is built, so 4096 keeps them to ~1 MB next to the rows
-_ORACLE_BLOCK = 1 << 12
-
-
-def _worse(m1: int, k1: int, m2: int, k2: int) -> tuple[int, int]:
-    """``(k**2, m)`` of the worse part, the larger of k1**2 / m1 and k2**2 / m2; part 1's on ties."""
-    q1, q2 = k1 * k1, k2 * k2
-    return (q1, m1) if q1 * m2 >= q2 * m1 else (q2, m2)
-
 
 class _Texts(dict):
     """The text of each quality (q, m) looked up in it, ``str(Fraction(q, m))``, computed the first time it is met.
 
-    A scan's qualities repeat: over [4, 1e6] its columns hold 4,201 and
-    6,501 distinct pairs, the worse parts of the splits and optima.
+    Qualities repeat: over [4, 1e6] the columns hold 4,201 and 6,501.
     """
 
     def __missing__(self, quality: tuple[int, int]) -> str:
@@ -159,12 +144,11 @@ def _admit(n_lo: int, n_hi: int, members: KernelClass, force: bool) -> tuple[np.
     return parts, kernels
 
 
-def _best_pair(m1: list, k1: list, m2: list, k2: list) -> tuple[int, int, int, int]:
-    """``(m1, k1, m2, k2)`` of the exactly best pair, the first on ties; m1 ascending."""
+def _best_pair(m1: list, k1: list, m2: list, k2: list) -> int:
+    """The index of the exactly best of the pairs ``(m1, k1, m2, k2)``, the first on ties; m1 ascending."""
     from fractions import Fraction  # only the oracle ranks exactly: the probe skips the import
 
-    i = min(range(len(m1)), key=lambda i: Fraction(*_worse(m1[i], k1[i], m2[i], k2[i])))
-    return m1[i], k1[i], m2[i], k2[i]
+    return min(range(len(m1)), key=lambda i: max(Fraction(k1[i] * k1[i], m1[i]), Fraction(k2[i] * k2[i], m2[i])))
 
 
 def _band(qmax: np.ndarray, fmin) -> np.ndarray:
@@ -172,30 +156,33 @@ def _band(qmax: np.ndarray, fmin) -> np.ndarray:
     return qmax <= fmin * (1 + _PREFILTER_REL) + 1e-12
 
 
-def _band_pairs(parts: np.ndarray, kernels: np.ndarray, qual: np.ndarray, lo: int, hi: int) -> tuple:
-    """``(offsets, m1, k1, m2, k2)``: the pairs of parts that can attain each n's minimum, n in [lo, hi].
+def _best_pairs(tier: tuple, lo: int, hi: int) -> tuple:
+    """``(has, i1, i2)``: which n in [lo, hi] have a pair of the tier's parts, and the best pair of each n that has, as its parts' indices.
 
-    The float minimum of max(q1, q2) per n over the pairs g1 + g2 = n,
-    then the pairs within its prefilter band: those of n = lo + i sit at
-    [offsets[i], offsets[i + 1]) of the lists, ascending in m1, and none
-    where n has no pair.  qual is the float quality of each part.
+    Per n, the pairs in the band of the float minimum of max(q1, q2), m1
+    ascending: one is taken, and several are ranked exactly.
     """
+    parts, kernels, qual = tier
     index, start, count = _pair_ranges(parts, lo, hi)
     chunks = list(_pairs(index, start, count)) if count.sum() <= BLOCK else None
     fmin = np.full(hi - lo + 1, np.inf)
     for i1, i2 in chunks or _pairs(index, start, count):
         np.minimum.at(fmin, parts[i1] + parts[i2] - lo, np.maximum(qual[i1], qual[i2]))
-    found = [], [], []
+    found = [(np.zeros(0, dtype=np.int64),) * 2]
     for i1, i2 in chunks or _pairs(index, start, count):
-        at = parts[i1] + parts[i2] - lo
-        near = _band(np.maximum(qual[i1], qual[i2]), fmin[at])
-        for acc, arr in zip(found, (at, i1, i2)):
-            acc.append(arr[near])
-    at, i1, i2 = (np.concatenate(acc) if acc else np.zeros(0, dtype=np.int64) for acc in found)
-    order = np.argsort(at, kind="stable")  # keeps m1 ascending within each n
-    at, i1, i2 = at[order], i1[order], i2[order]
-    offsets = np.searchsorted(at, np.arange(hi - lo + 2)).tolist()
-    return offsets, parts[i1].tolist(), kernels[i1].tolist(), parts[i2].tolist(), kernels[i2].tolist()
+        near = _band(np.maximum(qual[i1], qual[i2]), fmin[parts[i1] + parts[i2] - lo])
+        found.append((i1[near], i2[near]))
+    i1, i2 = map(np.concatenate, zip(*found))
+    del found, chunks, fmin  # dropped before the sort, so that a block holds a few arrays of its n at once
+    order = np.argsort(parts[i1] + parts[i2], kind="stable")  # keeps m1 ascending within each n
+    i1, i2 = i1[order], i2[order]
+    ends = np.searchsorted(parts[i1] + parts[i2], np.arange(lo, hi + 2))
+    first, stop = ends[:-1].copy(), ends[1:]
+    for n in np.flatnonzero(stop - first > 1).tolist():
+        band = slice(first[n], stop[n])
+        first[n] += _best_pair(*(column[i[band]].tolist() for i in (i1, i2) for column in (parts, kernels)))
+    has = first < stop
+    return has, i1[first[has]], i2[first[has]]
 
 
 def _tier(parts: np.ndarray, kernels: np.ndarray) -> tuple:
@@ -203,55 +190,63 @@ def _tier(parts: np.ndarray, kernels: np.ndarray) -> tuple:
     return parts, kernels, kernels.astype(np.float64) ** 2 / parts
 
 
-def _tiers(parts: np.ndarray, kernels: np.ndarray) -> list[tuple]:
-    """The tiers over G, built once per scan: its parts of quality at most _FIRST_TIER_QUALITY, then G."""
-    keep = quality(_FIRST_TIER_QUALITY).member(parts, kernels)
-    return [_tier(parts[keep], kernels[keep]), _tier(parts, kernels)]
+def _tiers(g: tuple) -> list[tuple]:
+    """The tiers over the tier G, built once per scan: its parts of quality at most _FIRST_TIER_QUALITY, then G."""
+    keep = quality(_FIRST_TIER_QUALITY).member(*g[:2])
+    return [tuple(column[keep] for column in g), g]
 
 
-def _oracle_block(tiers: list[tuple], lo: int, hi: int) -> list[tuple]:
-    """``(m1, k1, m2, k2)`` of the best pair of every n in [lo, hi].
+def _worse_part(tier: tuple, i1: np.ndarray, i2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(k**2, m)`` int64 columns of the worse part of each pair of the tier's parts i1, i2, part 1's on ties.
+
+    Floats decide outside the prefilter band, and ints within it.
+    """
+    parts, kernels, qual = tier
+    f1, f2 = qual[i1], qual[i2]
+    first = f1 > f2
+    near = np.flatnonzero(_band(f1, f2) & _band(f2, f1))
+    pairs = (column[i[near]].tolist() for i in (i1, i2) for column in (parts, kernels))
+    first[near] = [k1 * k1 * m2 >= k2 * k2 * m1 for m1, k1, m2, k2 in zip(*pairs)]
+    worse = np.where(first, i1, i2)
+    return kernels[worse] ** 2, parts[worse]
+
+
+def _oracle_block(tiers: list[tuple], lo: int, hi: int, m1: np.ndarray, worse: np.ndarray) -> None:
+    """Write each n's best pair at n - lo: m1 its part 1, and worse the rows (k**2, m) of its worse part.
 
     The tiers ascend in quality: those of ``_tiers``, then every m in
-    [2, n - 2] (c = n), built here for each n that reaches it.  An n with
-    a pair in a tier has its optimum among that tier's pairs, since any
-    other pair has a part of higher quality, so a tier ranks only the n
-    that the tiers before it left without a pair: the first the whole
-    window at once, each later one n by n.
+    [2, n - 2], built for each n that reaches it.  An n with a pair in a
+    tier has its optimum among that tier's pairs, so a tier ranks only
+    the n the tiers before it missed: the first the whole block at once,
+    each later one n by n.
     """
-    best, todo = [None] * (hi - lo + 1), [(lo, hi)]
+    todo = [(lo, hi)]
     for tier in (*tiers, None):
-        if not todo:
-            break
         missed = []
         for w_lo, w_hi in todo:
             # the last tier, c = n: every m in [2, n - 2], from the same walk
             ranked = tier or _tier(*kernel_bounded(w_hi - 2, quality(w_hi).interval(w_hi - 2)))
-            offsets, m1, k1, m2, k2 = _band_pairs(*ranked, w_lo, w_hi)
-            for n, s, e in zip(range(w_lo, w_hi + 1), offsets, offsets[1:]):
-                if e - s == 1:  # the common case: one pair in the band
-                    best[n - lo] = m1[s], k1[s], m2[s], k2[s]
-                elif e > s:
-                    best[n - lo] = _best_pair(m1[s:e], k1[s:e], m2[s:e], k2[s:e])
-                else:
-                    missed.append((n, n))
+            has, i1, i2 = _best_pairs(ranked, w_lo, w_hi)
+            rows = w_lo - lo + np.flatnonzero(has)
+            m1[rows] = ranked[0][i1]
+            worse[0, rows], worse[1, rows] = _worse_part(ranked, i1, i2)
+            missed += ((n, n) for n in (w_lo + np.flatnonzero(~has)).tolist())
         todo = missed
-    return best
 
 
 class ComparisonReport(NamedTuple):
     """Constructive split vs exhaustive optimum over [n_lo, n_hi].
 
-    One column per field, at n - n_lo: each side's m1 (m2 is n - m1) and
-    the quality of its pair as the pair (k**2, m) of its worse part.
+    int64 columns at n - n_lo: each side's m1 (m2 is n - m1), and the
+    quality of its pair as the rows (k**2, m) of its worse part.
     """
 
     n_lo: int
     n_hi: int
-    split_m1: list[int]
-    split_quality: list[tuple[int, int]]
-    oracle_m1: list[int]
-    oracle_quality: list[tuple[int, int]]
+    split_m1: np.ndarray
+    split_quality: np.ndarray
+    oracle_m1: np.ndarray
+    oracle_quality: np.ndarray
     violations: tuple[int, ...]
     max_split_quality: Fraction
     mean_split_quality: float
@@ -259,17 +254,18 @@ class ComparisonReport(NamedTuple):
     mean_oracle_quality: float
 
     def columns(self) -> tuple:
-        """The rows, one per n, as ``(key, kind, column)`` per key; each column is read once, as it prints."""
+        """The rows, one per n, as ``(key, kind, column)`` per key; each column is read once, as it prints, through a memoryview."""
         ns, bad, texts = range(self.n_lo, self.n_hi + 1), set(self.violations), _Texts()
+        split_m1, oracle_m1 = memoryview(self.split_m1), memoryview(self.oracle_m1)
         return (
             ("n", int, ns),
-            ("split_m1", int, self.split_m1),
-            ("split_m2", int, map(sub, ns, self.split_m1)),
-            ("split_quality", str, map(texts.__getitem__, self.split_quality)),
+            ("split_m1", int, split_m1),
+            ("split_m2", int, map(sub, ns, split_m1)),
+            ("split_quality", str, map(texts.__getitem__, zip(*map(memoryview, self.split_quality)))),
             ("split_fallback", bool, map(le, ns, repeat(6))),  # split has no witness below 7
-            ("oracle_m1", int, self.oracle_m1),
-            ("oracle_m2", int, map(sub, ns, self.oracle_m1)),
-            ("oracle_quality", str, map(texts.__getitem__, self.oracle_quality)),
+            ("oracle_m1", int, oracle_m1),
+            ("oracle_m2", int, map(sub, ns, oracle_m1)),
+            ("oracle_quality", str, map(texts.__getitem__, zip(*map(memoryview, self.oracle_quality)))),
             ("ok", bool, map(not_, map(bad.__contains__, ns))),
         )
 
@@ -286,14 +282,15 @@ class ComparisonReport(NamedTuple):
         }
 
 
-def _kernels_of(ms: list, parts: np.ndarray, kernels: np.ndarray) -> list:
-    """k(m) for each m, looked up in the parts, or by trial division for an m not among them."""
-    if not len(parts):
-        return [radical(m) for m in ms]
-    arr = np.array(ms, dtype=np.int64)
-    at = np.minimum(np.searchsorted(parts, arr), len(parts) - 1)
-    hit = parts[at] == arr
-    return [k if h else radical(m) for m, k, h in zip(ms, kernels[at].tolist(), hit.tolist())]
+def _split_block(g: tuple, lo: int, hi: int) -> tuple:
+    """``(m1, (k**2, m))`` of split(n), n in [lo, hi], its parts' kernels read off G, the tier g: the split's bound puts every part there."""
+    from .decompose import split_parts  # only the oracle scan splits: the probe skips the import
+
+    parts = np.array(split_parts(lo, hi), dtype=np.int64)
+    i = np.searchsorted(g[0], parts)
+    if not np.array_equal(g[0].take(i, mode="clip"), parts):
+        raise RuntimeError(f"a part of split(n), n in [{lo}, {hi}], is outside G: k(m)**4 <= 432 m**2 fails")
+    return parts[0], _worse_part(g, *i)
 
 
 def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> ComparisonReport:
@@ -303,31 +300,30 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     where it is lands in ``violations``.  Unless ``force``, a scan over
     the budget is refused before the step that would exceed it.
     """
-    from .decompose import split_parts  # only the oracle scan splits: the probe skips the import
-
-    parts, kernels = _admit(n_lo, n_hi, quality(_CANDIDATE_QUALITY), force)
-    tiers, split_m1, split_q, oracle_m1, oracle_q = _tiers(parts, kernels), [], [], [], []
-    for lo, hi in _blocks(n_lo, n_hi, _ORACLE_BLOCK):
-        om1, ok1, om2, ok2 = zip(*_oracle_block(tiers, lo, hi))
-        oracle_m1 += om1
-        oracle_q += map(_worse, om1, ok1, om2, ok2)
-        sm1, sm2 = split_parts(lo, hi)
-        split_m1 += sm1
-        split_q += map(_worse, sm1, _kernels_of(sm1, parts, kernels), sm2, _kernels_of(sm2, parts, kernels))
+    g = _tier(*_admit(n_lo, n_hi, quality(_CANDIDATE_QUALITY), force))
+    tiers, rows = _tiers(g), n_hi - n_lo + 1
+    split_m1, oracle_m1 = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    split_q, oracle_q = np.empty((2, rows), np.int64), np.empty((2, rows), np.int64)
+    for lo, hi in _blocks(n_lo, n_hi, BLOCK):
+        at = slice(lo - n_lo, hi - n_lo + 1)
+        split_m1[at], (split_q[0, at], split_q[1, at]) = _split_block(g, lo, hi)
+        _oracle_block(tiers, lo, hi, oracle_m1[at], oracle_q[:, at])
     return _report(n_lo, n_hi, split_m1, split_q, oracle_m1, oracle_q)
 
 
-def _report(n_lo: int, n_hi: int, split_m1: list, split_q: list, oracle_m1: list, oracle_q: list) -> ComparisonReport:
-    """The report over the columns, with floats deciding every comparison they can.
+def _report(n_lo: int, n_hi: int, split_m1: np.ndarray, split_q: np.ndarray, oracle_m1: np.ndarray, oracle_q: np.ndarray) -> ComparisonReport:
+    """The report over the columns: q / m on Python ints rounds correctly, hence monotonically.
 
-    q / m on two ints rounds correctly, hence monotonically, so only the
-    qualities at the largest float are compared as Fractions.  The means
-    add the floats left to right (``np.cumsum``), as a loop over n does.
-    Violations, an oracle quality above the split's, are decided in ints.
+    So only the qualities at the largest float are compared as Fractions,
+    and only an n whose oracle float is at least the split's can be a
+    violation, decided in ints.  The means add the floats left to right.
     """
     from fractions import Fraction
 
-    split_f, oracle_f = (np.fromiter((q / m for q, m in qs), np.float64, len(qs)) for qs in (split_q, oracle_q))
+    split_f, oracle_f = (np.fromiter(map(truediv, *map(memoryview, qs)), np.float64, qs.shape[1]) for qs in (split_q, oracle_q))
+    max_split, max_oracle = (max(map(Fraction, *qs[:, f == f.max()].tolist())) for qs, f in ((split_q, split_f), (oracle_q, oracle_f)))
+    suspect = np.flatnonzero(oracle_f >= split_f)
+    sq, sm, oq, om = (column[suspect].tolist() for column in (*split_q, *oracle_q))
     return ComparisonReport(
         n_lo=n_lo,
         n_hi=n_hi,
@@ -335,10 +331,10 @@ def _report(n_lo: int, n_hi: int, split_m1: list, split_q: list, oracle_m1: list
         split_quality=split_q,
         oracle_m1=oracle_m1,
         oracle_quality=oracle_q,
-        violations=tuple(n for n, (sq, sm), (oq, om) in zip(count(n_lo), split_q, oracle_q) if oq * sm > sq * om),
-        max_split_quality=max(Fraction(*split_q[i]) for i in np.flatnonzero(split_f == split_f.max())),
+        violations=tuple(n_lo + i for i, a, b, c, d in zip(suspect.tolist(), sq, sm, oq, om) if c * b > a * d),
+        max_split_quality=max_split,
         mean_split_quality=float(np.cumsum(split_f)[-1]) / len(split_f),
-        max_oracle_quality=max(Fraction(*oracle_q[i]) for i in np.flatnonzero(oracle_f == oracle_f.max())),
+        max_oracle_quality=max_oracle,
         mean_oracle_quality=float(np.cumsum(oracle_f)[-1]) / len(oracle_f),
     )
 

@@ -147,5 +147,5 @@ def decomposition_quality(d: Decomposition) -> Fraction:
 def best_decomposition(n: int) -> BestSplit:
     """Exhaustive minimum of max(quality(m1), quality(m2)) over m1 + m2 = n: the forced one-n oracle scan."""
     report = constructive_vs_oracle(n, n, force=True)
-    (m1,), (quality,) = report.oracle_m1, report.oracle_quality
-    return BestSplit(n, m1, n - m1, Fraction(*quality))
+    (m1,), ((q,), (m,)) = report.oracle_m1.tolist(), report.oracle_quality.tolist()
+    return BestSplit(n, m1, n - m1, Fraction(q, m))

@@ -12,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import accumulate, count
 from types import SimpleNamespace
 
 import numpy as np
@@ -95,15 +95,33 @@ def loop_best(n: int, table, good: np.ndarray, G: np.ndarray) -> BestSplit:
     return rank(n, m1, table) if m1.size else dense_best(n, table)
 
 
+def _worse(m1: int, k1: int, m2: int, k2: int) -> tuple[int, int]:
+    """``(k**2, m)`` of the worse part, the larger of k1**2 / m1 and k2**2 / m2; part 1's on ties: the scalar reference of ``orc._worse_part``."""
+    q1, q2 = k1 * k1, k2 * k2
+    return (q1, m1) if q1 * m2 >= q2 * m1 else (q2, m2)
+
+
+def plain(report: ComparisonReport) -> tuple:
+    """A comparison report with its int64 columns as lists, to compare whole reports."""
+    assert all(column.dtype == np.int64 for column in (report.split_m1, report.split_quality, report.oracle_m1, report.oracle_quality))
+    return tuple(field.tolist() if isinstance(field, np.ndarray) else field for field in report)
+
+
+def cut_tiers(mp: pytest.MonkeyPatch, cap: int) -> None:
+    """Cut the oracle's tiers to the parts of G of quality at most cap, so that n can miss both; the split still reads G."""
+    tiers = orc._tiers
+    mp.setattr(orc, "_tiers", lambda g: tiers(tuple(column[quality(cap).member(*g[:2])] for column in g)))
+
+
 def worse_part(m1: int, m2: int, table) -> tuple[int, int]:
     """``(k**2, m)`` of the part of larger quality, m1 on ties."""
     m = m1 if part_quality(m1, table[m1]) >= part_quality(m2, table[m2]) else m2
     return table[m] ** 2, m
 
 
-def loop_oracle(n_lo: int, n_hi: int, table) -> ComparisonReport:
-    """``constructive_vs_oracle`` as the per-n loop over a kernel table, with the G of orc._CANDIDATE_QUALITY."""
-    good, G = table_parts(table, n_hi - 2, orc._CANDIDATE_QUALITY)
+def loop_oracle(n_lo: int, n_hi: int, table, cap: int = orc._CANDIDATE_QUALITY) -> ComparisonReport:
+    """``constructive_vs_oracle`` as the per-n loop over a kernel table, with the parts of G of quality at most cap."""
+    good, G = table_parts(table, n_hi - 2, cap)
     split_m1, split_q, oracle_m1, oracle_q, violations = [], [], [], [], []
     sum_split = sum_oracle = 0.0
     for n in range(n_lo, n_hi + 1):
@@ -122,10 +140,10 @@ def loop_oracle(n_lo: int, n_hi: int, table) -> ComparisonReport:
     return ComparisonReport(
         n_lo=n_lo,
         n_hi=n_hi,
-        split_m1=split_m1,
-        split_quality=split_q,
-        oracle_m1=oracle_m1,
-        oracle_quality=oracle_q,
+        split_m1=np.array(split_m1, dtype=np.int64),
+        split_quality=np.array(split_q, dtype=np.int64).T,
+        oracle_m1=np.array(oracle_m1, dtype=np.int64),
+        oracle_quality=np.array(oracle_q, dtype=np.int64).T,
         violations=tuple(violations),
         max_split_quality=max(Fraction(*q) for q in split_q),
         mean_split_quality=sum_split / len(split_m1),
@@ -221,20 +239,20 @@ class TestQuality:
 class TestConstructiveVsOracle:
     def test_single_point_small(self):
         report = constructive_vs_oracle(4, 4)
-        assert report.split_quality == report.oracle_quality == [(4, 2)]  # 2 + 2, k(2)**2 / 2
+        assert report.split_quality.tolist() == report.oracle_quality.tolist() == [[4], [2]]  # 2 + 2, k(2)**2 / 2
         assert report.violations == ()
 
     def test_single_point_100(self):
         report = constructive_vs_oracle(100, 100)
-        assert Fraction(*report.split_quality[0]) == Fraction(*report.oracle_quality[0]) == 1
+        assert Fraction(*report.split_quality[:, 0].tolist()) == Fraction(*report.oracle_quality[:, 0].tolist()) == 1
         (row,) = rows(report.columns())
         assert row["ok"] and row["split_quality"] == row["oracle_quality"] == "1"
 
     def test_oracle_never_worse_to_1000(self):
         report = constructive_vs_oracle(4, 1000)
         assert report.violations == ()
-        for oracle, split in zip(report.oracle_quality, report.split_quality):
-            assert Fraction(*oracle) <= Fraction(*split)
+        for oq, om, sq, sm in zip(*report.oracle_quality.tolist(), *report.split_quality.tolist()):
+            assert Fraction(oq, om) <= Fraction(sq, sm)
 
     def test_summary_stats(self):
         report = constructive_vs_oracle(4, 100)
@@ -252,14 +270,23 @@ class TestConstructiveVsOracle:
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
             constructive_vs_oracle(3, 10)
 
-    def test_violation_reported(self, monkeypatch):
+    def test_violation_reported(self):
         # split parts given kernel 1 on purpose look better than many optima: each such n is a violation
-        monkeypatch.setattr(orc, "_kernels_of", lambda ms, parts, kernels: [1] * len(ms))
-        report = constructive_vs_oracle(4, 300)
-        qualities = zip(count(4), report.oracle_quality, report.split_quality)
+        real = constructive_vs_oracle(4, 300)
+        split_q = np.array([_worse(m1, 1, n - m1, 1) for n, m1 in zip(count(4), real.split_m1.tolist())]).T
+        report = orc._report(4, 300, real.split_m1, split_q, real.oracle_m1, real.oracle_quality)
+        qualities = zip(count(4), zip(*report.oracle_quality.tolist()), zip(*report.split_quality.tolist()))
         assert report.violations == tuple(n for n, o, s in qualities if Fraction(*o) > Fraction(*s))
         assert 4 in report.violations and len(report.violations) > 100
         assert [r["n"] for r in rows(report.columns()) if not r["ok"]] == list(report.violations)
+
+
+    def test_split_part_outside_g_raises(self, monkeypatch):
+        # the split's kernels are read off G, where its bound puts every part: a part outside it is a loud error
+        monkeypatch.setattr(kernsplit.decompose, "split_parts", lambda lo, hi: ([2] * (hi - lo + 1), list(range(lo - 2, hi - 1))))
+        assert constructive_vs_oracle(4, 23).violations == ()  # every m <= 21 is in G
+        with pytest.raises(RuntimeError, match=re.escape("a part of split(n), n in [4, 24], is outside G")):
+            constructive_vs_oracle(4, 24)  # 22 = 2 * 11: k(m)**2 = 484 > 21 * 22
 
 
 class TestConjectureProbe:
@@ -309,7 +336,7 @@ class TestConjectureProbe:
         # fails the probe exactly when its optimum is above 1
         oracle = constructive_vs_oracle(4, 10**5)
         failing = conjecture_probe(4, 10**5, _log_weighted_class(0.0)).failing
-        assert failing == tuple(n for n, (q, m) in zip(count(4), oracle.oracle_quality) if q > m)
+        assert failing == tuple(n for n, q, m in zip(count(4), *oracle.oracle_quality.tolist()) if q > m)
         assert len(failing) == 1977
 
     @settings(max_examples=10, deadline=None)
@@ -352,14 +379,14 @@ class TestSparseMatchesDense:
     def test_range_window(self, lo):
         table = table_to(100_000)
         report = constructive_vs_oracle(lo, lo + 100)
-        for n, m1, quality in zip(count(lo), report.oracle_m1, report.oracle_quality):
+        for n, m1, q, m in zip(count(lo), report.oracle_m1.tolist(), *report.oracle_quality.tolist()):
             best = dense_best(n, table)
-            assert (m1, n - m1, Fraction(*quality)) == (best.m1, best.m2, best.quality)
+            assert (m1, n - m1, Fraction(q, m)) == (best.m1, best.m2, best.quality)
 
     @pytest.mark.parametrize("cap", [0, 1, 2])
     def test_empty_candidates_fall_back_to_every_pair(self, monkeypatch, cap):
         # below the split's quality many n have no candidate pair; cap 0 leaves none at all
-        monkeypatch.setattr(orc, "_CANDIDATE_QUALITY", cap)
+        cut_tiers(monkeypatch, cap)
         table = table_to(2000)
         good, G = table_parts(table, 2000, cap)
         fallbacks = 0
@@ -410,18 +437,71 @@ class TestSparseMatchesDense:
         assert (report.witness, report.failing) == dense_probe(lo, hi, gamma, table_to(6400))
 
 
+# a part (m, k(m)) the oracle keeps: m up to the scans' int64 bound, and k**2 <= 21 * m
+SCAN_LIMIT = (2**63 - 1) // 21
+parts = st.integers(1, SCAN_LIMIT).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, math.isqrt(21 * m))))
+# the worse part's quality (k**2, m), with any q <= 21 * m
+qualities = st.integers(1, SCAN_LIMIT).flatmap(lambda m: st.tuples(st.integers(1, 21 * m), st.just(m)))
+
+
+@st.composite
+def pairs(draw):
+    """A pair of parts: unrelated, of the same quality written otherwise, or of a quality next to it."""
+    m1, k1 = draw(parts)
+    kind = draw(st.sampled_from(["any", "tie", "near"]))
+    if kind == "any":
+        return (m1, k1), draw(parts)
+    if kind == "tie":  # (t * t * m1, t * k1)
+        t = draw(st.integers(1, max(1, math.isqrt(SCAN_LIMIT // m1))))
+        return (m1, k1), (t * t * m1, t * k1)
+    m2 = draw(st.integers(1, SCAN_LIMIT))
+    k2 = math.isqrt(k1 * k1 * m2 // m1) + draw(st.integers(-1, 1))
+    return (m1, k1), (m2, min(max(k2, 1), math.isqrt(21 * m2)))
+
+
+class TestWorsePart:
+    """The vectorized worse part and report against their scalar references, at every n up to the scans' int64 bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(pairs(), min_size=1, max_size=40))
+    @example([((16, 2), (4, 1))])  # 4/16 and 1/4: a tie, part 1's
+    @example([((4, 1), (16, 2)), ((2**58 + 1, 2**29), (4, 2)), ((2**58 - 1, 2**29), (4, 2)), ((4, 2), (2**58 - 1, 2**29))])
+    def test_matches_the_scalar_worse(self, drawn):
+        # 2**58 / (2**58 + 1) and 2**58 / (2**58 - 1) round to the float 1.0: only ints tell them from 4/4
+        (ms, ks) = zip(*(part for pair in drawn for part in pair))
+        tier = orc._tier(np.array(ms, dtype=np.int64), np.array(ks, dtype=np.int64))
+        i1, i2 = np.arange(0, len(ms), 2), np.arange(1, len(ms), 2)
+        got = [column.tolist() for column in orc._worse_part(tier, i1, i2)]
+        assert list(zip(*got)) == [_worse(m1, k1, m2, k2) for (m1, k1), (m2, k2) in drawn]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, SCAN_LIMIT), st.lists(st.tuples(qualities, qualities), min_size=1, max_size=30))
+    @example(4, [((2, 2), (1, 1))])
+    @example(10, [((2**53 + 1, 2**53 + 3), (1, 1)), ((2**53, 2**53 + 4), (2**53 + 1, 2**53 + 3))])
+    def test_report_matches_python(self, n_lo, drawn):
+        # (2**53 + 1) / (2**53 + 3) is not float(2**53 + 1) / float(2**53 + 3): the floats are Python's q / m,
+        # added left to right, and the violations and maxima are decided in Python ints and Fractions
+        split_q, oracle_q = zip(*drawn)
+        rows, m1s = len(drawn), np.full(len(drawn), 2, dtype=np.int64)
+        report = orc._report(n_lo, n_lo + rows - 1, m1s, np.array(split_q).T, m1s, np.array(oracle_q).T)
+        assert report.violations == tuple(n for n, (a, b), (c, d) in zip(count(n_lo), split_q, oracle_q) if c * b > a * d)
+        assert (report.max_split_quality, report.max_oracle_quality) == tuple(max(Fraction(*q) for q in side) for side in (split_q, oracle_q))
+        means = tuple(list(accumulate(q / m for q, m in side))[-1] / rows for side in (split_q, oracle_q))
+        assert (report.mean_split_quality, report.mean_oracle_quality) == means
+
+
 class TestBlockMatchesLoop:
     """The block sumsets against the per-n loops they replaced."""
 
     @settings(max_examples=12, deadline=None)
     @given(window(4, 200_000 - 300, 300))
     def test_oracle_up_to_2e5(self, lohi):
-        assert constructive_vs_oracle(*lohi, force=True) == loop_oracle(*lohi, table_to(200_000))
+        assert plain(constructive_vs_oracle(*lohi, force=True)) == plain(loop_oracle(*lohi, table_to(200_000)))
 
     @settings(max_examples=4, deadline=None)
     @given(window(998_000, 1_001_800, 200))
     def test_oracle_near_1e6(self, lohi):
-        assert constructive_vs_oracle(*lohi, force=True) == loop_oracle(*lohi, table_to(1_002_000))
+        assert plain(constructive_vs_oracle(*lohi, force=True)) == plain(loop_oracle(*lohi, table_to(1_002_000)))
 
     @settings(max_examples=10, deadline=None)
     @given(window(4, 20_000, 600), st.sampled_from([1, 3, 64]))
@@ -429,9 +509,8 @@ class TestBlockMatchesLoop:
         # pair blocks of a few pairs and oracle blocks of a few n: many edges inside one window
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orc, "BLOCK", cap * 16)
-            mp.setattr(orc, "_ORACLE_BLOCK", cap * 16)
             got = constructive_vs_oracle(*lohi, force=True)
-        assert got == loop_oracle(*lohi, table_to(20_600))
+        assert plain(got) == plain(loop_oracle(*lohi, table_to(20_600)))
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -439,15 +518,14 @@ class TestBlockMatchesLoop:
     )
     def test_oracle_fallback(self, lohi, first, cap, block):
         # with the tiers patched smaller, each can miss: an n with no pair in G ranks every pair;
-        # with oracle blocks of a few n, one tier list serves many blocks
+        # with blocks of a few n, one tier list serves many blocks
         assume(first <= cap)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orc, "_ORACLE_BLOCK", block)
+            mp.setattr(orc, "BLOCK", block)
             mp.setattr(orc, "_FIRST_TIER_QUALITY", first)
-            mp.setattr(orc, "_CANDIDATE_QUALITY", cap)
+            cut_tiers(mp, cap)
             got = constructive_vs_oracle(*lohi, force=True)
-            want = loop_oracle(*lohi, table_to(2_800))
-        assert got == want
+        assert plain(got) == plain(loop_oracle(*lohi, table_to(2_800), cap))
 
     @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0])
     @settings(max_examples=8, deadline=None)
@@ -480,17 +558,17 @@ class TestBlockMatchesLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orc, "_PREFILTER_REL", 1.0)
             got = constructive_vs_oracle(*lohi, force=True)
-        assert got == loop_oracle(*lohi, table_to(30_300))
+        assert plain(got) == plain(loop_oracle(*lohi, table_to(30_300)))
 
     def test_report_decides_float_ties_exactly(self):
         # (2**60 + 1) / 2**60 and 1 round to the same float
         above, one = (2**60 + 1, 2**60), (1, 1)
         # n = 10 is a violation only in exact terms
-        columns = [2, 2, 2], [one, above, one], [2, 2, 2], [above, one, one]
+        columns = [np.array(column, dtype=np.int64).T for column in ([2, 2, 2], [one, above, one], [2, 2, 2], [above, one, one])]
         report = orc._report(10, 12, *columns)
         assert report.violations == (10,)
         assert report.max_split_quality == report.max_oracle_quality == Fraction(*above)
-        assert orc._report(10, 12, *(c[::-1] for c in columns)).max_split_quality == Fraction(*above)
+        assert orc._report(10, 12, *(c[..., ::-1] for c in columns)).max_split_quality == Fraction(*above)
 
     def test_scans_reach_no_sieve(self, monkeypatch):
         monkeypatch.setattr(kernsplit.kernel, "radical_sieve", refuse)
@@ -498,8 +576,8 @@ class TestBlockMatchesLoop:
         assert constructive_vs_oracle(4, 3000).violations == ()
         for gamma in (-5.0, 0.0, 0.5, 10.0):
             conjecture_probe(4, 3000, _log_weighted_class(gamma))
-        # nor does the all-pairs fallback, which every n takes when G is empty
-        monkeypatch.setattr(orc, "_CANDIDATE_QUALITY", 0)
+        # nor does the all-pairs fallback, which every n takes when the tiers are empty
+        cut_tiers(monkeypatch, 0)
         assert constructive_vs_oracle(4, 300).violations == ()
 
 
