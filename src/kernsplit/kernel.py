@@ -95,8 +95,8 @@ BOUNDED_INT64_LIMIT = 2**63 - 1
 #   visit until its parts exist, and 64 more while it builds its columns.
 # - A scan row: 2-5 us (probe) to ~25 us (oracle) of Python with its
 #   output.  The report's columns hold 48 bytes a row for the oracle (six
-#   int64 columns), ~30 for the probe, and a row's record is built only
-#   as it prints.  Both are priced at ROW_BYTES, fitted when the oracle
+#   int64 columns), 8 for the probe (one), and a row's record is built
+#   only as it prints.  Both are priced at ROW_BYTES, fitted when the oracle
 #   held ~810 bytes a row, so no admitted scan peaks above MEMORY_LIMIT,
 #   and no verdict moved when the rows became columns.
 # - A unit of the width bound of a scan's parts (``kernel_bounded``'s

@@ -7,9 +7,9 @@ quality(m2)) over all m1 + m2 = n with m1, m2 >= 2, ties resolved toward
 the smallest m1.  Floats only prefilter which pairs can attain the
 minimum, and every surviving candidate is re-ranked with
 ``fractions.Fraction``.  The two scans, ``constructive_vs_oracle`` and
-``conjecture_probe``, are the whole surface, and report columns indexed
-by n - n_lo: the oracle's are int64, each side's m1 and the integer pair
-(k**2, m) of its worse part.
+``conjecture_probe``, are the whole surface, and report int64 columns
+indexed by n - n_lo: the oracle's are each side's m1 and the integer
+pair (k**2, m) of its worse part, the probe's the smallest witness m1.
 
 Neither search walks every m1 <= n/2, and neither builds a kernel table.
 The split certifies k(m)**4 <= 432 m**2, a quality of at most
@@ -25,14 +25,14 @@ pair g1 <= g2 of parts with g1 + g2 in the block, formed over the g1
 that have one by ``kernel.flat_ranges`` in blocks of at most
 ``kernel.BLOCK`` pairs.  The oracle keeps, per n, the pairs within the
 prefilter band of the float minimum, and ranks exactly only the n with
-several, over ascending tiers of parts: quality at most 1 and G, both
-built once per scan, then every m in [2, n - 2] (``quality(n)``), each
-for the n that the tiers before it missed.  So an n with no pair in G
-has every pair ranked: no answer rests on the theorem it checks.  The
-worse part of a pair is picked by its parts' floats where they are
-further apart than the band, and in Python ints within it.  The probe
-records, per n, the smallest part g1 of a qualifying pair, and stops
-once no later pair can reach an n still without one.
+several, over two tiers built once per scan: the parts of quality at
+most 1, then G for each n they miss.  G is the last tier: each block's
+split is checked first to have both parts in G, and the optimum's
+qualities are at most the split's.  The worse part of a pair is picked by its parts' floats where
+they are further apart than the band, and in Python ints within it.
+The probe writes, per n, the smallest part g1 of a qualifying pair into
+one int64 column, 0 for none (every part is >= 1), and stops once no
+later pair can reach an n still without one.
 
 Both scans are priced by ``kernel.check_budget`` in seconds and bytes:
 rows, the walk over the powerful numbers, candidate parts and sumset
@@ -50,8 +50,8 @@ the step that would hold them.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import is_not, le, not_, sub, truediv
+from itertools import repeat, tee
+from operator import le, not_, sub, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -190,12 +190,6 @@ def _tier(parts: np.ndarray, kernels: np.ndarray) -> tuple:
     return parts, kernels, kernels.astype(np.float64) ** 2 / parts
 
 
-def _tiers(g: tuple) -> list[tuple]:
-    """The tiers over the tier G, built once per scan: its parts of quality at most _FIRST_TIER_QUALITY, then G."""
-    keep = quality(_FIRST_TIER_QUALITY).member(*g[:2])
-    return [tuple(column[keep] for column in g), g]
-
-
 def _worse_part(tier: tuple, i1: np.ndarray, i2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(k**2, m)`` int64 columns of the worse part of each pair of the tier's parts i1, i2, part 1's on ties.
 
@@ -211,25 +205,24 @@ def _worse_part(tier: tuple, i1: np.ndarray, i2: np.ndarray) -> tuple[np.ndarray
     return kernels[worse] ** 2, parts[worse]
 
 
-def _oracle_block(tiers: list[tuple], lo: int, hi: int, m1: np.ndarray, worse: np.ndarray) -> None:
+def _oracle_block(tiers: tuple, lo: int, hi: int, m1: np.ndarray, worse: np.ndarray) -> None:
     """Write each n's best pair at n - lo: m1 its part 1, and worse the rows (k**2, m) of its worse part.
 
-    The tiers ascend in quality: those of ``_tiers``, then every m in
-    [2, n - 2], built for each n that reaches it.  An n with a pair in a
-    tier has its optimum among that tier's pairs, so a tier ranks only
-    the n the tiers before it missed: the first the whole block at once,
-    each later one n by n.
+    The tiers ascend in quality, G's parts of quality at most
+    _FIRST_TIER_QUALITY, then G, and an n's optimum is among the pairs
+    of the first tier that has one: that tier ranks the block, G each n
+    it missed.  G is last, and exact, only because ``_split_block`` ran
+    first: it raises unless each split(n), no better than the optimum,
+    has both parts in G.
     """
     todo = [(lo, hi)]
-    for tier in (*tiers, None):
+    for tier in tiers:
         missed = []
         for w_lo, w_hi in todo:
-            # the last tier, c = n: every m in [2, n - 2], from the same walk
-            ranked = tier or _tier(*kernel_bounded(w_hi - 2, quality(w_hi).interval(w_hi - 2)))
-            has, i1, i2 = _best_pairs(ranked, w_lo, w_hi)
+            has, i1, i2 = _best_pairs(tier, w_lo, w_hi)
             rows = w_lo - lo + np.flatnonzero(has)
-            m1[rows] = ranked[0][i1]
-            worse[0, rows], worse[1, rows] = _worse_part(ranked, i1, i2)
+            m1[rows] = tier[0][i1]
+            worse[0, rows], worse[1, rows] = _worse_part(tier, i1, i2)
             missed += ((n, n) for n in (w_lo + np.flatnonzero(~has)).tolist())
         todo = missed
 
@@ -301,12 +294,13 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
     the budget is refused before the step that would exceed it.
     """
     g = _tier(*_admit(n_lo, n_hi, quality(_CANDIDATE_QUALITY), force))
-    tiers, rows = _tiers(g), n_hi - n_lo + 1
+    keep, rows = quality(_FIRST_TIER_QUALITY).member(*g[:2]), n_hi - n_lo + 1
+    tiers = tuple(column[keep] for column in g), g
     split_m1, oracle_m1 = np.empty(rows, np.int64), np.empty(rows, np.int64)
     split_q, oracle_q = np.empty((2, rows), np.int64), np.empty((2, rows), np.int64)
     for lo, hi in _blocks(n_lo, n_hi, BLOCK):
         at = slice(lo - n_lo, hi - n_lo + 1)
-        split_m1[at], (split_q[0, at], split_q[1, at]) = _split_block(g, lo, hi)
+        split_m1[at], (split_q[0, at], split_q[1, at]) = _split_block(g, lo, hi)  # first: it puts each n's optimum in G
         _oracle_block(tiers, lo, hi, oracle_m1[at], oracle_q[:, at])
     return _report(n_lo, n_hi, split_m1, split_q, oracle_m1, oracle_q)
 
@@ -345,28 +339,28 @@ class ProbeReport(NamedTuple):
     A part qualifies when it is a member of the class the probe was
     handed, whose ``(name, value)`` is ``param``; n is representable when
     some m1 + m2 = n, m1 <= m2, has both parts qualifying.
-    ``witness`` holds the smallest qualifying m1 at n - n_lo, or None
-    where none exists; those n are listed in ``failing``.  No cutoff
-    beyond which everything is representable is asserted, only observed.
+    ``witness`` is an int64 column of the smallest qualifying m1 at n -
+    n_lo, or 0 where none exists; those n are the int64 ``failing``.  No
+    cutoff beyond which all is representable is asserted, only observed.
     """
 
     n_lo: int
     n_hi: int
     param: tuple[str, object]
-    witness: list[int | None]
-    failing: tuple[int, ...]
+    witness: np.ndarray
+    failing: np.ndarray
 
     @property
     def satisfied(self) -> int:
         return len(self.witness) - len(self.failing)
 
     def columns(self) -> tuple:
-        """The rows, one per n, as ``(key, kind, column)`` per key; each column is read once, as it prints."""
-        return _probe_columns(range(self.n_lo, self.n_hi + 1), self.witness)
+        """The rows, one per n, as ``(key, kind, column)`` per key; the witness column is read once, as it prints, through a memoryview."""
+        return _probe_columns(range(self.n_lo, self.n_hi + 1), memoryview(self.witness))
 
     def failing_columns(self) -> tuple:
         """The rows of the failing n alone, as ``columns`` gives them."""
-        return _probe_columns(self.failing, [None] * len(self.failing))
+        return _probe_columns(memoryview(self.failing), repeat(0))
 
     def summary_record(self) -> dict:
         name, value = self.param
@@ -376,17 +370,18 @@ class ProbeReport(NamedTuple):
             name: value,
             "checked": len(self.witness),
             "satisfied": self.satisfied,
-            "failing": list(self.failing),
+            "failing": self.failing.tolist(),
         }
 
 
-def _probe_columns(ns, witness: list) -> tuple:
-    """The probe's table over ns, with the smallest qualifying m1 of each n in witness (None for none)."""
+def _probe_columns(ns, witness) -> tuple:
+    """The probe's table over ns (read twice) from the ints of witness (read once): each n's smallest qualifying m1, or 0 for none."""
+    ok, m1, m1_, m2 = tee(witness, 4)
     return (
         ("n", int, ns),
-        ("ok", bool, map(is_not, witness, repeat(None))),
-        ("m1", int | None, witness),
-        ("m2", int | None, (None if m1 is None else n - m1 for n, m1 in zip(ns, witness))),
+        ("ok", bool, map(bool, ok)),
+        ("m1", int | None, map({0: None}.get, m1, m1_)),
+        ("m2", int | None, (n - m if m else None for n, m in zip(ns, m2))),
     )
 
 
@@ -394,9 +389,9 @@ def conjecture_probe(n_lo: int, n_hi: int, members: KernelClass, *, force: bool 
     """Scan [n_lo, n_hi] for two-part representations by the members of a class; refused over budget unless force."""
     parts, _ = _admit(n_lo, n_hi, members, force)
     none = np.iinfo(np.int64).max
-    witness, failing = [], []
+    witness = np.full(n_hi - n_lo + 1, none)
     for lo, hi in _blocks(n_lo, n_hi, BLOCK):
-        first = np.full(hi - lo + 1, none)
+        first = witness[lo - n_lo : hi - n_lo + 1]
         for i1, i2 in _pairs(*_pair_ranges(parts, lo, hi)):
             g1 = parts[i1]
             np.minimum.at(first, g1 + parts[i2] - lo, g1)
@@ -404,9 +399,5 @@ def conjecture_probe(n_lo: int, n_hi: int, members: KernelClass, *, force: bool 
             reach = 2 * int(g1[-1]) - lo
             if first[max(reach, 0) :].max(initial=0) < none:
                 break
-        block, missed = first.tolist(), np.flatnonzero(first == none).tolist()
-        for i in missed:
-            block[i] = None
-        witness += block
-        failing += (lo + i for i in missed)
-    return ProbeReport(n_lo, n_hi, members.param, witness, tuple(failing))
+        first[first == none] = 0
+    return ProbeReport(n_lo, n_hi, members.param, witness, n_lo + np.flatnonzero(witness == 0))

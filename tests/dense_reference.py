@@ -14,7 +14,8 @@ division, on every l-th power up to a bound instead, and
 ``best_decomposition`` reads the oracle's best pair of one n off the
 one-n window of ``constructive_vs_oracle``, and ``part_quality`` and
 ``decomposition_quality`` give the exact qualities the oracle tests
-rank by.
+rank by.  ``plain_probe`` reads a probe report's int64 columns as the
+lists the probe references give.
 """
 
 import math
@@ -142,6 +143,12 @@ def part_quality(m: int, k: int) -> Fraction:
 def decomposition_quality(d: Decomposition) -> Fraction:
     """Worse part quality of a decomposition, kernels by trial division."""
     return max(part_quality(d.m1, radical(d.m1)), part_quality(d.m2, radical(d.m2)))
+
+
+def plain_probe(report) -> tuple[list, tuple]:
+    """A probe report's int64 ``(witness, failing)`` as a list, each 0 read as None (no pair), and a tuple."""
+    assert report.witness.dtype == report.failing.dtype == np.int64
+    return [m1 or None for m1 in report.witness.tolist()], tuple(report.failing.tolist())
 
 
 def best_decomposition(n: int) -> BestSplit:

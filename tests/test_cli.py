@@ -21,6 +21,7 @@ import kernsplit.decompose
 import kernsplit.kernel
 import kernsplit.oracle
 import kernsplit.powered
+from dense_reference import plain_probe
 from kernsplit.cli import _ECHO_BLOCK, _emit, _grid, cli
 from kernsplit.decompose import RangeScanReport, split
 from kernsplit.kernel import radical_sieve
@@ -1149,7 +1150,8 @@ def reference_rows(report) -> list[dict]:
             for n, sm, sq, om, oq in zip(count(report.n_lo), *columns)
         ]
     if isinstance(report, ProbeReport):
-        return [{"n": n, "ok": m1 is not None, "m1": m1, "m2": None if m1 is None else n - m1} for n, m1 in zip(count(report.n_lo), report.witness)]
+        witness, _ = plain_probe(report)
+        return [{"n": n, "ok": m1 is not None, "m1": m1, "m2": None if m1 is None else n - m1} for n, m1 in zip(count(report.n_lo), witness)]
     return [{"n": n, "reason": reason} for n, reason in report.violations]
 
 

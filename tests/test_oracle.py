@@ -17,17 +17,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kernsplit.decompose
 import kernsplit.kernel
 import kernsplit.oracle as orc
 import kernsplit.powered
-from dense_reference import BestSplit, best_decomposition, decomposition_quality, log_weighted_mask, part_quality
+from dense_reference import BestSplit, best_decomposition, decomposition_quality, log_weighted_mask, part_quality, plain_probe
 from kernsplit.decompose import split
 from kernsplit.kernel import flat_ranges, kernel_bounded, quality, radical, radical_sieve
 from kernsplit.oracle import ComparisonReport, conjecture_probe, constructive_vs_oracle
-from kernsplit.powered import _log_weighted_class, count_log_weighted
+from kernsplit.powered import Theta, _log_weighted_class, _theta_class, count_log_weighted
 
 
 def rows(table) -> list[dict]:
@@ -107,21 +107,15 @@ def plain(report: ComparisonReport) -> tuple:
     return tuple(field.tolist() if isinstance(field, np.ndarray) else field for field in report)
 
 
-def cut_tiers(mp: pytest.MonkeyPatch, cap: int) -> None:
-    """Cut the oracle's tiers to the parts of G of quality at most cap, so that n can miss both; the split still reads G."""
-    tiers = orc._tiers
-    mp.setattr(orc, "_tiers", lambda g: tiers(tuple(column[quality(cap).member(*g[:2])] for column in g)))
-
-
 def worse_part(m1: int, m2: int, table) -> tuple[int, int]:
     """``(k**2, m)`` of the part of larger quality, m1 on ties."""
     m = m1 if part_quality(m1, table[m1]) >= part_quality(m2, table[m2]) else m2
     return table[m] ** 2, m
 
 
-def loop_oracle(n_lo: int, n_hi: int, table, cap: int = orc._CANDIDATE_QUALITY) -> ComparisonReport:
-    """``constructive_vs_oracle`` as the per-n loop over a kernel table, with the parts of G of quality at most cap."""
-    good, G = table_parts(table, n_hi - 2, cap)
+def loop_oracle(n_lo: int, n_hi: int, table) -> ComparisonReport:
+    """``constructive_vs_oracle`` as the per-n loop over a kernel table's parts of G."""
+    good, G = table_parts(table, n_hi - 2, orc._CANDIDATE_QUALITY)
     split_m1, split_q, oracle_m1, oracle_q, violations = [], [], [], [], []
     sum_split = sum_oracle = 0.0
     for n in range(n_lo, n_hi + 1):
@@ -285,6 +279,8 @@ class TestConstructiveVsOracle:
         # the split's kernels are read off G, where its bound puts every part: a part outside it is a loud error
         monkeypatch.setattr(kernsplit.decompose, "split_parts", lambda lo, hi: ([2] * (hi - lo + 1), list(range(lo - 2, hi - 1))))
         assert constructive_vs_oracle(4, 23).violations == ()  # every m <= 21 is in G
+        # the split is checked before any pair is ranked: G is the oracle's last tier only because of it
+        monkeypatch.setattr(orc, "_best_pairs", refuse)
         with pytest.raises(RuntimeError, match=re.escape("a part of split(n), n in [4, 24], is outside G")):
             constructive_vs_oracle(4, 24)  # 22 = 2 * 11: k(m)**2 = 484 > 21 * 22
 
@@ -293,14 +289,14 @@ class TestConjectureProbe:
     def test_gamma_zero_at_four(self):
         report = conjecture_probe(4, 4, _log_weighted_class(0.0))
         # (2, 2) is the only pair and k(2)**2 = 4 > 2 * (ln 2)**0
-        assert report.failing == (4,)
+        assert plain_probe(report) == ([None], (4,))
         assert report.satisfied == 0
 
     def test_gamma_ten_small_n(self):
         # m = 2 never qualifies ((ln 2)**20 < 1), so 4 = 2+2 and 5 = 2+3
         # stay unrepresentable even at large gamma
         report = conjecture_probe(4, 100, _log_weighted_class(10.0))
-        assert report.failing == (4, 5)
+        assert plain_probe(report)[1] == (4, 5)
         assert report.satisfied == 95
 
     def test_gamma_zero_range_against_brute_force(self):
@@ -312,10 +308,10 @@ class TestConjectureProbe:
             for n in range(4, 101)
             if not any(m in good and (n - m) in good for m in range(2, n // 2 + 1))
         )
-        report = conjecture_probe(4, 100, _log_weighted_class(0.0))
-        assert report.failing == expected
+        failing = plain_probe(conjecture_probe(4, 100, _log_weighted_class(0.0)))[1]
+        assert failing == expected
         # frozen snapshot of the same list
-        assert report.failing == (
+        assert failing == (
             4, 5, 6, 7, 9, 10, 11, 14, 15, 19, 21, 22, 23, 26, 27, 28, 30,
             37, 38, 39, 42, 46, 47, 49, 51, 55, 60, 66, 67, 69, 71, 77, 78,
             82, 83, 87, 92, 93, 94, 95,
@@ -324,7 +320,7 @@ class TestConjectureProbe:
     def test_pairs_are_witnesses(self):
         gamma = 0.5
         report = conjecture_probe(4, 200, _log_weighted_class(gamma))
-        for n, m1 in zip(count(4), report.witness):
+        for n, m1 in zip(count(4), plain_probe(report)[0]):
             if m1 is None:
                 continue
             m2 = n - m1
@@ -335,9 +331,19 @@ class TestConjectureProbe:
         # one set, one rule: gamma = 0 qualifies k(m)**2 <= m, the oracle's first tier, so an n
         # fails the probe exactly when its optimum is above 1
         oracle = constructive_vs_oracle(4, 10**5)
-        failing = conjecture_probe(4, 10**5, _log_weighted_class(0.0)).failing
+        failing = plain_probe(conjecture_probe(4, 10**5, _log_weighted_class(0.0)))[1]
         assert failing == tuple(n for n, q, m in zip(count(4), *oracle.oracle_quality.tolist()) if q > m)
         assert len(failing) == 1977
+
+    def test_a_class_holding_one_witnesses_with_it(self):
+        # A(1/2) is gamma = 0's class with m = 1: n = 1 + (n - 1) has witness 1, not the 0 of no pair,
+        # exactly where n - 1 is a member, and those n leave gamma = 0's failing set
+        k = table_to(10**5).values.astype(np.int64)
+        member = k * k <= np.arange(len(k))
+        witness, failing = plain_probe(conjecture_probe(4, 10**5, _theta_class(Theta(1, 2))))
+        ones = {n for n, m1 in zip(count(4), witness) if m1 == 1}
+        assert ones == {n for n in range(4, 10**5 + 1) if member[n - 1]}
+        assert failing == tuple(n for n in plain_probe(conjecture_probe(4, 10**5, _log_weighted_class(0.0)))[1] if n not in ones)
 
     @settings(max_examples=10, deadline=None)
     @given(window(4, 20_000 - 600, 600))
@@ -347,7 +353,7 @@ class TestConjectureProbe:
         # witnesses and failing n, and the report names the class it was handed
         report = conjecture_probe(*lohi, quality(1))
         weighted = conjecture_probe(*lohi, _log_weighted_class(0.0))
-        assert (report.witness, report.failing) == (weighted.witness, weighted.failing)
+        assert plain_probe(report) == plain_probe(weighted)
         assert report.param == ("quality", 1) and weighted.param == ("gamma", 0.0)
 
     def test_range_guard(self):
@@ -383,18 +389,19 @@ class TestSparseMatchesDense:
             best = dense_best(n, table)
             assert (m1, n - m1, Fraction(q, m)) == (best.m1, best.m2, best.quality)
 
-    @pytest.mark.parametrize("cap", [0, 1, 2])
-    def test_empty_candidates_fall_back_to_every_pair(self, monkeypatch, cap):
-        # below the split's quality many n have no candidate pair; cap 0 leaves none at all
-        cut_tiers(monkeypatch, cap)
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_empty_candidates_fall_back_to_every_pair(self, monkeypatch, first):
+        # below the split's quality many n have no pair in the first tier, and 0 leaves it empty:
+        # those n are ranked over G, which holds the optimum over every pair
+        monkeypatch.setattr(orc, "_FIRST_TIER_QUALITY", first)
         table = table_to(2000)
-        good, G = table_parts(table, 2000, cap)
+        good, G = table_parts(table, 2000, first)
         fallbacks = 0
         for n in range(4, 2001):
             m1 = G[G <= n // 2]
             fallbacks += not good[n - m1].any()
             assert best_decomposition(n) == dense_best(n, table), n
-        assert 0 < fallbacks < 1997 if cap else fallbacks == 1997
+        assert 0 < fallbacks < 1997 if first else fallbacks == 1997
 
     def test_range_builds_candidates_once(self, monkeypatch):
         calls = []
@@ -405,8 +412,12 @@ class TestSparseMatchesDense:
             return real(top, interval, admit)
 
         monkeypatch.setattr(orc, "kernel_bounded", counting)
-        constructive_vs_oracle(4, 300)
-        assert calls == [(298, (1, 298 // 8), (1, 21))]  # a <= min(top // b, 21*b // k(b)**2)
+        # with an empty first tier too, when every n is ranked over G
+        for first in (orc._FIRST_TIER_QUALITY, 0):
+            monkeypatch.setattr(orc, "_FIRST_TIER_QUALITY", first)
+            calls.clear()
+            constructive_vs_oracle(4, 300)
+            assert calls == [(298, (1, 298 // 8), (1, 21))]  # a <= min(top // b, 21*b // k(b)**2)
 
     def test_int64_bound(self, monkeypatch):
         # the largest n with 21 * n < 2**63: G's kernels * kernels <= c * parts, and pair sums below 2n
@@ -434,7 +445,7 @@ class TestSparseMatchesDense:
     def test_probe(self, gamma, lo, width):
         hi = lo + width
         report = conjecture_probe(lo, hi, _log_weighted_class(gamma))
-        assert (report.witness, report.failing) == dense_probe(lo, hi, gamma, table_to(6400))
+        assert plain_probe(report) == dense_probe(lo, hi, gamma, table_to(6400))
 
 
 # a part (m, k(m)) the oracle keeps: m up to the scans' int64 bound, and k**2 <= 21 * m
@@ -513,33 +524,29 @@ class TestBlockMatchesLoop:
         assert plain(got) == plain(loop_oracle(*lohi, table_to(20_600)))
 
     @settings(max_examples=12, deadline=None)
-    @given(
-        window(4, 2_500, 300), st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 2, 21]), st.sampled_from([16, 48])
-    )
-    def test_oracle_fallback(self, lohi, first, cap, block):
-        # with the tiers patched smaller, each can miss: an n with no pair in G ranks every pair;
-        # with blocks of a few n, one tier list serves many blocks
-        assume(first <= cap)
+    @given(window(4, 2_500, 300), st.sampled_from([0, 1, 2]), st.sampled_from([16, 48]))
+    def test_oracle_fallback(self, lohi, first, block):
+        # with the first tier patched smaller, or empty, many n miss it and are ranked over G;
+        # with blocks of a few n, one pair of tiers serves many blocks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orc, "BLOCK", block)
             mp.setattr(orc, "_FIRST_TIER_QUALITY", first)
-            cut_tiers(mp, cap)
             got = constructive_vs_oracle(*lohi, force=True)
-        assert plain(got) == plain(loop_oracle(*lohi, table_to(2_800), cap))
+        assert plain(got) == plain(loop_oracle(*lohi, table_to(2_800)))
 
     @pytest.mark.parametrize("gamma", [-5.0, 0.0, 0.5, 10.0])
     @settings(max_examples=8, deadline=None)
     @given(lohi=window(4, 200_000 - 400, 400))
     def test_probe_up_to_2e5(self, gamma, lohi):
         report = conjecture_probe(*lohi, _log_weighted_class(gamma), force=True)
-        assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(200_000))
+        assert plain_probe(report) == loop_probe(*lohi, gamma, table_to(200_000))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     @settings(max_examples=3, deadline=None)
     @given(lohi=window(998_000, 1_001_500, 500))
     def test_probe_near_1e6(self, gamma, lohi):
         report = conjecture_probe(*lohi, _log_weighted_class(gamma), force=True)
-        assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(1_002_000))
+        assert plain_probe(report) == loop_probe(*lohi, gamma, table_to(1_002_000))
 
     @pytest.mark.parametrize("gamma", [0.0, 10.0])
     @settings(max_examples=8, deadline=None)
@@ -549,7 +556,7 @@ class TestBlockMatchesLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orc, "BLOCK", cap * 16)
             report = conjecture_probe(*lohi, _log_weighted_class(gamma), force=True)
-        assert (report.witness, report.failing) == loop_probe(*lohi, gamma, table_to(20_600))
+        assert plain_probe(report) == loop_probe(*lohi, gamma, table_to(20_600))
 
     @settings(max_examples=6, deadline=None)
     @given(window(4, 30_000, 300))
@@ -576,8 +583,8 @@ class TestBlockMatchesLoop:
         assert constructive_vs_oracle(4, 3000).violations == ()
         for gamma in (-5.0, 0.0, 0.5, 10.0):
             conjecture_probe(4, 3000, _log_weighted_class(gamma))
-        # nor does the all-pairs fallback, which every n takes when the tiers are empty
-        cut_tiers(monkeypatch, 0)
+        # nor does G, which ranks every n when the first tier is empty
+        monkeypatch.setattr(orc, "_FIRST_TIER_QUALITY", 0)
         assert constructive_vs_oracle(4, 300).violations == ()
 
 
@@ -709,7 +716,7 @@ class TestScanWork:
         # forced, a scan is priced in bytes alone: its pairs are never counted
         monkeypatch.setattr(orc, "_pair_count", refuse)
         assert constructive_vs_oracle(4, 100, force=True).violations == ()
-        assert conjecture_probe(4, 100, _log_weighted_class(0.0), force=True).failing[:3] == (4, 5, 6)
+        assert plain_probe(conjecture_probe(4, 100, _log_weighted_class(0.0), force=True))[1][:3] == (4, 5, 6)
         with pytest.raises(ValueError, match="need 4 <= n_lo <= n_hi"):
             constructive_vs_oracle(10, 4, force=True)  # a malformed range is refused all the same
 
