@@ -65,6 +65,18 @@ __all__ = [
 # the largest m that ``factorize`` accepts: trial division up to 1e6
 FACTOR_LIMIT = 10**12
 
+# The one relative band of every float prefilter: a float comparison
+# decides only when its sides are further apart than this, and anything
+# within it is re-decided exactly.  Its sites: ``oracle._band`` (qualities
+# k**2 / m, ~2 ulp off; re-ranked in ints and Fraction),
+# ``powered._log_weighted_member`` (m * ln(m)**(2*gamma), ~15 ulp off:
+# pow amplifies ln's error at most ~12-fold where a near-tie can occur;
+# re-decided at 35 digits) and the start of the prefix in
+# ``powered._log_weighted_class``.  So it is over 3e5 times the float
+# error of each site.  Every quality is at least 1/m > 0 and every
+# right-hand side positive, so a relative band suffices.
+PREFILTER_REL = 1e-9
+
 # Entries per numpy block: the m sieved per segment of ``radical_sieve``,
 # the pairs (b, a) expanded at once by ``kernel_bounded`` and the sumset
 # pairs formed at once by the oracle and the probe.  A block's int64 and

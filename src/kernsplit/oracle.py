@@ -4,9 +4,10 @@ The quality of a part m is the exact rational k(m)**2 / m, at most 1
 exactly when k(m) <= sqrt(m).  A pair is ranked by its worse (larger)
 part, so the best decomposition of n minimizes max(quality(m1),
 quality(m2)) over all m1 + m2 = n with m1, m2 >= 2, ties resolved toward
-the smallest m1.  Floats only prefilter which pairs can attain the
-minimum, and every surviving candidate is re-ranked with
-``fractions.Fraction``.  The two scans, ``constructive_vs_oracle`` and
+the smallest m1.  Floats, all from ``_qualities``, only prefilter:
+within ``kernel.PREFILTER_REL`` of each other, the best pairs, a pair's
+worse part and the report's maxima and violations are re-decided in
+``Fraction`` or ints.  The two scans, ``constructive_vs_oracle`` and
 ``conjecture_probe``, are the whole surface, and report int64 columns
 indexed by n - n_lo: the oracle's are each side's m1 and the integer
 pair (k**2, m) of its worse part, the probe's the smallest witness m1.
@@ -24,15 +25,13 @@ Both scans walk n in blocks of ``kernel.BLOCK``, each one sumset: every
 pair g1 <= g2 of parts with g1 + g2 in the block, formed over the g1
 that have one by ``kernel.flat_ranges`` in blocks of at most
 ``kernel.BLOCK`` pairs.  The oracle keeps, per n, the pairs within the
-prefilter band of the float minimum, and ranks exactly only the n with
-several, over two tiers built once per scan: the parts of quality at
-most 1, then G for each n they miss.  G is the last tier: each block's
-split is checked first to have both parts in G, and the optimum's
-qualities are at most the split's.  The worse part of a pair is picked by its parts' floats where
-they are further apart than the band, and in Python ints within it.
-The probe writes, per n, the smallest part g1 of a qualifying pair into
-one int64 column, 0 for none (every part is >= 1), and stops once no
-later pair can reach an n still without one.
+band of the float minimum, and ranks exactly only the n with several,
+over two tiers built once per scan: the parts of quality at most 1,
+then G for each n they miss.  G is the last tier: each block's split is
+checked first to have both parts in G, and the optimum's qualities are
+at most the split's.  The probe writes, per n, the smallest part g1 of
+a qualifying pair into one int64 column, 0 for none (every part is at
+least 1), and stops once no later pair can reach an n still without one.
 
 Both scans are priced by ``kernel.check_budget`` in seconds and bytes:
 rows, the walk over the powerful numbers, candidate parts and sumset
@@ -51,12 +50,12 @@ from __future__ import annotations
 
 import math
 from itertools import repeat, tee
-from operator import le, not_, sub, truediv
+from operator import le, not_, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .kernel import BLOCK, PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
+from .kernel import BLOCK, PAIR_S, PART_BYTES, PART_S, POWERFUL_DENSITY, PREFILTER_REL, ROW_BYTES, ROW_S, WALK_VISIT_BYTES, WALK_VISIT_S
 from .kernel import KernelClass, _blocks, check_budget, flat_ranges, kernel_bounded, quality
 
 if TYPE_CHECKING:
@@ -68,10 +67,6 @@ __all__ = [
     "conjecture_probe",
     "constructive_vs_oracle",
 ]
-
-# relative slack for the float prefilter; anything this close to the
-# float minimum is re-ranked exactly
-_PREFILTER_REL = 1e-6
 
 # the oracle's candidate parts: k(m)**2 <= _CANDIDATE_QUALITY * m.  Any
 # pair of quality at most this has both parts in the set, and the split
@@ -151,9 +146,9 @@ def _best_pair(m1: list, k1: list, m2: list, k2: list) -> int:
     return min(range(len(m1)), key=lambda i: max(Fraction(k1[i] * k1[i], m1[i]), Fraction(k2[i] * k2[i], m2[i])))
 
 
-def _band(qmax: np.ndarray, fmin) -> np.ndarray:
-    """qmax within the prefilter band of fmin: a candidate for the exact minimum."""
-    return qmax <= fmin * (1 + _PREFILTER_REL) + 1e-12
+def _band(f: np.ndarray, g) -> np.ndarray:
+    """Where quality floats f <= g * (1 + PREFILTER_REL): wherever f's exact quality is at most g's, whatever the floats' error."""
+    return f <= g * (1 + PREFILTER_REL)
 
 
 def _best_pairs(tier: tuple, lo: int, hi: int) -> tuple:
@@ -185,9 +180,16 @@ def _best_pairs(tier: tuple, lo: int, hi: int) -> tuple:
     return has, i1[first[has]], i2[first[has]]
 
 
+# The float of each quality q / m, from int64 columns: numpy rounds q
+# and m to float64 first, so it is ~2 ulp off.  The one place a quality's
+# float is computed, for the tiers and the report alike.
+def _qualities(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return q / m
+
+
 def _tier(parts: np.ndarray, kernels: np.ndarray) -> tuple:
     """``(parts, kernels, qualities)``: a tier of the oracle, with the float quality of each part."""
-    return parts, kernels, kernels.astype(np.float64) ** 2 / parts
+    return parts, kernels, _qualities(kernels * kernels, parts)
 
 
 def _worse_part(tier: tuple, i1: np.ndarray, i2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,18 +308,18 @@ def constructive_vs_oracle(n_lo: int, n_hi: int, *, force: bool = False) -> Comp
 
 
 def _report(n_lo: int, n_hi: int, split_m1: np.ndarray, split_q: np.ndarray, oracle_m1: np.ndarray, oracle_q: np.ndarray) -> ComparisonReport:
-    """The report over the columns: q / m on Python ints rounds correctly, hence monotonically.
+    """The report over the columns, its floats prefiltered by ``_band``.
 
-    So only the qualities at the largest float are compared as Fractions,
-    and only an n whose oracle float is at least the split's can be a
-    violation, decided in ints.  The means add the floats left to right.
+    Only the rows within the band of a side's float maximum are compared
+    as Fractions, and only an n whose split float is at most its oracle's,
+    within the band, is checked for a violation in ints.  The means add
+    the floats left to right.
     """
     from fractions import Fraction
 
-    split_f, oracle_f = (np.fromiter(map(truediv, *map(memoryview, qs)), np.float64, qs.shape[1]) for qs in (split_q, oracle_q))
-    max_split, max_oracle = (max(map(Fraction, *qs[:, f == f.max()].tolist())) for qs, f in ((split_q, split_f), (oracle_q, oracle_f)))
-    suspect = np.flatnonzero(oracle_f >= split_f)
-    sq, sm, oq, om = (column[suspect].tolist() for column in (*split_q, *oracle_q))
+    split_f, oracle_f = _qualities(*split_q), _qualities(*oracle_q)
+    max_split, max_oracle = (max(map(Fraction, *qs[:, _band(f.max(), f)].tolist())) for qs, f in ((split_q, split_f), (oracle_q, oracle_f)))
+    suspect = np.flatnonzero(_band(split_f, oracle_f))
     return ComparisonReport(
         n_lo=n_lo,
         n_hi=n_hi,
@@ -325,7 +327,7 @@ def _report(n_lo: int, n_hi: int, split_m1: np.ndarray, split_q: np.ndarray, ora
         split_quality=split_q,
         oracle_m1=oracle_m1,
         oracle_quality=oracle_q,
-        violations=tuple(n_lo + i for i, a, b, c, d in zip(suspect.tolist(), sq, sm, oq, om) if c * b > a * d),
+        violations=tuple(n_lo + i for i, a, b, c, d in zip(suspect.tolist(), *split_q[:, suspect].tolist(), *oracle_q[:, suspect].tolist()) if c * b > a * d),
         max_split_quality=max_split,
         mean_split_quality=float(np.cumsum(split_f)[-1]) / len(split_f),
         max_oracle_quality=max_oracle,

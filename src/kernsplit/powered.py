@@ -10,9 +10,9 @@ content is merely large.
 
 The log-weighted class k(m)**2 <= m * ln(m)**(2*gamma) has one decision
 rule, ``_log_weighted_member``, with a float prefilter: everything
-within a relative 1e-9 of the boundary is re-decided with ``decimal`` at
-35 significant digits, since the right-hand side is not rational.  Results
-are therefore identical to element-by-element exact evaluation.
+within ``kernel.PREFILTER_REL`` (1e-9) of the boundary is re-decided
+with ``decimal`` at 35 significant digits, since the right-hand side is
+not rational.  Results are identical to element-by-element exact evaluation.
 
 The counters sieve nothing.  Every m is uniquely a*b with b powerful, a
 squarefree and gcd(a, b) = 1, and then k(m) = a*k(b), so each class is
@@ -36,7 +36,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-from .kernel import POWERFUL_DENSITY, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
+from .kernel import POWERFUL_DENSITY, PREFILTER_REL, SQUAREFREE_TERM_S, TABLE_ENTRY_S, WALK_VISIT_S
 from .kernel import KernelClass, check_budget, powerful_sum, primes_up_to, quality, squarefree_flags
 
 __all__ = [
@@ -47,9 +47,8 @@ __all__ = [
     "log_ratio_table",
 ]
 
-# relative near-tie band for the log-weighted comparison; anything this
-# close to the boundary is re-evaluated at 35 significant digits
-_TIE_REL = 1e-9
+# significant digits of the log-weighted recheck: anything within
+# PREFILTER_REL of the boundary is re-evaluated at this precision
 _TIE_DPS = 35
 
 
@@ -112,7 +111,7 @@ def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
     """k**2 <= m * ln(m)**(2*gamma) for one m >= 2, given k = k(m).
 
     A float test, re-decided by ``_log_weighted_member_exact`` within a
-    relative _TIE_REL of the boundary.
+    relative PREFILTER_REL of the boundary.
     """
     kf = float(k)
     lhs = kf * kf
@@ -120,7 +119,7 @@ def _log_weighted_member(m: int, k: int, gamma: float) -> bool:
         rhs = math.log(m) ** (2 * gamma) * m
     except OverflowError:
         return True  # an overflowed rhs exceeds every float lhs
-    if abs(lhs - rhs) < _TIE_REL * rhs:
+    if abs(lhs - rhs) < PREFILTER_REL * rhs:
         return _log_weighted_member_exact(m, k, gamma)
     return lhs <= rhs
 
@@ -364,8 +363,8 @@ def _log_weighted_class(gamma: float) -> KernelClass:
     b = 1: m = 1 is excluded.
     - At gamma = 0 the test is k(m)**2 <= m: the class is
       ``kernel.quality(1)``, in integers, and adds its leaves in bulk.
-    - When b*lo >= E = min(x, floor(peak * (1 + 1e-9)) + 1), peak =
-      e**min(2*gamma, ln x), f only rises: the interval is a prefix.
+    - When b*lo >= E = min(x, floor(peak * (1 + PREFILTER_REL)) + 1), peak =
+      e**min(2*gamma, ln x), f only rises (E passes the true peak): the interval is a prefix.
     - Otherwise the a within one of floor(t), clamped to [lo, x // b],
       are tested.  If none is a member, the interval is empty; if one
       is, L_b is found below it and R_b above it.
@@ -384,7 +383,7 @@ def _log_weighted_class(gamma: float) -> KernelClass:
 
     def interval(x: int) -> Callable[[int, int], tuple[int, int]]:
         peak = math.exp(min(2 * gamma, math.log(x)))  # e**(2*gamma), capped at x where t is past x // b
-        start = min(x, math.floor(peak * (1 + 1e-9)) + 1)
+        start = min(x, math.floor(peak * (1 + PREFILTER_REL)) + 1)
 
         def within(b: int, k: int) -> tuple[int, int]:
             lo, hi = 2 if b == 1 else 1, x // b

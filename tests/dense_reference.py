@@ -5,7 +5,8 @@ from a ``radical_sieve`` table, in slices of ``SEGMENT`` entries so the
 float temporaries stay slice-sized; ``SEGMENT`` is read at call time.
 The log-weighted rule is the library's decision in numpy form: the same
 float test in the same operation order, with the library's exact
-recheck (read from ``kernsplit.powered`` at call time) near ties, and
+recheck (read from ``kernsplit.powered`` at call time) within the band
+``kernsplit.kernel.PREFILTER_REL`` (read at call time too), and
 the integer test k*k <= m at gamma = 0.  The theta rule is a float
 prefilter in log space with an exact integer recheck near the boundary.
 ``subset_check_powers`` decides k(m)**q <= m**p itself, by trial
@@ -25,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import kernsplit.kernel
 import kernsplit.powered
 from kernsplit.decompose import Decomposition
 from kernsplit.kernel import RadicalTable, radical, radical_sieve
@@ -70,7 +72,7 @@ def log_weighted_members(gamma: float, ms: np.ndarray, kernels: np.ndarray) -> n
         rhs *= mf
     np.less_equal(lhs, rhs, out=mask[skip:])
     # strict: an overflowed rhs exceeds every float lhs and is no near-tie
-    for i in np.nonzero(np.abs(lhs - rhs) < kernsplit.powered._TIE_REL * rhs)[0]:
+    for i in np.nonzero(np.abs(lhs - rhs) < kernsplit.kernel.PREFILTER_REL * rhs)[0]:
         mask[skip + i] = kernsplit.powered._log_weighted_member_exact(int(ms[i]), int(kernels[i]), gamma)
     return mask
 

@@ -490,14 +490,15 @@ class TestWorsePart:
     @example(4, [((2, 2), (1, 1))])
     @example(10, [((2**53 + 1, 2**53 + 3), (1, 1)), ((2**53, 2**53 + 4), (2**53 + 1, 2**53 + 3))])
     def test_report_matches_python(self, n_lo, drawn):
-        # (2**53 + 1) / (2**53 + 3) is not float(2**53 + 1) / float(2**53 + 3): the floats are Python's q / m,
-        # added left to right, and the violations and maxima are decided in Python ints and Fractions
+        # numpy's q / m is float(q) / float(m), which makes (2**53 + 1) / (2**53 + 3) and 2**53 / (2**53 + 4) one
+        # float: the means add those floats left to right, and the violations and maxima are decided in Python
+        # ints and Fractions
         split_q, oracle_q = zip(*drawn)
         rows, m1s = len(drawn), np.full(len(drawn), 2, dtype=np.int64)
         report = orc._report(n_lo, n_lo + rows - 1, m1s, np.array(split_q).T, m1s, np.array(oracle_q).T)
         assert report.violations == tuple(n for n, (a, b), (c, d) in zip(count(n_lo), split_q, oracle_q) if c * b > a * d)
         assert (report.max_split_quality, report.max_oracle_quality) == tuple(max(Fraction(*q) for q in side) for side in (split_q, oracle_q))
-        means = tuple(list(accumulate(q / m for q, m in side))[-1] / rows for side in (split_q, oracle_q))
+        means = tuple(list(accumulate(float(q) / float(m) for q, m in side))[-1] / rows for side in (split_q, oracle_q))
         assert (report.mean_split_quality, report.mean_oracle_quality) == means
 
 
@@ -561,9 +562,10 @@ class TestBlockMatchesLoop:
     @settings(max_examples=6, deadline=None)
     @given(window(4, 30_000, 300))
     def test_oracle_wide_band(self, lohi):
-        # a band this wide holds many pairs per n: the exact re-rank alone picks the optimum
+        # a band this wide holds many pairs per n, and many of the report's rows: the exact re-rank alone
+        # picks the optimum, and ints and Fractions alone the violations and maxima
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orc, "_PREFILTER_REL", 1.0)
+            mp.setattr(orc, "PREFILTER_REL", 1.0)
             got = constructive_vs_oracle(*lohi, force=True)
         assert plain(got) == plain(loop_oracle(*lohi, table_to(30_300)))
 

@@ -293,7 +293,7 @@ class TestNearTieRecheck:
     def test_rechecking_every_decision_keeps_the_count(self, monkeypatch, x, gamma):
         expected = count_log_weighted(x, gamma).count
         calls = self.spy_exact(monkeypatch)
-        monkeypatch.setattr(kernsplit.powered, "_TIE_REL", 1.0)
+        monkeypatch.setattr(kernsplit.powered, "PREFILTER_REL", 1.0)
         assert count_log_weighted(x, gamma).count == expected
         assert len(calls) > 200
 
